@@ -206,19 +206,18 @@ def chains_in(subset: BasicSubset) -> list[Chain]:
     return chains
 
 
-def _is_special_pair(subset: BasicSubset, c: Chain, cp: Chain) -> bool:
+def _is_special_pair(c: Chain, cp: Chain, prev: dict[int, int], nxt: dict[int, int]) -> bool:
+    """``prev`` maps the end of each root of D to its start, ``nxt`` its start to its end."""
     if len(c.indices) != len(cp.indices):
         return False
     merged = [x for pair in zip(c.indices, cp.indices) for x in pair]
     if any(a >= b for a, b in zip(merged, merged[1:])):
         return False  # chains must intertwine strictly
-    prev = {r.j: r.i for r in subset.roots}
     # A root of D ending at the start of cp must itself start after c does.
     j0 = prev.get(cp.indices[0])
     if j0 is not None and not c.indices[0] < j0:
         return False
     # A root of D extending c forward must land before cp ends.
-    nxt = _successor_map(subset)
     i_next = nxt.get(c.indices[-1])
     if i_next is not None and not i_next < cp.indices[-1]:
         return False
@@ -228,10 +227,12 @@ def _is_special_pair(subset: BasicSubset, c: Chain, cp: Chain) -> bool:
 def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D."""
     chains = chains_in(subset)
+    prev = {r.j: r.i for r in subset.roots}
+    nxt = _successor_map(subset)
     out: set[PositiveRoot] = set()
     for c in chains:
         for cp in chains:
-            if _is_special_pair(subset, c, cp):
+            if _is_special_pair(c, cp, prev, nxt):
                 out.add(diff(c.indices[0], cp.indices[0]))
     return frozenset(out)
 

@@ -8,61 +8,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basic import basic_map_to_json, decompose, achievable_dimensions, max_weyl_index
 from .functionals import functional_from_json, orbit_dimension
-from .oracle import (
-    DEFAULT_SEED,
-    SUITE_NAMES,
-    SuiteConfig,
-    UnknownSuiteError,
-    run_suite,
-)
+from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 from .orbits import (
     chart_equations_latex,
     chart_equations_text,
     chart_to_json,
     orbit_chart,
 )
-from .roots import (
-    InvalidRootError,
-    RankRangeError,
-    RootSystemKind,
-    get_system,
-    parse_root,
-    system_to_json,
-)
+from .roots import RootSystemKind, get_system, parse_root, system_to_json
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Common knobs shared by the subcommands."""
-
-    kind: str | None = None
-    n: int | None = None
-    format: str = "text"
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-
-
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        kind=getattr(args, "kind", None),
-        n=getattr(args, "n", None),
-        format=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        out=getattr(args, "out", None),
-    )
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; we reserve 2 for verify."""
+    """argparse defaults to exit code 2 on usage errors; we reserve 2 for verify.
+
+    Negative rationals such as "-3/5" are read as option values, not flags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -77,13 +50,12 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _add_common(parser, *, kind=False, n=False, fmt=True):
+def _add_common(parser, *, kind=False, n=False):
     if kind:
         parser.add_argument("--kind", required=True, choices=[k.value for k in RootSystemKind])
     if n:
         parser.add_argument("--n", required=True, type=int)
-    if fmt:
-        parser.add_argument("--format", default="text", choices=("text", "json", "latex"))
+    parser.add_argument("--format", default="text", choices=("text", "json", "latex"))
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -131,61 +103,61 @@ def _load_functional(path: str):
         return functional_from_json(json.load(handle))
 
 
-def _cmd_roots(args, cfg: CliConfig) -> int:
+def _cmd_roots(args) -> int:
     system = get_system(args.kind, args.n)
-    if cfg.format == "json":
-        _emit(json.dumps(system_to_json(system), sort_keys=True), cfg.out)
-    elif cfg.format == "latex":
-        _emit("\n".join(r.latex() for r in system.roots), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(system_to_json(system), sort_keys=True), args.out)
+    elif args.format == "latex":
+        _emit("\n".join(r.latex() for r in system.roots), args.out)
     else:
-        _emit("\n".join(f"{k}: {r}" for k, r in enumerate(system.roots)), cfg.out)
+        _emit("\n".join(f"{k}: {r}" for k, r in enumerate(system.roots)), args.out)
     return 0
 
 
-def _cmd_chart(args, cfg: CliConfig) -> int:
+def _cmd_chart(args) -> int:
     alpha = parse_root(args.alpha)
     chart = orbit_chart(args.kind, args.n, alpha, Fraction(args.c))
     free = " ".join(str(r) for r in chart.data.singular)
-    if cfg.format == "json":
-        _emit(json.dumps(chart_to_json(chart), sort_keys=True), cfg.out)
-    elif cfg.format == "latex":
+    if args.format == "json":
+        _emit(json.dumps(chart_to_json(chart), sort_keys=True), args.out)
+    elif args.format == "latex":
         lines = chart_equations_latex(chart)
         lines.append(r"\text{free: } " + ", ".join(
             f"e_{{{r.latex()}}}" for r in chart.data.singular))
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     else:
         lines = chart_equations_text(chart)
         lines.append(f"free: {free}" if free else "free: (none)")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
-def _cmd_dim(args, cfg: CliConfig) -> int:
+def _cmd_dim(args) -> int:
     f = _load_functional(args.functional)
     dim = orbit_dimension(f)
-    if cfg.format == "json":
-        _emit(json.dumps({"dimension": dim, "weyl_index": dim // 2}, sort_keys=True), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps({"dimension": dim, "weyl_index": dim // 2}, sort_keys=True), args.out)
     else:
-        _emit(str(dim), cfg.out)
+        _emit(str(dim), args.out)
     return 0
 
 
-def _cmd_decompose(args, cfg: CliConfig) -> int:
+def _cmd_decompose(args) -> int:
     f = _load_functional(args.functional)
     result = decompose(f)
-    if cfg.format == "json":
-        _emit(json.dumps(basic_map_to_json(result.map), sort_keys=True), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(basic_map_to_json(result.map), sort_keys=True), args.out)
     else:
         lines = ["roots: " + (" ".join(str(r) for r in result.subset.roots) or "(empty)")]
         lines.extend(f"phi[{r}] = {result.map.phi[r]}" for r in result.subset.roots)
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
-def _cmd_dims(args, cfg: CliConfig) -> int:
+def _cmd_dims(args) -> int:
     dims = achievable_dimensions(args.n)
     indices = [d // 2 for d in dims]
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "n": args.n,
             "dims": dims,
@@ -193,26 +165,26 @@ def _cmd_dims(args, cfg: CliConfig) -> int:
             "max_dimension": dims[-1],
             "max_weyl_index": max_weyl_index(args.n),
         }
-        _emit(json.dumps(payload, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         lines = [" ".join(str(d) for d in dims), "m: " + " ".join(str(m) for m in indices)]
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     kinds = (RootSystemKind(args.kind),) if args.kind else None
-    config = SuiteConfig(kinds=kinds, max_n=args.max_n, trials=args.trials, seed=cfg.seed)
+    config = SuiteConfig(kinds=kinds, max_n=args.max_n, trials=args.trials, seed=args.seed)
     report = run_suite(args.suite, config)
-    if cfg.format == "json":
-        _emit(json.dumps(report.to_json(), sort_keys=True), cfg.out)
+    if args.format == "json":
+        _emit(json.dumps(report.to_json(), sort_keys=True), args.out)
     else:
         lines = [f"suite {report.check_name}: {report.verdict.upper()} ({report.trials} checks)"]
         for failure in report.failures[:10]:
             lines.append(f"  failure: {failure}")
         if len(report.failures) > 10:
             lines.append(f"  ... and {len(report.failures) - 10} more")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0 if report.passed else VERIFY_ERROR
 
 
@@ -230,14 +202,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, config_from_args(args))
-    except (RankRangeError, InvalidRootError, UnknownSuiteError) as exc:
-        print(f"coadorbits: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"coadorbits: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+        return _DISPATCH[args.command](args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"coadorbits: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -193,9 +193,6 @@ class SkewForm:
     system: RootSystem
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def as_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows]
-
 
 def skew_form(f: Functional) -> SkewForm:
     system = f.system
@@ -217,7 +214,7 @@ def skew_form(f: Functional) -> SkewForm:
 
 def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = rank(skew_form(f).as_lists())
+    r = rank(skew_form(f).rows)
     if r % 2 != 0:
         raise RuntimeError("skew form rank must be even")  # mathematically impossible
     return r
@@ -229,7 +226,7 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     Vectors are coefficient tuples over the canonical root order; their
     count is len(roots) - orbit_dimension(f).
     """
-    return kernel_basis(skew_form(f).as_lists())
+    return kernel_basis(skew_form(f).rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,81 +1,75 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on lists of lists of ``fractions.Fraction`` and never
-touches floating point: ranks, kernels and determinants are exact, which is
-what makes orbit dimensions trustworthy integers rather than numerical
-estimates.
+Everything here works on sequences of rows (lists or tuples) of
+``fractions.Fraction`` and never touches floating point: ranks, kernels and
+determinants are exact, which is what makes orbit dimensions trustworthy
+integers rather than numerical estimates. All three read one forward
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-Row = list[Fraction]
-Matrix = list[Row]
-
-
-def _copy(rows: Matrix) -> Matrix:
-    return [list(row) for row in rows]
+Matrix = Sequence[Sequence[Fraction]]
 
 
-def _echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Row-reduce a copy of ``rows``; return (reduced rows, pivot columns).
+def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
+    """Forward-eliminate a copy of ``rows``; return (echelon rows, pivot columns, swaps).
 
-    Pivoting picks the first nonzero entry in the column, which is all a
-    field needs; there is no magnitude to balance.
+    Row r of the echelon form leads at column pivots[r]; the rows past the
+    pivots are zero. Pivoting picks the first nonzero entry in the column,
+    which is all a field needs; there is no magnitude to balance.
     """
-    m = _copy(rows)
+    m = [list(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
-    r = 0
+    swaps = 0
     for c in range(ncols):
-        pivot_row = None
-        for k in range(r, nrows):
-            if m[k][c] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for k in range(nrows):
-            if k != r and m[k][c] != 0:
-                d = m[k][c]
-                m[k] = [a - d * b for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return m, pivots
+        pivot_row = next((k for k in range(r, nrows) if m[k][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        top = m[r]
+        inv = Fraction(1) / top[c]
+        for k in range(r + 1, nrows):
+            if m[k][c]:
+                d = m[k][c] * inv
+                # Zeros of the pivot row leave an entry as it is.
+                m[k] = [a - d * b if b else a for a, b in zip(m[k], top)]
+        pivots.append(c)
+    return m, pivots, swaps
 
 
 def rank(rows: Matrix) -> int:
     """Exact rank of a rational matrix."""
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_eliminate(rows)[1])
 
 
 def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : rows @ v = 0}, exact.
 
-    Returned vectors have a 1 in their free coordinate, so the basis is in
-    reduced form and deterministic.
+    Each vector has a 1 at its own free column and 0 at the other free
+    columns, so the basis is in reduced form and deterministic.
     """
-    if not rows or not rows[0]:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    echelon, pivots, _ = _eliminate(rows)
+    ncols = len(echelon[0]) if echelon else 0
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for r in reversed(range(len(pivots))):
+            pc, row = pivots[r], echelon[r]
+            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j]),
+                         Fraction(0)) / row[pc]
         basis.append(tuple(v))
     return basis
 
@@ -83,28 +77,12 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
 def det(rows: Matrix) -> Fraction:
     """Exact determinant of a square rational matrix."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    m = _copy(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for k in range(c, n):
-            if m[k][c] != 0:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = Fraction(1, 1) / m[c][c]
-        for k in range(c + 1, n):
-            if m[k][c] != 0:
-                d = m[k][c] * inv
-                m[k] = [a - d * b for a, b in zip(m[k], m[c])]
-    return sign * result
+    echelon, pivots, swaps = _eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    result = Fraction(-1 if swaps % 2 else 1)
+    for r in range(n):
+        result *= echelon[r][r]
+    return result

@@ -104,7 +104,6 @@ class SuiteConfig:
     max_n: int | None = None
     trials: int | None = None
     seed: int = DEFAULT_SEED
-    scalar: Fraction = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +234,16 @@ def _suite_chart_soundness(cfg: SuiteConfig) -> OracleReport:
     kinds = cfg.kinds or tuple(RootSystemKind)
     max_n = cfg.max_n or 4
     trials = cfg.trials or 100
-    c = Fraction(cfg.scalar)
     failures = []
     total = 0
     for kind in kinds:
         for n in range(2, max_n + 1):
             system = get_system(kind, n)
             for alpha in system.roots:
-                chart = orbit_chart(kind, n, alpha, c)
+                chart = orbit_chart(kind, n, alpha, 1)
                 for t in range(trials):
                     stamp = f"{cfg.seed}:chart-soundness:{kind.value}:{n}:{alpha}:{t}"
-                    point, word = random_orbit_point(kind, n, alpha, c, seed=stamp)
+                    point, word = random_orbit_point(kind, n, alpha, 1, seed=stamp)
                     total += 1
                     if not contains(chart, point):
                         failures.append(_failure(
@@ -257,7 +255,7 @@ def _suite_chart_soundness(cfg: SuiteConfig) -> OracleReport:
     return OracleReport(
         "chart-soundness",
         {"kinds": [k.value for k in kinds], "max_n": max_n,
-         "trials_per_alpha": trials, "c": str(c), "seed": cfg.seed},
+         "trials_per_alpha": trials, "c": "1", "seed": cfg.seed},
         total,
         failures,
     )

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Mapping
 
-from .functionals import Functional, GroupWord, Rational, e_star, functional, group_word
+from .functionals import Functional, GroupWord, Rational, functional, group_word
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -388,69 +389,37 @@ def construct_group_word(
     return group_word(letters)
 
 
-def base_point(chart: OrbitChart) -> Functional:
-    """The distinguished point c * e*_alpha of the chart."""
-    return e_star(chart.system, chart.alpha, chart.c)
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _grouped_powers(mono) -> list[tuple[PositiveRoot, int]]:
-    groups: list[tuple[PositiveRoot, int]] = []
-    for v in mono:
-        if groups and groups[-1][0] == v:
-            groups[-1] = (v, groups[-1][1] + 1)
+def _render(poly: Polynomial, factor: Callable[[PositiveRoot, int], str],
+            number: Callable[[Fraction], str], sep: str) -> str:
+    """Terms in display order; ``sep`` joins a term's coefficient and factors."""
+    if poly.is_zero():
+        return "0"
+    rendered = []
+    for mono, coef in poly.sorted_terms():
+        factors = [factor(v, len(list(group))) for v, group in groupby(mono)]
+        if not factors:
+            rendered.append(number(coef))
+        elif coef in (1, -1):
+            rendered.append(("-" if coef < 0 else "") + sep.join(factors))
         else:
-            groups.append((v, 1))
-    return groups
+            rendered.append(sep.join([number(coef), *factors]))
+    out = rendered[0]
+    for term in rendered[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
 
 
 def polynomial_text(poly: Polynomial) -> str:
-    if poly.is_zero():
-        return "0"
-    rendered = []
-    for mono, coef in poly.sorted_terms():
-        factors = []
-        for v, p in _grouped_powers(mono):
-            factors.append(f"f({v})" if p == 1 else f"f({v})^{p}")
-        if not factors:
-            rendered.append(str(coef))
-        elif coef == 1:
-            rendered.append("*".join(factors))
-        elif coef == -1:
-            rendered.append("-" + "*".join(factors))
-        else:
-            rendered.append(f"{coef}*" + "*".join(factors))
-    out = rendered[0]
-    for term in rendered[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _render(poly, lambda v, p: f"f({v})" + (f"^{p}" if p > 1 else ""), str, "*")
 
 
 def polynomial_latex(poly: Polynomial) -> str:
-    if poly.is_zero():
-        return "0"
-    rendered = []
-    for mono, coef in poly.sorted_terms():
-        factors = []
-        for v, p in _grouped_powers(mono):
-            base = rf"f(e_{{{v.latex()}}})"
-            factors.append(base if p == 1 else base + f"^{{{p}}}")
-        body = "".join(factors)
-        if not factors:
-            rendered.append(_frac_latex(coef))
-        elif coef == 1:
-            rendered.append(body)
-        elif coef == -1:
-            rendered.append("-" + body)
-        else:
-            rendered.append(_frac_latex(coef) + body)
-    out = rendered[0]
-    for term in rendered[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _render(poly, lambda v, p: rf"f(e_{{{v.latex()}}})" + (f"^{{{p}}}" if p > 1 else ""),
+                   _frac_latex, "")
 
 
 def _frac_latex(c: Fraction) -> str:

@@ -171,3 +171,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip().splitlines()[0] == "0: e1-e2"
+
+
+def test_negative_rational_option_value(capsys):
+    # The --c help text's own example, written with a space, not as --c=-3/5.
+    code, out, err = run_cli(
+        capsys, "chart", "--kind", "A", "--n", "4", "--alpha", "e1-e4", "--c", "-3/5",
+    )
+    assert code == 0, err
+    assert "f(e1-e4) = -3/5" in out
+    assert run_cli(capsys, "chart", "--kind", "A", "--n", "4", "--alpha", "e1-e4",
+                   "--c=-3/5")[1] == out
