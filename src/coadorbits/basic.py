@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .functionals import Functional, Rational, functional
+from .functionals import Functional, Rational, functional, rational_from_json
 from .linalg import det, rank
 from .orbits import singular_set
 from .roots import (
@@ -388,7 +388,7 @@ def basic_map_to_json(bmap: BasicMap) -> dict:
 def basic_map_from_json(data: Mapping) -> BasicMap:
     n = int(data["n"])
     subset = basic_subset(n, [parse_root(s) for s in data["roots"]])
-    phi = {parse_root(name): Fraction(v) for name, v in data["phi"].items()}
+    phi = {parse_root(name): rational_from_json(name, v) for name, v in data["phi"].items()}
     return basic_map(subset, phi)
 
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: roots, chart, dim, decompose, dims, verify. Exit codes:
-0 success, 1 usage or input error, 2 verification failure.
+0 success, 1 usage or input error, 2 verification failure, including a
+failed internal consistency check (DecompositionError, ChartConsistencyError,
+BracketDecompositionError).
 """
 
 from __future__ import annotations
@@ -12,16 +14,29 @@ import re
 import sys
 from fractions import Fraction
 
-from .basic import basic_map_to_json, decompose, achievable_dimensions, max_weyl_index
+from .basic import (
+    DecompositionError,
+    achievable_dimensions,
+    basic_map_to_json,
+    decompose,
+    max_weyl_index,
+)
 from .functionals import functional_from_json, orbit_dimension
 from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 from .orbits import (
+    ChartConsistencyError,
     chart_equations_latex,
     chart_equations_text,
     chart_to_json,
     orbit_chart,
 )
-from .roots import RootSystemKind, get_system, parse_root, system_to_json
+from .roots import (
+    BracketDecompositionError,
+    RootSystemKind,
+    get_system,
+    parse_root,
+    system_to_json,
+)
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -206,6 +221,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"coadorbits: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (DecompositionError, ChartConsistencyError, BracketDecompositionError) as exc:
+        print(f"coadorbits: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

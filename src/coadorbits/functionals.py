@@ -117,31 +117,69 @@ def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
 
 @lru_cache(maxsize=None)
 def _ad_chains(kind: RootSystemKind, n: int):
-    """Per (beta, gamma): the nonzero tail of exp(ad(-t e_beta)) e_gamma.
+    """Per beta: the gammas it moves, each with the nonzero tail of exp(ad(-t e_beta)) e_gamma.
 
-    Entries are (target, m, coef) meaning a contribution coef * (-t)^m at
-    e_target, with coef carrying the iterated structure constants over m!.
-    The chains terminate because ad is nilpotent.
+    All roots are positions in the canonical root order. chains[b] is
+    ((g, ((target, m, coef), ...)), ...), listing only the g with a nonempty
+    tail; (target, m, coef) is a contribution coef * (-t)^m at e_target, with
+    coef carrying the iterated structure constants over m!. The tails
+    terminate because ad is nilpotent.
     """
     table = structure_table(kind, n)
-    chains: dict[tuple[PositiveRoot, PositiveRoot], tuple] = {}
-    for beta in table.system.roots:
-        for gamma in table.system.roots:
-            entries = []
-            cur = gamma
-            c = 1
-            m = 0
-            while True:
-                hit = table.get(beta, cur)
-                if hit is None:
-                    break
+    roots = table.system.roots
+    index_of = table.system.index_of
+    chains = []
+    for beta in roots:
+        moved = []
+        for g, gamma in enumerate(roots):
+            tail = []
+            cur, c, m = gamma, 1, 0
+            while (hit := table.get(beta, cur)) is not None:
                 k, cur = hit
                 c *= k
                 m += 1
-                entries.append((cur, m, Fraction(c, math.factorial(m))))
-            if entries:
-                chains[(beta, gamma)] = tuple(entries)
-    return chains
+                tail.append((index_of(cur), m, Fraction(c, math.factorial(m))))
+            if tail:
+                moved.append((g, tuple(tail)))
+        chains.append(tuple(moved))
+    return tuple(chains)
+
+
+def _act(letters, f: Functional) -> Functional:
+    """Apply the letters (beta, t), last first, to f over a vector in canonical order."""
+    system = f.system
+    index_of = system.index_of
+    moves = []
+    for beta, t in reversed(letters):
+        b = index_of(beta)
+        t = _frac(t)
+        if t:
+            moves.append((b, -t))
+    if not moves or not f.values:
+        return f
+    chains = _ad_chains(system.kind, system.n)
+    vec = [0] * len(system.roots)
+    for root, v in f.values.items():
+        vec[index_of(root)] = v
+    for b, mt in moves:
+        powers = [1, mt]
+        deltas = []
+        for g, tail in chains[b]:
+            while len(powers) <= len(tail):
+                powers.append(powers[-1] * mt)
+            d = 0
+            for target, m, coef in tail:
+                x = vec[target]
+                if x:
+                    d += x * coef * powers[m]
+            if d:
+                deltas.append((g, d))
+        # Every delta reads the pre-letter vector, so the result does not
+        # depend on the order in which the gammas are visited.
+        for g, d in deltas:
+            vec[g] += d
+    roots = system.roots
+    return Functional(system, {roots[k]: v for k, v in enumerate(vec) if v})
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -150,22 +188,7 @@ def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Funct
     The new value at e_gamma is f(exp(ad(-t e_beta)) e_gamma); the series
     stops on its own once the bracket chain dies.
     """
-    system = f.system
-    system.check_member(beta)
-    t = _frac(t)
-    if t == 0 or f.is_zero():
-        return f
-    chains = _ad_chains(system.kind, system.n)
-    vals: dict[PositiveRoot, Fraction] = {}
-    for gamma in system.roots:
-        v = f.values.get(gamma, Fraction(0))
-        for target, m, coef in chains.get((beta, gamma), ()):
-            fv = f.values.get(target)
-            if fv:
-                v += fv * coef * (-t) ** m
-        if v:
-            vals[gamma] = v
-    return Functional(system, vals)
+    return _act(((beta, t),), f)
 
 
 def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
@@ -174,9 +197,7 @@ def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
     Composition follows the group: for words w1, w2 and their concatenation
     w1 + w2, apply(w1 + w2, f) == apply(w1, apply(w2, f)).
     """
-    for beta, t in reversed(word.letters):
-        f = coadjoint_apply_one(beta, t, f)
-    return f
+    return _act(word.letters, f)
 
 
 def concat_words(*words: GroupWord) -> GroupWord:
@@ -242,13 +263,28 @@ def functional_to_json(f: Functional) -> dict:
     }
 
 
+def rational_from_json(key: str, value) -> Fraction:
+    """The rational under `key` of a JSON object: only exact strings such as "-3/5".
+
+    Numbers, booleans and containers raise ValueError naming the key, so no
+    float is ever rounded into a Fraction.
+    """
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f'value of {key!r} must be an exact rational string such as "-3/5", '
+                     f"got {value!r}")
+
+
 def functional_from_json(data: Mapping) -> Functional:
     try:
         system = get_system(data["kind"], int(data["n"]))
         raw = dict(data["values"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed functional object: {exc}") from None
-    values = {parse_root(name): Fraction(v) for name, v in raw.items()}
+    values = {parse_root(name): rational_from_json(name, v) for name, v in raw.items()}
     return functional(system, values)
 
 
@@ -257,4 +293,4 @@ def word_to_json(word: GroupWord) -> list:
 
 
 def word_from_json(data: Iterable) -> GroupWord:
-    return group_word((parse_root(name), Fraction(t)) for name, t in data)
+    return group_word((parse_root(name), rational_from_json(name, t)) for name, t in data)

@@ -391,6 +391,13 @@ def test_basic_map_json_round_trip():
     assert basic_map_from_json(payload) == bmap
 
 
+@pytest.mark.parametrize("value", [0.1, True, [1], 2])
+def test_basic_map_json_rejects_non_string_rational(value):
+    payload = {"n": 5, "roots": ["e1-e3", "e2-e5"], "phi": {"e1-e3": "2", "e2-e5": value}}
+    with pytest.raises(ValueError, match="e2-e5"):
+        basic_map_from_json(payload)
+
+
 def test_scan_records_shape():
     records = list(iter_scan_records(3))
     assert len(records) == 5

@@ -1,10 +1,14 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from coadorbits.basic import DecompositionError
 from coadorbits.cli import main
+from coadorbits.orbits import ChartConsistencyError
+from coadorbits.roots import BracketDecompositionError
 
 
 def run_cli(capsys, *argv):
@@ -182,3 +186,30 @@ def test_negative_rational_option_value(capsys):
     assert "f(e1-e4) = -3/5" in out
     assert run_cli(capsys, "chart", "--kind", "A", "--n", "4", "--alpha", "e1-e4",
                    "--c=-3/5")[1] == out
+
+
+@pytest.mark.parametrize("value", [0.1, True, [1]])
+def test_dim_rejects_non_string_rational(tmp_path, capsys, value):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 4, "values": {"e1-e2": value}}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coadorbits: error: ") and err.count("\n") == 1
+    assert "e1-e2" in err
+
+
+@pytest.mark.parametrize("error", [
+    DecompositionError, ChartConsistencyError, BracketDecompositionError,
+])
+def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
+    import coadorbits.cli as cli_mod
+
+    def failing_decompose(f):
+        raise error("forced")
+
+    monkeypatch.setattr(cli_mod, "decompose", failing_decompose)
+    code, out, err = run_cli(capsys, "decompose", str(Path(__file__).parent / "golden" / "a5.json"))
+    assert code == 2
+    assert out == ""
+    assert err == f"coadorbits: error: {error.__name__}: forced\n"

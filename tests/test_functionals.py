@@ -1,6 +1,8 @@
 """Coadjoint action, skew forms, orbit dimensions, radicals."""
 
+import math
 import random
+from functools import lru_cache
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits.functionals import (
+    Functional,
+    GroupWord,
     coadjoint_apply,
     coadjoint_apply_one,
     concat_words,
@@ -19,11 +23,21 @@ from coadorbits.functionals import (
     orbit_dimension,
     radical_basis,
     skew_form,
+    word_from_json,
+    word_to_json,
     zero_functional,
 )
 from coadorbits.oracle import random_functional, random_word
 from coadorbits.orbits import singular_set
-from coadorbits.roots import RootSystemKind, diff, get_system, short, sum_root
+from coadorbits.roots import (
+    InvalidRootError,
+    RootSystemKind,
+    diff,
+    get_system,
+    short,
+    structure_table,
+    sum_root,
+)
 
 KINDS = tuple(RootSystemKind)
 
@@ -100,6 +114,121 @@ def test_concatenation_is_group_multiplication(data):
     lhs = coadjoint_apply(concat_words(w1, w2), f)
     rhs = coadjoint_apply(w1, coadjoint_apply(w2, f))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The index-based action against the per-root series it replaced
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _reference_chains(kind, n):
+    """Per (beta, gamma): the nonzero tail of exp(ad(-t e_beta)) e_gamma, keyed by roots."""
+    table = structure_table(kind, n)
+    chains = {}
+    for beta in table.system.roots:
+        for gamma in table.system.roots:
+            entries = []
+            cur = gamma
+            c = 1
+            m = 0
+            while True:
+                hit = table.get(beta, cur)
+                if hit is None:
+                    break
+                k, cur = hit
+                c *= k
+                m += 1
+                entries.append((cur, m, Q(c, math.factorial(m))))
+            if entries:
+                chains[(beta, gamma)] = tuple(entries)
+    return chains
+
+
+def _reference_apply_one(beta, t, f):
+    """One letter, root by root: f(exp(ad(-t e_beta)) e_gamma) for every gamma."""
+    system = f.system
+    system.check_member(beta)
+    t = Q(t)
+    if t == 0 or f.is_zero():
+        return f
+    chains = _reference_chains(system.kind, system.n)
+    vals = {}
+    for gamma in system.roots:
+        v = f.values.get(gamma, Q(0))
+        for target, m, coef in chains.get((beta, gamma), ()):
+            fv = f.values.get(target)
+            if fv:
+                v += fv * coef * (-t) ** m
+        if v:
+            vals[gamma] = v
+    return Functional(system, vals)
+
+
+def _reference_apply(word, f):
+    for beta, t in reversed(word.letters):
+        f = _reference_apply_one(beta, t, f)
+    return f
+
+
+REFERENCE_SYSTEMS = (
+    [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)]
+    + [("D", n) for n in range(2, 6)]
+)
+# Zero, integer and fractional parameters; ints are left unconverted.
+PARAMETERS = (0, 0, 1, -1, 2, -3, Q(1, 2), Q(-5, 3), Q(7, 4))
+
+
+def _stored_exactly(f):
+    return all(type(v) is Q and v != 0 for v in f.values.values())
+
+
+def _reference_cases(system, rng):
+    """(word, functional) pairs: random, zero, elementary; repeated letters and the empty word."""
+    for trial in range(12):
+        if trial % 4 == 0:
+            f = zero_functional(system)
+        elif trial % 4 == 1:
+            f = e_star(system, rng.choice(system.roots), rng.choice(PARAMETERS[2:]))
+        else:
+            f = random_functional(system, rng)
+        letters = []
+        for _ in range(rng.randrange(0, 2 * len(system.roots) + 1)):
+            letter = (rng.choice(system.roots), rng.choice(PARAMETERS))
+            letters.extend([letter] * rng.choice((1, 1, 2, 3)))
+        yield GroupWord(tuple(letters)), f
+    yield GroupWord(), random_functional(system, rng)
+
+
+@pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
+def test_action_equals_per_root_reference(kind, n):
+    system = get_system(kind, n)
+    rng = random.Random(f"reference:{kind}:{n}")
+    for word, f in _reference_cases(system, rng):
+        got = coadjoint_apply(word, f)
+        assert got == _reference_apply(word, f)
+        assert _stored_exactly(got)
+        if not word.letters or f.is_zero():
+            assert got is f
+        for beta, t in word.letters:
+            one = coadjoint_apply_one(beta, t, f)
+            assert one == _reference_apply_one(beta, t, f)
+            assert _stored_exactly(one)
+
+
+@pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
+def test_foreign_letter_raises_at_either_end(kind, n):
+    system = get_system(kind, n)
+    foreign = diff(1, n + 1)
+    rng = random.Random(f"foreign:{kind}:{n}")
+    inner = [(rng.choice(system.roots), Q(rng.choice((1, -2)))) for _ in range(3)]
+    for f in (random_functional(system, rng, force_root=system.roots[-1]),
+              zero_functional(system)):
+        for letters in ([(foreign, Q(1))] + inner, inner + [(foreign, Q(1))],
+                        [(foreign, Q(0))]):
+            with pytest.raises(InvalidRootError):
+                coadjoint_apply(group_word(letters), f)
+        with pytest.raises(InvalidRootError):
+            coadjoint_apply_one(foreign, 1, f)
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +349,26 @@ def test_functional_json_rejects_bad_input():
         functional_from_json({"kind": "A", "values": {}})
     with pytest.raises(Exception):
         functional_from_json({"kind": "A", "n": 3, "values": {"e1": "1"}})
+
+
+# JSON numbers, booleans and containers are not exact rational strings.
+NON_STRING_RATIONALS = [0.1, True, [1], 2, None]
+
+
+@pytest.mark.parametrize("value", NON_STRING_RATIONALS + ["1/0", "abc"])
+def test_functional_json_rejects_non_string_rational(value):
+    payload = {"kind": "A", "n": 3, "values": {"e1-e3": "1", "e1-e2": value}}
+    with pytest.raises(ValueError, match="e1-e2"):
+        functional_from_json(payload)
+
+
+@pytest.mark.parametrize("value", NON_STRING_RATIONALS)
+def test_word_json_rejects_non_string_rational(value):
+    with pytest.raises(ValueError, match="e2-e3"):
+        word_from_json([["e1-e2", "1"], ["e2-e3", value]])
+
+
+def test_word_json_round_trip():
+    w = group_word([(diff(1, 2), Q(-3, 5)), (short(2), Q(4))])
+    assert word_to_json(w) == [["e1-e2", "-3/5"], ["e2", "4"]]
+    assert word_from_json(word_to_json(w)) == w

@@ -1,0 +1,37 @@
+"""The two scripts, run as their users run them: a subprocess with src on the path."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from coadorbits.basic import enumerate_basic_subsets
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_certify_signs_defaults():
+    done = run_script("certify_signs.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for kind in ("B", "D"):
+        assert f"kind {kind}: certified rule = constant-minus (shipped default)" in lines
+
+
+def test_scan_achievable_dims_one_line_per_subset():
+    done = run_script("scan_achievable_dims.py", "--n", "5")
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    subsets = list(enumerate_basic_subsets(5))
+    assert len(records) == len(subsets)
+    assert [r["roots"] for r in records] == [[str(x) for x in s.roots] for s in subsets]
+    assert "-> OK" in done.stderr
