@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .functionals import Functional, Rational, functional, rational_from_json
+from .functionals import Functional, Rational, functional, int_from_json, rational_from_json
 from .linalg import det, rank
 from .orbits import singular_set
 from .roots import (
@@ -386,9 +386,13 @@ def basic_map_to_json(bmap: BasicMap) -> dict:
 
 
 def basic_map_from_json(data: Mapping) -> BasicMap:
-    n = int(data["n"])
-    subset = basic_subset(n, [parse_root(s) for s in data["roots"]])
-    phi = {parse_root(name): rational_from_json(name, v) for name, v in data["phi"].items()}
+    try:
+        n = int_from_json("n", data["n"])
+        names, raw = data["roots"], dict(data["phi"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed basic map object: {exc}") from None
+    subset = basic_subset(n, [parse_root(s) for s in names])
+    phi = {parse_root(name): rational_from_json(name, v) for name, v in raw.items()}
     return basic_map(subset, phi)
 
 

@@ -218,18 +218,14 @@ class SkewForm:
 def skew_form(f: Functional) -> SkewForm:
     system = f.system
     table = structure_table(system.kind, system.n)
+    index_of = system.index_of
     size = len(system.roots)
     rows = [[Fraction(0)] * size for _ in range(size)]
-    for a, alpha in enumerate(system.roots):
-        for b in range(a + 1, size):
-            hit = table.get(alpha, system.roots[b])
-            if hit is None:
-                continue
-            c, gamma = hit
-            v = f.values.get(gamma)
-            if v:
-                rows[a][b] = c * v
-                rows[b][a] = -c * v
+    # The table holds both orders of every nonzero bracket.
+    for (alpha, beta), (c, gamma) in table.table.items():
+        v = f.values.get(gamma)
+        if v:
+            rows[index_of(alpha)][index_of(beta)] = c * v
     return SkewForm(system, tuple(tuple(row) for row in rows))
 
 
@@ -278,9 +274,16 @@ def rational_from_json(key: str, value) -> Fraction:
                      f"got {value!r}")
 
 
+def int_from_json(key: str, value) -> int:
+    """The integer under `key` of a JSON object: floats, strings and booleans raise ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"value of {key!r} must be a JSON integer, got {value!r}")
+
+
 def functional_from_json(data: Mapping) -> Functional:
     try:
-        system = get_system(data["kind"], int(data["n"]))
+        system = get_system(data["kind"], int_from_json("n", data["n"]))
         raw = dict(data["values"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed functional object: {exc}") from None

@@ -2,10 +2,12 @@
 
 For a positive root alpha and a nonzero scalar c, the orbit through
 c * e*_alpha is cut out, inside the dual space, by one polynomial constraint
-per regular root, in the coordinates indexed by the singular roots (the
-pairs of positive roots summing to alpha). Charts are built once for c = 1
-and rescaled on use: f lies in the level-c chart iff (1/c) f satisfies the
-level-1 equations.
+per regular root, in the coordinates indexed by the singular roots. The
+singular roots S(alpha) are the roots beta with [e_beta, e_gamma] = c e_alpha
+for some root gamma; they, their pairing and the pair signs are all read
+from the cached bracket table (roots.structure_table). Charts are built once
+for c = 1 and rescaled on use: f lies in the level-c chart iff (1/c) f
+satisfies the level-1 equations.
 
 The quadratic tail that appears in the constraints of sum-root charts
 carries a per-term sign; the convention shipped here ("constant-minus") is
@@ -33,7 +35,6 @@ from .roots import (
     RootSystemKind,
     diff,
     get_system,
-    root_from_weight,
     short,
     structure_table,
     sum_root,
@@ -62,88 +63,62 @@ class ChartConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SingularData:
-    """S(alpha), R(alpha), and for sum roots the paired splitting of S(alpha).
+    """S(alpha), R(alpha) and the pairing of S(alpha) into pairs summing to alpha.
 
-    ``left`` collects the singular roots containing the first index of
-    alpha, ``pairing`` maps each of them to its unique partner summing to
-    alpha, and ``pair_signs`` records the structure constant (+/-1) of the
-    bracket of each pair.
+    A root beta is singular when [e_beta, e_gamma] = c e_alpha for some root
+    gamma, its unique partner alpha - beta. ``left`` collects
+    the member of each pair whose first index is alpha's first index,
+    ``pairing`` maps each of them to its partner, and ``pair_signs`` records
+    the structure constant c (+/-1) of the bracket [e_left, e_partner].
     """
 
     alpha: PositiveRoot
     singular: tuple[PositiveRoot, ...]
     regular: tuple[PositiveRoot, ...]
-    left: tuple[PositiveRoot, ...] | None = None
-    pairing: dict[PositiveRoot, PositiveRoot] | None = None
-    pair_signs: dict[PositiveRoot, int] | None = None
+    left: tuple[PositiveRoot, ...]
+    pairing: dict[PositiveRoot, PositiveRoot]
+    pair_signs: dict[PositiveRoot, int]
 
     @property
-    def right(self) -> tuple[PositiveRoot, ...] | None:
+    def right(self) -> tuple[PositiveRoot, ...]:
         """The partner half of the pairing, in canonical order."""
-        if self.left is None:
-            return None
         partners = set(self.pairing.values())
         return tuple(r for r in self.singular if r in partners)
 
 
-def _singular_roots(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> set[PositiveRoot]:
-    i, j = alpha.i, alpha.j
-    out: set[PositiveRoot] = set()
-    if alpha.tag == DIFF:
-        for k in range(i + 1, j):
-            out.add(diff(i, k))
-            out.add(diff(k, j))
-    elif alpha.tag == SHORT:
-        for k in range(i + 1, n + 1):
-            out.add(diff(i, k))
-            out.add(short(k))
-    else:
-        for k in range(i + 1, j):
-            out.add(diff(i, k))
-            out.add(sum_root(k, j))
-        for k in range(j + 1, n + 1):
-            out.add(diff(i, k))
-            out.add(sum_root(j, k))
-            out.add(sum_root(i, k))
-            out.add(diff(j, k))
-        if kind is RootSystemKind.B:
-            out.add(short(i))
-            out.add(short(j))
+@lru_cache(maxsize=None)
+def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularData]:
+    """Every root's SingularData, read in one pass over the bracket table."""
+    table = structure_table(kind, n)
+    roots = table.system.roots
+    pairs: dict[PositiveRoot, dict[PositiveRoot, tuple[PositiveRoot, int]]] = {
+        alpha: {} for alpha in roots
+    }
+    for (beta, gamma), (c, alpha) in table.table.items():
+        if beta.i == alpha.i:
+            if c not in (1, -1):
+                raise RuntimeError(f"pair ({beta}, {gamma}) does not bracket to +/- e_{alpha}")
+            pairs[alpha][beta] = (gamma, c)
+    out = {}
+    for alpha, found in pairs.items():
+        sing = set(found) | {partner for partner, _ in found.values()}
+        left = tuple(r for r in roots if r in found)
+        out[alpha] = SingularData(
+            alpha,
+            tuple(r for r in roots if r in sing),
+            tuple(r for r in roots if r not in sing),
+            left,
+            {gamma: found[gamma][0] for gamma in left},
+            {gamma: found[gamma][1] for gamma in left},
+        )
     return out
 
 
-@lru_cache(maxsize=None)
-def _singular_data(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> SingularData:
-    system = get_system(kind, n)
-    sing = _singular_roots(kind, n, alpha)
-    singular = tuple(r for r in system.roots if r in sing)
-    regular = tuple(r for r in system.roots if r not in sing)
-    if alpha.tag != SUM:
-        return SingularData(alpha, singular, regular)
-    table = structure_table(kind, n)
-    left = tuple(r for r in singular if alpha.i in r.weight())
-    pairing: dict[PositiveRoot, PositiveRoot] = {}
-    signs: dict[PositiveRoot, int] = {}
-    for gamma in left:
-        w = alpha.weight()
-        for k, v in gamma.weight().items():
-            w[k] = w.get(k, 0) - v
-        partner = root_from_weight(w)
-        if partner is None or partner not in sing:
-            raise RuntimeError(f"no singular partner for {gamma} against {alpha}")
-        hit = table.get(gamma, partner)
-        if hit is None or hit[1] != alpha or hit[0] not in (1, -1):
-            raise RuntimeError(f"pair ({gamma}, {partner}) does not bracket to +/- e_{alpha}")
-        pairing[gamma] = partner
-        signs[gamma] = hit[0]
-    return SingularData(alpha, singular, regular, left, pairing, signs)
-
-
 def singular_set(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> SingularData:
-    """Singular and regular roots of alpha, with the pair data for sum roots."""
+    """Singular and regular roots of alpha, with the pairing of the singular roots."""
     system = get_system(kind, n)
     system.check_member(alpha)
-    return _singular_data(system.kind, n, alpha)
+    return _singular_data(system.kind, n)[alpha]
 
 
 def singular_size_formula(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> int:
@@ -357,35 +332,19 @@ def construct_group_word(
 ) -> GroupWord:
     """A word w with w . e*_alpha = f, for f in the level-1 orbit of alpha.
 
-    The letters follow the constructive product for each chart family: for
-    e_i - e_j, exponentials along e_k - e_j then e_i - e_k; for e_i, along
-    e_k then e_i - e_k; for e_i + e_j, along each singular pair with its
-    bracket sign.
+    One constructive product serves every chart family: for each left
+    singular root gamma with partner p and bracket sign s, first the
+    exponentials along p with parameter s f(gamma), then those along gamma
+    with parameter -s f(p). For e_i - e_j this runs along e_k - e_j, then
+    e_i - e_k; for e_i along e_k, then e_i - e_k; difference and short pairs
+    all have sign +1.
     """
     chart = orbit_chart(kind, n, alpha, 1)
     if not contains(chart, f):
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    i, j = alpha.i, alpha.j
-    letters: list[tuple[PositiveRoot, Rational]] = []
-    if alpha.tag == DIFF:
-        for k in range(i + 1, j):
-            letters.append((diff(k, j), f.value(diff(i, k))))
-        for k in range(i + 1, j):
-            letters.append((diff(i, k), -f.value(diff(k, j))))
-    elif alpha.tag == SHORT:
-        for k in range(i + 1, n + 1):
-            letters.append((short(k), f.value(diff(i, k))))
-        for k in range(i + 1, n + 1):
-            letters.append((diff(i, k), -f.value(short(k))))
-    else:
-        data = chart.data
-        assert data.left is not None and data.pairing is not None and data.pair_signs is not None
-        for gamma in data.left:
-            sign = data.pair_signs[gamma]
-            letters.append((data.pairing[gamma], sign * f.value(gamma)))
-        for gamma in data.left:
-            sign = data.pair_signs[gamma]
-            letters.append((gamma, -sign * f.value(data.pairing[gamma])))
+    data = chart.data
+    letters = [(data.pairing[g], data.pair_signs[g] * f.value(g)) for g in data.left]
+    letters += [(g, -data.pair_signs[g] * f.value(data.pairing[g])) for g in data.left]
     return group_word(letters)
 
 

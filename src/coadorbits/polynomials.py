@@ -40,17 +40,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction | None:
-        """The constant if the polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
-
-    def variables(self) -> set[PositiveRoot]:
-        return {v for mono in self.terms for v in mono}
-
     def __add__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)

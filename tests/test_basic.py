@@ -398,6 +398,21 @@ def test_basic_map_json_rejects_non_string_rational(value):
         basic_map_from_json(payload)
 
 
+@pytest.mark.parametrize("value", [5.5, 5.0, "5", True])
+def test_basic_map_json_rejects_non_integer_n(value):
+    payload = {"n": value, "roots": ["e1-e3"], "phi": {"e1-e3": "2"}}
+    with pytest.raises(ValueError, match="'n'"):
+        basic_map_from_json(payload)
+
+
+@pytest.mark.parametrize("key", ["n", "roots", "phi"])
+def test_basic_map_json_missing_key_is_value_error(key):
+    payload = {"n": 5, "roots": ["e1-e3"], "phi": {"e1-e3": "2"}}
+    del payload[key]
+    with pytest.raises(ValueError, match=key):
+        basic_map_from_json(payload)
+
+
 def test_scan_records_shape():
     records = list(iter_scan_records(3))
     assert len(records) == 5

@@ -199,6 +199,17 @@ def test_dim_rejects_non_string_rational(tmp_path, capsys, value):
     assert "e1-e2" in err
 
 
+@pytest.mark.parametrize("value", [4.7, 4.0, "4", True, None])
+def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": value, "values": {"e1-e4": "1"}}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coadorbits: error: ") and err.count("\n") == 1
+    assert "'n'" in err
+
+
 @pytest.mark.parametrize("error", [
     DecompositionError, ChartConsistencyError, BracketDecompositionError,
 ])

@@ -32,6 +32,7 @@ from coadorbits.orbits import singular_set
 from coadorbits.roots import (
     InvalidRootError,
     RootSystemKind,
+    bracket,
     diff,
     get_system,
     short,
@@ -262,6 +263,23 @@ def test_skew_form_antisymmetry_random(kind):
         for a in range(size):
             for b in range(size):
                 assert m.rows[a][b] == -m.rows[b][a]
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_skew_form_equals_matrix_commutators(kind, n):
+    # Every entry, zeros included, against f([e_a, e_b]) from the matrices
+    # themselves rather than from the bracket table.
+    system = get_system(kind, n)
+    rng = random.Random(f"skew-bracket:{kind}:{n}")
+    brackets = [[bracket(kind, n, a, b) for b in system.roots] for a in system.roots]
+    for _ in range(4):
+        f = random_functional(system, rng)
+        rows = skew_form(f).rows
+        for row, hits in zip(rows, brackets, strict=True):
+            assert len(row) == len(system.roots)
+            for entry, hit in zip(row, hits, strict=True):
+                assert type(entry) is Q
+                assert entry == (0 if hit is None else hit[0] * f.value(hit[1]))
 
 
 def test_orbit_dimension_examples():

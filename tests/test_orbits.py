@@ -24,7 +24,16 @@ from coadorbits.orbits import (
     singular_size_formula,
 )
 from coadorbits.polynomials import Polynomial
-from coadorbits.roots import RootSystemKind, add_roots, diff, get_system, short, sum_root
+from coadorbits.roots import (
+    RootSystemKind,
+    add_roots,
+    bracket,
+    diff,
+    get_system,
+    root_from_weight,
+    short,
+    sum_root,
+)
 
 KINDS = tuple(RootSystemKind)
 
@@ -68,21 +77,38 @@ def test_singular_cardinalities_and_partition(kind, n):
         assert alpha in data.regular
 
 
-@pytest.mark.parametrize("kind", [RootSystemKind.B, RootSystemKind.D])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_singular_set_is_the_sum_definition(kind, n):
+    # S(alpha) = {beta : beta + gamma = alpha for some root gamma}, with the
+    # sums computed on weights, independently of the bracket table.
+    system = get_system(kind, n)
+    summands = {alpha: set() for alpha in system.roots}
+    for beta in system.roots:
+        for gamma in system.roots:
+            total = add_roots(beta, gamma)
+            if total in summands:
+                summands[total].add(beta)
+    for alpha in system.roots:
+        assert set(singular_set(kind, n, alpha).singular) == summands[alpha]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(2, 7))
 def test_sum_root_pairings(kind, n):
     system = get_system(kind, n)
     for alpha in system.roots:
-        if alpha.tag != "sum":
-            continue
         data = singular_set(kind, n, alpha)
-        assert data.left is not None
         assert set(data.left) | set(data.right) == set(data.singular)
         assert set(data.left).isdisjoint(data.right)
         assert 2 * len(data.left) == len(data.singular)
+        assert set(data.pairing) == set(data.left) == set(data.pair_signs)
         for gamma, partner in data.pairing.items():
+            assert gamma.i == alpha.i
             assert add_roots(gamma, partner) == alpha
             assert data.pair_signs[gamma] in (1, -1)
+            if alpha.tag != "sum":
+                assert data.pair_signs[gamma] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +312,58 @@ def test_word_round_trip_everywhere(kind, n):
             f = chart_point(chart, assignment)
             word = construct_group_word(kind, n, alpha, f)
             assert coadjoint_apply(word, e_star(system, alpha)) == f
+
+
+def _reference_letters(kind, n, alpha, f):
+    """The per-family constructive letters, with sum-root pairs found on weights.
+
+    Difference and short roots use their explicit products; a sum root pairs
+    each singular root gamma through alpha's first index with the root
+    alpha - gamma, signed by the matrix commutator.
+    """
+    i, j = alpha.i, alpha.j
+    letters = []
+    if alpha.tag == "diff":
+        for k in range(i + 1, j):
+            letters.append((diff(k, j), f.value(diff(i, k))))
+        for k in range(i + 1, j):
+            letters.append((diff(i, k), -f.value(diff(k, j))))
+    elif alpha.tag == "short":
+        for k in range(i + 1, n + 1):
+            letters.append((short(k), f.value(diff(i, k))))
+        for k in range(i + 1, n + 1):
+            letters.append((diff(i, k), -f.value(short(k))))
+    else:
+        pairs = []
+        for gamma in singular_set(kind, n, alpha).singular:
+            if i not in gamma.weight():
+                continue
+            w = alpha.weight()
+            for k, v in gamma.weight().items():
+                w[k] = w.get(k, 0) - v
+            partner = root_from_weight(w)
+            sign, target = bracket(kind, n, gamma, partner)
+            assert target == alpha
+            pairs.append((gamma, partner, sign))
+        for gamma, partner, sign in pairs:
+            letters.append((partner, sign * f.value(gamma)))
+        for gamma, partner, sign in pairs:
+            letters.append((gamma, -sign * f.value(partner)))
+    return letters
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_word_equals_reference_letters(kind, n):
+    rng = random.Random(f"letters:{kind.value}:{n}")
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        chart = orbit_chart(kind, n, alpha, 1)
+        for _ in range(3):
+            assignment = {r: Q(rng.randint(-4, 4), rng.randint(1, 3)) for r in chart.data.singular}
+            f = chart_point(chart, assignment)
+            word = construct_group_word(kind, n, alpha, f)
+            assert list(word.letters) == _reference_letters(kind, n, alpha, f)
 
 
 def test_word_requires_orbit_membership():
