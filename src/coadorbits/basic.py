@@ -6,24 +6,22 @@ never a positive root for alpha, beta in D; equivalently the positions
 second). Every functional lies in exactly one basic sum O_D(phi), and that
 sum is a single coadjoint orbit precisely when D has no derived roots.
 
-The decomposition of an arbitrary functional proceeds through invariants of
-the coadjoint moves on the strictly-upper matrix of coefficients: the ranks
-of all top-right corner blocks recover the positions of D by inclusion-
-exclusion, and the maximal minor of each corner block recovers the product
-of phi over the pivots it contains. Both families are constant on the whole
-basic sum, not just on single orbits, which is what makes the algorithm
-total; the generative round-trip suites in the oracle module certify it.
+The decomposition of an arbitrary functional reduces its strictly-upper
+coefficient matrix F under the two-sided moves that preserve the basic sum:
+a row may take multiples of the rows above it, a column multiples of the
+columns to its right. Going down the rows, the rightmost nonzero entry of
+each row is a pivot of D with phi its value; the moves then clear the rest
+of its column and its row. The generative round-trip suites in the oracle
+module certify the result.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .functionals import Functional, Rational, functional, int_from_json, rational_from_json
-from .linalg import det, rank
 from .orbits import singular_set
 from .roots import (
     DIFF,
@@ -32,7 +30,6 @@ from .roots import (
     diff,
     get_system,
     parse_root,
-    root_from_weight,
 )
 
 
@@ -42,14 +39,6 @@ class WrongKindError(ValueError):
 
 class NotBasicError(ValueError):
     """The given roots do not form a basic subset."""
-
-
-class DecompositionError(RuntimeError):
-    """decomposition-unverified: the rank/minor invariants were inconsistent.
-
-    This cannot happen for genuine functionals; it is surfaced loudly rather
-    than silently returning a wrong pair.
-    """
 
 
 def _require_type_a(system) -> None:
@@ -62,18 +51,12 @@ def _require_type_a(system) -> None:
 # ---------------------------------------------------------------------------
 
 def is_basic(roots: Iterable[PositiveRoot]) -> bool:
-    """Whether alpha - beta is never a positive root over the given diff roots."""
-    roots = list(roots)
+    """Whether the set of diff roots is a rook placement: no two share an i or a j."""
+    roots = set(roots)
     for r in roots:
         if r.tag != DIFF:
             raise WrongKindError(f"basic subsets contain only difference roots, got {r}")
-    for a, b in itertools.permutations(roots, 2):
-        w = a.weight()
-        for k, v in b.weight().items():
-            w[k] = w.get(k, 0) - v
-        if root_from_weight(w) is not None:
-            return False
-    return True
+    return len({r.i for r in roots}) == len(roots) == len({r.j for r in roots})
 
 
 @dataclass(frozen=True)
@@ -255,9 +238,9 @@ class DecompositionResult:
 def decompose(f: Functional) -> DecompositionResult:
     """The unique (D, phi) with f in the basic sum O_D(phi).
 
-    Positions come from the double differences of top-right corner ranks of
-    the coefficient matrix; each phi value comes from the maximal corner
-    minor divided by the phi of the other pivots that corner contains.
+    Row i's rightmost nonzero entry (i, j) is a pivot with phi its value.
+    Subtracting multiples of row i clears column j below it; the column moves
+    that then clear row i left of j touch row i only, which is not read again.
     """
     _require_type_a(f.system)
     n = f.system.n
@@ -265,58 +248,19 @@ def decompose(f: Functional) -> DecompositionResult:
         [f.value(diff(i, j)) if i < j else Fraction(0) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-
-    rank_cache: dict[tuple[int, int], int] = {}
-
-    def corner_rank(a: int, b: int) -> int:
-        # rank of rows 1..a against columns b..n
-        if a < 1 or b > n:
-            return 0
-        key = (a, b)
-        if key not in rank_cache:
-            rank_cache[key] = rank([row[b - 1:] for row in F[:a]])
-        return rank_cache[key]
-
-    pivots: list[tuple[int, int]] = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            d2 = (
-                corner_rank(a, b)
-                - corner_rank(a - 1, b)
-                - corner_rank(a, b + 1)
-                + corner_rank(a - 1, b + 1)
-            )
-            if d2 == 1:
-                pivots.append((a, b))
-            elif d2 != 0:
-                raise DecompositionError(f"corner-rank double difference {d2} at {(a, b)}")
-
-    pivots.sort()
-    phi: dict[tuple[int, int], Fraction] = {}
-    for a, b in pivots:
-        corner = sorted((r, c) for r, c in pivots if r <= a and c >= b)
-        rows = [r for r, _ in corner]
-        col_seq = [c for _, c in corner]
-        cols = sorted(col_seq)
-        minor = det([[F[r - 1][c - 1] for c in cols] for r in rows])
-        inversions = sum(
-            1
-            for t in range(len(col_seq))
-            for u in range(t + 1, len(col_seq))
-            if col_seq[t] > col_seq[u]
-        )
-        sign = -1 if inversions % 2 else 1
-        value = sign * minor
-        for r, c in corner:
-            if (r, c) != (a, b):
-                value /= phi[(r, c)]
-        if value == 0:
-            raise DecompositionError(f"vanishing pivot minor at {(a, b)}")
-        phi[(a, b)] = value
-
-    subset = basic_subset(n, [diff(a, b) for a, b in pivots])
-    bmap = basic_map(subset, {diff(a, b): v for (a, b), v in phi.items()})
-    return DecompositionResult(subset, bmap)
+    phi: dict[PositiveRoot, Fraction] = {}
+    for i, row in enumerate(F):
+        j = next((c for c in range(n - 1, i, -1) if row[c]), None)
+        if j is None:
+            continue
+        for k in range(i + 1, j):
+            if F[k][j]:
+                ratio = F[k][j] / row[j]
+                for c in range(k + 1, j + 1):
+                    F[k][c] -= ratio * row[c]
+        phi[diff(i + 1, j + 1)] = row[j]
+    subset = basic_subset(n, phi)
+    return DecompositionResult(subset, basic_map(subset, phi))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Subcommands: roots, chart, dim, decompose, dims, verify. Exit codes:
 0 success, 1 usage or input error, 2 verification failure, including a
-failed internal consistency check (DecompositionError, ChartConsistencyError,
+failed internal consistency check (ChartConsistencyError,
 BracketDecompositionError).
 """
 
@@ -14,13 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .basic import (
-    DecompositionError,
-    achievable_dimensions,
-    basic_map_to_json,
-    decompose,
-    max_weyl_index,
-)
+from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import functional_from_json, orbit_dimension
 from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 from .orbits import (
@@ -221,7 +215,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"coadorbits: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DecompositionError, ChartConsistencyError, BracketDecompositionError) as exc:
+    except (ChartConsistencyError, BracketDecompositionError) as exc:
         print(f"coadorbits: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return VERIFY_ERROR
 

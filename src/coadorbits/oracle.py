@@ -221,7 +221,16 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
+    if config.max_n is not None and config.max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {config.max_n}")
+    if config.trials is not None and config.trials < 0:
+        raise ValueError(f"trials must be non-negative, got {config.trials}")
     return runner(config)
+
+
+def _or_default(value, default):
+    """An explicit value, even 0 or an empty tuple, wins over the suite default."""
+    return default if value is None else value
 
 
 def _failure(stamp: str, detail: str, **extra) -> dict:
@@ -231,9 +240,9 @@ def _failure(stamp: str, detail: str, **extra) -> dict:
 
 
 def _suite_chart_soundness(cfg: SuiteConfig) -> OracleReport:
-    kinds = cfg.kinds or tuple(RootSystemKind)
-    max_n = cfg.max_n or 4
-    trials = cfg.trials or 100
+    kinds = _or_default(cfg.kinds, tuple(RootSystemKind))
+    max_n = _or_default(cfg.max_n, 4)
+    trials = _or_default(cfg.trials, 100)
     failures = []
     total = 0
     for kind in kinds:
@@ -262,8 +271,8 @@ def _suite_chart_soundness(cfg: SuiteConfig) -> OracleReport:
 
 
 def _suite_dimension_formulas(cfg: SuiteConfig) -> OracleReport:
-    kinds = cfg.kinds or tuple(RootSystemKind)
-    max_n = cfg.max_n or 6
+    kinds = _or_default(cfg.kinds, tuple(RootSystemKind))
+    max_n = _or_default(cfg.max_n, 6)
     scalars = (Fraction(1), Fraction(2), Fraction(-3, 5))
     failures = []
     total = 0
@@ -292,8 +301,8 @@ def _suite_dimension_formulas(cfg: SuiteConfig) -> OracleReport:
 
 
 def _suite_decompose_roundtrip(cfg: SuiteConfig) -> OracleReport:
-    max_n = cfg.max_n or 6
-    trials = cfg.trials or 200
+    max_n = _or_default(cfg.max_n, 6)
+    trials = _or_default(cfg.trials, 200)
     failures = []
     total = 0
     for n in range(2, max_n + 1):
@@ -327,8 +336,8 @@ def _suite_decompose_roundtrip(cfg: SuiteConfig) -> OracleReport:
 
 
 def _suite_single_orbit_scan(cfg: SuiteConfig) -> OracleReport:
-    max_n = cfg.max_n or 5
-    random_phis = cfg.trials if cfg.trials is not None else 20
+    max_n = _or_default(cfg.max_n, 5)
+    random_phis = _or_default(cfg.trials, 20)
     failures = []
     total = 0
     for n in range(2, max_n + 1):
@@ -357,8 +366,8 @@ def _suite_single_orbit_scan(cfg: SuiteConfig) -> OracleReport:
 
 
 def _suite_two_dim_support(cfg: SuiteConfig) -> OracleReport:
-    max_n = cfg.max_n or 6
-    trials = cfg.trials or 100
+    max_n = _or_default(cfg.max_n, 6)
+    trials = _or_default(cfg.trials, 100)
     failures = []
     total = 0
     for n in range(4, max_n + 1):
@@ -384,7 +393,7 @@ def _suite_two_dim_support(cfg: SuiteConfig) -> OracleReport:
 
 
 def _suite_achievable_dims(cfg: SuiteConfig) -> OracleReport:
-    max_n = cfg.max_n or 8
+    max_n = _or_default(cfg.max_n, 8)
     failures = []
     total = 0
     results = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coadorbits.basic import (
     Chain,
+    DecompositionResult,
     NotBasicError,
     WrongKindError,
     achievable_dimensions,
@@ -34,7 +35,8 @@ from coadorbits.basic import (
     witness_basic_subsets,
 )
 from coadorbits.functionals import coadjoint_apply, e_star, functional, orbit_dimension, zero_functional
-from coadorbits.oracle import default_word_length, random_word
+from coadorbits.linalg import det, rank
+from coadorbits.oracle import default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart
 from coadorbits.roots import diff, get_system, short
 
@@ -83,9 +85,10 @@ def test_is_basic_rejects_non_diff_roots():
         is_basic([short(1)])
 
 
-@given(st.lists(st.sampled_from(A6.roots), max_size=5, unique=True))
+@given(st.lists(st.sampled_from(A6.roots), max_size=5))
 def test_is_basic_equals_rook_condition(roots):
-    assert is_basic(roots) == rook_condition(roots)
+    # a repeated root counts once: it is one rook, not two on one row
+    assert is_basic(roots) == rook_condition(set(roots))
 
 
 def test_basic_subset_constructor_validates():
@@ -227,6 +230,99 @@ def test_decompose_is_word_invariant():
             result = decompose(moved)
             assert result.subset == subset
             assert result.map.phi == phi
+
+
+def _reference_decompose(f):
+    """The corner-rank decomposition: positions from the double differences of
+    top-right corner ranks, each phi from the maximal corner minor divided by
+    the phi of the other pivots that corner contains. Kept as the reference
+    for the two-sided reduction in ``decompose``."""
+    n = f.system.n
+    F = [
+        [f.value(diff(i, j)) if i < j else Q(0) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+    rank_cache: dict[tuple[int, int], int] = {}
+
+    def corner_rank(a: int, b: int) -> int:
+        # rank of rows 1..a against columns b..n
+        if a < 1 or b > n:
+            return 0
+        key = (a, b)
+        if key not in rank_cache:
+            rank_cache[key] = rank([row[b - 1:] for row in F[:a]])
+        return rank_cache[key]
+
+    pivots: list[tuple[int, int]] = []
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            d2 = (
+                corner_rank(a, b)
+                - corner_rank(a - 1, b)
+                - corner_rank(a, b + 1)
+                + corner_rank(a - 1, b + 1)
+            )
+            if d2 == 1:
+                pivots.append((a, b))
+            elif d2 != 0:
+                raise AssertionError(f"corner-rank double difference {d2} at {(a, b)}")
+
+    pivots.sort()
+    phi: dict[tuple[int, int], Q] = {}
+    for a, b in pivots:
+        corner = sorted((r, c) for r, c in pivots if r <= a and c >= b)
+        rows = [r for r, _ in corner]
+        col_seq = [c for _, c in corner]
+        cols = sorted(col_seq)
+        minor = det([[F[r - 1][c - 1] for c in cols] for r in rows])
+        inversions = sum(
+            1
+            for t in range(len(col_seq))
+            for u in range(t + 1, len(col_seq))
+            if col_seq[t] > col_seq[u]
+        )
+        sign = -1 if inversions % 2 else 1
+        value = sign * minor
+        for r, c in corner:
+            if (r, c) != (a, b):
+                value /= phi[(r, c)]
+        if value == 0:
+            raise AssertionError(f"vanishing pivot minor at {(a, b)}")
+        phi[(a, b)] = value
+
+    subset = basic_subset(n, [diff(a, b) for a, b in pivots])
+    bmap = basic_map(subset, {diff(a, b): v for (a, b), v in phi.items()})
+    return DecompositionResult(subset, bmap)
+
+
+def _reference_inputs(n):
+    """Seeded zero, dense, half-density and moved basic-point functionals of A_n."""
+    system = get_system("A", n)
+    rng = random.Random(f"reference-decompose:{n}")
+
+    def value():
+        return Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+    yield zero_functional(system)
+    for _ in range(6):
+        yield functional(system, {r: value() for r in system.roots})
+    for _ in range(6):
+        yield random_functional(system, rng)
+    subsets = list(enumerate_basic_subsets(n))
+    for _ in range(12):
+        subset = subsets[rng.randrange(len(subsets))]
+        phi = {r: value() for r in subset.roots}
+        f = basic_point(basic_map(subset, phi)) if phi else zero_functional(system)
+        yield coadjoint_apply(random_word(system, rng, default_word_length(system)), f)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decompose_equals_corner_rank_reference(n):
+    for f in _reference_inputs(n):
+        got, expected = decompose(f), _reference_decompose(f)
+        assert got.subset == expected.subset
+        assert got.map.phi == expected.map.phi
 
 
 def test_decompose_rejects_other_kinds():

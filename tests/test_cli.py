@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from coadorbits.basic import DecompositionError
 from coadorbits.cli import main
 from coadorbits.orbits import ChartConsistencyError
 from coadorbits.roots import BracketDecompositionError
@@ -142,6 +141,25 @@ def test_verify_exit_code_two_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_explicit_zero_trials_run_no_checks(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "two-dim-support", "--trials", "0")
+    assert code == 0
+    assert out == "suite two-dim-support: PASS (0 checks)\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--suite", "chart-soundness", "--max-n", "0", "--trials", "1"], "max_n must be at least 2"),
+    (["--suite", "chart-soundness", "--max-n", "1"], "max_n must be at least 2"),
+    (["--suite", "two-dim-support", "--trials", "-5"], "trials must be non-negative"),
+])
+def test_verify_rejects_out_of_range_sizes(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"coadorbits: error: {message}") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots", "--kind", "Z", "--n", "3"])
@@ -210,9 +228,7 @@ def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     assert "'n'" in err
 
 
-@pytest.mark.parametrize("error", [
-    DecompositionError, ChartConsistencyError, BracketDecompositionError,
-])
+@pytest.mark.parametrize("error", [ChartConsistencyError, BracketDecompositionError])
 def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
     import coadorbits.cli as cli_mod
 

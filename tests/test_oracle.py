@@ -91,6 +91,13 @@ def test_suites_pass_at_reduced_scale(name, config):
     assert report.trials > 0
 
 
+def test_explicit_zero_trials_is_not_the_default():
+    report = run_suite("chart-soundness", SuiteConfig(max_n=3, trials=0))
+    assert report.trials == 0
+    assert report.parameters["trials_per_alpha"] == 0
+    assert report.passed
+
+
 def test_reports_are_reproducible_byte_for_byte():
     cfg = SuiteConfig(max_n=3, trials=4, seed=77)
     first = json.dumps(run_suite("chart-soundness", cfg).to_json(), sort_keys=True)
