@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Re-run the empirical certification of the chart sign convention.
 
-Builds the sum-root charts under every candidate sign rule and tests them
-against sampled orbit points; prints the unique surviving rule per kind.
-The shipped default (CONVENTIONS.md) was produced by exactly this run.
+Builds the sum-root charts in the paper's printed form under every
+candidate sign rule and tests them against sampled orbit points; prints the
+unique surviving rule per kind. The shipped default (CONVENTIONS.md) is the
+sign that the derived charts carry, and this run must single it out.
 
 Usage:
     python scripts/certify_signs.py [--max-n 4] [--trials 50] [--seed 314159]
@@ -14,8 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from coadorbits.oracle import DEFAULT_SEED, resolve_sign_conventions
-from coadorbits.orbits import CERTIFIED_SIGN_RULE, SIGN_RULES
+from coadorbits.oracle import (
+    CERTIFIED_SIGN_RULE,
+    DEFAULT_SEED,
+    SIGN_RULES,
+    resolve_sign_conventions,
+)
 
 
 def main() -> int:

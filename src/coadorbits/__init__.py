@@ -44,6 +44,7 @@ from .functionals import (
     zero_functional,
 )
 from .oracle import (
+    CERTIFIED_SIGN_RULE,
     DEFAULT_SEED,
     OracleReport,
     SignConvention,
@@ -53,7 +54,6 @@ from .oracle import (
     run_suite,
 )
 from .orbits import (
-    CERTIFIED_SIGN_RULE,
     OrbitChart,
     SingularData,
     chart_point,

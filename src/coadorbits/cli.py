@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: roots, chart, dim, decompose, dims, verify. Exit codes:
-0 success, 1 usage or input error, 2 verification failure, including a
-failed internal consistency check (ChartConsistencyError,
-BracketDecompositionError).
+Subcommands: roots, chart, dim, decompose, dims, verify. The rank --n
+and verify --max-n are at most 24, checked before any root system is
+built. Exit codes: 0 success, 1 usage or input error, 2 verification
+failure, including a failed internal consistency check
+(BracketDecompositionError).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from fractions import Fraction
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import functional_from_json, orbit_dimension
 from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
-from .orbits import (
-    ChartConsistencyError,
-    chart_equations_latex,
-    chart_equations_text,
-    chart_to_json,
-    orbit_chart,
-)
+from .orbits import chart_equations_latex, chart_equations_text, chart_to_json, orbit_chart
 from .roots import (
     BracketDecompositionError,
     RootSystemKind,
@@ -34,6 +29,10 @@ from .roots import (
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
+
+# Largest --n and verify --max-n: B_n has n^2 roots and its bracket table
+# about n^4 / 2 entries, all built before the first answer.
+MAX_N = 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,15 +206,25 @@ _DISPATCH = {
 }
 
 
+def _check_size(args) -> None:
+    """Reject an --n or --max-n above MAX_N before any system is built."""
+    for option in ("n", "max_n"):
+        value = getattr(args, option, None)
+        if value is not None and value > MAX_N:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} must be at most {MAX_N}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_size(args)
         return _DISPATCH[args.command](args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"coadorbits: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ChartConsistencyError, BracketDecompositionError) as exc:
+    except BracketDecompositionError as exc:
         print(f"coadorbits: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return VERIFY_ERROR
 

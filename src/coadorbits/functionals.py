@@ -121,9 +121,9 @@ def _ad_chains(kind: RootSystemKind, n: int):
 
     All roots are positions in the canonical root order. chains[b] is
     ((g, ((target, m, coef), ...)), ...), listing only the g with a nonempty
-    tail; (target, m, coef) is a contribution coef * (-t)^m at e_target, with
-    coef carrying the iterated structure constants over m!. The tails
-    terminate because ad is nilpotent.
+    tail; (target, m, coef) is a contribution coef * t^m at e_target, with
+    coef carrying (-1)^m times the iterated structure constants over m!. The
+    tails terminate because ad is nilpotent.
     """
     table = structure_table(kind, n)
     roots = table.system.roots
@@ -136,7 +136,7 @@ def _ad_chains(kind: RootSystemKind, n: int):
             cur, c, m = gamma, 1, 0
             while (hit := table.get(beta, cur)) is not None:
                 k, cur = hit
-                c *= k
+                c *= -k
                 m += 1
                 tail.append((index_of(cur), m, Fraction(c, math.factorial(m))))
             if tail:
@@ -145,28 +145,32 @@ def _ad_chains(kind: RootSystemKind, n: int):
     return tuple(chains)
 
 
-def _act(letters, f: Functional) -> Functional:
-    """Apply the letters (beta, t), last first, to f over a vector in canonical order."""
-    system = f.system
+def _act(system: RootSystem, letters, values: Mapping) -> dict:
+    """Apply the letters (beta, t), last first, to values over a vector in canonical order.
+
+    The loop only adds, multiplies and tests for zero, so the parameters and
+    values may be Fractions or Polynomials; an orbit chart runs it with its
+    letters' parameters as variables. ``values`` itself comes back when
+    nothing moves it.
+    """
     index_of = system.index_of
     moves = []
     for beta, t in reversed(letters):
         b = index_of(beta)
-        t = _frac(t)
         if t:
-            moves.append((b, -t))
-    if not moves or not f.values:
-        return f
+            moves.append((b, t))
+    if not moves or not values:
+        return values
     chains = _ad_chains(system.kind, system.n)
     vec = [0] * len(system.roots)
-    for root, v in f.values.items():
+    for root, v in values.items():
         vec[index_of(root)] = v
-    for b, mt in moves:
-        powers = [1, mt]
+    for b, t in moves:
+        powers = [1, t]
         deltas = []
         for g, tail in chains[b]:
             while len(powers) <= len(tail):
-                powers.append(powers[-1] * mt)
+                powers.append(powers[-1] * t)
             d = 0
             for target, m, coef in tail:
                 x = vec[target]
@@ -179,7 +183,7 @@ def _act(letters, f: Functional) -> Functional:
         for g, d in deltas:
             vec[g] += d
     roots = system.roots
-    return Functional(system, {roots[k]: v for k, v in enumerate(vec) if v})
+    return {roots[k]: v for k, v in enumerate(vec) if v}
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -188,7 +192,7 @@ def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Funct
     The new value at e_gamma is f(exp(ad(-t e_beta)) e_gamma); the series
     stops on its own once the bracket chain dies.
     """
-    return _act(((beta, t),), f)
+    return _act_on(((beta, _frac(t)),), f)
 
 
 def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
@@ -197,7 +201,12 @@ def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
     Composition follows the group: for words w1, w2 and their concatenation
     w1 + w2, apply(w1 + w2, f) == apply(w1, apply(w2, f)).
     """
-    return _act(word.letters, f)
+    return _act_on(word.letters, f)
+
+
+def _act_on(letters, f: Functional) -> Functional:
+    values = _act(f.system, letters, f.values)
+    return f if values is f.values else Functional(f.system, values)
 
 
 def concat_words(*words: GroupWord) -> GroupWord:

@@ -11,8 +11,9 @@ the serialized counterexample alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .basic import (
     achievable_dimensions,
@@ -35,8 +36,9 @@ from .functionals import (
     orbit_dimension,
     word_to_json,
 )
-from .orbits import SIGN_RULES, contains, orbit_chart, singular_set, singular_size_formula
-from .roots import DIFF, PositiveRoot, RootSystemKind, get_system
+from .orbits import OrbitChart, contains, orbit_chart, singular_set, singular_size_formula
+from .polynomials import Polynomial
+from .roots import DIFF, PositiveRoot, RootSystemKind, diff, get_system, short, sum_root
 
 DEFAULT_SEED = 314159
 
@@ -167,6 +169,44 @@ def _random_phi(subset, rng: random.Random):
 # Sign-convention certification
 # ---------------------------------------------------------------------------
 
+# Candidate signs of the quadratic tail of sum-root charts: each rule maps
+# (k, j) -> +/-1 for the term indexed by k in the tail sum over k = j+1 .. n.
+SIGN_RULES: dict[str, Callable[[int, int], int]] = {
+    "alternating": lambda k, j: (-1) ** k,
+    "alternating-negated": lambda k, j: -((-1) ** k),
+    "alternating-offset": lambda k, j: (-1) ** (k - j),
+    "alternating-offset-negated": lambda k, j: -((-1) ** (k - j)),
+    "constant-minus": lambda k, j: -1,
+    "constant-plus": lambda k, j: 1,
+}
+
+# The rule that orbits.orbit_chart's derivation reproduces; certified
+# against brute-force orbit sampling for both B and D (CONVENTIONS.md).
+CERTIFIED_SIGN_RULE = "constant-minus"
+
+
+def _paper_chart(kind, n: int, alpha: PositiveRoot, rule: str) -> OrbitChart:
+    """The level-1 chart of a sum root e_i + e_j in the paper's printed form.
+
+    The derived chart, with the constraint at each e_r - e_j (i <= r < j)
+    replaced by f(e_r + e_j) times the tail under the named sign rule, where
+    f(e_i + e_j) is 1.
+    """
+    sign = SIGN_RULES[rule]
+    chart = orbit_chart(kind, n, alpha, 1)
+    i, j = alpha.i, alpha.j
+    x = Polynomial.var
+    tail = Polynomial.zero()
+    if chart.system.kind is RootSystemKind.B:
+        tail = Fraction(-1, 2) * x(short(i)) * x(short(i))
+    for k in range(j + 1, n + 1):
+        tail = tail + sign(k, j) * x(diff(i, k)) * x(sum_root(i, k))
+    constraints = dict(chart.constraints)
+    for r in range(i, j):
+        constraints[diff(r, j)] = (x(sum_root(r, j)) if r > i else 1) * tail
+    return replace(chart, constraints=constraints)
+
+
 def resolve_sign_conventions(
     n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
 ) -> SignConvention:
@@ -200,7 +240,7 @@ def _sign_rule_survives(kind, rule_name, n_max, trials, seed) -> bool:
         for alpha in system.roots:
             if alpha.tag != "sum":
                 continue
-            chart = orbit_chart(kind, n, alpha, 1, sign_rule=rule_name)
+            chart = _paper_chart(kind, n, alpha, rule_name)
             for t in range(trials):
                 stamp = f"{seed}:signs:{kind.value}:{n}:{alpha}:{t}"
                 point, _ = random_orbit_point(kind, n, alpha, 1, seed=stamp)
@@ -368,6 +408,8 @@ def _suite_single_orbit_scan(cfg: SuiteConfig) -> OracleReport:
 def _suite_two_dim_support(cfg: SuiteConfig) -> OracleReport:
     max_n = _or_default(cfg.max_n, 6)
     trials = _or_default(cfg.trials, 100)
+    if max_n < 4:
+        raise ValueError(f"max_n must be at least 4 for two-dim-support, got {max_n}")
     failures = []
     total = 0
     for n in range(4, max_n + 1):

@@ -5,15 +5,16 @@ c * e*_alpha is cut out, inside the dual space, by one polynomial constraint
 per regular root, in the coordinates indexed by the singular roots. The
 singular roots S(alpha) are the roots beta with [e_beta, e_gamma] = c e_alpha
 for some root gamma; they, their pairing and the pair signs are all read
-from the cached bracket table (roots.structure_table). Charts are built once
-for c = 1 and rescaled on use: f lies in the level-c chart iff (1/c) f
-satisfies the level-1 equations.
+from the cached bracket table (roots.structure_table).
 
-The quadratic tail that appears in the constraints of sum-root charts
-carries a per-term sign; the convention shipped here ("constant-minus") is
-the one certified against brute-force orbit sampling by the oracle module,
-and is recorded in CONVENTIONS.md. Alternative rules are kept around so the
-certification can be rerun (see oracle.resolve_sign_conventions).
+Charts are derived, not written out per family: the constructive group
+word of construct_group_word, with its parameters taken as variables, is
+applied to e*_alpha by the loop that computes the coadjoint action. Each
+singular coordinate comes back as its own variable and each regular one as
+its constraint, so the sign of the quadratic tail in the sum-root charts
+(CONVENTIONS.md) follows from the derivation. Charts are built once for
+c = 1 and rescaled on use: f lies in the level-c chart iff (1/c) f
+satisfies the level-1 equations.
 """
 
 from __future__ import annotations
@@ -24,20 +25,16 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Mapping
 
-from .functionals import Functional, GroupWord, Rational, functional, group_word
+from .functionals import Functional, GroupWord, Rational, _act, functional, group_word
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
     SHORT,
-    SUM,
     PositiveRoot,
     RootSystem,
     RootSystemKind,
-    diff,
     get_system,
-    short,
     structure_table,
-    sum_root,
 )
 
 
@@ -51,10 +48,6 @@ class NotInOrbitError(ValueError):
 
 class ChartVariableError(ValueError):
     """A chart-point assignment does not cover exactly the singular roots."""
-
-
-class ChartConsistencyError(RuntimeError):
-    """Two overlapping chart cases produced different polynomials."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +128,6 @@ def singular_size_formula(kind: RootSystemKind | str, n: int, alpha: PositiveRoo
 
 
 # ---------------------------------------------------------------------------
-# Sign rules for the quadratic tail of sum-root charts
-# ---------------------------------------------------------------------------
-
-# Each rule maps (k, j) -> +/-1 for the term indexed by k in the tail sum
-# running over k = j+1 .. n.
-SIGN_RULES: dict[str, Callable[[int, int], int]] = {
-    "alternating": lambda k, j: (-1) ** k,
-    "alternating-negated": lambda k, j: -((-1) ** k),
-    "alternating-offset": lambda k, j: (-1) ** (k - j),
-    "alternating-offset-negated": lambda k, j: -((-1) ** (k - j)),
-    "constant-minus": lambda k, j: -1,
-    "constant-plus": lambda k, j: 1,
-}
-
-# Certified against brute-force orbit sampling for both B and D; see
-# CONVENTIONS.md and oracle.resolve_sign_conventions.
-CERTIFIED_SIGN_RULE = "constant-minus"
-
-
-# ---------------------------------------------------------------------------
 # Orbit charts
 # ---------------------------------------------------------------------------
 
@@ -172,7 +145,6 @@ class OrbitChart:
     c: Fraction
     data: SingularData
     constraints: dict[PositiveRoot, Polynomial]
-    sign_rule: str
 
     def scaled_constraints(self) -> dict[PositiveRoot, Polynomial]:
         """Constraints written for f itself: each coefficient picks up c^(1-deg)."""
@@ -184,117 +156,30 @@ class OrbitChart:
         return out
 
 
-def _tail_polynomial(kind: RootSystemKind, n: int, i: int, j: int,
-                     rule: Callable[[int, int], int]) -> Polynomial:
-    """The bracketed factor of the constraints at the roots e_r - e_j."""
-    tail = Polynomial.zero()
-    if kind is RootSystemKind.B:
-        tail = tail + Fraction(-1, 2) * (Polynomial.var(short(i)) * Polynomial.var(short(i)))
-    for k in range(j + 1, n + 1):
-        term = Polynomial.var(diff(i, k)) * Polynomial.var(sum_root(i, k))
-        tail = tail + rule(k, j) * term
-    return tail
+def _word_letters(data: SingularData, value: Callable) -> list:
+    """The letters of construct_group_word's product, with value(root) in place of f(root)."""
+    letters = [(data.pairing[g], data.pair_signs[g] * value(g)) for g in data.left]
+    letters += [(g, -data.pair_signs[g] * value(data.pairing[g])) for g in data.left]
+    return letters
 
 
 def orbit_chart(
-    kind: RootSystemKind | str,
-    n: int,
-    alpha: PositiveRoot,
-    c: Rational = 1,
-    sign_rule: str | None = None,
+    kind: RootSystemKind | str, n: int, alpha: PositiveRoot, c: Rational = 1
 ) -> OrbitChart:
-    """Build the defining-equation chart of the orbit through c * e*_alpha."""
+    """Build the defining-equation chart of the orbit through c * e*_alpha.
+
+    The constructive word, with each singular value as a variable, applied
+    to e*_alpha: the regular coordinates of the result are the constraints.
+    """
     system = get_system(kind, n)
     system.check_member(alpha)
     c = Fraction(c)
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
-    rule_name = CERTIFIED_SIGN_RULE if sign_rule is None else sign_rule
-    try:
-        rule = SIGN_RULES[rule_name]
-    except KeyError:
-        raise ValueError(f"unknown sign rule {rule_name!r}") from None
     data = singular_set(kind, n, alpha)
-    sing = set(data.singular)
-    kind = system.kind
-    i, j = alpha.i, alpha.j
-    cache: dict[PositiveRoot, Polynomial] = {}
-
-    def value_of(root: PositiveRoot) -> Polynomial:
-        """f(e_root) on the level-1 chart: 1 at alpha, free on S(alpha), else its constraint."""
-        if root == alpha:
-            return Polynomial.const(1)
-        if root in sing:
-            return Polynomial.var(root)
-        got = cache.get(root)
-        if got is None:
-            got = _constraint(root)
-            cache[root] = got
-        return got
-
-    def _diff_alpha_constraint(beta: PositiveRoot) -> Polynomial:
-        if beta.tag == DIFF and i < beta.i < beta.j < j:
-            return value_of(diff(i, beta.j)) * value_of(diff(beta.i, j))
-        return Polynomial.zero()
-
-    def _short_alpha_constraint(beta: PositiveRoot) -> Polynomial:
-        if beta.tag == DIFF and i < beta.i < beta.j <= n:
-            return value_of(diff(i, beta.j)) * value_of(short(beta.i))
-        return Polynomial.zero()
-
-    def _sum_alpha_constraint(beta: PositiveRoot) -> Polynomial:
-        tail = _tail_polynomial(kind, n, i, j, rule)
-        if beta.tag == DIFF:
-            r, s = beta.i, beta.j
-            if s == j and i <= r < j:
-                return value_of(sum_root(r, j)) * tail
-            if i <= r < s < j:
-                return value_of(diff(i, s)) * value_of(sum_root(r, j))
-            if i < r < j < s <= n:
-                return value_of(diff(i, s)) * value_of(sum_root(r, j))
-            if j < r < s <= n:
-                return (value_of(diff(j, s)) * value_of(sum_root(i, r))
-                        - value_of(diff(i, s)) * value_of(sum_root(j, r)))
-            return Polynomial.zero()
-        if beta.tag == SUM:
-            r, s = beta.i, beta.j
-            if i < r < j < s <= n:
-                return value_of(sum_root(i, s)) * value_of(sum_root(r, j))
-            if j < r < s <= n:
-                return (value_of(sum_root(j, s)) * value_of(sum_root(i, r))
-                        - value_of(sum_root(i, s)) * value_of(sum_root(j, r)))
-            return Polynomial.zero()
-        # short root (type B ambient only)
-        r = beta.i
-        if i < r < j:
-            return value_of(short(i)) * value_of(sum_root(r, j))
-        if j < r <= n:
-            return (value_of(short(j)) * value_of(sum_root(i, r))
-                    - value_of(short(i)) * value_of(sum_root(j, r)))
-        return Polynomial.zero()
-
-    def _constraint(beta: PositiveRoot) -> Polynomial:
-        if alpha.tag == DIFF:
-            return _diff_alpha_constraint(beta)
-        if alpha.tag == SHORT:
-            return _short_alpha_constraint(beta)
-        return _sum_alpha_constraint(beta)
-
-    constraints = {beta: value_of(beta) for beta in data.regular}
-
-    if alpha.tag == SUM:
-        # The generic diff case at s == j must agree with the dedicated
-        # e_r - e_j case once the chart's own value at e_i - e_j is
-        # substituted for that coordinate.
-        for r in range(i, j):
-            beta = diff(r, j)
-            via_generic = value_of(diff(i, j)) * value_of(sum_root(r, j))
-            if via_generic != constraints[beta]:
-                raise ChartConsistencyError(
-                    f"overlapping cases disagree at {beta} in the {alpha} chart"
-                )
-
-    return OrbitChart(system, alpha, c, data, constraints, rule_name)
+    moved = _act(system, _word_letters(data, Polynomial.var), {alpha: Polynomial.const(1)})
+    constraints = {beta: moved.get(beta, Polynomial.zero()) for beta in data.regular}
+    return OrbitChart(system, alpha, c, data, constraints)
 
 
 def contains(chart: OrbitChart, f: Functional) -> bool:
@@ -342,10 +227,7 @@ def construct_group_word(
     chart = orbit_chart(kind, n, alpha, 1)
     if not contains(chart, f):
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    data = chart.data
-    letters = [(data.pairing[g], data.pair_signs[g] * f.value(g)) for g in data.left]
-    letters += [(g, -data.pair_signs[g] * f.value(data.pairing[g])) for g in data.left]
-    return group_word(letters)
+    return group_word(_word_letters(chart.data, f.value))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +237,7 @@ def construct_group_word(
 def _render(poly: Polynomial, factor: Callable[[PositiveRoot, int], str],
             number: Callable[[Fraction], str], sep: str) -> str:
     """Terms in display order; ``sep`` joins a term's coefficient and factors."""
-    if poly.is_zero():
+    if not poly:
         return "0"
     rendered = []
     for mono, coef in poly.sorted_terms():

@@ -2,7 +2,8 @@
 
 A monomial is a sorted tuple of roots (with repetition for powers); the zero
 coefficient is never stored. This is all the chart machinery needs: sums,
-products, exact evaluation.
+products, exact evaluation. No operation mutates an operand, so adding 0 or
+multiplying by 1 returns the operand itself.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ class Polynomial:
     def var(root: PositiveRoot) -> "Polynomial":
         return Polynomial({(root,): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __add__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
+            if not other:
+                return self
             other = Polynomial.const(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
+            s = terms.get(mono, 0) + c
             if s:
                 terms[mono] = s
             else:
@@ -64,7 +67,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = other if isinstance(other, Fraction) else Fraction(other)
+            if c == 1:
+                return self
             if not c:
                 return Polynomial.zero()
             return Polynomial({mono: c * v for mono, v in self.terms.items()})
@@ -72,7 +77,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono(m1 + m2)
-                s = terms.get(mono, Fraction(0)) + c1 * c2
+                s = terms.get(mono, 0) + c1 * c2
                 if s:
                     terms[mono] = s
                 else:

@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coadorbits.cli import main
-from coadorbits.orbits import ChartConsistencyError
+from coadorbits.cli import MAX_N, build_parser, main
 from coadorbits.roots import BracketDecompositionError
 
 
@@ -152,12 +151,32 @@ def test_verify_explicit_zero_trials_run_no_checks(capsys):
     (["--suite", "chart-soundness", "--max-n", "0", "--trials", "1"], "max_n must be at least 2"),
     (["--suite", "chart-soundness", "--max-n", "1"], "max_n must be at least 2"),
     (["--suite", "two-dim-support", "--trials", "-5"], "trials must be non-negative"),
+    (["--suite", "two-dim-support", "--max-n", "2"], "max_n must be at least 4"),
+    (["--suite", "two-dim-support", "--max-n", "3"], "max_n must be at least 4"),
+    (["--suite", "chart-soundness", "--max-n", str(MAX_N + 1)],
+     f"--max-n must be at most {MAX_N}"),
 ])
 def test_verify_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith(f"coadorbits: error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--kind", "B"],
+    ["chart", "--kind", "A", "--alpha", "e1-e2"],
+    ["dims"],
+])
+def test_rank_above_bound_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", str(MAX_N + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"coadorbits: error: --n must be at most {MAX_N}, got {MAX_N + 1}\n"
+
+
+def test_rank_bound_is_in_the_help_text():
+    assert f"at most {MAX_N}" in build_parser().description
 
 
 def test_usage_error_exit_code_one(capsys):
@@ -228,7 +247,7 @@ def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     assert "'n'" in err
 
 
-@pytest.mark.parametrize("error", [ChartConsistencyError, BracketDecompositionError])
+@pytest.mark.parametrize("error", [BracketDecompositionError])
 def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
     import coadorbits.cli as cli_mod
 

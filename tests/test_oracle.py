@@ -107,11 +107,12 @@ def test_reports_are_reproducible_byte_for_byte():
 
 def test_report_records_failures_with_replay_data():
     # force a failure by checking a wrong-sign chart against sampled points
-    from coadorbits.orbits import contains, orbit_chart
+    from coadorbits.orbits import contains
     from coadorbits.functionals import functional_to_json
+    from coadorbits.oracle import _paper_chart
 
     alpha = sum_root(1, 2)
-    bad_chart = orbit_chart("B", 4, alpha, 1, sign_rule="alternating")
+    bad_chart = _paper_chart("B", 4, alpha, "alternating")
     failures = []
     for t in range(10):
         stamp = f"replay:{t}"

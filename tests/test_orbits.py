@@ -5,13 +5,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coadorbits.functionals import coadjoint_apply, e_star, functional, orbit_dimension
-from coadorbits.oracle import random_orbit_point
+from coadorbits.functionals import _act, coadjoint_apply, e_star, functional, orbit_dimension
+from coadorbits.oracle import CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_orbit_point
 from coadorbits.orbits import (
-    CERTIFIED_SIGN_RULE,
     ChartVariableError,
     NotInOrbitError,
     ZeroScalarError,
+    _word_letters,
     chart_equations_latex,
     chart_equations_text,
     chart_point,
@@ -25,6 +25,9 @@ from coadorbits.orbits import (
 )
 from coadorbits.polynomials import Polynomial
 from coadorbits.roots import (
+    DIFF,
+    SHORT,
+    SUM,
     RootSystemKind,
     add_roots,
     bracket,
@@ -126,7 +129,7 @@ def test_chart_b3_short_root_example():
     assert chart.constraints[short(1)] == Polynomial.const(1)
     assert chart.constraints[diff(2, 3)] == var(diff(1, 3)) * var(short(2))
     for beta in (sum_root(1, 2), sum_root(1, 3), sum_root(2, 3)):
-        assert chart.constraints[beta].is_zero()
+        assert not chart.constraints[beta]
 
 
 def test_chart_b3_diff_root_example():
@@ -135,7 +138,7 @@ def test_chart_b3_diff_root_example():
     assert set(chart.data.singular) == {diff(1, 2), diff(2, 3)}
     assert chart.constraints[diff(1, 3)] == Polynomial.const(1)
     for beta in (short(1), short(2), short(3), sum_root(1, 2), sum_root(1, 3), sum_root(2, 3)):
-        assert chart.constraints[beta].is_zero()
+        assert not chart.constraints[beta]
 
 
 def test_chart_b3_sum_root_certified_values():
@@ -146,7 +149,7 @@ def test_chart_b3_sum_root_certified_values():
     # equation family gives f(e1)^2 here as well
     assert chart.constraints[diff(2, 3)] == minus_half_sq * var(sum_root(2, 3))
     assert chart.constraints[short(2)] == var(short(1)) * var(sum_root(2, 3))
-    assert chart.constraints[sum_root(1, 2)].is_zero()
+    assert not chart.constraints[sum_root(1, 2)]
 
 
 def test_chart_d3_sum_root_certified_values():
@@ -155,15 +158,15 @@ def test_chart_d3_sum_root_certified_values():
     chart = orbit_chart("D", 3, sum_root(1, 3), 1)
     assert chart.constraints[sum_root(1, 3)] == Polynomial.const(1)
     for beta in (diff(1, 3), diff(2, 3), sum_root(1, 2)):
-        assert chart.constraints[beta].is_zero()
+        assert not chart.constraints[beta]
 
 
 def test_chart_simple_root_is_a_point():
     chart = orbit_chart("A", 3, diff(1, 2), 1)
     assert chart.data.singular == ()
     assert chart.constraints[diff(1, 2)] == Polynomial.const(1)
-    assert chart.constraints[diff(2, 3)].is_zero()
-    assert chart.constraints[diff(1, 3)].is_zero()
+    assert not chart.constraints[diff(2, 3)]
+    assert not chart.constraints[diff(1, 3)]
 
 
 def test_zero_scalar_rejected():
@@ -179,14 +182,141 @@ def test_certified_sign_rule_is_constant_minus():
     good = orbit_chart("B", 4, sum_root(1, 2), 1)
     assert contains(good, f)
     for rule in ("alternating", "alternating-offset"):
-        bad = orbit_chart("B", 4, sum_root(1, 2), 1, sign_rule=rule)
+        bad = _paper_chart("B", 4, sum_root(1, 2), rule)
         assert not contains(bad, f)
 
 
 def test_alternating_rule_disagrees_at_n4():
-    printed = orbit_chart("B", 4, sum_root(1, 2), 1, sign_rule="alternating")
+    printed = _paper_chart("B", 4, sum_root(1, 2), "alternating")
     certified = orbit_chart("B", 4, sum_root(1, 2), 1)
     assert printed.constraints != certified.constraints
+
+
+# ---------------------------------------------------------------------------
+# Derived charts against the paper's equations
+# ---------------------------------------------------------------------------
+
+def _reference_tail(kind, n, i, j, rule):
+    """The bracketed factor of the constraints at the roots e_r - e_j."""
+    tail = Polynomial.zero()
+    if kind is RootSystemKind.B:
+        tail = tail + Q(-1, 2) * (Polynomial.var(short(i)) * Polynomial.var(short(i)))
+    for k in range(j + 1, n + 1):
+        term = Polynomial.var(diff(i, k)) * Polynomial.var(sum_root(i, k))
+        tail = tail + rule(k, j) * term
+    return tail
+
+
+def _reference_chart(kind, n, alpha, sign_rule=CERTIFIED_SIGN_RULE):
+    """The level-1 constraints written out family by family, as the paper prints them.
+
+    This is the hand-written case split that the derived orbit_chart
+    replaced, with its sign-rule argument; the check that two overlapping
+    cases agree raises AssertionError.
+    """
+    system = get_system(kind, n)
+    rule = SIGN_RULES[sign_rule]
+    data = singular_set(kind, n, alpha)
+    sing = set(data.singular)
+    kind = system.kind
+    i, j = alpha.i, alpha.j
+    cache = {}
+
+    def value_of(root):
+        """f(e_root) on the level-1 chart: 1 at alpha, free on S(alpha), else its constraint."""
+        if root == alpha:
+            return Polynomial.const(1)
+        if root in sing:
+            return Polynomial.var(root)
+        got = cache.get(root)
+        if got is None:
+            got = _constraint(root)
+            cache[root] = got
+        return got
+
+    def _diff_alpha_constraint(beta):
+        if beta.tag == DIFF and i < beta.i < beta.j < j:
+            return value_of(diff(i, beta.j)) * value_of(diff(beta.i, j))
+        return Polynomial.zero()
+
+    def _short_alpha_constraint(beta):
+        if beta.tag == DIFF and i < beta.i < beta.j <= n:
+            return value_of(diff(i, beta.j)) * value_of(short(beta.i))
+        return Polynomial.zero()
+
+    def _sum_alpha_constraint(beta):
+        tail = _reference_tail(kind, n, i, j, rule)
+        if beta.tag == DIFF:
+            r, s = beta.i, beta.j
+            if s == j and i <= r < j:
+                return value_of(sum_root(r, j)) * tail
+            if i <= r < s < j:
+                return value_of(diff(i, s)) * value_of(sum_root(r, j))
+            if i < r < j < s <= n:
+                return value_of(diff(i, s)) * value_of(sum_root(r, j))
+            if j < r < s <= n:
+                return (value_of(diff(j, s)) * value_of(sum_root(i, r))
+                        - value_of(diff(i, s)) * value_of(sum_root(j, r)))
+            return Polynomial.zero()
+        if beta.tag == SUM:
+            r, s = beta.i, beta.j
+            if i < r < j < s <= n:
+                return value_of(sum_root(i, s)) * value_of(sum_root(r, j))
+            if j < r < s <= n:
+                return (value_of(sum_root(j, s)) * value_of(sum_root(i, r))
+                        - value_of(sum_root(i, s)) * value_of(sum_root(j, r)))
+            return Polynomial.zero()
+        # short root (type B ambient only)
+        r = beta.i
+        if i < r < j:
+            return value_of(short(i)) * value_of(sum_root(r, j))
+        if j < r <= n:
+            return (value_of(short(j)) * value_of(sum_root(i, r))
+                    - value_of(short(i)) * value_of(sum_root(j, r)))
+        return Polynomial.zero()
+
+    def _constraint(beta):
+        if alpha.tag == DIFF:
+            return _diff_alpha_constraint(beta)
+        if alpha.tag == SHORT:
+            return _short_alpha_constraint(beta)
+        return _sum_alpha_constraint(beta)
+
+    constraints = {beta: value_of(beta) for beta in data.regular}
+
+    if alpha.tag == SUM:
+        # The generic diff case at s == j must agree with the dedicated
+        # e_r - e_j case once the chart's own value at e_i - e_j is
+        # substituted for that coordinate.
+        for r in range(i, j):
+            beta = diff(r, j)
+            via_generic = value_of(diff(i, j)) * value_of(sum_root(r, j))
+            assert via_generic == constraints[beta], f"overlapping cases disagree at {beta}"
+
+    return constraints
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_derived_chart_equals_reference(kind, n):
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        data = singular_set(kind, n, alpha)
+        moved = _act(system, _word_letters(data, Polynomial.var), {alpha: Polynomial.const(1)})
+        assert all(moved[s] == var(s) for s in data.singular)
+        assert moved[alpha] == Polynomial.const(1)
+        assert orbit_chart(kind, n, alpha, 1).constraints == _reference_chart(kind, n, alpha)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_paper_chart_equals_reference_under_every_rule(kind, n):
+    for alpha in get_system(kind, n).roots:
+        if alpha.tag != SUM:
+            continue
+        for rule in SIGN_RULES:
+            got = _paper_chart(kind, n, alpha, rule).constraints
+            assert got == _reference_chart(kind, n, alpha, rule), (alpha, rule)
 
 
 # ---------------------------------------------------------------------------

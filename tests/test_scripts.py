@@ -22,9 +22,12 @@ def run_script(name, *args):
 def test_certify_signs_defaults():
     done = run_script("certify_signs.py")
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    for kind in ("B", "D"):
-        assert f"kind {kind}: certified rule = constant-minus (shipped default)" in lines
+    assert done.stdout == (
+        "candidate rules: alternating, alternating-negated, alternating-offset, "
+        "alternating-offset-negated, constant-minus, constant-plus\n"
+        "kind B: certified rule = constant-minus (shipped default)\n"
+        "kind D: certified rule = constant-minus (shipped default)\n"
+    )
 
 
 def test_scan_achievable_dims_one_line_per_subset():
