@@ -9,7 +9,6 @@ calculus, and a brute-force oracle certifying every closed form.
 from .basic import (
     BasicMap,
     BasicSubset,
-    Chain,
     DecompositionResult,
     achievable_dimensions,
     basic_map,

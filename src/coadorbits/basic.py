@@ -5,6 +5,9 @@ never a positive root for alpha, beta in D; equivalently the positions
 (i, j) form a partial injection (no two share a first index, no two share a
 second). Every functional lies in exactly one basic sum O_D(phi), and that
 sum is a single coadjoint orbit precisely when D has no derived roots.
+A chain of D is an index tuple i_1 < ... < i_r; since D is a rook
+placement, its start and length fix it, and special partners are looked up
+by that (start, length) key.
 
 The decomposition of an arbitrary functional reduces its strictly-upper
 coefficient matrix F under the two-sided moves that preserve the basic sum:
@@ -156,67 +159,47 @@ def enumerate_basic_subsets(n: int) -> Iterator[BasicSubset]:
 # Chains, special pairs, derived roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chain:
-    """Indices i_1 < ... < i_r denoting the roots e_{i_t} - e_{i_{t+1}}."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) < 2:
-            raise ValueError("a chain needs at least two indices")
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("chain indices must strictly increase")
-
-    def roots(self) -> tuple[PositiveRoot, ...]:
-        return tuple(diff(a, b) for a, b in zip(self.indices, self.indices[1:]))
-
-
-def _successor_map(subset: BasicSubset) -> dict[int, int]:
-    return {r.i: r.j for r in subset.roots}
-
-
-def chains_in(subset: BasicSubset) -> list[Chain]:
-    """All chains contained in the subset: contiguous segments of its paths."""
-    nxt = _successor_map(subset)
+def chains_in(subset: BasicSubset) -> list[tuple[int, ...]]:
+    """All chains of the subset: index tuples i_1 < ... < i_r along one of its paths."""
+    nxt = {r.i: r.j for r in subset.roots}
     chains = []
     for root in subset.roots:
-        indices = [root.i, root.j]
-        chains.append(Chain(tuple(indices)))
-        while indices[-1] in nxt:
-            indices.append(nxt[indices[-1]])
-            chains.append(Chain(tuple(indices)))
+        chain = (root.i, root.j)
+        chains.append(chain)
+        while chain[-1] in nxt:
+            chain += (nxt[chain[-1]],)
+            chains.append(chain)
     return chains
 
 
-def _is_special_pair(c: Chain, cp: Chain, prev: dict[int, int], nxt: dict[int, int]) -> bool:
-    """``prev`` maps the end of each root of D to its start, ``nxt`` its start to its end."""
-    if len(c.indices) != len(cp.indices):
-        return False
-    merged = [x for pair in zip(c.indices, cp.indices) for x in pair]
-    if any(a >= b for a, b in zip(merged, merged[1:])):
-        return False  # chains must intertwine strictly
-    # A root of D ending at the start of cp must itself start after c does.
-    j0 = prev.get(cp.indices[0])
-    if j0 is not None and not c.indices[0] < j0:
-        return False
-    # A root of D extending c forward must land before cp ends.
-    i_next = nxt.get(c.indices[-1])
-    if i_next is not None and not i_next < cp.indices[-1]:
-        return False
-    return True
-
-
 def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
-    """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D."""
+    """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D.
+
+    A rook placement fixes a chain by its start and its length, and a special
+    partner cp of c has c's length and starts strictly between c[0] and c[1].
+    """
     chains = chains_in(subset)
+    by_start = {(c[0], len(c)): c for c in chains}
     prev = {r.j: r.i for r in subset.roots}
-    nxt = _successor_map(subset)
+    nxt = {r.i: r.j for r in subset.roots}
     out: set[PositiveRoot] = set()
     for c in chains:
-        for cp in chains:
-            if _is_special_pair(c, cp, prev, nxt):
-                out.add(diff(c.indices[0], cp.indices[0]))
+        for start in range(c[0] + 1, c[1]):
+            cp = by_start.get((start, len(c)))
+            if cp is None:
+                continue
+            merged = [x for pair in zip(c, cp) for x in pair]
+            if any(a >= b for a, b in zip(merged, merged[1:])):
+                continue  # chains must intertwine strictly
+            # A root of D ending at the start of cp must itself start after c does.
+            j0 = prev.get(start)
+            if j0 is not None and not c[0] < j0:
+                continue
+            # A root of D extending c forward must land before cp ends.
+            i_next = nxt.get(c[-1])
+            if i_next is not None and not i_next < cp[-1]:
+                continue
+            out.add(diff(c[0], start))
     return frozenset(out)
 
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: roots, chart, dim, decompose, dims, verify. The rank --n
-and verify --max-n are at most 24, checked before any root system is
-built. Exit codes: 0 success, 1 usage or input error, 2 verification
-failure, including a failed internal consistency check
-(BracketDecompositionError).
+Subcommands: roots, chart, dim, decompose, dims, verify. The rank --n,
+verify --max-n and the "n" of a dim or decompose JSON file are each
+at most 24, checked before any root system is built. Exit codes: 0
+success, 1 usage or input error, 2 verification failure, including a
+failed internal consistency check (BracketDecompositionError).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .roots import (
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
 
-# Largest --n and verify --max-n: B_n has n^2 roots and its bracket table
+# Largest --n, verify --max-n and JSON "n": B_n has n^2 roots and its bracket table
 # about n^4 / 2 entries, all built before the first answer.
 MAX_N = 24
 
@@ -108,7 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_functional(path: str):
     with open(path, encoding="utf-8") as handle:
-        return functional_from_json(json.load(handle))
+        data = json.load(handle)
+    n = data.get("n") if isinstance(data, dict) else None
+    if isinstance(n, int) and n > MAX_N:
+        raise ValueError(f"value of 'n' must be at most {MAX_N}, got {n}")
+    return functional_from_json(data)
 
 
 def _cmd_roots(args) -> int:

@@ -222,12 +222,15 @@ def construct_group_word(
     exponentials along p with parameter s f(gamma), then those along gamma
     with parameter -s f(p). For e_i - e_j this runs along e_k - e_j, then
     e_i - e_k; for e_i along e_k, then e_i - e_k; difference and short pairs
-    all have sign +1.
+    all have sign +1. f is in the orbit exactly when the word carries
+    e*_alpha to f, the test the derived chart makes.
     """
-    chart = orbit_chart(kind, n, alpha, 1)
-    if not contains(chart, f):
+    letters = _word_letters(singular_set(kind, n, alpha), f.value)
+    if f.system != get_system(kind, n):
+        raise ValueError(f"functional lives on a different system than {alpha}")
+    if _act(f.system, letters, {alpha: Fraction(1)}) != f.values:
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    return group_word(_word_letters(chart.data, f.value))
+    return group_word(letters)
 
 
 # ---------------------------------------------------------------------------

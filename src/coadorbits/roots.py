@@ -8,9 +8,11 @@ The systems are pinned to concrete nilpotent matrix algebras:
   matrices antisymmetric about the antidiagonal;
 * type D with parameter n: the analogous 2n x 2n matrices.
 
-Every structure constant in the package is computed from these explicit
-matrices (see :func:`bracket`); no Chevalley-basis sign rule is assumed
-anywhere, so all downstream signs are fixed by the realization above.
+Every structure constant in the package is read from one cached bracket
+table per system (see :func:`structure_table`), built from the products
+E[r,c] E[c,d] = E[r,d] of the matrix units of these explicit matrices; no
+Chevalley-basis sign rule is assumed anywhere, so all downstream signs are
+fixed by the realization above.
 """
 
 from __future__ import annotations
@@ -288,51 +290,14 @@ def root_vector(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> Matr
     return MatrixRealization(dim, entries)
 
 
-def _commutator(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-
-    def accumulate(x, y, sign):
-        for (r1, c1), v1 in x.items():
-            for (r2, c2), v2 in y.items():
-                if c1 == r2:
-                    key = (r1, c2)
-                    out[key] = out.get(key, 0) + sign * v1 * v2
-
-    accumulate(a, b, 1)
-    accumulate(b, a, -1)
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def bracket(
     kind: RootSystemKind | str, n: int, alpha: PositiveRoot, beta: PositiveRoot
 ) -> tuple[int, PositiveRoot] | None:
-    """[e_alpha, e_beta] decomposed in the root-vector basis.
-
-    Returns (c, gamma) with [e_alpha, e_beta] = c * e_gamma, or None when the
-    commutator vanishes. The commutator is always 0 or a multiple of a single
-    root vector; anything else raises :class:`BracketDecompositionError`.
-    """
+    """[e_alpha, e_beta] = c * e_gamma as (c, gamma), or None when it vanishes."""
     system = positive_roots(kind, n)
     system.check_member(alpha)
     system.check_member(beta)
-    comm = _commutator(
-        root_vector(kind, n, alpha).entries, root_vector(kind, n, beta).entries
-    )
-    if not comm:
-        return None
-    gamma = add_roots(alpha, beta)
-    if gamma is None or gamma not in system:
-        raise BracketDecompositionError(
-            f"[{alpha}, {beta}] is nonzero but {alpha}+{beta} is not a positive root"
-        )
-    target = root_vector(kind, n, gamma).entries
-    pos, base = next(iter(target.items()))
-    if pos not in comm or comm[pos] % base != 0:
-        raise BracketDecompositionError(f"[{alpha}, {beta}] is not a multiple of e_{gamma}")
-    coef = comm[pos] // base
-    if comm != {p: coef * v for p, v in target.items()}:
-        raise BracketDecompositionError(f"[{alpha}, {beta}] is not a multiple of e_{gamma}")
-    return coef, gamma
+    return _structure_table(system.kind, n).get(alpha, beta)
 
 
 class BracketTable:
@@ -353,16 +318,39 @@ class BracketTable:
 
 @lru_cache(maxsize=None)
 def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
+    """Every nonzero bracket, from the matrix-unit products E[r,c] E[c,d] = E[r,d].
+
+    Each commutator must be an integer times the root vector of the one root
+    owning its first position; anything else raises
+    :class:`BracketDecompositionError`.
+    """
     system = _system(kind, n)
+    units = {alpha: root_vector(kind, n, alpha).entries for alpha in system.roots}
+    owner = {pos: alpha for alpha, entries in units.items() for pos in entries}
+    by_row: dict[int, list[tuple[PositiveRoot, int, int]]] = {}
+    for beta, entries in units.items():
+        for (c, d), w in entries.items():
+            by_row.setdefault(c, []).append((beta, d, w))
+    comms: dict[tuple[PositiveRoot, PositiveRoot], dict[tuple[int, int], int]] = {}
+    for alpha, entries in units.items():
+        for (r, c), v in entries.items():
+            for beta, d, w in by_row.get(c, ()):
+                for key, sign in (((alpha, beta), 1), ((beta, alpha), -1)):
+                    comm = comms.setdefault(key, {})
+                    comm[r, d] = comm.get((r, d), 0) + sign * v * w
     table: dict[tuple[PositiveRoot, PositiveRoot], tuple[int, PositiveRoot]] = {}
-    roots = system.roots
-    for a_pos, alpha in enumerate(roots):
-        for beta in roots[a_pos + 1:]:
-            hit = bracket(kind, n, alpha, beta)
-            if hit is not None:
-                c, gamma = hit
-                table[(alpha, beta)] = (c, gamma)
-                table[(beta, alpha)] = (-c, gamma)
+    for (alpha, beta), comm in comms.items():
+        comm = {pos: v for pos, v in comm.items() if v}
+        if not comm:
+            continue
+        pos, v = next(iter(comm.items()))
+        gamma = owner.get(pos)
+        target = units.get(gamma, {})
+        coef = v // target[pos] if target else 0
+        if comm != {p: coef * u for p, u in target.items()}:
+            raise BracketDecompositionError(
+                f"[{alpha}, {beta}] is not an integer multiple of one root vector")
+        table[alpha, beta] = (coef, gamma)
     return BracketTable(system, table)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits.basic import (
-    Chain,
+    BasicSubset,
     DecompositionResult,
     NotBasicError,
     WrongKindError,
@@ -38,7 +39,7 @@ from coadorbits.functionals import coadjoint_apply, e_star, functional, orbit_di
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart
-from coadorbits.roots import diff, get_system, short
+from coadorbits.roots import PositiveRoot, diff, get_system, short
 
 A4 = get_system("A", 4)
 A6 = get_system("A", 6)
@@ -151,18 +152,9 @@ def test_enumeration_matches_brute_force_filter(n):
 # Chains and derived sets
 # ---------------------------------------------------------------------------
 
-def test_chain_validation():
-    with pytest.raises(ValueError):
-        Chain((3,))
-    with pytest.raises(ValueError):
-        Chain((2, 2))
-    assert Chain((1, 3, 5)).roots() == (diff(1, 3), diff(3, 5))
-
-
 def test_chains_in_subset():
     d = basic_subset(6, [diff(1, 3), diff(3, 5), diff(2, 4)])
-    got = {c.indices for c in chains_in(d)}
-    assert got == {(1, 3), (3, 5), (1, 3, 5), (2, 4)}
+    assert sorted(chains_in(d)) == [(1, 3), (1, 3, 5), (2, 4), (3, 5)]
 
 
 def test_derived_set_worked_example():
@@ -188,6 +180,78 @@ def test_derived_set_condition_iii_and_iv_matter():
     # a backward extension of the partner chain starting too early also kills it
     assert derived_set(basic_subset(6, [diff(3, 5), diff(4, 6)])) == frozenset({diff(3, 4)})
     assert derived_set(basic_subset(6, [diff(2, 4), diff(3, 5), diff(4, 6)])) == frozenset()
+
+
+@dataclass(frozen=True)
+class Chain:
+    """Indices i_1 < ... < i_r denoting the roots e_{i_t} - e_{i_{t+1}}."""
+
+    indices: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.indices) < 2:
+            raise ValueError("a chain needs at least two indices")
+        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
+            raise ValueError("chain indices must strictly increase")
+
+    def roots(self) -> tuple[PositiveRoot, ...]:
+        return tuple(diff(a, b) for a, b in zip(self.indices, self.indices[1:]))
+
+
+def _successor_map(subset: BasicSubset) -> dict[int, int]:
+    return {r.i: r.j for r in subset.roots}
+
+
+def _reference_chains_in(subset: BasicSubset) -> list[Chain]:
+    """All chains contained in the subset: contiguous segments of its paths."""
+    nxt = _successor_map(subset)
+    chains = []
+    for root in subset.roots:
+        indices = [root.i, root.j]
+        chains.append(Chain(tuple(indices)))
+        while indices[-1] in nxt:
+            indices.append(nxt[indices[-1]])
+            chains.append(Chain(tuple(indices)))
+    return chains
+
+
+def _is_special_pair(c: Chain, cp: Chain, prev: dict[int, int], nxt: dict[int, int]) -> bool:
+    """``prev`` maps the end of each root of D to its start, ``nxt`` its start to its end."""
+    if len(c.indices) != len(cp.indices):
+        return False
+    merged = [x for pair in zip(c.indices, cp.indices) for x in pair]
+    if any(a >= b for a, b in zip(merged, merged[1:])):
+        return False  # chains must intertwine strictly
+    # A root of D ending at the start of cp must itself start after c does.
+    j0 = prev.get(cp.indices[0])
+    if j0 is not None and not c.indices[0] < j0:
+        return False
+    # A root of D extending c forward must land before cp ends.
+    i_next = nxt.get(c.indices[-1])
+    if i_next is not None and not i_next < cp.indices[-1]:
+        return False
+    return True
+
+
+def _reference_derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
+    """The pair-loop derived set over every ordered pair of chains. Kept as the
+    reference for the (start, length) partner lookup in ``derived_set``."""
+    chains = _reference_chains_in(subset)
+    prev = {r.j: r.i for r in subset.roots}
+    nxt = _successor_map(subset)
+    out: set[PositiveRoot] = set()
+    for c in chains:
+        for cp in chains:
+            if _is_special_pair(c, cp, prev, nxt):
+                out.add(diff(c.indices[0], cp.indices[0]))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_derived_set_equals_pair_loop_reference(n):
+    for subset in enumerate_basic_subsets(n):
+        assert sorted(chains_in(subset)) == sorted(c.indices for c in _reference_chains_in(subset))
+        assert derived_set(subset) == _reference_derived_set(subset), subset
 
 
 def test_derived_set_is_inside_singular_union():

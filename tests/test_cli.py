@@ -247,6 +247,27 @@ def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     assert "'n'" in err
 
 
+@pytest.mark.parametrize("command", ["dim", "decompose"])
+def test_json_rank_above_bound_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": MAX_N + 1, "values": {"e1-e2": "1"}}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"coadorbits: error: value of 'n' must be at most {MAX_N}, got {MAX_N + 1}\n"
+
+
+@pytest.mark.parametrize("command", ["dim", "decompose"])
+@pytest.mark.parametrize("payload", [[1, 2], "A", 7])
+def test_json_non_object_is_malformed(tmp_path, capsys, command, payload):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coadorbits: error: malformed functional object") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [BracketDecompositionError])
 def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
     import coadorbits.cli as cli_mod

@@ -502,6 +502,26 @@ def test_word_requires_orbit_membership():
         construct_group_word("A", 4, diff(1, 4), functional(system, {diff(1, 4): 2}))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_word_rejects_a_shifted_regular_coordinate(kind, n):
+    rng = random.Random(f"shift:{kind.value}:{n}")
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        chart = orbit_chart(kind, n, alpha, 1)
+        f = chart_point(chart, {r: Q(rng.randint(-3, 3)) for r in chart.data.singular})
+        for beta in chart.data.regular:
+            moved = functional(system, {**f.values, beta: f.value(beta) + 1})
+            with pytest.raises(NotInOrbitError):
+                construct_group_word(kind, n, alpha, moved)
+
+
+def test_word_rejects_a_functional_on_another_system():
+    f = e_star(get_system("A", 4), diff(1, 4))
+    with pytest.raises(ValueError):
+        construct_group_word("A", 5, diff(1, 4), f)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coadorbits.roots import (
     BracketDecompositionError,
     InvalidRootError,
+    MatrixRealization,
     RankRangeError,
     RootSystemKind,
     add_roots,
@@ -202,6 +203,72 @@ def test_bracket_never_needs_fallback():
                     bracket(kind, 4, alpha, beta)
                 except BracketDecompositionError as exc:  # pragma: no cover
                     pytest.fail(f"unexpected decomposition failure: {exc}")
+
+
+def _commutator(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+
+    def accumulate(x, y, sign):
+        for (r1, c1), v1 in x.items():
+            for (r2, c2), v2 in y.items():
+                if c1 == r2:
+                    key = (r1, c2)
+                    out[key] = out.get(key, 0) + sign * v1 * v2
+
+    accumulate(a, b, 1)
+    accumulate(b, a, -1)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _reference_bracket(kind, n, alpha, beta):
+    """The per-pair matrix commutator, decomposed against e_{alpha+beta}. Kept as
+    the reference for the matrix-unit products in ``_structure_table``."""
+    system = positive_roots(kind, n)
+    system.check_member(alpha)
+    system.check_member(beta)
+    comm = _commutator(
+        root_vector(kind, n, alpha).entries, root_vector(kind, n, beta).entries
+    )
+    if not comm:
+        return None
+    gamma = add_roots(alpha, beta)
+    if gamma is None or gamma not in system:
+        raise BracketDecompositionError(
+            f"[{alpha}, {beta}] is nonzero but {alpha}+{beta} is not a positive root"
+        )
+    target = root_vector(kind, n, gamma).entries
+    pos, base = next(iter(target.items()))
+    if pos not in comm or comm[pos] % base != 0:
+        raise BracketDecompositionError(f"[{alpha}, {beta}] is not a multiple of e_{gamma}")
+    coef = comm[pos] // base
+    if comm != {p: coef * v for p, v in target.items()}:
+        raise BracketDecompositionError(f"[{alpha}, {beta}] is not a multiple of e_{gamma}")
+    return coef, gamma
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_structure_table_equals_per_pair_reference(kind, n):
+    table = structure_table(kind, n)
+    roots = table.system.roots
+    for alpha in roots:
+        for beta in roots:
+            assert table.get(alpha, beta) == _reference_bracket(kind, n, alpha, beta), (alpha, beta)
+
+
+def test_structure_table_consistency_check_fires(monkeypatch):
+    import coadorbits.roots as roots_mod
+
+    realize = roots_mod.root_vector
+
+    def skewed(kind, n, alpha):
+        if alpha == diff(1, 3):
+            return MatrixRealization(3, {(1, 3): 2})
+        return realize(kind, n, alpha)
+
+    monkeypatch.setattr(roots_mod, "root_vector", skewed)
+    with pytest.raises(BracketDecompositionError):
+        roots_mod._structure_table.__wrapped__(RootSystemKind.A, 3)
 
 
 # ---------------------------------------------------------------------------
