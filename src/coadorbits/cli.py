@@ -3,8 +3,10 @@
 Subcommands: roots, chart, dim, decompose, dims, verify. The rank --n,
 verify --max-n and the "n" of a dim or decompose JSON file are each
 at most 24, checked before any root system is built. Exit codes: 0
-success, 1 usage or input error, 2 verification failure, including a
-failed internal consistency check (BracketDecompositionError).
+success; 1 usage or input error (ValueError, ZeroDivisionError, OSError);
+2 verification failure or failed internal consistency check
+(BracketDecompositionError, OddRankError, PairSignError), reported with
+the error's class name.
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ import sys
 from fractions import Fraction
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
-from .functionals import functional_from_json, orbit_dimension
+from .functionals import OddRankError, functional_from_json, orbit_dimension
 from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
-from .orbits import chart_equations_latex, chart_equations_text, chart_to_json, orbit_chart
+from .orbits import (
+    PairSignError,
+    chart_equations_latex,
+    chart_equations_text,
+    chart_to_json,
+    orbit_chart,
+)
 from .roots import (
     BracketDecompositionError,
     RootSystemKind,
@@ -33,6 +41,16 @@ VERIFY_ERROR = 2
 # Largest --n, verify --max-n and JSON "n": B_n has n^2 roots and its bracket table
 # about n^4 / 2 entries, all built before the first answer.
 MAX_N = 24
+
+# The exit code of every error main reports, looked up along the error's MRO.
+_EXIT_CODES = {
+    ValueError: USAGE_ERROR,
+    ZeroDivisionError: USAGE_ERROR,
+    OSError: USAGE_ERROR,
+    BracketDecompositionError: VERIFY_ERROR,
+    OddRankError: VERIFY_ERROR,
+    PairSignError: VERIFY_ERROR,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,12 +243,11 @@ def main(argv=None) -> int:
     try:
         _check_size(args)
         return _DISPATCH[args.command](args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"coadorbits: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except BracketDecompositionError as exc:
-        print(f"coadorbits: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+        detail = f"{type(exc).__name__}: {exc}" if code == VERIFY_ERROR else exc
+        print(f"coadorbits: error: {detail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

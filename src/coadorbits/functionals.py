@@ -27,6 +27,13 @@ from .roots import (
 Rational = Fraction | int | str
 
 
+class OddRankError(RuntimeError):
+    """A skew form came out with odd rank.
+
+    An internal consistency check: a skew-symmetric matrix has even rank.
+    """
+
+
 def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -242,7 +249,7 @@ def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
     r = rank(skew_form(f).rows)
     if r % 2 != 0:
-        raise RuntimeError("skew form rank must be even")  # mathematically impossible
+        raise OddRankError(f"skew form has odd rank {r}")
     return r
 
 

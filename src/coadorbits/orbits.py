@@ -50,6 +50,14 @@ class ChartVariableError(ValueError):
     """A chart-point assignment does not cover exactly the singular roots."""
 
 
+class PairSignError(RuntimeError):
+    """A singular pair does not bracket to +/- e_alpha.
+
+    An internal consistency check: every such bracket has structure constant
+    1 or -1 (CONVENTIONS.md).
+    """
+
+
 # ---------------------------------------------------------------------------
 # Singular and regular roots
 # ---------------------------------------------------------------------------
@@ -90,7 +98,7 @@ def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularD
     for (beta, gamma), (c, alpha) in table.table.items():
         if beta.i == alpha.i:
             if c not in (1, -1):
-                raise RuntimeError(f"pair ({beta}, {gamma}) does not bracket to +/- e_{alpha}")
+                raise PairSignError(f"pair ({beta}, {gamma}) does not bracket to +/- e_{alpha}")
             pairs[alpha][beta] = (gamma, c)
     out = {}
     for alpha, found in pairs.items():

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from coadorbits.cli import MAX_N, build_parser, main
+from coadorbits.functionals import OddRankError
+from coadorbits.orbits import PairSignError
 from coadorbits.roots import BracketDecompositionError
 
 
@@ -280,3 +282,25 @@ def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
     assert code == 2
     assert out == ""
     assert err == f"coadorbits: error: {error.__name__}: forced\n"
+
+
+@pytest.mark.parametrize("error", [BracketDecompositionError, OddRankError, PairSignError])
+def test_internal_error_under_dim_exit_code_two(capsys, monkeypatch, error):
+    import coadorbits.cli as cli_mod
+
+    def failing_orbit_dimension(f):
+        raise error("forced")
+
+    monkeypatch.setattr(cli_mod, "orbit_dimension", failing_orbit_dimension)
+    code, out, err = run_cli(capsys, "dim", str(Path(__file__).parent / "golden" / "a5.json"))
+    assert code == 2
+    assert out == ""
+    assert err == f"coadorbits: error: {error.__name__}: forced\n"
+
+
+@pytest.mark.parametrize("argv", [["roots", "--kind", "B", "--n", str(MAX_N)],
+                                  ["dims", "--n", str(MAX_N)]])
+def test_n_at_the_bound_is_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out and err == ""

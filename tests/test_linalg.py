@@ -1,29 +1,47 @@
 """Exact rank, kernel and determinant against independent references."""
 
 import itertools
+import math
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coadorbits.linalg import det, kernel_basis, rank
+from coadorbits import linalg
+from coadorbits.functionals import skew_form
+from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
+from coadorbits.oracle import random_orbit_point
+from coadorbits.orbits import singular_size_formula
+from coadorbits.roots import parse_root
+
+P61, P127, P521 = linalg._MODULI
 
 entries = st.one_of(
     st.just(Q(0)),
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
 )
 
+# Integers and fractions past the first modulus and its reconstruction bound,
+# as Fractions and as plain ints.
+wide_entries = st.one_of(
+    entries,
+    st.sampled_from([P61, -P61, 2 * P61, P127, 2**61, 2**64 + 1]),
+    st.integers(-2**130, 2**130),
+    st.builds(Q, st.integers(-2**70, 2**70), st.integers(1, 2**70)),
+)
+
 
 @st.composite
-def matrices(draw, max_rows=5, max_cols=5, square=False):
+def matrices(draw, max_rows=5, max_cols=5, square=False, elements=entries):
     """A list of lists or a tuple of tuples; empty and zero-width matrices included."""
     nrows = draw(st.integers(0, max_rows))
     ncols = nrows if square else draw(st.integers(0, max_cols))
-    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rows = [draw(st.lists(elements, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     if nrows > 1 and draw(st.booleans()):
         # A combination of two rows makes rank deficiency common.
-        a, b = draw(entries), draw(entries)
+        a, b = draw(elements), draw(elements)
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
         rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
     if draw(st.booleans()):
@@ -39,6 +57,26 @@ def free_columns(rows) -> list[int]:
     """Columns that do not raise the rank of the columns before them."""
     return [c for c in range(width(rows))
             if rank([row[:c + 1] for row in rows]) == rank([row[:c] for row in rows])]
+
+
+def reference_rank(rows) -> int:
+    """The rank by Fraction elimination, the modular kernel's fallback."""
+    return len(_eliminate(rows)[1])
+
+
+def rungs(rows) -> list[tuple[int, bool]]:
+    """The moduli kernel_basis tries on rows, each with whether its certificate held."""
+    tried = []
+    modular_kernel = linalg._modular_kernel
+
+    def spy(int_rows, ncols, p):
+        basis = modular_kernel(int_rows, ncols, p)
+        tried.append((p, basis is not None))
+        return basis
+
+    with mock.patch.object(linalg, "_modular_kernel", spy):
+        kernel_basis(rows)
+    return tried
 
 
 def leibniz(rows) -> Q:
@@ -68,6 +106,54 @@ def test_kernel_vectors_are_exact_and_reduced(rows):
         assert all(isinstance(x, Q) for x in v)
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
         assert [v[c] for c in free] == [1 if c == fc else 0 for c in free]
+
+
+@given(matrices(elements=wide_entries))
+def test_rank_and_kernel_equal_the_fraction_elimination(rows):
+    basis = kernel_basis(rows)
+    assert basis == _exact_kernel(rows)
+    assert all(type(x) is Q for v in basis for x in v)
+    assert rank(rows) == reference_rank(rows)
+
+
+@given(matrices())
+def test_small_entries_certify_at_the_first_modulus(rows):
+    # Every minor here is far below 2^30, so the first rung must hold; a
+    # broken modular kernel that the fallback would hide fails here.
+    assert rungs(rows) == [(P61, True)]
+
+
+def test_a_multiple_of_the_first_modulus_has_rank_one():
+    rows = [[P61]]
+    assert rank(rows) == 1
+    assert kernel_basis(rows) == []
+    assert rungs(rows) == [(P61, False), (P127, True)]
+
+
+def test_reconstruction_bound_is_sharp_at_the_first_modulus():
+    # The kernel of [[d, -n]] is (n/d, 1); the first modulus rebuilds n/d
+    # exactly when |n| and d are at most isqrt(p // 2).
+    bound = math.isqrt(P61 // 2)
+    assert rungs([[bound - 1, -bound]]) == [(P61, True)]
+    assert rungs([[bound, -(bound + 1)]]) == [(P61, False), (P127, True)]
+    assert kernel_basis([[bound, -(bound + 1)]]) == [(Q(bound + 1, bound), Q(1))]
+
+
+def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
+    rows = [[1, 2**600]]
+    assert kernel_basis(rows) == [(Q(-2**600), Q(1))]
+    assert rank(rows) == 1
+    assert rungs(rows) == [(P61, False), (P127, False), (P521, False)]
+
+
+@pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
+def test_highest_root_orbit_points_take_the_second_modulus(kind, n, seed):
+    alpha = parse_root("e1+e2")
+    f, _ = random_orbit_point(kind, n, alpha, 1, seed=seed)
+    rows = skew_form(f).rows
+    assert rungs(rows) == [(P61, False), (P127, True)]
+    assert kernel_basis(rows) == _exact_kernel(rows)
+    assert rank(rows) == reference_rank(rows) == singular_size_formula(kind, n, alpha)
 
 
 @given(matrices(max_rows=4, square=True))
