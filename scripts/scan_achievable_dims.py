@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=6)
     parser.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     args = parser.parse_args()
+    if args.n < 2:
+        parser.error(f"--n must be at least 2, got {args.n}")
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     reachable = set()

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .functionals import Functional, Rational, functional, int_from_json, rational_from_json
+from .functionals import (Functional, Rational, functional, int_from_json, object_from_json,
+                          rational_from_json)
 from .orbits import singular_set
 from .roots import (
     DIFF,
@@ -315,7 +316,7 @@ def basic_map_to_json(bmap: BasicMap) -> dict:
 def basic_map_from_json(data: Mapping) -> BasicMap:
     try:
         n = int_from_json("n", data["n"])
-        names, raw = data["roots"], dict(data["phi"])
+        names, raw = data["roots"], object_from_json("phi", data["phi"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed basic map object: {exc}") from None
     subset = basic_subset(n, [parse_root(s) for s in names])

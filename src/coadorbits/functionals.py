@@ -4,6 +4,12 @@ A functional f is stored sparsely by its values on the root-vector basis,
 its coadjoint translates g.f are computed from the terminating exponential
 series of the nilpotent adjoint action, and the orbit through f has exact
 dimension equal to the rank of the skew form (x, y) -> f([x, y]).
+
+Both the action and the skew form read the bracket table by canonical
+position (``BracketTable.by_index``). The skew form is built once, as sparse
+integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
+``radical_basis`` hand those rows to the modular kernel of ``linalg``, and
+``skew_form`` reads them back as dense Fraction rows.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import kernel_basis, rank
+from .linalg import _kernel
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -132,20 +138,18 @@ def _ad_chains(kind: RootSystemKind, n: int):
     coef carrying (-1)^m times the iterated structure constants over m!. The
     tails terminate because ad is nilpotent.
     """
-    table = structure_table(kind, n)
-    roots = table.system.roots
-    index_of = table.system.index_of
+    by_index = structure_table(kind, n).by_index
     chains = []
-    for beta in roots:
+    for brackets in by_index:
         moved = []
-        for g, gamma in enumerate(roots):
+        for g in range(len(by_index)):
             tail = []
-            cur, c, m = gamma, 1, 0
-            while (hit := table.get(beta, cur)) is not None:
+            cur, c, m = g, 1, 0
+            while (hit := brackets.get(cur)) is not None:
                 k, cur = hit
                 c *= -k
                 m += 1
-                tail.append((index_of(cur), m, Fraction(c, math.factorial(m))))
+                tail.append((cur, m, Fraction(c, math.factorial(m))))
             if tail:
                 moved.append((g, tuple(tail)))
         chains.append(tuple(moved))
@@ -231,23 +235,38 @@ class SkewForm:
     rows: tuple[tuple[Fraction, ...], ...]
 
 
-def skew_form(f: Functional) -> SkewForm:
+def _skew_rows(f: Functional) -> tuple[list[dict[int, int]], int]:
+    """The skew form of f times one integer scale, as sparse rows {b: entry}; with the scale.
+
+    The scale is the lcm of the denominators of f's values, so every entry
+    c * F[g] is an integer; scaling all rows alike leaves rank and kernel as
+    they are.
+    """
     system = f.system
-    table = structure_table(system.kind, system.n)
-    index_of = system.index_of
-    size = len(system.roots)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    # The table holds both orders of every nonzero bracket.
-    for (alpha, beta), (c, gamma) in table.table.items():
-        v = f.values.get(gamma)
-        if v:
-            rows[index_of(alpha)][index_of(beta)] = c * v
-    return SkewForm(system, tuple(tuple(row) for row in rows))
+    scale = math.lcm(*[v.denominator for v in f.values.values()])
+    scaled = [0] * len(system.roots)
+    for root, v in f.values.items():
+        scaled[system.index_of(root)] = v.numerator * (scale // v.denominator)
+    by_index = structure_table(system.kind, system.n).by_index
+    rows = [{b: c * scaled[g] for b, (c, g) in brackets.items() if scaled[g]}
+            for brackets in by_index]
+    return rows, scale
+
+
+def skew_form(f: Functional) -> SkewForm:
+    int_rows, scale = _skew_rows(f)
+    columns = range(len(f.system.roots))
+    return SkewForm(f.system, tuple(tuple(Fraction(row.get(b, 0), scale) for b in columns)
+                                    for row in int_rows))
+
+
+def _radical(f: Functional) -> list[tuple[Fraction, ...]]:
+    return _kernel(_skew_rows(f)[0], len(f.system.roots))
 
 
 def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = rank(skew_form(f).rows)
+    r = len(f.system.roots) - len(_radical(f))
     if r % 2 != 0:
         raise OddRankError(f"skew form has odd rank {r}")
     return r
@@ -259,7 +278,7 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     Vectors are coefficient tuples over the canonical root order; their
     count is len(roots) - orbit_dimension(f).
     """
-    return kernel_basis(skew_form(f).rows)
+    return _radical(f)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +316,17 @@ def int_from_json(key: str, value) -> int:
     raise ValueError(f"value of {key!r} must be a JSON integer, got {value!r}")
 
 
+def object_from_json(key: str, value) -> dict:
+    """The JSON object under `key`: arrays, strings, numbers and null raise ValueError."""
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"value of {key!r} must be a JSON object, got {value!r}")
+
+
 def functional_from_json(data: Mapping) -> Functional:
     try:
         system = get_system(data["kind"], int_from_json("n", data["n"]))
-        raw = dict(data["values"])
+        raw = object_from_json("values", data["values"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed functional object: {exc}") from None
     values = {parse_root(name): rational_from_json(name, v) for name, v in raw.items()}

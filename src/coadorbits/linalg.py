@@ -5,19 +5,22 @@ Everything here works on sequences of rows (lists or tuples) of
 determinants are exact, which is what makes orbit dimensions trustworthy
 integers rather than numerical estimates.
 
-``rank`` and ``kernel_basis`` read one certified modular kernel. Each row is
-scaled to integers by the lcm of its denominators and brought to reduced
-row echelon form modulo a prime p. Each free column gives a kernel vector
-with 1 there, 0 at the other free columns and at the pivots after it, and
-entries at the earlier pivots rebuilt from their residues by rational
-reconstruction (Wang 1981). The basis is accepted only if the integer rows
-annihilate every vector exactly. That certifies it: the pivot columns
-modulo p have a nonzero minor, so they are independent over Q, and each
-vector shows its free column in the span of the pivots before it. So the
-pivots and the vectors are exactly those of elimination over Q. When a
+One certified modular kernel, ``_kernel``, takes sparse integer rows
+{column: int}. ``rank`` and ``kernel_basis`` scale each Fraction row to
+integers by the lcm of its denominators and pass it on; ``functionals``
+passes the integer rows of a skew form directly. The rows are brought to
+reduced row echelon form modulo a prime p. Each free column gives a kernel
+vector with 1 there, 0 at the other free columns and at the pivots after
+it, and entries at the earlier pivots rebuilt from their residues by
+rational reconstruction (Wang 1981). The basis is accepted only if the
+integer rows annihilate every vector exactly. That certifies it: the pivot
+columns modulo p have a nonzero minor, so they are independent over Q, and
+each vector shows its free column in the span of the pivots before it. So
+the pivots and the vectors are exactly those of elimination over Q. When a
 certificate fails, the next modulus of a fixed ladder (2^61 - 1, 2^127 - 1,
 2^521 - 1) is tried, and after the last one the Fraction elimination
-``_eliminate`` with back-substitution decides. ``det`` reads ``_eliminate``.
+``_eliminate`` with back-substitution decides, on the integer rows read as
+Fractions. ``det`` reads ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -175,19 +178,19 @@ def _modular_kernel(int_rows: list[dict[int, int]], ncols: int,
     return basis
 
 
-def _kernel(rows: Matrix) -> list[tuple[Fraction, ...]]:
-    ncols = len(rows[0]) if rows else 0
-    int_rows = _integer_rows(rows)
+def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """The reduced kernel basis of sparse integer rows {column: int} of width ncols."""
     for p in _MODULI:
         basis = _modular_kernel(int_rows, ncols, p)
         if basis is not None:
             return basis
-    return _exact_kernel(rows)
+    return _exact_kernel([[Fraction(row.get(j, 0)) for j in range(ncols)] for row in int_rows])
 
 
 def rank(rows: Matrix) -> int:
     """Exact rank of a rational matrix: its width less its nullity."""
-    return (len(rows[0]) if rows else 0) - len(_kernel(rows))
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(_kernel(_integer_rows(rows), ncols))
 
 
 def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
@@ -196,7 +199,7 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     Each vector has a 1 at its own free column and 0 at the other free
     columns, so the basis is in reduced form and deterministic.
     """
-    return _kernel(rows)
+    return _kernel(_integer_rows(rows), len(rows[0]) if rows else 0)
 
 
 def det(rows: Matrix) -> Fraction:

@@ -301,13 +301,18 @@ def bracket(
 
 
 class BracketTable:
-    """Complete bracket table of a system: (alpha, beta) -> (c, alpha+beta)."""
+    """Complete bracket table of a system: (alpha, beta) -> (c, alpha+beta).
 
-    __slots__ = ("system", "table")
+    ``by_index`` is the same table over canonical positions: by_index[a] is
+    {b: (c, g)} for every nonzero [e_a, e_b] = c e_g.
+    """
 
-    def __init__(self, system: RootSystem, table: dict):
+    __slots__ = ("system", "table", "by_index")
+
+    def __init__(self, system: RootSystem, table: dict, by_index: tuple[dict, ...]):
         self.system = system
         self.table = table
+        self.by_index = by_index
 
     def get(self, alpha: PositiveRoot, beta: PositiveRoot) -> tuple[int, PositiveRoot] | None:
         return self.table.get((alpha, beta))
@@ -339,6 +344,8 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
                     comm = comms.setdefault(key, {})
                     comm[r, d] = comm.get((r, d), 0) + sign * v * w
     table: dict[tuple[PositiveRoot, PositiveRoot], tuple[int, PositiveRoot]] = {}
+    index_of = system.index_of
+    by_index: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in system.roots)
     for (alpha, beta), comm in comms.items():
         comm = {pos: v for pos, v in comm.items() if v}
         if not comm:
@@ -351,7 +358,8 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
             raise BracketDecompositionError(
                 f"[{alpha}, {beta}] is not an integer multiple of one root vector")
         table[alpha, beta] = (coef, gamma)
-    return BracketTable(system, table)
+        by_index[index_of(alpha)][index_of(beta)] = (coef, index_of(gamma))
+    return BracketTable(system, table, by_index)
 
 
 def structure_table(kind: RootSystemKind | str, n: int) -> BracketTable:

@@ -565,6 +565,13 @@ def test_basic_map_json_rejects_non_integer_n(value):
         basic_map_from_json(payload)
 
 
+@pytest.mark.parametrize("phi", [[["e1-e3", "2"]], "ab"])
+def test_basic_map_json_phi_must_be_an_object(phi):
+    payload = {"n": 5, "roots": ["e1-e3"], "phi": phi}
+    with pytest.raises(ValueError, match="'phi' must be a JSON object"):
+        basic_map_from_json(payload)
+
+
 @pytest.mark.parametrize("key", ["n", "roots", "phi"])
 def test_basic_map_json_missing_key_is_value_error(key):
     payload = {"n": 5, "roots": ["e1-e3"], "phi": {"e1-e3": "2"}}

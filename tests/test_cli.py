@@ -249,6 +249,17 @@ def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     assert "'n'" in err
 
 
+@pytest.mark.parametrize("values", [[["e1-e4", "1"]], "ab"])
+def test_dim_rejects_values_that_are_not_an_object(tmp_path, capsys, values):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 4, "values": values}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"coadorbits: error: value of 'values' must be a JSON object, "
+                   f"got {values!r}\n")
+
+
 @pytest.mark.parametrize("command", ["dim", "decompose"])
 def test_json_rank_above_bound_is_rejected(tmp_path, capsys, command):
     path = tmp_path / "f.json"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coadorbits.functionals import (
     Functional,
     GroupWord,
+    _ad_chains,
     coadjoint_apply,
     coadjoint_apply_one,
     concat_words,
@@ -27,6 +28,7 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
+from coadorbits.linalg import kernel_basis, rank
 from coadorbits.oracle import random_functional, random_word
 from coadorbits.orbits import singular_set
 from coadorbits.roots import (
@@ -216,6 +218,34 @@ def test_action_equals_per_root_reference(kind, n):
             assert _stored_exactly(one)
 
 
+def _reference_ad_chains(kind, n):
+    """The ad-chains built by root-pair table lookups, as before the index-keyed table."""
+    table = structure_table(kind, n)
+    roots = table.system.roots
+    index_of = table.system.index_of
+    chains = []
+    for beta in roots:
+        moved = []
+        for g, gamma in enumerate(roots):
+            tail = []
+            cur, c, m = gamma, 1, 0
+            while (hit := table.get(beta, cur)) is not None:
+                k, cur = hit
+                c *= -k
+                m += 1
+                tail.append((index_of(cur), m, Q(c, math.factorial(m))))
+            if tail:
+                moved.append((g, tuple(tail)))
+        chains.append(tuple(moved))
+    return tuple(chains)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ad_chains_equal_root_pair_reference(kind):
+    for n in range(2, 9):
+        assert _ad_chains(kind, n) == _reference_ad_chains(kind, n)
+
+
 @pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
 def test_foreign_letter_raises_at_either_end(kind, n):
     system = get_system(kind, n)
@@ -338,6 +368,52 @@ def test_radical_of_elementary_functional():
 def test_radical_kernel_dimension_example():
     system = get_system("A", 3)
     assert len(radical_basis(e_star(system, diff(1, 3)))) == 1
+
+
+# Value draws for the integer skew rows: integers, denominators from distinct
+# primes (so the scale is their product) and denominators that share factors.
+VALUE_STYLES = {
+    "integer": lambda rng: Q(rng.choice((-3, -2, -1, 1, 2, 5))),
+    "coprime": lambda rng: Q(rng.choice((-4, -1, 1, 3, 8)), rng.choice((1, 2, 3, 5, 7, 11, 13))),
+    "shared": lambda rng: Q(rng.choice((-5, -1, 1, 2, 3, 7)), rng.choice((4, 6, 12))),
+}
+
+
+def _reference_skew_rows(f):
+    """The dense Fraction skew form from the root-keyed table, as before the integer rows."""
+    system = f.system
+    table = structure_table(system.kind, system.n)
+    index_of = system.index_of
+    size = len(system.roots)
+    rows = [[Q(0)] * size for _ in range(size)]
+    for (alpha, beta), (c, gamma) in table.table.items():
+        v = f.values.get(gamma)
+        if v:
+            rows[index_of(alpha)][index_of(beta)] = c * v
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_integer_skew_rows_equal_the_dense_fraction_path(kind, n):
+    # orbit_dimension and radical_basis read the integer skew rows; the dense
+    # Fraction rows of the root-keyed table, through rank and kernel_basis,
+    # are the reference, and skew_form must read the integer rows back as them.
+    system = get_system(kind, n)
+    cases = [zero_functional(system)]
+    for style, draw in VALUE_STYLES.items():
+        rng = random.Random(f"integer-rows:{kind.value}{n}:{style}")
+        for _ in range(2):
+            cases.append(functional(system, {r: draw(rng) for r in system.roots
+                                             if rng.randrange(2)}))
+    for f in cases:
+        rows = _reference_skew_rows(f)
+        assert skew_form(f).rows == rows
+        assert all(type(x) is Q for row in skew_form(f).rows for x in row)
+        basis = radical_basis(f)
+        assert basis == kernel_basis(rows)
+        assert all(type(x) is Q for v in basis for x in v)
+        assert orbit_dimension(f) == rank(rows)
 
 
 def test_radical_dimension_count_random():

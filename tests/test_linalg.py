@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import linalg
-from coadorbits.functionals import skew_form
+from coadorbits.functionals import functional, orbit_dimension, radical_basis, skew_form
 from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
 from coadorbits.oracle import random_orbit_point
 from coadorbits.orbits import singular_size_formula
-from coadorbits.roots import parse_root
+from coadorbits.roots import diff, get_system, parse_root
 
 P61, P127, P521 = linalg._MODULI
 
@@ -64,8 +64,8 @@ def reference_rank(rows) -> int:
     return len(_eliminate(rows)[1])
 
 
-def rungs(rows) -> list[tuple[int, bool]]:
-    """The moduli kernel_basis tries on rows, each with whether its certificate held."""
+def rungs(arg, call=kernel_basis) -> list[tuple[int, bool]]:
+    """The moduli call(arg) tries, each with whether its certificate held."""
     tried = []
     modular_kernel = linalg._modular_kernel
 
@@ -75,7 +75,7 @@ def rungs(rows) -> list[tuple[int, bool]]:
         return basis
 
     with mock.patch.object(linalg, "_modular_kernel", spy):
-        kernel_basis(rows)
+        call(arg)
     return tried
 
 
@@ -146,6 +146,21 @@ def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
     assert rungs(rows) == [(P61, False), (P127, False), (P521, False)]
 
 
+def test_skew_entries_past_every_bound_reach_the_fraction_fallback():
+    # In A4 the kernel vector of e3-e4 is f(e2-e4)/f(e1-e3) at e1-e2: 3 * 2^600
+    # here, past every reconstruction bound, so the integer skew rows reach
+    # the Fraction elimination.
+    system = get_system("A", 4)
+    f = functional(system, {diff(1, 3): Q(1, 3), diff(2, 4): 2**600})
+    rows = skew_form(f).rows
+    assert rungs(f, radical_basis) == [(P61, False), (P127, False), (P521, False)]
+    basis = radical_basis(f)
+    assert basis == kernel_basis(rows) == _exact_kernel(rows)
+    assert Q(3 * 2**600) in basis[0]
+    assert all(type(x) is Q for v in basis for x in v)
+    assert orbit_dimension(f) == rank(rows) == 2
+
+
 @pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
 def test_highest_root_orbit_points_take_the_second_modulus(kind, n, seed):
     alpha = parse_root("e1+e2")
@@ -154,6 +169,35 @@ def test_highest_root_orbit_points_take_the_second_modulus(kind, n, seed):
     assert rungs(rows) == [(P61, False), (P127, True)]
     assert kernel_basis(rows) == _exact_kernel(rows)
     assert rank(rows) == reference_rank(rows) == singular_size_formula(kind, n, alpha)
+    # The integer skew rows of f take the same rungs to the same basis.
+    assert rungs(f, radical_basis) == [(P61, False), (P127, True)]
+    assert radical_basis(f) == kernel_basis(rows)
+    assert orbit_dimension(f) == rank(rows)
+
+
+@st.composite
+def integer_rows(draw, max_rows=5, max_cols=6):
+    """(sparse rows {column: nonzero int}, width): at least one row, entries past every modulus."""
+    ncols = draw(st.integers(0, max_cols))
+    values = st.one_of(st.integers(-3, 3), st.sampled_from([P61, -P61, 2 * P127, 2**64 + 1]),
+                       st.integers(-2**600, 2**600))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        columns = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else ()
+        rows.append({j: v for j in sorted(columns) if (v := draw(values))})
+    if len(rows) > 1 and draw(st.booleans()):
+        # A combination of two rows makes rank deficiency common.
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows[-1] = {j: v for j in range(ncols) if (v := a * x.get(j, 0) + b * y.get(j, 0))}
+    return rows, ncols
+
+
+@given(integer_rows())
+def test_integer_row_kernel_equals_the_fraction_elimination(case):
+    int_rows, ncols = case
+    dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
+    assert linalg._kernel(int_rows, ncols) == _exact_kernel(dense)
 
 
 @given(matrices(max_rows=4, square=True))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coadorbits.basic import enumerate_basic_subsets
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +40,12 @@ def test_scan_achievable_dims_one_line_per_subset():
     assert len(records) == len(subsets)
     assert [r["roots"] for r in records] == [[str(x) for x in s.roots] for s in subsets]
     assert "-> OK" in done.stderr
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_scan_achievable_dims_rejects_rank_below_two(n):
+    done = run_script("scan_achievable_dims.py", "--n", n)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "usage:" in done.stderr and "--n must be at least 2" in done.stderr
+    assert "Traceback" not in done.stderr
