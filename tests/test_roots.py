@@ -251,9 +251,14 @@ def _reference_bracket(kind, n, alpha, beta):
 def test_structure_table_equals_per_pair_reference(kind, n):
     table = structure_table(kind, n)
     roots = table.system.roots
-    for alpha in roots:
-        for beta in roots:
-            assert table.get(alpha, beta) == _reference_bracket(kind, n, alpha, beta), (alpha, beta)
+    index_of = table.system.index_of
+    for a, alpha in enumerate(roots):
+        for b, beta in enumerate(roots):
+            expected = _reference_bracket(kind, n, alpha, beta)
+            assert table.get(alpha, beta) == expected, (alpha, beta)
+            # The position-keyed view holds the same bracket.
+            by_index = None if expected is None else (expected[0], index_of(expected[1]))
+            assert table.by_index[a].get(b) == by_index, (alpha, beta)
 
 
 def test_structure_table_consistency_check_fires(monkeypatch):
