@@ -238,8 +238,9 @@ class SkewForm:
 def _skew_rows(f: Functional) -> tuple[list[dict[int, int]], int]:
     """The skew form of f times one integer scale, as sparse rows {b: entry}; with the scale.
 
-    The scale is the lcm of the denominators of f's values, so every entry
-    c * F[g] is an integer; scaling all rows alike leaves rank and kernel as
+    The scale is the lcm of the denominators of f's values. With F[g] the
+    value at position g times the scale, [e_a, e_b] = c e_g gives the
+    integer entry c * F[g]; scaling all rows alike leaves rank and kernel as
     they are.
     """
     system = f.system
