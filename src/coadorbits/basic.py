@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .functionals import (Functional, Rational, functional, int_from_json, object_from_json,
-                          rational_from_json)
+from .functionals import (Functional, Rational, _frac, functional, int_from_json,
+                          object_from_json, rational_from_json)
 from .orbits import singular_set
 from .roots import (
     DIFF,
@@ -107,7 +107,7 @@ def basic_map(subset: BasicSubset, phi: Mapping[PositiveRoot, Rational]) -> Basi
         raise ValueError("phi must be defined exactly on the subset")
     vals = {}
     for root, v in phi.items():
-        fv = Fraction(v)
+        fv = _frac(v)
         if fv == 0:
             raise ValueError(f"phi({root}) must be nonzero")
         vals[root] = fv

@@ -15,10 +15,9 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
-from .functionals import OddRankError, functional_from_json, orbit_dimension
+from .functionals import OddRankError, functional_from_json, orbit_dimension, parse_rational
 from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 from .orbits import (
     PairSignError,
@@ -146,7 +145,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_chart(args) -> int:
     alpha = parse_root(args.alpha)
-    chart = orbit_chart(args.kind, args.n, alpha, Fraction(args.c))
+    chart = orbit_chart(args.kind, args.n, alpha, parse_rational(args.c))
     free = " ".join(str(r) for r in chart.data.singular)
     if args.format == "json":
         _emit(json.dumps(chart_to_json(chart), sort_keys=True), args.out)

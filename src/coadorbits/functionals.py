@@ -15,6 +15,7 @@ integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,8 +41,41 @@ class OddRankError(RuntimeError):
     """
 
 
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational of an exact string "p" or "p/q", such as "-3/5" (CONVENTIONS.md).
+
+    Decimal, exponent, signed-plus and padded forms, which ``Fraction`` would
+    read, raise ValueError before any integer is built.
+    """
+    if not _RATIONAL_STRING.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"rational string of {len(text)} characters is too long") from None
+
+
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction: a Fraction, an int or an exact rational string.
+
+    Floats, booleans and everything else raise ValueError: Fraction(0.1) is
+    3602879701896397/36028797018963968, not the 1/10 that was meant.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {x!r}')
+
+
+def _integral(x):
+    """x as an int when it is an integral Fraction; any other value as it is."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -135,7 +169,8 @@ def _ad_chains(kind: RootSystemKind, n: int):
     All roots are positions in the canonical root order. chains[b] is
     ((g, ((target, m, coef), ...)), ...), listing only the g with a nonempty
     tail; (target, m, coef) is a contribution coef * t^m at e_target, with
-    coef carrying (-1)^m times the iterated structure constants over m!. The
+    coef carrying (-1)^m times the iterated structure constants over m!, an
+    int unless m! leaves a denominator (the 1/2 of type B's short roots). The
     tails terminate because ad is nilpotent.
     """
     by_index = structure_table(kind, n).by_index
@@ -149,7 +184,7 @@ def _ad_chains(kind: RootSystemKind, n: int):
                 k, cur = hit
                 c *= -k
                 m += 1
-                tail.append((cur, m, Fraction(c, math.factorial(m))))
+                tail.append((cur, m, _integral(Fraction(c, math.factorial(m)))))
             if tail:
                 moved.append((g, tuple(tail)))
         chains.append(tuple(moved))
@@ -161,21 +196,23 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
 
     The loop only adds, multiplies and tests for zero, so the parameters and
     values may be Fractions or Polynomials; an orbit chart runs it with its
-    letters' parameters as variables. ``values`` itself comes back when
-    nothing moves it.
+    letters' parameters as variables. Inside, integral parameters, values and
+    tail coefficients travel as ints, and int/Fraction promotion keeps every
+    sum exact; the returned values are Fractions (or Polynomials) again.
+    ``values`` itself comes back when nothing moves it.
     """
     index_of = system.index_of
     moves = []
     for beta, t in reversed(letters):
         b = index_of(beta)
         if t:
-            moves.append((b, t))
+            moves.append((b, _integral(t)))
     if not moves or not values:
         return values
     chains = _ad_chains(system.kind, system.n)
     vec = [0] * len(system.roots)
     for root, v in values.items():
-        vec[index_of(root)] = v
+        vec[index_of(root)] = _integral(v)
     for b, t in moves:
         powers = [1, t]
         deltas = []
@@ -194,7 +231,7 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
         for g, d in deltas:
             vec[g] += d
     roots = system.roots
-    return {roots[k]: v for k, v in enumerate(vec) if v}
+    return {roots[k]: Fraction(v) if isinstance(v, int) else v for k, v in enumerate(vec) if v}
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -303,7 +340,7 @@ def rational_from_json(key: str, value) -> Fraction:
     """
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'value of {key!r} must be an exact rational string such as "-3/5", '

@@ -28,6 +28,7 @@ from .basic import (
 from .functionals import (
     Functional,
     GroupWord,
+    _frac,
     coadjoint_apply,
     e_star,
     functional,
@@ -138,7 +139,7 @@ def random_orbit_point(
     """A deterministic random point of the orbit through c * e*_alpha, with its word."""
     system = get_system(kind, n)
     system.check_member(alpha)
-    c = Fraction(c)
+    c = _frac(c)
     if c == 0:
         raise ValueError("need a nonzero scalar")
     rng = random.Random(seed)

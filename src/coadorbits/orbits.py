@@ -25,7 +25,8 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Mapping
 
-from .functionals import Functional, GroupWord, Rational, _act, functional, group_word
+from .functionals import (Functional, GroupWord, Rational, _act, _frac, _integral, functional,
+                          group_word)
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -181,7 +182,7 @@ def orbit_chart(
     """
     system = get_system(kind, n)
     system.check_member(alpha)
-    c = Fraction(c)
+    c = _frac(c)
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
     data = singular_set(kind, n, alpha)
@@ -194,10 +195,11 @@ def contains(chart: OrbitChart, f: Functional) -> bool:
     """Exact membership of f in the chart's orbit."""
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
-    h = f.scaled(Fraction(1) / chart.c)
-    env = {s: h.value(s) for s in chart.data.singular}
+    inv = Fraction(1) / chart.c
+    h = {root: _integral(v * inv) for root, v in f.values.items()}
+    env = {s: h.get(s, 0) for s in chart.data.singular}
     for beta, poly in chart.constraints.items():
-        if h.value(beta) != poly.evaluate(env):
+        if h.get(beta, 0) != poly.evaluate(env):
             return False
     return True
 
@@ -213,7 +215,7 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
     inv = Fraction(1) / chart.c
-    env = {root: Fraction(v) * inv for root, v in assignment.items()}
+    env = {root: _frac(v) * inv for root, v in assignment.items()}
     values: dict[PositiveRoot, Fraction] = dict(env)
     for beta, poly in chart.constraints.items():
         values[beta] = poly.evaluate(env)

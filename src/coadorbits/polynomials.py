@@ -3,7 +3,9 @@
 A monomial is a sorted tuple of roots (with repetition for powers); the zero
 coefficient is never stored. This is all the chart machinery needs: sums,
 products, exact evaluation. No operation mutates an operand, so adding 0 or
-multiplying by 1 returns the operand itself.
+multiplying by 1 returns the operand itself. Coefficients are stored as
+Fractions; evaluation multiplies the integral ones, and integral values, as
+ints, and returns a Fraction.
 """
 
 from __future__ import annotations
@@ -67,12 +69,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = other if isinstance(other, Fraction) else Fraction(other)
+            # Fraction * int is a Fraction, so an int scalar needs no conversion.
+            c = other if isinstance(other, (int, Fraction)) else Fraction(other)
             if c == 1:
                 return self
             if not c:
                 return Polynomial.zero()
-            return Polynomial({mono: c * v for mono, v in self.terms.items()})
+            return Polynomial({mono: v * c for mono, v in self.terms.items()})
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -86,14 +89,19 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Mapping[PositiveRoot, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, values: Mapping[PositiveRoot, Fraction | int]) -> Fraction:
+        """The exact value at ``values`` (Fractions or ints), always a Fraction.
+
+        Integral coefficients travel as ints, so over integral values no
+        Fraction is built until the result.
+        """
+        total = 0
         for mono, c in self.terms.items():
-            prod = c
+            prod = c.numerator if c.denominator == 1 else c
             for v in mono:
                 prod *= values[v]
             total += prod
-        return total
+        return total if isinstance(total, Fraction) else Fraction(total)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a stable display order: by degree, then variable keys."""

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,7 +228,7 @@ def test_negative_rational_option_value(capsys):
                    "--c=-3/5")[1] == out
 
 
-@pytest.mark.parametrize("value", [0.1, True, [1]])
+@pytest.mark.parametrize("value", [0.1, True, [1], "1e3000000", "1.5", "+2"])
 def test_dim_rejects_non_string_rational(tmp_path, capsys, value):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"kind": "A", "n": 4, "values": {"e1-e2": value}}))
@@ -236,6 +237,23 @@ def test_dim_rejects_non_string_rational(tmp_path, capsys, value):
     assert out == ""
     assert err.startswith("coadorbits: error: ") and err.count("\n") == 1
     assert "e1-e2" in err
+
+
+@pytest.mark.parametrize("c", ["1e300000", "1.5", "-0.5", "+2", " 2", "1_000", "2/-3"])
+def test_chart_c_is_held_to_the_rational_grammar(capsys, c):
+    code, out, err = run_cli(capsys, "chart", "--kind", "A", "--n", "3", "--alpha", "e1-e3",
+                             f"--c={c}")
+    assert (code, out) == (1, "")
+    assert err == f"coadorbits: error: Invalid literal for Fraction: {c!r}\n"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
+def test_chart_c_over_long_is_an_input_error(capsys):
+    c = "7" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "chart", "--kind", "A", "--n", "3", "--alpha", "e1-e3",
+                             "--c", c)
+    assert (code, out) == (1, "")
+    assert err == f"coadorbits: error: rational string of {len(c)} characters is too long\n"
 
 
 @pytest.mark.parametrize("value", [4.7, 4.0, "4", True, None])

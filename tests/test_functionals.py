@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import sys
 from functools import lru_cache
 from fractions import Fraction as Q
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from coadorbits.functionals import (
     Functional,
     GroupWord,
+    _act,
     _ad_chains,
     coadjoint_apply,
     coadjoint_apply_one,
@@ -28,10 +31,13 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
+from coadorbits.basic import basic_map, basic_subset
 from coadorbits.linalg import kernel_basis, rank
-from coadorbits.oracle import random_functional, random_word
-from coadorbits.orbits import singular_set
+from coadorbits.oracle import random_functional, random_orbit_point, random_word
+from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
+from coadorbits.polynomials import Polynomial
 from coadorbits.roots import (
+    SHORT,
     InvalidRootError,
     RootSystemKind,
     bracket,
@@ -218,6 +224,7 @@ def test_action_equals_per_root_reference(kind, n):
             assert _stored_exactly(one)
 
 
+@lru_cache(maxsize=None)
 def _reference_ad_chains(kind, n):
     """The ad-chains built by root-pair table lookups, as before the index-keyed table."""
     table = structure_table(kind, n)
@@ -243,7 +250,134 @@ def _reference_ad_chains(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_ad_chains_equal_root_pair_reference(kind):
     for n in range(2, 9):
-        assert _ad_chains(kind, n) == _reference_ad_chains(kind, n)
+        chains = _ad_chains(kind, n)
+        assert chains == _reference_ad_chains(kind, n)
+        # Only type B's short roots leave a denominator: the -1/2 of their
+        # second-order tails. Every other coefficient is an int.
+        roots = get_system(kind, n).roots
+        for b, moved in enumerate(chains):
+            for _, tail in moved:
+                for _, m, coef in tail:
+                    if kind is RootSystemKind.B and roots[b].tag == SHORT and m == 2:
+                        assert type(coef) is Q and coef == Q(-1, 2)
+                    else:
+                        assert type(coef) is int
+
+
+# ---------------------------------------------------------------------------
+# Integral numbers as ints inside the action, Fractions at the boundary
+# ---------------------------------------------------------------------------
+
+def _reference_act(system, letters, values):
+    """The action loop over all-Fraction ad-chains, as it ran before ints travelled inside."""
+    index_of = system.index_of
+    moves = []
+    for beta, t in reversed(letters):
+        b = index_of(beta)
+        if t:
+            moves.append((b, t))
+    if not moves or not values:
+        return values
+    chains = _reference_ad_chains(system.kind, system.n)
+    vec = [0] * len(system.roots)
+    for root, v in values.items():
+        vec[index_of(root)] = v
+    for b, t in moves:
+        powers = [1, t]
+        deltas = []
+        for g, tail in chains[b]:
+            while len(powers) <= len(tail):
+                powers.append(powers[-1] * t)
+            d = 0
+            for target, m, coef in tail:
+                x = vec[target]
+                if x:
+                    d += x * coef * powers[m]
+            if d:
+                deltas.append((g, d))
+        for g, d in deltas:
+            vec[g] += d
+    roots = system.roots
+    return {roots[k]: v for k, v in enumerate(vec) if v}
+
+
+def _reference_evaluate(poly, values):
+    total = Q(0)
+    for mono, c in poly.terms.items():
+        prod = c
+        for v in mono:
+            prod *= values[v]
+        total += prod
+    return total
+
+
+def _all_fractions(values):
+    # int == Fraction holds, so only the type shows an int leaking out.
+    return all(type(v) is Q for v in values)
+
+
+ACT_SYSTEMS = [(kind, n) for kind in "ABD" for n in range(2, 7)]
+# Integral and non-integral parameters and values, zero included.
+act_rationals = st.one_of(
+    st.integers(-3, 3).map(Q),
+    st.sampled_from([Q(-3, 5), Q(1, 2), Q(-7, 4)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def act_cases(draw):
+    """(system, letters, values); a type-B word always carries a short-root letter."""
+    kind, n = draw(st.sampled_from(ACT_SYSTEMS))
+    system = get_system(kind, n)
+    roots = st.sampled_from(system.roots)
+    letters = draw(st.lists(st.tuples(roots, act_rationals), max_size=2 * len(system.roots)))
+    if kind == "B":
+        short_roots = [r for r in system.roots if r.tag == SHORT]
+        letters.insert(draw(st.integers(0, len(letters))),
+                       (draw(st.sampled_from(short_roots)), draw(st.integers(1, 3).map(Q))))
+    values = draw(st.dictionaries(roots, act_rationals, max_size=len(system.roots)))
+    return system, letters, values
+
+
+@given(act_cases())
+def test_action_equals_all_fraction_reference(case):
+    system, letters, values = case
+    f = functional(system, values)
+    word = group_word(letters)
+    got = coadjoint_apply(word, f)
+    assert got.values == _reference_act(system, word.letters, f.values)
+    assert _all_fractions(got.values.values())
+    beta, t = word.letters[-1] if word.letters else (system.roots[0], Q(1))
+    one = coadjoint_apply_one(beta, t, f)
+    assert one.values == _reference_act(system, ((beta, t),), f.values)
+    assert _all_fractions(one.values.values())
+
+
+@given(st.sampled_from(ACT_SYSTEMS), st.data())
+def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, data):
+    kind, n = system_key
+    system = get_system(kind, n)
+    alpha = data.draw(st.sampled_from(system.roots))
+    sing = singular_set(kind, n, alpha)
+    letters = _word_letters(sing, Polynomial.var)
+    start = {alpha: Polynomial.const(1)}
+    moved = _act(system, letters, start)
+    assert moved == _reference_act(system, letters, start)
+    c = data.draw(act_rationals.filter(bool))
+    chart = orbit_chart(kind, n, alpha, c)
+    for polys in (chart.constraints, chart.scaled_constraints()):
+        for poly in polys.values():
+            assert _all_fractions(poly.terms.values())
+    # contains feeds evaluate integral values as ints.
+    env = {s: data.draw(st.one_of(act_rationals, st.integers(-3, 3))) for s in sing.singular}
+    for poly in chart.constraints.values():
+        value = poly.evaluate(env)
+        assert value == _reference_evaluate(poly, env)
+        assert type(value) is Q
+    point = chart_point(chart, env)
+    assert _all_fractions(point.values.values())
+    assert contains(chart, point)
 
 
 @pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
@@ -447,16 +581,20 @@ def test_functional_json_rejects_bad_input():
 
 # JSON numbers, booleans and containers are not exact rational strings.
 NON_STRING_RATIONALS = [0.1, True, [1], 2, None]
+# Strings Fraction would read that are not "p" or "p/q": decimal, exponent,
+# signed-plus, padded, underscored, non-ASCII digits, negative denominators.
+NON_GRAMMAR_STRINGS = ["1e3000000", "1.5", "-0.5", "1E3", "+2", " 2", "2 ", "2\n", "1_000",
+                       "\u0663", "2/-3", "--2", "", "inf", "nan"]
 
 
-@pytest.mark.parametrize("value", NON_STRING_RATIONALS + ["1/0", "abc"])
+@pytest.mark.parametrize("value", NON_STRING_RATIONALS + ["1/0", "abc"] + NON_GRAMMAR_STRINGS)
 def test_functional_json_rejects_non_string_rational(value):
     payload = {"kind": "A", "n": 3, "values": {"e1-e3": "1", "e1-e2": value}}
     with pytest.raises(ValueError, match="e1-e2"):
         functional_from_json(payload)
 
 
-@pytest.mark.parametrize("value", NON_STRING_RATIONALS)
+@pytest.mark.parametrize("value", NON_STRING_RATIONALS + NON_GRAMMAR_STRINGS)
 def test_word_json_rejects_non_string_rational(value):
     with pytest.raises(ValueError, match="e2-e3"):
         word_from_json([["e1-e2", "1"], ["e2-e3", value]])
@@ -466,3 +604,51 @@ def test_word_json_round_trip():
     w = group_word([(diff(1, 2), Q(-3, 5)), (short(2), Q(4))])
     assert word_to_json(w) == [["e1-e2", "-3/5"], ["e2", "4"]]
     assert word_from_json(word_to_json(w)) == w
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
+def test_over_long_rational_string_is_a_value_error():
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError, match="too long"):
+        functional(get_system("A", 3), {diff(1, 3): digits})
+    with pytest.raises(ValueError, match="e1-e3"):
+        functional_from_json({"kind": "A", "n": 3, "values": {"e1-e3": digits}})
+
+
+@pytest.mark.parametrize("value", [Q(-3, 5), 4, "-3/5", "10/4", "0", "007"])
+def test_exact_rationals_are_accepted(value):
+    f = functional(get_system("A", 3), {diff(1, 3): value})
+    assert f.value(diff(1, 3)) == (value if not isinstance(value, str) else Q(value))
+    assert _all_fractions(f.values.values())
+
+
+def _library_calls(value):
+    """Every public entry that turns a caller's number into a Fraction, fed ``value``."""
+    system = get_system("A", 3)
+    alpha = diff(1, 3)
+    return [
+        lambda: functional(system, {alpha: value}),
+        lambda: e_star(system, alpha, value),
+        lambda: e_star(system, alpha).scaled(value),
+        lambda: group_word([(alpha, value)]),
+        lambda: coadjoint_apply_one(diff(1, 2), value, e_star(system, alpha)),
+        lambda: orbit_chart("A", 3, alpha, value),
+        lambda: chart_point(orbit_chart("A", 3, alpha),
+                            {s: value for s in singular_set("A", 3, alpha).singular}),
+        lambda: basic_map(basic_subset(3, [alpha]), {alpha: value}),
+        lambda: random_orbit_point("A", 3, alpha, value),
+    ]
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, -0.0, True, False, None, [1]])
+def test_library_rejects_floats_and_bools(value):
+    for call in _library_calls(value):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            call()
+
+
+@pytest.mark.parametrize("value", ["1e3000000", "1.5", "+2", "2/-3"])
+def test_library_holds_strings_to_the_grammar(value):
+    for call in _library_calls(value):
+        with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {value!r}")):
+            call()
