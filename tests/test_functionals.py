@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coadorbits.basic import basic_map, basic_subset
 from coadorbits.functionals import (
     Functional,
     GroupWord,
@@ -31,7 +32,6 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.basic import basic_map, basic_subset
 from coadorbits.linalg import kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point, random_word
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -311,11 +311,6 @@ def _reference_evaluate(poly, values):
     return total
 
 
-def _all_fractions(values):
-    # int == Fraction holds, so only the type shows an int leaking out.
-    return all(type(v) is Q for v in values)
-
-
 ACT_SYSTEMS = [(kind, n) for kind in "ABD" for n in range(2, 7)]
 # Integral and non-integral parameters and values, zero included.
 act_rationals = st.one_of(
@@ -347,11 +342,11 @@ def test_action_equals_all_fraction_reference(case):
     word = group_word(letters)
     got = coadjoint_apply(word, f)
     assert got.values == _reference_act(system, word.letters, f.values)
-    assert _all_fractions(got.values.values())
+    assert _stored_exactly(got)
     beta, t = word.letters[-1] if word.letters else (system.roots[0], Q(1))
     one = coadjoint_apply_one(beta, t, f)
     assert one.values == _reference_act(system, ((beta, t),), f.values)
-    assert _all_fractions(one.values.values())
+    assert _stored_exactly(one)
 
 
 @given(st.sampled_from(ACT_SYSTEMS), st.data())
@@ -368,7 +363,8 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     chart = orbit_chart(kind, n, alpha, c)
     for polys in (chart.constraints, chart.scaled_constraints()):
         for poly in polys.values():
-            assert _all_fractions(poly.terms.values())
+            # int == Fraction holds, so only the type shows an int leaking out.
+            assert all(type(coef) is Q for coef in poly.terms.values())
     # contains feeds evaluate integral values as ints.
     env = {s: data.draw(st.one_of(act_rationals, st.integers(-3, 3))) for s in sing.singular}
     for poly in chart.constraints.values():
@@ -376,7 +372,7 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
         assert value == _reference_evaluate(poly, env)
         assert type(value) is Q
     point = chart_point(chart, env)
-    assert _all_fractions(point.values.values())
+    assert _stored_exactly(point)
     assert contains(chart, point)
 
 
@@ -619,7 +615,7 @@ def test_over_long_rational_string_is_a_value_error():
 def test_exact_rationals_are_accepted(value):
     f = functional(get_system("A", 3), {diff(1, 3): value})
     assert f.value(diff(1, 3)) == (value if not isinstance(value, str) else Q(value))
-    assert _all_fractions(f.values.values())
+    assert _stored_exactly(f)
 
 
 def _library_calls(value):
