@@ -23,7 +23,6 @@ from .basic import (
     max_singular_witness,
     s_of,
     singular_union,
-    support,
     witness_basic_subsets,
 )
 from .functionals import (

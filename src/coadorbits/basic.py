@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .functionals import (Functional, Rational, _frac, functional, int_from_json,
@@ -120,40 +121,72 @@ def basic_point(bmap: BasicMap) -> Functional:
     return functional(system, dict(bmap.phi))
 
 
-def support(f: Functional) -> tuple[PositiveRoot, ...]:
-    """Roots where the (type A) functional is nonzero, in canonical order."""
-    _require_type_a(f.system)
-    return f.nonzero_roots()
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """pos[i][j]: the position of e_i - e_j in the system's canonical roots, for i < j."""
+    pos = [[-1] * (n + 1) for _ in range(n + 1)]
+    for k, r in enumerate(get_system(RootSystemKind.A, n).roots):
+        pos[r.i][r.j] = k
+    return tuple(map(tuple, pos))
+
+
+@lru_cache(maxsize=None)
+def _singular_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """m[i][j]: S(e_i - e_j) as a bitmask over positions in the canonical roots.
+
+    Read from ``singular_set``, so the bracket table stays the one definition
+    of S(alpha); in type A it is {e_i - e_k, e_k - e_j : i < k < j}.
+    """
+    system = get_system(RootSystemKind.A, n)
+    masks = [[0] * (n + 1) for _ in range(n + 1)]
+    for alpha in system.roots:
+        for beta in singular_set(system.kind, n, alpha).singular:
+            masks[alpha.i][alpha.j] |= 1 << system.index_of(beta)
+    return tuple(map(tuple, masks))
+
+
+def _singular_mask(subset: BasicSubset) -> int:
+    """The union of the singular sets of the subset's roots, as a position bitmask."""
+    masks = _singular_masks(subset.n)
+    union = 0
+    for r in subset.roots:
+        union |= masks[r.i][r.j]
+    return union
 
 
 def singular_union(subset: BasicSubset) -> tuple[PositiveRoot, ...]:
     """Union of the singular sets of the subset's roots, in canonical order."""
-    system = get_system(RootSystemKind.A, subset.n)
-    union: set[PositiveRoot] = set()
-    for alpha in subset.roots:
-        union.update(singular_set(system.kind, subset.n, alpha).singular)
-    return tuple(r for r in system.roots if r in union)
+    union = _singular_mask(subset)
+    roots = get_system(RootSystemKind.A, subset.n).roots
+    return tuple(r for k, r in enumerate(roots) if union >> k & 1)
 
 
 def s_of(subset: BasicSubset) -> int:
     """s(D): the number of D-singular roots, the dimension of the basic sum."""
-    return len(singular_union(subset))
+    return _singular_mask(subset).bit_count()
 
 
 def enumerate_basic_subsets(n: int) -> Iterator[BasicSubset]:
-    """Every basic subset exactly once (these are the partial injections i -> j, i < j)."""
-    get_system(RootSystemKind.A, n)
+    """Every basic subset exactly once (these are the partial injections i -> j, i < j).
 
-    def rec(i: int, used: frozenset[int], acc: tuple[PositiveRoot, ...]) -> Iterator[BasicSubset]:
+    Row i either stays empty or takes a free column j > i, in that order; the
+    rooks are collected as positions, so each subset holds the system's own
+    root objects in canonical order.
+    """
+    roots = get_system(RootSystemKind.A, n).roots
+    pos = _positions(n)
+
+    def rec(i: int, used: int, acc: tuple[int, ...]) -> Iterator[BasicSubset]:
         if i == n:
-            yield BasicSubset(n, tuple(sorted(acc, key=PositiveRoot.sort_key)))
+            yield BasicSubset(n, tuple(roots[k] for k in sorted(acc)))
             return
         yield from rec(i + 1, used, acc)
+        row = pos[i]
         for j in range(i + 1, n + 1):
-            if j not in used:
-                yield from rec(i + 1, used | {j}, acc + (diff(i, j),))
+            if not used >> j & 1:
+                yield from rec(i + 1, used | 1 << j, acc + (row[j],))
 
-    yield from rec(1, frozenset(), ())
+    yield from rec(1, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +210,40 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D.
 
     A rook placement fixes a chain by its start and its length, and a special
-    partner cp of c has c's length and starts strictly between c[0] and c[1].
+    partner cp of c has c's length and starts strictly between c[0] and c[1],
+    so partners are sought only among the chains of c's length.
     """
     chains = chains_in(subset)
-    by_start = {(c[0], len(c)): c for c in chains}
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for c in chains:
+        by_length.setdefault(len(c), []).append(c)
     prev = {r.j: r.i for r in subset.roots}
     nxt = {r.i: r.j for r in subset.roots}
-    out: set[PositiveRoot] = set()
+    found: set[tuple[int, int]] = set()
     for c in chains:
-        for start in range(c[0] + 1, c[1]):
-            cp = by_start.get((start, len(c)))
-            if cp is None:
+        first, second, last = c[0], c[1], len(c) - 1
+        for cp in by_length[len(c)]:
+            start = cp[0]
+            if not first < start < second:
                 continue
-            merged = [x for pair in zip(c, cp) for x in pair]
-            if any(a >= b for a, b in zip(merged, merged[1:])):
-                continue  # chains must intertwine strictly
+            # The chains must intertwine strictly: c[k] < cp[k] < c[k+1].
+            k = 1
+            while k < last and c[k] < cp[k] < c[k + 1]:
+                k += 1
+            if k < last or not c[last] < cp[last]:
+                continue
             # A root of D ending at the start of cp must itself start after c does.
             j0 = prev.get(start)
-            if j0 is not None and not c[0] < j0:
+            if j0 is not None and not first < j0:
                 continue
             # A root of D extending c forward must land before cp ends.
-            i_next = nxt.get(c[-1])
-            if i_next is not None and not i_next < cp[-1]:
+            i_next = nxt.get(c[last])
+            if i_next is not None and not i_next < cp[last]:
                 continue
-            out.add(diff(c[0], start))
-    return frozenset(out)
+            found.add((first, start))
+    roots = get_system(RootSystemKind.A, subset.n).roots
+    pos = _positions(subset.n)
+    return frozenset(roots[pos[i][j]] for i, j in found)
 
 
 def is_single_orbit(subset: BasicSubset) -> bool:

@@ -42,6 +42,17 @@ class OddRankError(RuntimeError):
 
 
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# Error messages echo at most this many characters of an offending value.
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, cut short with the value's length when long."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:_ECHO_CHARS]}... ({size} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,7 +62,7 @@ def parse_rational(text: str) -> Fraction:
     read, raise ValueError before any integer is built.
     """
     if not _RATIONAL_STRING.fullmatch(text):
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        raise ValueError(f"Invalid literal for Fraction: {_echo(text)}")
     try:
         return Fraction(text)
     except ValueError:
@@ -70,7 +81,7 @@ def _frac(x: Rational) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {x!r}')
+    raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {_echo(x)}')
 
 
 def _integral(x):
@@ -344,21 +355,21 @@ def rational_from_json(key: str, value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'value of {key!r} must be an exact rational string such as "-3/5", '
-                     f"got {value!r}")
+                     f"got {_echo(value)}")
 
 
 def int_from_json(key: str, value) -> int:
     """The integer under `key` of a JSON object: floats, strings and booleans raise ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"value of {key!r} must be a JSON integer, got {value!r}")
+    raise ValueError(f"value of {key!r} must be a JSON integer, got {_echo(value)}")
 
 
 def object_from_json(key: str, value) -> dict:
     """The JSON object under `key`: arrays, strings, numbers and null raise ValueError."""
     if isinstance(value, dict):
         return value
-    raise ValueError(f"value of {key!r} must be a JSON object, got {value!r}")
+    raise ValueError(f"value of {key!r} must be a JSON object, got {_echo(value)}")
 
 
 def functional_from_json(data: Mapping) -> Functional:

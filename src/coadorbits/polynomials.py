@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .functionals import _frac
 from .roots import PositiveRoot
 
 Monomial = tuple[PositiveRoot, ...]
@@ -33,7 +34,7 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        c = Fraction(c)
+        c = _frac(c)
         return Polynomial({(): c} if c else {})
 
     @staticmethod
@@ -69,8 +70,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            # Fraction * int is a Fraction, so an int scalar needs no conversion.
-            c = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            # Fraction * int is a Fraction, so an int scalar (not a bool) needs no conversion.
+            c = other if isinstance(other, Fraction) or type(other) is int else _frac(other)
             if c == 1:
                 return self
             if not c:

@@ -32,14 +32,14 @@ from coadorbits.basic import (
     max_weyl_index,
     s_of,
     singular_union,
-    support,
     witness_basic_subsets,
 )
+from coadorbits.basic import _singular_masks
 from coadorbits.functionals import coadjoint_apply, e_star, functional, orbit_dimension, zero_functional
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import default_word_length, random_functional, random_word
-from coadorbits.orbits import chart_point, orbit_chart
-from coadorbits.roots import PositiveRoot, diff, get_system, short
+from coadorbits.orbits import chart_point, orbit_chart, singular_set
+from coadorbits.roots import PositiveRoot, RootSystemKind, diff, get_system, short
 
 A4 = get_system("A", 4)
 A6 = get_system("A", 6)
@@ -54,6 +54,16 @@ def rook_condition(roots):
 # ---------------------------------------------------------------------------
 # Support and basicness
 # ---------------------------------------------------------------------------
+
+def support(f):
+    """Roots where the type-A functional is nonzero, in canonical order.
+
+    A private copy of the removed ``basic.support``, which nothing called.
+    """
+    if f.system.kind is not RootSystemKind.A:
+        raise WrongKindError(f"type A only, got kind {f.system.kind.value}")
+    return f.nonzero_roots()
+
 
 def test_support_examples():
     assert support(zero_functional(A4)) == ()
@@ -109,6 +119,48 @@ def test_singular_union_examples():
     assert s_of(basic_subset(3, [diff(2, 3)])) == 0
 
 
+def _reference_singular_union(subset: BasicSubset) -> tuple[PositiveRoot, ...]:
+    """The union of the roots' singular sets as a set of roots, in canonical order.
+    Kept as the reference for the bitmask union behind ``s_of``."""
+    system = get_system("A", subset.n)
+    union: set[PositiveRoot] = set()
+    for alpha in subset.roots:
+        union.update(singular_set(system.kind, subset.n, alpha).singular)
+    return tuple(r for r in system.roots if r in union)
+
+
+def _reference_s_of(subset: BasicSubset) -> int:
+    return len(_reference_singular_union(subset))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_s_of_equals_set_union_reference(n):
+    for subset in enumerate_basic_subsets(n):
+        expected = _reference_singular_union(subset)
+        assert singular_union(subset) == expected, subset
+        assert s_of(subset) == len(expected), subset
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_singular_masks_are_the_closed_form(n):
+    system = get_system("A", n)
+    masks = _singular_masks(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            closed = {diff(i, k) for k in range(i + 1, j)} | {diff(k, j) for k in range(i + 1, j)}
+            expected = sum(1 << system.index_of(r) for r in closed)
+            assert masks[i][j] == expected, (i, j)
+
+
+def test_s_of_counts_overlapping_singular_sets_once():
+    # S(e1-e4) and S(e2-e5) both hold e2-e4, which counts once.
+    d = basic_subset(5, [diff(1, 4), diff(2, 5)])
+    union = set(singular_union(d))
+    assert union == {diff(1, 2), diff(1, 3), diff(2, 4), diff(3, 4), diff(2, 3), diff(3, 5),
+                     diff(4, 5)}
+    assert s_of(d) == 7
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -146,6 +198,32 @@ def test_enumeration_matches_brute_force_filter(n):
                 expected.add(frozenset(combo))
     got = {frozenset(d.roots) for d in enumerate_basic_subsets(n)}
     assert got == expected
+
+
+def _reference_enumerate_basic_subsets(n: int):
+    """The root-tuple recursion that ``enumerate_basic_subsets`` replaced; it fixes the order."""
+    def rec(i, used, acc):
+        if i == n:
+            yield BasicSubset(n, tuple(sorted(acc, key=PositiveRoot.sort_key)))
+            return
+        yield from rec(i + 1, used, acc)
+        for j in range(i + 1, n + 1):
+            if j not in used:
+                yield from rec(i + 1, used | {j}, acc + (diff(i, j),))
+
+    yield from rec(1, frozenset(), ())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumeration_keeps_the_reference_order(n):
+    assert list(enumerate_basic_subsets(n)) == list(_reference_enumerate_basic_subsets(n))
+
+
+def test_enumeration_hands_out_the_system_roots():
+    system = get_system("A", 6)
+    for subset in enumerate_basic_subsets(6):
+        for r in subset.roots:
+            assert r is system.roots[system.index_of(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +325,18 @@ def _reference_derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     return frozenset(out)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_derived_set_equals_pair_loop_reference(n):
     for subset in enumerate_basic_subsets(n):
         assert sorted(chains_in(subset)) == sorted(c.indices for c in _reference_chains_in(subset))
         assert derived_set(subset) == _reference_derived_set(subset), subset
+
+
+def test_derived_set_hands_out_the_system_roots():
+    system = get_system("A", 7)
+    for subset in enumerate_basic_subsets(7):
+        for r in derived_set(subset):
+            assert r is system.roots[system.index_of(r)]
 
 
 def test_derived_set_is_inside_singular_union():

@@ -256,6 +256,17 @@ def test_chart_c_over_long_is_an_input_error(capsys):
     assert err == f"coadorbits: error: rational string of {len(c)} characters is too long\n"
 
 
+def test_dim_error_on_a_huge_value_is_one_short_line(tmp_path, capsys):
+    digits = "7" * 100000
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 3, "values": {"e1-e3": digits}}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("coadorbits: error: value of 'e1-e3' must be an exact rational string")
+    assert err.endswith("... (100000 characters)\n")
+
+
 @pytest.mark.parametrize("value", [4.7, 4.0, "4", True, None])
 def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     path = tmp_path / "f.json"

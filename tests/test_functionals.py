@@ -633,6 +633,8 @@ def _library_calls(value):
                             {s: value for s in singular_set("A", 3, alpha).singular}),
         lambda: basic_map(basic_subset(3, [alpha]), {alpha: value}),
         lambda: random_orbit_point("A", 3, alpha, value),
+        lambda: Polynomial.const(value),
+        lambda: Polynomial.var(diff(1, 2)) * value,
     ]
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from coadorbits.basic import enumerate_basic_subsets
+from test_basic import (_reference_derived_set, _reference_enumerate_basic_subsets,
+                        _reference_s_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +42,18 @@ def test_scan_achievable_dims_one_line_per_subset():
     assert len(records) == len(subsets)
     assert [r["roots"] for r in records] == [[str(x) for x in s.roots] for s in subsets]
     assert "-> OK" in done.stderr
+
+
+def test_scan_achievable_dims_equals_the_slow_references():
+    done = run_script("scan_achievable_dims.py", "--n", "7")
+    assert done.returncode == 0, done.stderr
+    expected = []
+    for subset in _reference_enumerate_basic_subsets(7):
+        derived = _reference_derived_set(subset)
+        record = {"n": 7, "roots": [str(r) for r in subset.roots], "s": _reference_s_of(subset),
+                  "derived": sorted(str(r) for r in derived), "single_orbit": not derived}
+        expected.append(json.dumps(record, sort_keys=True))
+    assert done.stdout.splitlines() == expected
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-2"])
