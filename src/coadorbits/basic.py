@@ -64,9 +64,12 @@ def is_basic(roots: Iterable[PositiveRoot]) -> bool:
     return len({r.i for r in roots}) == len(roots) == len({r.j for r in roots})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasicSubset:
-    """A basic subset of the type-A roots with parameter n."""
+    """A basic subset of the type-A roots with parameter n.
+
+    Slotted, because a scan holds one per subset: Bell(n) of them.
+    """
 
     n: int
     roots: tuple[PositiveRoot, ...]
@@ -206,6 +209,11 @@ def chains_in(subset: BasicSubset) -> list[tuple[int, ...]]:
     return chains
 
 
+# The one empty derived set: every derived-free subset shares it, where a
+# new empty frozenset would take 216 bytes per subset of a scan.
+_NO_ROOTS: frozenset[PositiveRoot] = frozenset()
+
+
 def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D.
 
@@ -241,6 +249,8 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
             if i_next is not None and not i_next < cp[last]:
                 continue
             found.add((first, start))
+    if not found:
+        return _NO_ROOTS
     roots = get_system(RootSystemKind.A, subset.n).roots
     pos = _positions(subset.n)
     return frozenset(roots[pos[i][j]] for i, j in found)

@@ -117,6 +117,11 @@ def test_singular_union_examples():
     assert s_of(d) == 4
     assert set(singular_union(d)) == {diff(1, 2), diff(2, 4), diff(1, 3), diff(3, 4)}
     assert s_of(basic_subset(3, [diff(2, 3)])) == 0
+    # S(e1-e4) and S(e2-e5) both hold e2-e4, which counts once.
+    d = basic_subset(5, [diff(1, 4), diff(2, 5)])
+    assert set(singular_union(d)) == {diff(1, 2), diff(1, 3), diff(2, 4), diff(3, 4),
+                                      diff(2, 3), diff(3, 5), diff(4, 5)}
+    assert s_of(d) == 7
 
 
 def _reference_singular_union(subset: BasicSubset) -> tuple[PositiveRoot, ...]:
@@ -150,15 +155,6 @@ def test_singular_masks_are_the_closed_form(n):
             closed = {diff(i, k) for k in range(i + 1, j)} | {diff(k, j) for k in range(i + 1, j)}
             expected = sum(1 << system.index_of(r) for r in closed)
             assert masks[i][j] == expected, (i, j)
-
-
-def test_s_of_counts_overlapping_singular_sets_once():
-    # S(e1-e4) and S(e2-e5) both hold e2-e4, which counts once.
-    d = basic_subset(5, [diff(1, 4), diff(2, 5)])
-    union = set(singular_union(d))
-    assert union == {diff(1, 2), diff(1, 3), diff(2, 4), diff(3, 4), diff(2, 3), diff(3, 5),
-                     diff(4, 5)}
-    assert s_of(d) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +213,6 @@ def _reference_enumerate_basic_subsets(n: int):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumeration_keeps_the_reference_order(n):
     assert list(enumerate_basic_subsets(n)) == list(_reference_enumerate_basic_subsets(n))
-
-
-def test_enumeration_hands_out_the_system_roots():
-    system = get_system("A", 6)
-    for subset in enumerate_basic_subsets(6):
-        for r in subset.roots:
-            assert r is system.roots[system.index_of(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +321,16 @@ def test_derived_set_equals_pair_loop_reference(n):
         assert derived_set(subset) == _reference_derived_set(subset), subset
 
 
-def test_derived_set_hands_out_the_system_roots():
+def test_scan_objects_share_what_they_can():
+    # A scan holds Bell(n) subsets and derived sets at once.
+    assert not hasattr(basic_subset(4, []), "__dict__")
+    assert derived_set(basic_subset(4, [])) is derived_set(basic_subset(4, [diff(1, 4)]))
+
+
+def test_enumeration_and_derived_set_hand_out_the_system_roots():
     system = get_system("A", 7)
     for subset in enumerate_basic_subsets(7):
-        for r in derived_set(subset):
+        for r in subset.roots + tuple(derived_set(subset)):
             assert r is system.roots[system.index_of(r)]
 
 
