@@ -5,9 +5,10 @@ never a positive root for alpha, beta in D; equivalently the positions
 (i, j) form a partial injection (no two share a first index, no two share a
 second). Every functional lies in exactly one basic sum O_D(phi), and that
 sum is a single coadjoint orbit precisely when D has no derived roots.
-A chain of D is an index tuple i_1 < ... < i_r; since D is a rook
-placement, its start and length fix it, and special partners are looked up
-by that (start, length) key.
+s(D) counts the union of the roots' singular sets, kept per root as a
+bitmask over canonical positions. A chain of D is an index tuple
+i_1 < ... < i_r; since D is a rook placement, its start and length fix it,
+and special partners are sought among the chains of equal length.
 
 The decomposition of an arbitrary functional reduces its strictly-upper
 coefficient matrix F under the two-sided moves that preserve the basic sum:
@@ -68,7 +69,7 @@ def is_basic(roots: Iterable[PositiveRoot]) -> bool:
 class BasicSubset:
     """A basic subset of the type-A roots with parameter n.
 
-    Slotted, because a scan holds one per subset: Bell(n) of them.
+    Slotted, because a caller that keeps a whole scan keeps Bell(n) of them.
     """
 
     n: int
@@ -209,11 +210,6 @@ def chains_in(subset: BasicSubset) -> list[tuple[int, ...]]:
     return chains
 
 
-# The one empty derived set: every derived-free subset shares it, where a
-# new empty frozenset would take 216 bytes per subset of a scan.
-_NO_ROOTS: frozenset[PositiveRoot] = frozenset()
-
-
 def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     """All derived roots e_{i_1} - e_{j_1} over special pairs of chains in D.
 
@@ -227,7 +223,8 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
         by_length.setdefault(len(c), []).append(c)
     prev = {r.j: r.i for r in subset.roots}
     nxt = {r.i: r.j for r in subset.roots}
-    found: set[tuple[int, int]] = set()
+    pos = _positions(subset.n)
+    found = 0
     for c in chains:
         first, second, last = c[0], c[1], len(c) - 1
         for cp in by_length[len(c)]:
@@ -248,12 +245,18 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
             i_next = nxt.get(c[last])
             if i_next is not None and not i_next < cp[last]:
                 continue
-            found.add((first, start))
-    if not found:
-        return _NO_ROOTS
-    roots = get_system(RootSystemKind.A, subset.n).roots
-    pos = _positions(subset.n)
-    return frozenset(roots[pos[i][j]] for i, j in found)
+            found |= 1 << pos[first][start]
+    return _root_set(subset.n, found)
+
+
+# A caller that keeps every derived set of a scan keeps Bell(n) of them, but
+# only 457 distinct ones at n = 9 (1980 at n = 10); a frozenset takes 216
+# bytes, so equal derived sets share one.
+@lru_cache(maxsize=4096)
+def _root_set(n: int, mask: int) -> frozenset[PositiveRoot]:
+    """The canonical roots at the set bits of mask; equal masks share one frozenset."""
+    roots = get_system(RootSystemKind.A, n).roots
+    return frozenset(r for k, r in enumerate(roots) if mask >> k & 1)
 
 
 def is_single_orbit(subset: BasicSubset) -> bool:

@@ -322,9 +322,12 @@ def test_derived_set_equals_pair_loop_reference(n):
 
 
 def test_scan_objects_share_what_they_can():
-    # A scan holds Bell(n) subsets and derived sets at once.
+    # A caller that keeps a whole scan keeps Bell(n) subsets and derived sets.
     assert not hasattr(basic_subset(4, []), "__dict__")
     assert derived_set(basic_subset(4, [])) is derived_set(basic_subset(4, [diff(1, 4)]))
+    d1 = basic_subset(5, [diff(1, 3), diff(2, 4)])
+    d2 = basic_subset(5, [diff(1, 3), diff(2, 4), diff(4, 5)])
+    assert derived_set(d1) == {diff(1, 2)} and derived_set(d1) is derived_set(d2)
 
 
 def test_enumeration_and_derived_set_hand_out_the_system_roots():
