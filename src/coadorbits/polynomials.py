@@ -70,8 +70,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            # Fraction * int is a Fraction, so an int scalar (not a bool) needs no conversion.
-            c = other if isinstance(other, Fraction) or type(other) is int else _frac(other)
+            # Fraction * int is a Fraction, so an int scalar (not a bool) needs no
+            # conversion; the type test comes first, as isinstance against the
+            # Fraction ABC is slow for ints.
+            c = other if type(other) is int or isinstance(other, Fraction) else _frac(other)
             if c == 1:
                 return self
             if not c:
