@@ -69,7 +69,9 @@ def is_basic(roots: Iterable[PositiveRoot]) -> bool:
 class BasicSubset:
     """A basic subset of the type-A roots with parameter n.
 
-    Slotted, because a caller that keeps a whole scan keeps Bell(n) of them.
+    Build one with ``basic_subset``, which validates the roots; the calculus
+    below reads them as positions and assumes they are valid. Slotted,
+    because a caller that keeps a whole scan keeps Bell(n) of them.
     """
 
     n: int
