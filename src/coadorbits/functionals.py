@@ -26,6 +26,7 @@ from .roots import (
     PositiveRoot,
     RootSystem,
     RootSystemKind,
+    _echo,
     get_system,
     parse_root,
     structure_table,
@@ -42,17 +43,6 @@ class OddRankError(RuntimeError):
 
 
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# Error messages echo at most this many characters of an offending value.
-_ECHO_CHARS = 40
-
-
-def _echo(value) -> str:
-    """repr(value) for an error message, cut short with the value's length when long."""
-    text = repr(value)
-    if len(text) <= _ECHO_CHARS:
-        return text
-    size = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:_ECHO_CHARS]}... ({size} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -110,23 +100,8 @@ class Functional:
             return Functional(self.system, {})
         return Functional(self.system, {r: c * v for r, v in self.values.items()})
 
-    def plus(self, other: "Functional") -> "Functional":
-        if self.system != other.system:
-            raise ValueError("cannot add functionals on different systems")
-        vals = dict(self.values)
-        for r, v in other.values.items():
-            w = vals.get(r, Fraction(0)) + v
-            if w:
-                vals[r] = w
-            else:
-                vals.pop(r, None)
-        return Functional(self.system, vals)
-
     def nonzero_roots(self) -> tuple[PositiveRoot, ...]:
         return tuple(r for r in self.system.roots if r in self.values)
-
-    def is_zero(self) -> bool:
-        return not self.values
 
     def __str__(self) -> str:
         if not self.values:
@@ -184,20 +159,19 @@ def _ad_chains(kind: RootSystemKind, n: int):
     int unless m! leaves a denominator (the 1/2 of type B's short roots). The
     tails terminate because ad is nilpotent.
     """
-    by_index = structure_table(kind, n).by_index
     chains = []
-    for brackets in by_index:
+    for brackets in structure_table(kind, n).by_index:
         moved = []
-        for g in range(len(by_index)):
+        for g in sorted(brackets):
             tail = []
             cur, c, m = g, 1, 0
             while (hit := brackets.get(cur)) is not None:
                 k, cur = hit
                 c *= -k
                 m += 1
-                tail.append((cur, m, _integral(Fraction(c, math.factorial(m)))))
-            if tail:
-                moved.append((g, tuple(tail)))
+                d = math.factorial(m)
+                tail.append((cur, m, c // d if c % d == 0 else Fraction(c, d)))
+            moved.append((g, tuple(tail)))
         chains.append(tuple(moved))
     return tuple(chains)
 

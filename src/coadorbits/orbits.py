@@ -5,7 +5,8 @@ c * e*_alpha is cut out, inside the dual space, by one polynomial constraint
 per regular root, in the coordinates indexed by the singular roots. The
 singular roots S(alpha) are the roots beta with [e_beta, e_gamma] = c e_alpha
 for some root gamma; they, their pairing and the pair signs are all read
-from the cached bracket table (roots.structure_table).
+in one pass over the position-keyed rows of the cached bracket table
+(roots.structure_table).
 
 Charts are derived, not written out per family: the constructive group
 word of construct_group_word, with its parameters taken as variables, is
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Callable, Mapping
 
 from .functionals import (Functional, GroupWord, Rational, _act, _frac, _integral, functional,
@@ -81,37 +82,40 @@ class SingularData:
     pairing: dict[PositiveRoot, PositiveRoot]
     pair_signs: dict[PositiveRoot, int]
 
-    @property
-    def right(self) -> tuple[PositiveRoot, ...]:
-        """The partner half of the pairing, in canonical order."""
-        partners = set(self.pairing.values())
-        return tuple(r for r in self.singular if r in partners)
-
 
 @lru_cache(maxsize=None)
 def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularData]:
-    """Every root's SingularData, read in one pass over the bracket table."""
+    """Every root's SingularData, read in one pass over the position-keyed table.
+
+    An entry by_index[b][g] = (c, a) is a pair of S(a) when b and a share
+    their first index; positions are decoded to roots only at the end.
+    """
     table = structure_table(kind, n)
     roots = table.system.roots
-    pairs: dict[PositiveRoot, dict[PositiveRoot, tuple[PositiveRoot, int]]] = {
-        alpha: {} for alpha in roots
-    }
-    for (beta, gamma), (c, alpha) in table.table.items():
-        if beta.i == alpha.i:
-            if c not in (1, -1):
-                raise PairSignError(f"pair ({beta}, {gamma}) does not bracket to +/- e_{alpha}")
-            pairs[alpha][beta] = (gamma, c)
+    first = [root.i for root in roots]
+    pairs: list[dict[int, tuple[int, int]]] = [{} for _ in roots]
+    for b, row in enumerate(table.by_index):
+        for g, (c, a) in row.items():
+            if first[b] == first[a]:
+                if c not in (1, -1):
+                    raise PairSignError(
+                        f"pair ({roots[b]}, {roots[g]}) does not bracket to +/- e_{roots[a]}")
+                pairs[a][b] = (g, c)
     out = {}
-    for alpha, found in pairs.items():
-        sing = set(found) | {partner for partner, _ in found.values()}
-        left = tuple(r for r in roots if r in found)
+    size = len(roots)
+    for alpha, found in zip(roots, pairs):
+        left = sorted(found)
+        singular, regular = bytearray(size), bytearray(b"\x01") * size
+        for b, (g, _) in found.items():
+            singular[b] = singular[g] = 1
+            regular[b] = regular[g] = 0
         out[alpha] = SingularData(
             alpha,
-            tuple(r for r in roots if r in sing),
-            tuple(r for r in roots if r not in sing),
-            left,
-            {gamma: found[gamma][0] for gamma in left},
-            {gamma: found[gamma][1] for gamma in left},
+            tuple(compress(roots, singular)),
+            tuple(compress(roots, regular)),
+            tuple(roots[b] for b in left),
+            {roots[b]: roots[found[b][0]] for b in left},
+            {roots[b]: found[b][1] for b in left},
         )
     return out
 

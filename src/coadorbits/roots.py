@@ -10,9 +10,9 @@ The systems are pinned to concrete nilpotent matrix algebras:
 
 Every structure constant in the package is read from one cached bracket
 table per system (see :func:`structure_table`), built from the products
-E[r,c] E[c,d] = E[r,d] of the matrix units of these explicit matrices; no
-Chevalley-basis sign rule is assumed anywhere, so all downstream signs are
-fixed by the realization above.
+E[r,c] E[c,d] = E[r,d] of the matrix units of these explicit matrices and
+stored by canonical root position; no Chevalley-basis sign rule is assumed
+anywhere, so all downstream signs are fixed by the realization above.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class PositiveRoot:
             return (1, self.i)
         return (2, self.i + self.j, self.i)
 
-    def weight(self) -> dict[int, int]:
-        """Coefficients of the root in the epsilon-coordinate basis."""
-        if self.tag == DIFF:
-            return {self.i: 1, self.j: -1}
-        if self.tag == SHORT:
-            return {self.i: 1}
-        return {self.i: 1, self.j: 1}
-
     def __str__(self) -> str:
         if self.tag == DIFF:
             return f"e{self.i}-e{self.j}"
@@ -118,39 +110,32 @@ def sum_root(i: int, j: int) -> PositiveRoot:
 
 
 _ROOT_RE = re.compile(r"^e(\d+)(?:(-|\+)e(\d+))?$")
+# Error messages echo at most this many characters of an offending value.
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, cut short with the value's length when long."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:_ECHO_CHARS]}... ({size} characters)"
 
 
 def parse_root(text: str) -> PositiveRoot:
     """Parse "e1-e4", "e2" or "e1+e3" (1-based indices)."""
     m = _ROOT_RE.match(text.strip())
+    if m is not None:
+        try:
+            i, j = int(m.group(1)), int(m.group(3) or 0)
+        except ValueError:  # an index past Python's int-digit limit
+            m = None
     if m is None:
-        raise InvalidRootError(f"cannot parse root {text!r}")
-    i = int(m.group(1))
+        raise InvalidRootError(f"cannot parse root {_echo(text)}")
     if m.group(2) is None:
         return short(i)
-    j = int(m.group(3))
     return diff(i, j) if m.group(2) == "-" else sum_root(i, j)
-
-
-def root_from_weight(weight: dict[int, int]) -> PositiveRoot | None:
-    """Interpret an epsilon-coordinate vector as a positive root, if it is one."""
-    support = sorted(k for k, v in weight.items() if v != 0)
-    vals = [weight[k] for k in support]
-    if vals == [1]:
-        return short(support[0])
-    if vals == [1, -1]:
-        return diff(support[0], support[1])
-    if vals == [1, 1]:
-        return sum_root(support[0], support[1])
-    return None
-
-
-def add_roots(a: PositiveRoot, b: PositiveRoot) -> PositiveRoot | None:
-    """The positive root a + b, or None when the sum is not a positive root."""
-    w = a.weight()
-    for k, v in b.weight().items():
-        w[k] = w.get(k, 0) + v
-    return root_from_weight(w)
 
 
 class RootSystem:
@@ -194,15 +179,6 @@ class RootSystem:
     def check_member(self, root: PositiveRoot) -> PositiveRoot:
         self.index_of(root)
         return root
-
-    @property
-    def matrix_dim(self) -> int:
-        """Side of the realizing matrices: n, 2n+1 or 2n."""
-        if self.kind is RootSystemKind.A:
-            return self.n
-        if self.kind is RootSystemKind.B:
-            return 2 * self.n + 1
-        return 2 * self.n
 
     def simple_roots(self) -> tuple[PositiveRoot, ...]:
         simples = [diff(i, i + 1) for i in range(1, self.n)]
@@ -301,65 +277,79 @@ def bracket(
 
 
 class BracketTable:
-    """Complete bracket table of a system: (alpha, beta) -> (c, alpha+beta).
+    """Complete bracket table of a system, over canonical positions.
 
-    ``by_index`` is the same table over canonical positions: by_index[a] is
-    {b: (c, g)} for every nonzero [e_a, e_b] = c e_g.
+    by_index[a] is {b: (c, g)} for every nonzero [e_a, e_b] = c e_g, so each
+    row holds both orders of a pair: by_index[b][a] is (-c, g).
     """
 
-    __slots__ = ("system", "table", "by_index")
+    __slots__ = ("system", "by_index")
 
-    def __init__(self, system: RootSystem, table: dict, by_index: tuple[dict, ...]):
+    def __init__(self, system: RootSystem, by_index: tuple[dict[int, tuple[int, int]], ...]):
         self.system = system
-        self.table = table
         self.by_index = by_index
 
+    @property
+    def table(self) -> dict[tuple[PositiveRoot, PositiveRoot], tuple[int, PositiveRoot]]:
+        """The root-keyed view (alpha, beta) -> (c, alpha+beta), rebuilt on every read."""
+        roots = self.system.roots
+        return {(roots[a], roots[b]): (c, roots[g])
+                for a, row in enumerate(self.by_index) for b, (c, g) in row.items()}
+
     def get(self, alpha: PositiveRoot, beta: PositiveRoot) -> tuple[int, PositiveRoot] | None:
-        return self.table.get((alpha, beta))
+        index = self.system._index
+        a = index.get(alpha)
+        hit = None if a is None else self.by_index[a].get(index.get(beta))
+        return None if hit is None else (hit[0], self.system.roots[hit[1]])
 
     def nonzero_constants(self) -> set[int]:
-        return {c for c, _ in self.table.values()}
+        return {c for row in self.by_index for c, _ in row.values()}
 
 
 @lru_cache(maxsize=None)
 def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
     """Every nonzero bracket, from the matrix-unit products E[r,c] E[c,d] = E[r,d].
 
-    Each commutator must be an integer times the root vector of the one root
+    Roots are handled by canonical position throughout. Each unordered pair
+    is decomposed once, as e_a e_b - e_b e_a, and fills both orders. Each
+    commutator must be an integer times the root vector of the one root
     owning its first position; anything else raises
     :class:`BracketDecompositionError`.
     """
     system = _system(kind, n)
-    units = {alpha: root_vector(kind, n, alpha).entries for alpha in system.roots}
-    owner = {pos: alpha for alpha, entries in units.items() for pos in entries}
-    by_row: dict[int, list[tuple[PositiveRoot, int, int]]] = {}
-    for beta, entries in units.items():
+    roots = system.roots
+    units = [root_vector(kind, n, alpha).entries for alpha in roots]
+    owner = {pos: g for g, entries in enumerate(units) for pos in entries}
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for b, entries in enumerate(units):
         for (c, d), w in entries.items():
-            by_row.setdefault(c, []).append((beta, d, w))
-    comms: dict[tuple[PositiveRoot, PositiveRoot], dict[tuple[int, int], int]] = {}
-    for alpha, entries in units.items():
+            by_row.setdefault(c, []).append((b, d, w))
+    prods: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for a, entries in enumerate(units):
         for (r, c), v in entries.items():
-            for beta, d, w in by_row.get(c, ()):
-                for key, sign in (((alpha, beta), 1), ((beta, alpha), -1)):
-                    comm = comms.setdefault(key, {})
-                    comm[r, d] = comm.get((r, d), 0) + sign * v * w
-    table: dict[tuple[PositiveRoot, PositiveRoot], tuple[int, PositiveRoot]] = {}
-    index_of = system.index_of
-    by_index: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in system.roots)
-    for (alpha, beta), comm in comms.items():
+            for b, d, w in by_row.get(c, ()):
+                prod = prods.setdefault((a, b), {})
+                prod[r, d] = prod.get((r, d), 0) + v * w
+    by_index: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in roots)
+    for (a, b), prod in prods.items():
+        if b in by_index[a]:
+            continue  # filled, with its sign flipped, when (b, a) came first
+        comm = dict(prod)
+        for pos, v in prods.get((b, a), {}).items():
+            comm[pos] = comm.get(pos, 0) - v
         comm = {pos: v for pos, v in comm.items() if v}
         if not comm:
             continue
         pos, v = next(iter(comm.items()))
-        gamma = owner.get(pos)
-        target = units.get(gamma, {})
+        g = owner.get(pos)
+        target = {} if g is None else units[g]
         coef = v // target[pos] if target else 0
         if comm != {p: coef * u for p, u in target.items()}:
             raise BracketDecompositionError(
-                f"[{alpha}, {beta}] is not an integer multiple of one root vector")
-        table[alpha, beta] = (coef, gamma)
-        by_index[index_of(alpha)][index_of(beta)] = (coef, index_of(gamma))
-    return BracketTable(system, table, by_index)
+                f"[{roots[a]}, {roots[b]}] is not an integer multiple of one root vector")
+        by_index[a][b] = (coef, g)
+        by_index[b][a] = (-coef, g)
+    return BracketTable(system, by_index)
 
 
 def structure_table(kind: RootSystemKind | str, n: int) -> BracketTable:

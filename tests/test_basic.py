@@ -35,7 +35,8 @@ from coadorbits.basic import (
     witness_basic_subsets,
 )
 from coadorbits.basic import _singular_masks
-from coadorbits.functionals import coadjoint_apply, e_star, functional, orbit_dimension, zero_functional
+from coadorbits.functionals import (Functional, coadjoint_apply, e_star, functional, orbit_dimension,
+                                    zero_functional)
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart, singular_set
@@ -63,6 +64,22 @@ def support(f):
     if f.system.kind is not RootSystemKind.A:
         raise WrongKindError(f"type A only, got kind {f.system.kind.value}")
     return f.nonzero_roots()
+
+
+def plus(f, g):
+    """f + g on one system.
+
+    A private copy of the removed ``Functional.plus``, which nothing called.
+    """
+    assert f.system == g.system
+    values = dict(f.values)
+    for r, v in g.values.items():
+        w = values.get(r, Q(0)) + v
+        if w:
+            values[r] = w
+        else:
+            values.pop(r, None)
+    return Functional(f.system, values)
 
 
 def test_support_examples():
@@ -510,7 +527,7 @@ def test_decompose_on_true_coordinatewise_sums():
                     r: Q(rng.choice([-2, -1, 0, 1, 2]), rng.choice([1, 2]))
                     for r in chart.data.singular
                 }
-                total = total.plus(chart_point(chart, assignment))
+                total = plus(total, chart_point(chart, assignment))
             result = decompose(total)
             assert result.subset == subset
             assert result.map.phi == phi

@@ -3,7 +3,10 @@
 perfbench/tracing.py wraps the functions named in LAYERS and perfbench/run.py
 reads cache statistics from the functions named in CACHES. Both are read
 here as source, without importing perfbench, so a renamed or uncached
-package function fails this test instead of a traced benchmark run.
+package function fails this test instead of a traced benchmark run. The
+root-keyed ``BracketTable.table`` view, which perfbench reads outside those
+tables (tracing.py's entry counter, the orbit-rank certificate in
+workloads.py), is checked here too.
 """
 
 import ast
@@ -11,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from coadorbits.roots import PositiveRoot, structure_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +60,13 @@ def test_traced_layer_resolves(module, path):
 def test_cache_resolves_with_cache_info(module, attr):
     assert module.startswith("coadorbits.")
     assert callable(_resolve(module, attr).cache_info)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_root_keyed_table_view(kind, n):
+    table = structure_table(kind, n)
+    view = table.table
+    assert len(view) == sum(map(len, table.by_index))
+    for (alpha, beta), (c, gamma) in view.items():
+        assert isinstance(alpha, PositiveRoot) and isinstance(beta, PositiveRoot)
+        assert type(c) is int and isinstance(gamma, PositiveRoot)

@@ -267,6 +267,25 @@ def test_dim_error_on_a_huge_value_is_one_short_line(tmp_path, capsys):
     assert err.endswith("... (100000 characters)\n")
 
 
+DIGIT_LIMIT = pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                                 reason="int string length unbounded")
+
+
+@pytest.mark.parametrize("key", [
+    "x" * 100000,
+    pytest.param("e" + "1" * 100000, marks=DIGIT_LIMIT),
+    pytest.param("e1-e" + "2" * 100000, marks=DIGIT_LIMIT),
+])
+def test_dim_error_on_a_huge_root_key_is_one_short_line(tmp_path, capsys, key):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 3, "values": {key: "1"}}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith(f"coadorbits: error: cannot parse root '{key[:10]}")
+    assert err.endswith(f"... ({len(key)} characters)\n")
+
+
 @pytest.mark.parametrize("value", [4.7, 4.0, "4", True, None])
 def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     path = tmp_path / "f.json"

@@ -10,7 +10,10 @@ from coadorbits.oracle import CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, ran
 from coadorbits.orbits import (
     ChartVariableError,
     NotInOrbitError,
+    PairSignError,
+    SingularData,
     ZeroScalarError,
+    _singular_data,
     _word_letters,
     chart_equations_latex,
     chart_equations_text,
@@ -28,13 +31,13 @@ from coadorbits.roots import (
     DIFF,
     SHORT,
     SUM,
+    BracketTable,
     RootSystemKind,
-    add_roots,
     bracket,
     diff,
     get_system,
-    root_from_weight,
     short,
+    structure_table,
     sum_root,
 )
 
@@ -43,6 +46,46 @@ KINDS = tuple(RootSystemKind)
 
 def var(root):
     return Polynomial.var(root)
+
+
+# Private copies of the removed weight helpers of ``roots``, which nothing in
+# the package called: root sums computed on weights, independently of the
+# bracket table.
+
+def weight(root):
+    """Coefficients of the root in the epsilon-coordinate basis."""
+    if root.tag == DIFF:
+        return {root.i: 1, root.j: -1}
+    if root.tag == SHORT:
+        return {root.i: 1}
+    return {root.i: 1, root.j: 1}
+
+
+def root_from_weight(w):
+    """Interpret an epsilon-coordinate vector as a positive root, if it is one."""
+    support = sorted(k for k, v in w.items() if v != 0)
+    vals = [w[k] for k in support]
+    if vals == [1]:
+        return short(support[0])
+    if vals == [1, -1]:
+        return diff(support[0], support[1])
+    if vals == [1, 1]:
+        return sum_root(support[0], support[1])
+    return None
+
+
+def add_roots(a, b):
+    """The positive root a + b, or None when the sum is not a positive root."""
+    w = weight(a)
+    for k, v in weight(b).items():
+        w[k] = w.get(k, 0) + v
+    return root_from_weight(w)
+
+
+def right(data):
+    """The partner half of the pairing, in canonical order (the removed ``SingularData.right``)."""
+    partners = set(data.pairing.values())
+    return tuple(r for r in data.singular if r in partners)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +145,8 @@ def test_sum_root_pairings(kind, n):
     system = get_system(kind, n)
     for alpha in system.roots:
         data = singular_set(kind, n, alpha)
-        assert set(data.left) | set(data.right) == set(data.singular)
-        assert set(data.left).isdisjoint(data.right)
+        assert set(data.left) | set(right(data)) == set(data.singular)
+        assert set(data.left).isdisjoint(right(data))
         assert 2 * len(data.left) == len(data.singular)
         assert set(data.pairing) == set(data.left) == set(data.pair_signs)
         for gamma, partner in data.pairing.items():
@@ -112,6 +155,56 @@ def test_sum_root_pairings(kind, n):
             assert data.pair_signs[gamma] in (1, -1)
             if alpha.tag != "sum":
                 assert data.pair_signs[gamma] == 1
+
+
+def _reference_singular_data(kind, n):
+    """Every root's SingularData from the root-keyed table, with N^2 scans over roots.
+
+    The builder before ``_singular_data`` read positions from ``by_index``.
+    """
+    table = structure_table(kind, n)
+    roots = table.system.roots
+    pairs = {alpha: {} for alpha in roots}
+    for (beta, gamma), (c, alpha) in table.table.items():
+        if beta.i == alpha.i:
+            if c not in (1, -1):
+                raise PairSignError(f"pair ({beta}, {gamma}) does not bracket to +/- e_{alpha}")
+            pairs[alpha][beta] = (gamma, c)
+    out = {}
+    for alpha, found in pairs.items():
+        sing = set(found) | {partner for partner, _ in found.values()}
+        left = tuple(r for r in roots if r in found)
+        out[alpha] = SingularData(
+            alpha,
+            tuple(r for r in roots if r in sing),
+            tuple(r for r in roots if r not in sing),
+            left,
+            {gamma: found[gamma][0] for gamma in left},
+            {gamma: found[gamma][1] for gamma in left},
+        )
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_singular_data_equals_root_keyed_reference(kind, n):
+    got = _singular_data(kind, n)
+    expected = _reference_singular_data(kind, n)
+    assert got == expected
+    # the same order, down to the pairing dicts
+    assert repr(got) == repr(expected)
+
+
+def test_singular_data_rejects_a_pair_without_unit_sign(monkeypatch):
+    import coadorbits.orbits as orbits_mod
+
+    system = get_system("A", 3)
+    # [e_{e1-e2}, e_{e2-e3}] = 2 e_{e1-e3}: a pair of S(e1-e3) with c = 2
+    by_index = ({1: (2, 2)}, {}, {})
+    monkeypatch.setattr(orbits_mod, "structure_table",
+                        lambda kind, n: BracketTable(system, by_index))
+    with pytest.raises(PairSignError, match=r"^pair \(e1-e2, e2-e3\) .* e_e1-e3$"):
+        _singular_data.__wrapped__(RootSystemKind.A, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +559,10 @@ def _reference_letters(kind, n, alpha, f):
     else:
         pairs = []
         for gamma in singular_set(kind, n, alpha).singular:
-            if i not in gamma.weight():
+            if i not in weight(gamma):
                 continue
-            w = alpha.weight()
-            for k, v in gamma.weight().items():
+            w = weight(alpha)
+            for k, v in weight(gamma).items():
                 w[k] = w.get(k, 0) - v
             partner = root_from_weight(w)
             sign, target = bracket(kind, n, gamma, partner)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from coadorbits.roots import (
     BracketDecompositionError,
+    BracketTable,
     InvalidRootError,
     MatrixRealization,
     RankRangeError,
     RootSystemKind,
-    add_roots,
     bracket,
     diff,
     get_system,
@@ -26,6 +26,40 @@ from coadorbits.roots import (
 )
 
 KINDS = tuple(RootSystemKind)
+
+
+def _weight(root):
+    """Coefficients of the root in the epsilon-coordinate basis."""
+    if root.tag == "diff":
+        return {root.i: 1, root.j: -1}
+    if root.tag == "short":
+        return {root.i: 1}
+    return {root.i: 1, root.j: 1}
+
+
+def add_roots(a, b):
+    """The positive root a + b, or None when the sum is not a positive root.
+
+    A private copy of the removed ``roots.add_roots``, which nothing in the
+    package called: it adds weights, independently of the bracket table.
+    """
+    w = _weight(a)
+    for k, v in _weight(b).items():
+        w[k] = w.get(k, 0) + v
+    support = sorted(k for k, v in w.items() if v)
+    vals = [w[k] for k in support]
+    if vals == [1]:
+        return short(support[0])
+    if vals == [1, -1]:
+        return diff(*support)
+    if vals == [1, 1]:
+        return sum_root(*support)
+    return None
+
+
+def matrix_dim(kind, n):
+    """Side of the realizing matrices: n, 2n+1 or 2n (the removed ``RootSystem.matrix_dim``)."""
+    return {RootSystemKind.A: n, RootSystemKind.B: 2 * n + 1, RootSystemKind.D: 2 * n}[kind]
 
 
 def expected_count(kind, n):
@@ -108,7 +142,7 @@ def test_matrix_shape_invariants(kind, n):
     system = positive_roots(kind, n)
     for alpha in system.roots:
         mat = root_vector(kind, n, alpha)
-        assert mat.dim == system.matrix_dim
+        assert mat.dim == matrix_dim(kind, n)
         assert 1 <= len(mat.entries) <= 2
         for (r, c), v in mat.entries.items():
             assert r < c, "strictly upper triangular"
@@ -143,6 +177,15 @@ def test_structure_table_examples():
     assert t3.get(diff(1, 2), diff(1, 2)) is None
     td = structure_table("D", 3)
     assert td.get(diff(1, 2), sum_root(2, 3)) == (1, sum_root(1, 3))
+
+
+def test_bracket_table_stores_only_the_position_keyed_rows():
+    table = structure_table("B", 4)
+    assert BracketTable.__slots__ == ("system", "by_index")
+    assert not hasattr(table, "__dict__")
+    # the root-keyed view is a read-only property rebuilt from by_index
+    with pytest.raises(AttributeError):
+        table.table = {}
 
 
 @pytest.mark.parametrize("kind", KINDS)
