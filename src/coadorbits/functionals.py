@@ -8,8 +8,9 @@ dimension equal to the rank of the skew form (x, y) -> f([x, y]).
 Both the action and the skew form read the bracket table by canonical
 position (``BracketTable.by_index``). The skew form is built once, as sparse
 integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
-``radical_basis`` hand those rows to the modular kernel of ``linalg``, and
-``skew_form`` reads them back as dense Fraction rows.
+``radical_basis`` hand those rows to the modular kernel of ``linalg``
+(``orbit_dimension`` only counts its vectors), and ``skew_form`` reads them
+back as dense Fraction rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import _kernel
+from .linalg import _fractions, _kernel
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -283,7 +284,7 @@ def skew_form(f: Functional) -> SkewForm:
                                     for row in int_rows))
 
 
-def _radical(f: Functional) -> list[tuple[Fraction, ...]]:
+def _radical(f: Functional) -> list[tuple[int, dict[int, int]]]:
     return _kernel(_skew_rows(f)[0], len(f.system.roots))
 
 
@@ -301,7 +302,7 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     Vectors are coefficient tuples over the canonical root order; their
     count is len(roots) - orbit_dimension(f).
     """
-    return _radical(f)
+    return _fractions(_radical(f), len(f.system.roots))
 
 
 # ---------------------------------------------------------------------------

@@ -8,32 +8,38 @@ integers rather than numerical estimates.
 One certified modular kernel, ``_kernel``, takes sparse integer rows
 {column: int}. ``rank`` and ``kernel_basis`` scale each Fraction row to
 integers by the lcm of its denominators and pass it on; ``functionals``
-passes the integer rows of a skew form directly. The rows are brought to
-reduced row echelon form modulo a prime p. Each free column gives a kernel
-vector with 1 there, 0 at the other free columns and at the pivots after
-it, and entries at the earlier pivots rebuilt from their residues by
-rational reconstruction (Wang 1981). The basis is accepted only if the
-integer rows annihilate every vector exactly. That certifies it: the pivot
-columns modulo p have a nonzero minor, so they are independent over Q, and
-each vector shows its free column in the span of the pivots before it. So
-the pivots and the vectors are exactly those of elimination over Q. When a
-certificate fails, the next modulus of a fixed ladder (2^61 - 1, 2^127 - 1,
+passes the integer rows of a skew form directly. The rows are inserted,
+shortest first, into the reduced row echelon form modulo a prime p. Each
+free column gives a kernel vector with 1 there, 0 at the other free columns
+and at the pivots after it, and entries at the earlier pivots read from
+their residues over one denominator per vector, by rational reconstruction
+(Wang 1981) where the denominator so far does not give a small numerator.
+The basis is accepted only if the integer rows annihilate the integer
+numerators of every vector exactly. That certifies it: the pivot columns
+modulo p have a nonzero minor, so they are independent over Q, and each
+vector shows its free column in the span of the pivots before it. So the
+pivots and the vectors are exactly those of elimination over Q. When a
+certificate fails, the next modulus of a fixed ladder (2^127 - 1,
 2^521 - 1) is tried, and after the last one the Fraction elimination
 ``_eliminate`` with back-substitution decides, on the integer rows read as
-Fractions. ``det`` reads ``_eliminate``.
+Fractions. A vector is a denominator and its integer numerators, so a rank
+only counts vectors; ``_fractions`` reads them as Fraction tuples for
+``kernel_basis`` and ``functionals.radical_basis``. ``det`` reads
+``_eliminate``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
+# A kernel vector as (denominator, {column: integer numerator}).
+Vector = tuple[int, dict[int, int]]
 
 # Mersenne primes tried in turn before the Fraction elimination.
-_MODULI = (2**61 - 1, 2**127 - 1, 2**521 - 1)
+_MODULI = (2**127 - 1, 2**521 - 1)
 
 
 def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
@@ -98,32 +104,40 @@ def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
     return out
 
 
-def _reduced_mod(int_rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, dict[int, int]]:
+def _reduced_mod(int_rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Reduced row echelon form modulo p: {pivot column: its row without the pivot's 1}.
 
-    Columns are taken left to right, so a pivot row holds only columns after
-    its pivot. The reduced form does not depend on which row supplies a
-    pivot, so the shortest one does, which keeps the rows sparse.
+    Rows are inserted shortest first, which keeps the pivot rows sparse. Each
+    row is cleared at the pivot columns found so far; a reduced pivot row
+    holds no other pivot column, so clearing one brings none back. A nonzero
+    remainder, scaled to 1 at its first column, becomes that column's pivot
+    row and clears the column from the earlier pivot rows. So a pivot row
+    holds only columns after its pivot, and the result is the one reduced
+    form of the rows modulo p, whatever order they come in.
     """
-    live = [{j: r for j, a in row.items() if (r := a % p)} for row in int_rows]
     echelon: dict[int, dict[int, int]] = {}
-    for c in range(ncols):
-        reaching = [k for k, row in enumerate(live) if c in row]
-        if not reaching:
+    for row in sorted(int_rows, key=len):
+        row = dict(row)
+        for c in [c for c in row if c in echelon]:
+            d = row.pop(c)
+            for j, b in echelon[c].items():
+                row[j] = row.get(j, 0) - d * b
+        row = {j: r for j, a in row.items() if (r := a % p)}
+        if not row:
             continue
-        top = live.pop(min(reaching, key=lambda k: len(live[k])))
-        inv = pow(top.pop(c), -1, p)
-        top = {j: a * inv % p for j, a in top.items()}
-        for row in chain(live, echelon.values()):
-            d = row.pop(c, 0)
+        c = min(row)
+        inv = pow(row.pop(c), -1, p)
+        row = {j: a * inv % p for j, a in row.items()}
+        for top in echelon.values():
+            d = top.pop(c, 0)
             if d:
-                for j, b in top.items():
-                    x = (row.get(j, 0) - d * b) % p
+                for j, b in row.items():
+                    x = (top.get(j, 0) - d * b) % p
                     if x:
-                        row[j] = x
+                        top[j] = x
                     else:
-                        del row[j]
-        echelon[c] = top
+                        del top[j]
+        echelon[c] = row
     return echelon
 
 
@@ -140,17 +154,24 @@ def _reconstruct(a: int, p: int, bound: int) -> tuple[int, int]:
     return r1, t1
 
 
-def _modular_kernel(int_rows: list[dict[int, int]], ncols: int,
-                    p: int) -> list[tuple[Fraction, ...]] | None:
+def _modular_kernel(int_rows: list[dict[int, int]], ncols: int, p: int) -> list[Vector] | None:
     """The reduced kernel basis read modulo p, or None if its certificate fails.
 
     A free column fc gets minus the reduced form's fc entry at each pivot,
     and only rows of pivots before fc hold one; so 1 at fc and the zeros at
-    the other free columns and the later pivots hold by construction, and
-    the exact product with the integer rows is what is checked.
+    the other free columns and the later pivots hold by construction. Each
+    vector keeps one denominator D, which starts at 1: a residue r is read
+    as the numerator r D mod p when that lies within the bound, and only
+    otherwise rebuilt by ``_reconstruct``, which widens D to take its
+    denominator. The exact product of the integer rows with the integer
+    numerators is what is checked.
     """
-    echelon = _reduced_mod(int_rows, ncols, p)
+    echelon = _reduced_mod(int_rows, p)
     bound = math.isqrt(p >> 1)
+    residues: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for pc, row in echelon.items():
+        for j, a in row.items():
+            residues[j].append((pc, p - a))
     columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
     for i, row in enumerate(int_rows):
         for j, a in row.items():
@@ -159,32 +180,59 @@ def _modular_kernel(int_rows: list[dict[int, int]], ncols: int,
     for fc in range(ncols):
         if fc in echelon:
             continue
-        entries = {fc: (1, 1)}
-        for pc, row in echelon.items():
-            if fc in row:
-                entries[pc] = _reconstruct(p - row[fc], p, bound)
-        scale = math.lcm(*[d for _, d in entries.values()])
+        den, nums = 1, {}
+        for pc, r in residues[fc]:
+            x = r * den % p
+            if x >= p - bound:
+                x -= p
+            elif x > bound:
+                n, d = _reconstruct(r, p, bound)
+                if d < 0:
+                    n, d = -n, -d
+                g = math.gcd(den, d)
+                if d != g:
+                    for j in nums:
+                        nums[j] *= d // g
+                x = n * (den // g)
+                den *= d // g
+            nums[pc] = x
+        nums[fc] = den
         image = [0] * len(int_rows)
-        for j, (n, d) in entries.items():
-            w = n * (scale // d)
+        for j, x in nums.items():
             for i, a in columns[j]:
-                image[i] += a * w
+                image[i] += a * x
         if any(image):
             return None
-        v = [Fraction(0)] * ncols
-        for j, (n, d) in entries.items():
-            v[j] = Fraction(n, d)
-        basis.append(tuple(v))
+        basis.append((den, nums))
     return basis
 
 
-def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """The reduced kernel basis of sparse integer rows {column: int} of width ncols."""
+def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[Vector]:
+    """The reduced kernel basis of sparse integer rows {column: int} of width ncols.
+
+    Each vector is (denominator, {column: numerator}), so that a rank needs
+    no Fractions; ``_fractions`` reads the vectors as Fraction tuples.
+    """
     for p in _MODULI:
         basis = _modular_kernel(int_rows, ncols, p)
         if basis is not None:
             return basis
-    return _exact_kernel([[Fraction(row.get(j, 0)) for j in range(ncols)] for row in int_rows])
+    basis = []
+    for v in _exact_kernel([[Fraction(row.get(j, 0)) for j in range(ncols)] for row in int_rows]):
+        den = math.lcm(*[x.denominator for x in v])
+        basis.append((den, {j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x}))
+    return basis
+
+
+def _fractions(vectors: list[Vector], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Kernel vectors (denominator, {column: numerator}) as Fraction tuples of width ncols."""
+    basis = []
+    for den, nums in vectors:
+        v = [Fraction(0)] * ncols
+        for j, x in nums.items():
+            v[j] = Fraction(x, den)
+        basis.append(tuple(v))
+    return basis
 
 
 def rank(rows: Matrix) -> int:
@@ -199,7 +247,8 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     Each vector has a 1 at its own free column and 0 at the other free
     columns, so the basis is in reduced form and deterministic.
     """
-    return _kernel(_integer_rows(rows), len(rows[0]) if rows else 0)
+    ncols = len(rows[0]) if rows else 0
+    return _fractions(_kernel(_integer_rows(rows), ncols), ncols)
 
 
 def det(rows: Matrix) -> Fraction:

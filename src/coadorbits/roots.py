@@ -72,7 +72,7 @@ class PositiveRoot:
             if self.j != 0:
                 raise InvalidRootError("short roots take a single index")
         elif not self.i < self.j:
-            raise InvalidRootError(f"need i < j, got ({self.i}, {self.j})")
+            raise InvalidRootError(f"need i < j, got ({_echo(self.i)}, {_echo(self.j)})")
 
     def sort_key(self) -> tuple[int, ...]:
         """Canonical ordering: diff by (j-i, i), then short by i, then sum by (i+j, i)."""
@@ -115,8 +115,11 @@ _ECHO_CHARS = 40
 
 
 def _echo(value) -> str:
-    """repr(value) for an error message, cut short with the value's length when long."""
-    text = repr(value)
+    """repr(value) for an error message, cut short with the value's length when long.
+
+    A root is echoed as its own text, such as e1-e4.
+    """
+    text = str(value) if isinstance(value, PositiveRoot) else repr(value)
     if len(text) <= _ECHO_CHARS:
         return text
     size = len(value) if isinstance(value, str) else len(text)
@@ -173,7 +176,7 @@ class RootSystem:
             return self._index[root]
         except KeyError:
             raise InvalidRootError(
-                f"{root} is not a positive root of {self.kind.value} with n={self.n}"
+                f"{_echo(root)} is not a positive root of {self.kind.value} with n={self.n}"
             ) from None
 
     def check_member(self, root: PositiveRoot) -> PositiveRoot:

@@ -286,6 +286,22 @@ def test_dim_error_on_a_huge_root_key_is_one_short_line(tmp_path, capsys, key):
     assert err.endswith(f"... ({len(key)} characters)\n")
 
 
+@pytest.mark.parametrize("key, start, end", [
+    ("e1-e" + "9" * 4000, "coadorbits: error: e1-e999",
+     "... (4004 characters) is not a positive root of A with n=4\n"),
+    ("e" + "9" * 4000 + "-e1", "coadorbits: error: need i < j, got (999",
+     "... (4000 characters), 1)\n"),
+], ids=["long-j", "long-i"])
+def test_dim_error_on_a_long_root_index_is_one_short_line(tmp_path, capsys, key, start, end):
+    # Indices under the int-digit limit parse, and the root errors cut them short.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 4, "values": {key: "1"}}))
+    code, out, err = run_cli(capsys, "dim", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith(start) and err.endswith(end)
+
+
 @pytest.mark.parametrize("value", [4.7, 4.0, "4", True, None])
 def test_dim_rejects_non_integer_n(tmp_path, capsys, value):
     path = tmp_path / "f.json"

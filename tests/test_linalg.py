@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -10,13 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import linalg
-from coadorbits.functionals import functional, orbit_dimension, radical_basis, skew_form
+from coadorbits.functionals import _skew_rows, functional, orbit_dimension, radical_basis, skew_form
 from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
-from coadorbits.oracle import random_orbit_point
+from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
 from coadorbits.roots import diff, get_system, parse_root
 
-P61, P127, P521 = linalg._MODULI
+P127, P521 = linalg._MODULI
 
 entries = st.one_of(
     st.just(Q(0)),
@@ -27,7 +28,7 @@ entries = st.one_of(
 # as Fractions and as plain ints.
 wide_entries = st.one_of(
     entries,
-    st.sampled_from([P61, -P61, 2 * P61, P127, 2**61, 2**64 + 1]),
+    st.sampled_from([P127, -P127, 2 * P127, P521, 2**127, 2**128 + 1]),
     st.integers(-2**130, 2**130),
     st.builds(Q, st.integers(-2**70, 2**70), st.integers(1, 2**70)),
 )
@@ -118,24 +119,25 @@ def test_rank_and_kernel_equal_the_fraction_elimination(rows):
 
 @given(matrices())
 def test_small_entries_certify_at_the_first_modulus(rows):
-    # Every minor here is far below 2^30, so the first rung must hold; a
+    # Every minor here is far below 2^60, so the first rung must hold; a
     # broken modular kernel that the fallback would hide fails here.
-    assert rungs(rows) == [(P61, True)]
+    assert rungs(rows) == [(P127, True)]
+    assert rungs(rows, rank) == [(P127, True)]
 
 
 def test_a_multiple_of_the_first_modulus_has_rank_one():
-    rows = [[P61]]
+    rows = [[P127]]
     assert rank(rows) == 1
     assert kernel_basis(rows) == []
-    assert rungs(rows) == [(P61, False), (P127, True)]
+    assert rungs(rows) == [(P127, False), (P521, True)]
 
 
 def test_reconstruction_bound_is_sharp_at_the_first_modulus():
     # The kernel of [[d, -n]] is (n/d, 1); the first modulus rebuilds n/d
     # exactly when |n| and d are at most isqrt(p // 2).
-    bound = math.isqrt(P61 // 2)
-    assert rungs([[bound - 1, -bound]]) == [(P61, True)]
-    assert rungs([[bound, -(bound + 1)]]) == [(P61, False), (P127, True)]
+    bound = math.isqrt(P127 // 2)
+    assert rungs([[bound - 1, -bound]]) == [(P127, True)]
+    assert rungs([[bound, -(bound + 1)]]) == [(P127, False), (P521, True)]
     assert kernel_basis([[bound, -(bound + 1)]]) == [(Q(bound + 1, bound), Q(1))]
 
 
@@ -143,7 +145,8 @@ def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
     rows = [[1, 2**600]]
     assert kernel_basis(rows) == [(Q(-2**600), Q(1))]
     assert rank(rows) == 1
-    assert rungs(rows) == [(P61, False), (P127, False), (P521, False)]
+    assert rungs(rows) == [(P127, False), (P521, False)]
+    assert rungs(rows, rank) == [(P127, False), (P521, False)]
 
 
 def test_skew_entries_past_every_bound_reach_the_fraction_fallback():
@@ -153,33 +156,49 @@ def test_skew_entries_past_every_bound_reach_the_fraction_fallback():
     system = get_system("A", 4)
     f = functional(system, {diff(1, 3): Q(1, 3), diff(2, 4): 2**600})
     rows = skew_form(f).rows
-    assert rungs(f, radical_basis) == [(P61, False), (P127, False), (P521, False)]
+    assert rungs(f, radical_basis) == [(P127, False), (P521, False)]
+    # The count path reads the same rows and takes the same rungs.
+    assert rungs(f, orbit_dimension) == rungs(f, radical_basis)
     basis = radical_basis(f)
     assert basis == kernel_basis(rows) == _exact_kernel(rows)
     assert Q(3 * 2**600) in basis[0]
     assert all(type(x) is Q for v in basis for x in v)
     assert orbit_dimension(f) == rank(rows) == 2
+    assert orbit_dimension(f) == len(system.roots) - len(basis)
 
 
 @pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
-def test_highest_root_orbit_points_take_the_second_modulus(kind, n, seed):
+def test_highest_root_orbit_points_certify_at_the_first_modulus(kind, n, seed):
+    # These points fail at 2^61 - 1, which the ladder no longer tries.
     alpha = parse_root("e1+e2")
     f, _ = random_orbit_point(kind, n, alpha, 1, seed=seed)
     rows = skew_form(f).rows
-    assert rungs(rows) == [(P61, False), (P127, True)]
+    assert rungs(rows) == [(P127, True)]
     assert kernel_basis(rows) == _exact_kernel(rows)
     assert rank(rows) == reference_rank(rows) == singular_size_formula(kind, n, alpha)
-    # The integer skew rows of f take the same rungs to the same basis.
-    assert rungs(f, radical_basis) == [(P61, False), (P127, True)]
+    # The integer skew rows of f take the same rungs to the same basis, on
+    # the count path too.
+    assert rungs(f, radical_basis) == rungs(f, orbit_dimension) == [(P127, True)]
     assert radical_basis(f) == kernel_basis(rows)
-    assert orbit_dimension(f) == rank(rows)
+    assert orbit_dimension(f) == rank(rows) == len(f.system.roots) - len(radical_basis(f))
+
+
+@given(st.sampled_from([("A", 4), ("B", 3), ("D", 4)]), st.data())
+def test_count_path_agrees_with_the_radical_on_wide_values(system_args, data):
+    system = get_system(*system_args)
+    values = data.draw(st.lists(wide_entries, min_size=len(system.roots),
+                                max_size=len(system.roots)))
+    f = functional(system, dict(zip(system.roots, values)))
+    assert orbit_dimension(f) == len(system.roots) - len(radical_basis(f))
+    assert rungs(f, orbit_dimension) == rungs(f, radical_basis)
+    assert orbit_dimension(f) == reference_rank(skew_form(f).rows)
 
 
 @st.composite
 def integer_rows(draw, max_rows=5, max_cols=6):
     """(sparse rows {column: nonzero int}, width): at least one row, entries past every modulus."""
     ncols = draw(st.integers(0, max_cols))
-    values = st.one_of(st.integers(-3, 3), st.sampled_from([P61, -P61, 2 * P127, 2**64 + 1]),
+    values = st.one_of(st.integers(-3, 3), st.sampled_from([P127, -P127, 2 * P521, 2**128 + 1]),
                        st.integers(-2**600, 2**600))
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
@@ -197,7 +216,64 @@ def integer_rows(draw, max_rows=5, max_cols=6):
 def test_integer_row_kernel_equals_the_fraction_elimination(case):
     int_rows, ncols = case
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
-    assert linalg._kernel(int_rows, ncols) == _exact_kernel(dense)
+    vectors = linalg._kernel(int_rows, ncols)
+    assert linalg._fractions(vectors, ncols) == _exact_kernel(dense)
+    assert rank(dense) == ncols - len(vectors) == reference_rank(dense)
+
+
+def _reference_reduced_mod(int_rows, ncols, p):
+    """The reduced form by scanning every live row at each column, left to right."""
+    live = [{j: r for j, a in row.items() if (r := a % p)} for row in int_rows]
+    echelon = {}
+    for c in range(ncols):
+        reaching = [k for k, row in enumerate(live) if c in row]
+        if not reaching:
+            continue
+        top = live.pop(min(reaching, key=lambda k: len(live[k])))
+        inv = pow(top.pop(c), -1, p)
+        top = {j: a * inv % p for j, a in top.items()}
+        for row in itertools.chain(live, echelon.values()):
+            d = row.pop(c, 0)
+            if d:
+                for j, b in top.items():
+                    x = (row.get(j, 0) - d * b) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        echelon[c] = top
+    return echelon
+
+
+# The ladder's moduli, and two primes at which entries cancel far more often.
+REDUCTION_MODULI = (7, 2**61 - 1, *linalg._MODULI)
+
+
+def assert_reduced_forms_agree(int_rows, ncols):
+    before = [dict(row) for row in int_rows]
+    for p in REDUCTION_MODULI:
+        assert linalg._reduced_mod(int_rows, p) == _reference_reduced_mod(int_rows, ncols, p)
+    assert int_rows == before
+
+
+@given(integer_rows())
+def test_row_insertion_gives_the_column_scan_reduced_form(case):
+    assert_reduced_forms_agree(*case)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 6), ("A", 8), ("B", 4), ("B", 5), ("D", 5), ("D", 6)])
+def test_row_insertion_reduces_seeded_skew_rows_as_the_column_scan(kind, n):
+    rng = random.Random(f"reduced:{kind}{n}")
+    system = get_system(kind, n)
+    for _ in range(3):
+        int_rows, _ = _skew_rows(random_functional(system, rng))
+        assert_reduced_forms_agree(int_rows, len(system.roots))
+
+
+@pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
+def test_row_insertion_reduces_highest_root_skew_rows_as_the_column_scan(kind, n, seed):
+    f, _ = random_orbit_point(kind, n, parse_root("e1+e2"), 1, seed=seed)
+    assert_reduced_forms_agree(_skew_rows(f)[0], len(f.system.roots))
 
 
 @given(matrices(max_rows=4, square=True))
