@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import _fractions, _kernel
+from .linalg import Vector, _fractions, _kernel
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -284,7 +284,7 @@ def skew_form(f: Functional) -> SkewForm:
                                     for row in int_rows))
 
 
-def _radical(f: Functional) -> list[tuple[int, dict[int, int]]]:
+def _radical(f: Functional) -> list[Vector]:
     return _kernel(_skew_rows(f)[0], len(f.system.roots))
 
 
