@@ -101,9 +101,6 @@ class Functional:
             return Functional(self.system, {})
         return Functional(self.system, {r: c * v for r, v in self.values.items()})
 
-    def nonzero_roots(self) -> tuple[PositiveRoot, ...]:
-        return tuple(r for r in self.system.roots if r in self.values)
-
     def __str__(self) -> str:
         if not self.values:
             return "0"

@@ -45,15 +45,6 @@ DEFAULT_SEED = 314159
 
 _NONZERO_INTS = (-3, -2, -1, 1, 2, 3)
 
-SUITE_NAMES = (
-    "chart-soundness",
-    "dimension-formulas",
-    "decompose-roundtrip",
-    "single-orbit-scan",
-    "two-dim-support",
-    "achievable-dims",
-)
-
 
 class UnknownSuiteError(ValueError):
     """No verification suite with that name."""
@@ -93,10 +84,6 @@ class SignConvention:
     """Certified sign rule per kind for the sum-root chart tails."""
 
     rules: dict[str, str]
-
-    def rule_for(self, kind: RootSystemKind | str) -> str:
-        key = kind.value if isinstance(kind, RootSystemKind) else kind
-        return self.rules[key]
 
 
 @dataclass
@@ -196,15 +183,15 @@ def _paper_chart(kind, n: int, alpha: PositiveRoot, rule: str) -> OrbitChart:
     sign = SIGN_RULES[rule]
     chart = orbit_chart(kind, n, alpha, 1)
     i, j = alpha.i, alpha.j
-    x = Polynomial.var
+    x, pos = Polynomial.var, chart.system.index_of
     tail = Polynomial.zero()
     if chart.system.kind is RootSystemKind.B:
-        tail = Fraction(-1, 2) * x(short(i)) * x(short(i))
+        tail = Fraction(-1, 2) * x(pos(short(i))) * x(pos(short(i)))
     for k in range(j + 1, n + 1):
-        tail = tail + sign(k, j) * x(diff(i, k)) * x(sum_root(i, k))
+        tail = tail + sign(k, j) * x(pos(diff(i, k))) * x(pos(sum_root(i, k)))
     constraints = dict(chart.constraints)
     for r in range(i, j):
-        constraints[diff(r, j)] = (x(sum_root(r, j)) if r > i else 1) * tail
+        constraints[diff(r, j)] = (x(pos(sum_root(r, j))) if r > i else 1) * tail
     return replace(chart, constraints=constraints)
 
 
@@ -474,3 +461,5 @@ _SUITES = {
     "two-dim-support": _suite_two_dim_support,
     "achievable-dims": _suite_achievable_dims,
 }
+
+SUITE_NAMES = tuple(_SUITES)

@@ -15,7 +15,9 @@ singular coordinate comes back as its own variable and each regular one as
 its constraint, so the sign of the quadratic tail in the sum-root charts
 (CONVENTIONS.md) follows from the derivation. Charts are built once for
 c = 1 and rescaled on use: f lies in the level-c chart iff (1/c) f
-satisfies the level-1 equations.
+satisfies the level-1 equations, evaluated on a vector over canonical
+positions: a chart variable is its singular root's position, and only the
+renderers decode positions back to roots.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ class OrbitChart:
     """Defining equations of the orbit through c * e*_alpha.
 
     ``constraints`` holds the level-1 polynomials (one per regular root, in
-    the singular-root variables); ``c`` is the scalar. Membership at level c
-    is tested by feeding (1/c) f to the level-1 equations.
+    the positions of the singular roots); ``c`` is the scalar. Membership at
+    level c is tested by feeding (1/c) f to the level-1 equations.
     """
 
     system: RootSystem
@@ -190,20 +192,30 @@ def orbit_chart(
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
     data = singular_set(kind, n, alpha)
-    moved = _act(system, _word_letters(data, Polynomial.var), {alpha: Polynomial.const(1)})
+    letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
+    moved = _act(system, letters, {alpha: Polynomial.const(1)})
     constraints = {beta: moved.get(beta, Polynomial.zero()) for beta in data.regular}
     return OrbitChart(system, alpha, c, data, constraints)
+
+
+def _level_one(chart: OrbitChart, values: Mapping[PositiveRoot, Fraction]) -> list:
+    """(1/c) times values as a vector over canonical positions, integral entries as ints."""
+    inv = Fraction(1) / chart.c
+    index_of = chart.system.index_of
+    h = [0] * len(chart.system.roots)
+    for root, v in values.items():
+        h[index_of(root)] = _integral(v * inv)
+    return h
 
 
 def contains(chart: OrbitChart, f: Functional) -> bool:
     """Exact membership of f in the chart's orbit."""
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
-    inv = Fraction(1) / chart.c
-    h = {root: _integral(v * inv) for root, v in f.values.items()}
-    env = {s: h.get(s, 0) for s in chart.data.singular}
+    h = _level_one(chart, f.values)
+    index_of = chart.system.index_of
     for beta, poly in chart.constraints.items():
-        if h.get(beta, 0) != poly.evaluate(env):
+        if h[index_of(beta)] != poly.evaluate(h):
             return False
     return True
 
@@ -218,12 +230,10 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         raise ChartVariableError(
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
-    inv = Fraction(1) / chart.c
-    env = {root: _frac(v) * inv for root, v in assignment.items()}
-    values: dict[PositiveRoot, Fraction] = dict(env)
-    for beta, poly in chart.constraints.items():
-        values[beta] = poly.evaluate(env)
-    return functional(chart.system, values).scaled(chart.c)
+    given = {root: _frac(v) for root, v in assignment.items()}
+    h = _level_one(chart, given)
+    regular = {beta: chart.c * poly.evaluate(h) for beta, poly in chart.constraints.items()}
+    return functional(chart.system, given | regular)
 
 
 def construct_group_word(
@@ -251,14 +261,15 @@ def construct_group_word(
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render(poly: Polynomial, factor: Callable[[PositiveRoot, int], str],
+def _render(poly: Polynomial, roots: tuple[PositiveRoot, ...],
+            factor: Callable[[PositiveRoot, int], str],
             number: Callable[[Fraction], str], sep: str) -> str:
-    """Terms in display order; ``sep`` joins a term's coefficient and factors."""
+    """Terms in display order, variable k as roots[k]; ``sep`` joins coefficient and factors."""
     if not poly:
         return "0"
     rendered = []
     for mono, coef in poly.sorted_terms():
-        factors = [factor(v, len(list(group))) for v, group in groupby(mono)]
+        factors = [factor(roots[k], len(list(group))) for k, group in groupby(mono)]
         if not factors:
             rendered.append(number(coef))
         elif coef in (1, -1):
@@ -271,12 +282,13 @@ def _render(poly: Polynomial, factor: Callable[[PositiveRoot, int], str],
     return out
 
 
-def polynomial_text(poly: Polynomial) -> str:
-    return _render(poly, lambda v, p: f"f({v})" + (f"^{p}" if p > 1 else ""), str, "*")
+def polynomial_text(poly: Polynomial, roots: tuple[PositiveRoot, ...]) -> str:
+    return _render(poly, roots, lambda v, p: f"f({v})" + (f"^{p}" if p > 1 else ""), str, "*")
 
 
-def polynomial_latex(poly: Polynomial) -> str:
-    return _render(poly, lambda v, p: rf"f(e_{{{v.latex()}}})" + (f"^{{{p}}}" if p > 1 else ""),
+def polynomial_latex(poly: Polynomial, roots: tuple[PositiveRoot, ...]) -> str:
+    return _render(poly, roots,
+                   lambda v, p: rf"f(e_{{{v.latex()}}})" + (f"^{{{p}}}" if p > 1 else ""),
                    _frac_latex, "")
 
 
@@ -289,23 +301,26 @@ def _frac_latex(c: Fraction) -> str:
 
 def chart_equations_text(chart: OrbitChart) -> list[str]:
     polys = chart.scaled_constraints()
-    return [f"f({beta}) = {polynomial_text(polys[beta])}" for beta in chart.data.regular]
+    roots = chart.system.roots
+    return [f"f({beta}) = {polynomial_text(polys[beta], roots)}" for beta in chart.data.regular]
 
 
 def chart_equations_latex(chart: OrbitChart) -> list[str]:
     polys = chart.scaled_constraints()
+    roots = chart.system.roots
     return [
-        rf"f(e_{{{beta.latex()}}}) = {polynomial_latex(polys[beta])}"
+        rf"f(e_{{{beta.latex()}}}) = {polynomial_latex(polys[beta], roots)}"
         for beta in chart.data.regular
     ]
 
 
 def chart_to_json(chart: OrbitChart) -> dict:
     polys = chart.scaled_constraints()
+    roots = chart.system.roots
     constraints = {}
     for beta in chart.data.regular:
         constraints[str(beta)] = [
-            [str(coef), [str(v) for v in mono]] for mono, coef in polys[beta].sorted_terms()
+            [str(coef), [str(roots[k]) for k in mono]] for mono, coef in polys[beta].sorted_terms()
         ]
     return {
         "kind": chart.system.kind.value,

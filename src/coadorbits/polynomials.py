@@ -1,27 +1,23 @@
-"""Sparse polynomials in root-indexed variables with exact rational coefficients.
+"""Sparse polynomials in position-indexed variables with exact rational coefficients.
 
-A monomial is a sorted tuple of roots (with repetition for powers); the zero
-coefficient is never stored. This is all the chart machinery needs: sums,
-products, exact evaluation. No operation mutates an operand, so adding 0 or
-multiplying by 1 returns the operand itself. Coefficients are stored as
-Fractions; evaluation multiplies the integral ones, and integral values, as
-ints, and returns a Fraction.
+Variable k is the root at canonical position k of its system (RootSystem.roots);
+the polynomial itself never decodes positions. A monomial is a sorted tuple of
+positions (with repetition for powers); the zero coefficient is never stored.
+This is all the chart machinery needs: sums, products, exact evaluation. No
+operation mutates an operand, so adding 0 or multiplying by 1 returns the
+operand itself. Coefficients are stored as Fractions; evaluation multiplies
+the integral ones, and integral values, as ints, and returns a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Sequence
 
 from .functionals import _frac
-from .roots import PositiveRoot
 
-Monomial = tuple[PositiveRoot, ...]
-
-
-def _mono(vars_: tuple[PositiveRoot, ...]) -> Monomial:
-    return tuple(sorted(vars_, key=PositiveRoot.sort_key))
+Monomial = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -38,8 +34,8 @@ class Polynomial:
         return Polynomial({(): c} if c else {})
 
     @staticmethod
-    def var(root: PositiveRoot) -> "Polynomial":
-        return Polynomial({(root,): Fraction(1)})
+    def var(k: int) -> "Polynomial":
+        return Polynomial({(k,): Fraction(1)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -82,7 +78,7 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono(m1 + m2)
+                mono = tuple(sorted(m1 + m2))
                 s = terms.get(mono, 0) + c1 * c2
                 if s:
                     terms[mono] = s
@@ -92,8 +88,8 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Mapping[PositiveRoot, Fraction | int]) -> Fraction:
-        """The exact value at ``values`` (Fractions or ints), always a Fraction.
+    def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
+        """The exact value at ``values`` (indexed by position), always a Fraction.
 
         Integral coefficients travel as ints, so over integral values no
         Fraction is built until the result.
@@ -107,8 +103,5 @@ class Polynomial:
         return total if isinstance(total, Fraction) else Fraction(total)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in a stable display order: by degree, then variable keys."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (len(item[0]), [v.sort_key() for v in item[0]]),
-        )
+        """Terms in a stable display order: by degree, then positions."""
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))

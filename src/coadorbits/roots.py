@@ -117,9 +117,17 @@ _ECHO_CHARS = 40
 def _echo(value) -> str:
     """repr(value) for an error message, cut short with the value's length when long.
 
-    A root is echoed as its own text, such as e1-e4.
+    A root is echoed as its own text, such as e1-e4; an int past Python's
+    int-digit limit, alone or as a root's index, by its bit length.
     """
-    text = str(value) if isinstance(value, PositiveRoot) else repr(value)
+    try:
+        text = str(value) if isinstance(value, PositiveRoot) else repr(value)
+    except ValueError:
+        if isinstance(value, PositiveRoot):
+            return f"a {value.tag} root with a {max(value.i, value.j).bit_length()}-bit index"
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too large to print"
     if len(text) <= _ECHO_CHARS:
         return text
     size = len(value) if isinstance(value, str) else len(text)
@@ -357,10 +365,7 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
 
 def structure_table(kind: RootSystemKind | str, n: int) -> BracketTable:
     """Cached bracket table over all ordered pairs of positive roots."""
-    kind = _as_kind(kind)
-    if n < 2:
-        raise RankRangeError(f"kind {kind.value} needs n >= 2, got {n}")
-    return _structure_table(kind, n)
+    return _structure_table(positive_roots(kind, n).kind, n)
 
 
 # ---------------------------------------------------------------------------

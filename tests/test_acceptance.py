@@ -92,7 +92,8 @@ def test_c04_chart_soundness():
     assert report.passed, report.failures[:3]
     # pinned worked-example value, certified sign convention
     chart = orbit_chart("B", 3, sum_root(1, 3), 1)
-    minus_half_square = Q(-1, 2) * (Polynomial.var(short(1)) * Polynomial.var(short(1)))
+    e1 = Polynomial.var(chart.system.index_of(short(1)))
+    minus_half_square = Q(-1, 2) * (e1 * e1)
     assert chart.constraints[diff(1, 3)] == minus_half_square
     assert "f(e1-e3) = -1/2*f(e1)^2" in chart_equations_text(chart)
     announce(4, "chart-soundness")

@@ -59,11 +59,12 @@ def rook_condition(roots):
 def support(f):
     """Roots where the type-A functional is nonzero, in canonical order.
 
-    A private copy of the removed ``basic.support``, which nothing called.
+    A private copy of the removed ``basic.support`` and ``Functional.nonzero_roots``,
+    which nothing called.
     """
     if f.system.kind is not RootSystemKind.A:
         raise WrongKindError(f"type A only, got kind {f.system.kind.value}")
-    return f.nonzero_roots()
+    return tuple(r for r in f.system.roots if r in f.values)
 
 
 def plus(f, g):

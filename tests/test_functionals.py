@@ -302,11 +302,12 @@ def _reference_act(system, letters, values):
 
 
 def _reference_evaluate(poly, values):
+    """poly at values, a list over canonical positions, in Fractions throughout."""
     total = Q(0)
     for mono, c in poly.terms.items():
         prod = c
-        for v in mono:
-            prod *= values[v]
+        for k in mono:
+            prod *= Q(values[k])
         total += prod
     return total
 
@@ -355,7 +356,7 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     system = get_system(kind, n)
     alpha = data.draw(st.sampled_from(system.roots))
     sing = singular_set(kind, n, alpha)
-    letters = _word_letters(sing, Polynomial.var)
+    letters = _word_letters(sing, lambda root: Polynomial.var(system.index_of(root)))
     start = {alpha: Polynomial.const(1)}
     moved = _act(system, letters, start)
     assert moved == _reference_act(system, letters, start)
@@ -366,12 +367,16 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
             # int == Fraction holds, so only the type shows an int leaking out.
             assert all(type(coef) is Q for coef in poly.terms.values())
     # contains feeds evaluate integral values as ints.
-    env = {s: data.draw(st.one_of(act_rationals, st.integers(-3, 3))) for s in sing.singular}
+    assignment = {s: data.draw(st.one_of(act_rationals, st.integers(-3, 3)))
+                  for s in sing.singular}
+    env = [0] * len(system.roots)
+    for s, v in assignment.items():
+        env[system.index_of(s)] = v
     for poly in chart.constraints.values():
         value = poly.evaluate(env)
         assert value == _reference_evaluate(poly, env)
         assert type(value) is Q
-    point = chart_point(chart, env)
+    point = chart_point(chart, assignment)
     assert _stored_exactly(point)
     assert contains(chart, point)
 
@@ -634,7 +639,7 @@ def _library_calls(value):
         lambda: basic_map(basic_subset(3, [alpha]), {alpha: value}),
         lambda: random_orbit_point("A", 3, alpha, value),
         lambda: Polynomial.const(value),
-        lambda: Polynomial.var(diff(1, 2)) * value,
+        lambda: Polynomial.var(0) * value,
     ]
 
 
@@ -642,6 +647,14 @@ def _library_calls(value):
 def test_library_rejects_floats_and_bools(value):
     for call in _library_calls(value):
         with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            call()
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
+def test_library_describes_an_unprintable_value_briefly():
+    # repr of an int past the int-digit limit raises ValueError itself
+    for call in _library_calls([10**5000]):
+        with pytest.raises(ValueError, match=r"got a list too large to print$"):
             call()
 
 

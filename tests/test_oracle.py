@@ -50,7 +50,7 @@ def test_word_parameters_are_small_nonzero_integers():
 def test_resolve_sign_conventions_certifies_constant_minus():
     convention = resolve_sign_conventions(n_max=4, trials=8, seed=2024)
     assert convention.rules == {"B": "constant-minus", "D": "constant-minus"}
-    assert convention.rule_for(RootSystemKind.B) == "constant-minus"
+    assert convention.rules[RootSystemKind.B.value] == "constant-minus"
 
 
 def test_resolve_sign_conventions_stable_across_seed_ranges():

@@ -44,8 +44,9 @@ from coadorbits.roots import (
 KINDS = tuple(RootSystemKind)
 
 
-def var(root):
-    return Polynomial.var(root)
+def var(system, root):
+    """The chart variable of root: its canonical position in system."""
+    return Polynomial.var(system.index_of(root))
 
 
 # Private copies of the removed weight helpers of ``roots``, which nothing in
@@ -213,14 +214,16 @@ def test_singular_data_rejects_a_pair_without_unit_sign(monkeypatch):
 
 def test_chart_type_a_example():
     chart = orbit_chart("A", 4, diff(1, 4), 1)
+    system = chart.system
     assert chart.constraints[diff(1, 4)] == Polynomial.const(1)
-    assert chart.constraints[diff(2, 3)] == var(diff(1, 3)) * var(diff(2, 4))
+    assert chart.constraints[diff(2, 3)] == var(system, diff(1, 3)) * var(system, diff(2, 4))
 
 
 def test_chart_b3_short_root_example():
     chart = orbit_chart("B", 3, short(1), 1)
+    system = chart.system
     assert chart.constraints[short(1)] == Polynomial.const(1)
-    assert chart.constraints[diff(2, 3)] == var(diff(1, 3)) * var(short(2))
+    assert chart.constraints[diff(2, 3)] == var(system, diff(1, 3)) * var(system, short(2))
     for beta in (sum_root(1, 2), sum_root(1, 3), sum_root(2, 3)):
         assert not chart.constraints[beta]
 
@@ -236,12 +239,13 @@ def test_chart_b3_diff_root_example():
 
 def test_chart_b3_sum_root_certified_values():
     chart = orbit_chart("B", 3, sum_root(1, 3), 1)
-    minus_half_sq = Q(-1, 2) * (var(short(1)) * var(short(1)))
+    system = chart.system
+    minus_half_sq = Q(-1, 2) * (var(system, short(1)) * var(system, short(1)))
     assert chart.constraints[diff(1, 3)] == minus_half_sq
     # the printed example's f(e2)^2 variant is rejected by the oracle; the
     # equation family gives f(e1)^2 here as well
-    assert chart.constraints[diff(2, 3)] == minus_half_sq * var(sum_root(2, 3))
-    assert chart.constraints[short(2)] == var(short(1)) * var(sum_root(2, 3))
+    assert chart.constraints[diff(2, 3)] == minus_half_sq * var(system, sum_root(2, 3))
+    assert chart.constraints[short(2)] == var(system, short(1)) * var(system, sum_root(2, 3))
     assert not chart.constraints[sum_root(1, 2)]
 
 
@@ -291,11 +295,12 @@ def test_alternating_rule_disagrees_at_n4():
 
 def _reference_tail(kind, n, i, j, rule):
     """The bracketed factor of the constraints at the roots e_r - e_j."""
+    system = get_system(kind, n)
     tail = Polynomial.zero()
     if kind is RootSystemKind.B:
-        tail = tail + Q(-1, 2) * (Polynomial.var(short(i)) * Polynomial.var(short(i)))
+        tail = tail + Q(-1, 2) * (var(system, short(i)) * var(system, short(i)))
     for k in range(j + 1, n + 1):
-        term = Polynomial.var(diff(i, k)) * Polynomial.var(sum_root(i, k))
+        term = var(system, diff(i, k)) * var(system, sum_root(i, k))
         tail = tail + rule(k, j) * term
     return tail
 
@@ -320,7 +325,7 @@ def _reference_chart(kind, n, alpha, sign_rule=CERTIFIED_SIGN_RULE):
         if root == alpha:
             return Polynomial.const(1)
         if root in sing:
-            return Polynomial.var(root)
+            return var(system, root)
         got = cache.get(root)
         if got is None:
             got = _constraint(root)
@@ -395,8 +400,9 @@ def test_derived_chart_equals_reference(kind, n):
     system = get_system(kind, n)
     for alpha in system.roots:
         data = singular_set(kind, n, alpha)
-        moved = _act(system, _word_letters(data, Polynomial.var), {alpha: Polynomial.const(1)})
-        assert all(moved[s] == var(s) for s in data.singular)
+        letters = _word_letters(data, lambda root: var(system, root))
+        moved = _act(system, letters, {alpha: Polynomial.const(1)})
+        assert all(moved[s] == var(system, s) for s in data.singular)
         assert moved[alpha] == Polynomial.const(1)
         assert orbit_chart(kind, n, alpha, 1).constraints == _reference_chart(kind, n, alpha)
 
@@ -642,10 +648,32 @@ def test_chart_latex_rendering():
 
 
 def test_polynomial_text_corner_cases():
-    assert polynomial_text(Polynomial.zero()) == "0"
-    assert polynomial_text(Polynomial.const(Q(-3, 4))) == "-3/4"
-    p = Polynomial.const(1) - Polynomial.var(diff(1, 2)) * Polynomial.var(diff(1, 2))
-    assert polynomial_text(p) == "1 - f(e1-e2)^2"
+    system = get_system("A", 3)
+    assert polynomial_text(Polynomial.zero(), system.roots) == "0"
+    assert polynomial_text(Polynomial.const(Q(-3, 4)), system.roots) == "-3/4"
+    p = Polynomial.const(1) - var(system, diff(1, 2)) * var(system, diff(1, 2))
+    assert polynomial_text(p, system.roots) == "1 - f(e1-e2)^2"
+
+
+def _reference_sorted_terms(poly, roots):
+    """The display order of root-keyed monomials: by degree, then the roots' sort keys."""
+    return sorted(poly.terms.items(),
+                  key=lambda item: (len(item[0]), [roots[k].sort_key() for k in item[0]]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sorted_terms_keep_the_root_key_order(kind, n):
+    roots = get_system(kind, n).roots
+    for alpha in roots:
+        for c in (Q(1), Q(-3, 5)):
+            chart = orbit_chart(kind, n, alpha, c)
+            for polys in (chart.constraints, chart.scaled_constraints()):
+                for poly in polys.values():
+                    assert poly.sorted_terms() == _reference_sorted_terms(poly, roots)
+                    for mono in poly.terms:
+                        factors = [roots[k] for k in mono]
+                        assert factors == sorted(factors, key=lambda r: r.sort_key())
 
 
 def test_chart_json_shape():

@@ -121,6 +121,18 @@ def test_membership_constraints():
         diff(3, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: diff(10**5000, 1),
+    lambda: get_system("A", 4).index_of(diff(1, 10**5000)),
+])
+def test_index_past_the_int_digit_limit_is_a_short_root_error(call):
+    # str/repr of such an int raises ValueError under the int-digit limit;
+    # the message then names its bit length instead
+    with pytest.raises(InvalidRootError) as info:
+        call()
+    assert len(str(info.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # Matrix realizations
 # ---------------------------------------------------------------------------
