@@ -69,9 +69,10 @@ def is_basic(roots: Iterable[PositiveRoot]) -> bool:
 class BasicSubset:
     """A basic subset of the type-A roots with parameter n.
 
-    Build one with ``basic_subset``, which validates the roots; the calculus
-    below reads them as positions and assumes they are valid. Slotted,
-    because a caller that keeps a whole scan keeps Bell(n) of them.
+    Build one with ``basic_subset``, which validates the roots. The calculus
+    below reads them through per-root tables of A_n, so a root outside A_n
+    raises InvalidRootError there too. Slotted, because a caller that keeps
+    a whole scan keeps Bell(n) of them.
     """
 
     n: int
@@ -137,26 +138,41 @@ def _positions(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _singular_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """m[i][j]: S(e_i - e_j) as a bitmask over positions in the canonical roots.
+def _singular_masks(n: int) -> dict[PositiveRoot, int]:
+    """S(e_i - e_j) of each root of A_n as a bitmask over positions in the canonical roots.
 
     Read from ``singular_set``, so the bracket table stays the one definition
     of S(alpha); in type A it is {e_i - e_k, e_k - e_j : i < k < j}.
     """
     system = get_system(RootSystemKind.A, n)
-    masks = [[0] * (n + 1) for _ in range(n + 1)]
-    for alpha in system.roots:
-        for beta in singular_set(system.kind, n, alpha).singular:
-            masks[alpha.i][alpha.j] |= 1 << system.index_of(beta)
-    return tuple(map(tuple, masks))
+    return {alpha: sum(1 << system.index_of(beta)
+                       for beta in singular_set(system.kind, n, alpha).singular)
+            for alpha in system.roots}
+
+
+@lru_cache(maxsize=None)
+def _ends(n: int) -> dict[PositiveRoot, tuple[int, int]]:
+    """(i, j) of each root e_i - e_j of A_n."""
+    return {r: (r.i, r.j) for r in get_system(RootSystemKind.A, n).roots}
+
+
+def _check_roots(subset: BasicSubset) -> None:
+    """Raise InvalidRootError for the first root of the subset outside A_n."""
+    system = get_system(RootSystemKind.A, subset.n)
+    for r in subset.roots:
+        system.check_member(r)
 
 
 def _singular_mask(subset: BasicSubset) -> int:
     """The union of the singular sets of the subset's roots, as a position bitmask."""
     masks = _singular_masks(subset.n)
     union = 0
-    for r in subset.roots:
-        union |= masks[r.i][r.j]
+    try:
+        for r in subset.roots:
+            union |= masks[r]
+    except KeyError:
+        _check_roots(subset)
+        raise
     return union
 
 
@@ -219,12 +235,19 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     partner cp of c has c's length and starts strictly between c[0] and c[1],
     so partners are sought only among the chains of c's length.
     """
+    ends = _ends(subset.n)
+    nxt, prev = {}, {}
+    try:
+        for r in subset.roots:
+            i, j = ends[r]
+            nxt[i], prev[j] = j, i
+    except KeyError:
+        _check_roots(subset)
+        raise
     chains = chains_in(subset)
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for c in chains:
         by_length.setdefault(len(c), []).append(c)
-    prev = {r.j: r.i for r in subset.roots}
-    nxt = {r.i: r.j for r in subset.roots}
     pos = _positions(subset.n)
     found = 0
     for c in chains:

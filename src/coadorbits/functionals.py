@@ -6,7 +6,10 @@ series of the nilpotent adjoint action, and the orbit through f has exact
 dimension equal to the rank of the skew form (x, y) -> f([x, y]).
 
 Both the action and the skew form read the bracket table by canonical
-position (``BracketTable.by_index``). The skew form is built once, as sparse
+position (``BracketTable.by_index``). The action reads it through one cached
+plan per letter (``_ad_chains``): the gammas the letter moves, longest tail
+first, each with its one or two tail terms unrolled, so that every letter
+updates one position vector in place. The skew form is built once, as sparse
 integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
 ``radical_basis`` hand those rows to the modular kernel of ``linalg``
 (``orbit_dimension`` only counts its vectors), and ``skew_form`` reads them
@@ -76,8 +79,11 @@ def _frac(x: Rational) -> Fraction:
 
 
 def _integral(x):
-    """x as an int when it is an integral Fraction; any other value as it is."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+    """x as an int when it is an integral Fraction; any other value as it is.
+
+    The exact type test skips the Fraction ABC's slow instance check on ints.
+    """
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -148,18 +154,22 @@ def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
 
 @lru_cache(maxsize=None)
 def _ad_chains(kind: RootSystemKind, n: int):
-    """Per beta: the gammas it moves, each with the nonzero tail of exp(ad(-t e_beta)) e_gamma.
+    """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves.
 
     All roots are positions in the canonical root order. chains[b] is
-    ((g, ((target, m, coef), ...)), ...), listing only the g with a nonempty
-    tail; (target, m, coef) is a contribution coef * t^m at e_target, with
-    coef carrying (-1)^m times the iterated structure constants over m!, an
-    int unless m! leaves a denominator (the 1/2 of type B's short roots). The
-    tails terminate because ad is nilpotent.
+    (twos, ones): twos holds (g, p, c, q, d) for each gamma whose tail has
+    two terms, c t e_p + d t^2 e_q with p = g+b and q = g+2b; ones holds
+    (g, p, c) for each gamma with the single term c t e_p. A coefficient
+    carries (-1)^m times the iterated structure constants over m!, an int
+    unless m! leaves a denominator (the 1/2 of type B's short roots). Root
+    strings in A, B and D have at most three roots, so no tail is longer;
+    only type B's short betas have twos. The tail of g+b is the tail of g
+    less its first term, so every gamma a plan entry reads comes later in the
+    plan, if at all: the action updates one vector in place, twos first.
     """
     chains = []
     for brackets in structure_table(kind, n).by_index:
-        moved = []
+        twos, ones = [], []
         for g in sorted(brackets):
             tail = []
             cur, c, m = g, 1, 0
@@ -168,9 +178,9 @@ def _ad_chains(kind: RootSystemKind, n: int):
                 c *= -k
                 m += 1
                 d = math.factorial(m)
-                tail.append((cur, m, c // d if c % d == 0 else Fraction(c, d)))
-            moved.append((g, tuple(tail)))
-        chains.append(tuple(moved))
+                tail += (cur, c // d if c % d == 0 else Fraction(c, d))
+            (twos if len(tail) == 4 else ones).append((g, *tail))
+        chains.append((tuple(twos), tuple(ones)))
     return tuple(chains)
 
 
@@ -182,39 +192,43 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
     letters' parameters as variables. Inside, integral parameters, values and
     tail coefficients travel as ints, and int/Fraction promotion keeps every
     sum exact; the returned values are Fractions (or Polynomials) again.
-    ``values`` itself comes back when nothing moves it.
+    Each letter updates the vector in place, in its plan's order (see
+    ``_ad_chains``). ``values`` itself comes back when nothing moves it.
     """
-    index_of = system.index_of
+    index = system._index
     moves = []
     for beta, t in reversed(letters):
-        b = index_of(beta)
-        if t:
-            moves.append((b, _integral(t)))
+        b = index.get(beta)
+        if b is None:
+            system.index_of(beta)  # raises InvalidRootError
+        if type(t) is Fraction:
+            if t.denominator == 1:
+                t = t.numerator
+                if not t:
+                    continue
+        elif not t:
+            continue
+        moves.append((b, t))
     if not moves or not values:
         return values
     chains = _ad_chains(system.kind, system.n)
     vec = [0] * len(system.roots)
     for root, v in values.items():
-        vec[index_of(root)] = _integral(v)
+        vec[system.index_of(root)] = _integral(v)
     for b, t in moves:
-        powers = [1, t]
-        deltas = []
-        for g, tail in chains[b]:
-            while len(powers) <= len(tail):
-                powers.append(powers[-1] * t)
-            d = 0
-            for target, m, coef in tail:
-                x = vec[target]
-                if x:
-                    d += x * coef * powers[m]
-            if d:
-                deltas.append((g, d))
-        # Every delta reads the pre-letter vector, so the result does not
-        # depend on the order in which the gammas are visited.
-        for g, d in deltas:
-            vec[g] += d
+        twos, ones = chains[b]
+        if twos:
+            tt = t * t
+            for g, p, c, q, d in twos:
+                x, y = vec[p], vec[q]
+                if x or y:
+                    vec[g] += x * c * t + y * d * tt
+        for g, p, c in ones:
+            x = vec[p]
+            if x:
+                vec[g] += x * c * t
     roots = system.roots
-    return {roots[k]: Fraction(v) if isinstance(v, int) else v for k, v in enumerate(vec) if v}
+    return {roots[k]: Fraction(v) if type(v) is int else v for k, v in enumerate(vec) if v}
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:

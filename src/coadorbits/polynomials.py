@@ -35,6 +35,11 @@ class Polynomial:
 
     @staticmethod
     def var(k: int) -> "Polynomial":
+        """The variable at position k, a non-negative int; anything else raises ValueError."""
+        if type(k) is not int:
+            raise ValueError(f"a variable is a position, an int; got a {type(k).__name__}")
+        if k < 0:
+            raise ValueError("a variable is a position, a non-negative int; got a negative int")
         return Polynomial({(k,): Fraction(1)})
 
     def __bool__(self) -> bool:
@@ -100,7 +105,7 @@ class Polynomial:
             for v in mono:
                 prod *= values[v]
             total += prod
-        return total if isinstance(total, Fraction) else Fraction(total)
+        return Fraction(total) if type(total) is int else total
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a stable display order: by degree, then positions."""

@@ -13,6 +13,9 @@ table per system (see :func:`structure_table`), built from the products
 E[r,c] E[c,d] = E[r,d] of the matrix units of these explicit matrices and
 stored by canonical root position; no Chevalley-basis sign rule is assumed
 anywhere, so all downstream signs are fixed by the realization above.
+
+Roots are interned: there is one live :class:`PositiveRoot` per (tag, i, j),
+however it was built, and roots compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 
 class RootSystemKind(Enum):
@@ -50,29 +54,56 @@ DIFF = "diff"   # e_i - e_j
 SHORT = "short"  # e_i         (type B only)
 SUM = "sum"     # e_i + e_j   (types B and D)
 
+# The live root of each (tag, i, j), held weakly; see PositiveRoot.
+_interned: WeakValueDictionary[tuple[str, int, int], PositiveRoot] = WeakValueDictionary()
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, init=False, eq=False)
 class PositiveRoot:
     """A positive root: e_i - e_j (diff), e_i (short) or e_i + e_j (sum).
 
-    Indices are 1-based. Which tags are legal depends on the ambient
-    :class:`RootSystem`; the dataclass itself only enforces index sanity.
+    Indices are 1-based ints. Which tags are legal depends on the ambient
+    :class:`RootSystem`; the class itself only enforces index sanity.
+
+    Roots are interned: every construction (the constructor, ``diff``,
+    ``short``, ``sum_root``, ``parse_root``, ``dataclasses.replace``, copies
+    and unpickling) returns the one live instance of its (tag, i, j), so
+    roots compare and hash by identity, which CPython does in C. The table
+    holds its roots weakly: a root nothing else keeps goes with its entry,
+    so roots parsed from outside input do not pile up.
     """
 
+    __slots__ = ("tag", "i", "j", "__weakref__")
     tag: str
     i: int
-    j: int = 0
+    j: int
 
-    def __post_init__(self) -> None:
-        if self.tag not in (DIFF, SHORT, SUM):
-            raise InvalidRootError(f"unknown root tag {self.tag!r}")
-        if self.i < 1:
+    def __new__(cls, tag: str, i: int, j: int = 0) -> "PositiveRoot":
+        if tag not in (DIFF, SHORT, SUM):
+            raise InvalidRootError(f"unknown root tag {_echo(tag)}")
+        # A bool or float index hashes like the int and would stand in for it.
+        if type(i) is not int or type(j) is not int:
+            raise InvalidRootError("root indices are ints")
+        key = (tag, i, j)
+        root = _interned.get(key)
+        if root is not None:
+            return root
+        if i < 1:
             raise InvalidRootError("root indices are 1-based")
-        if self.tag == SHORT:
-            if self.j != 0:
+        if tag == SHORT:
+            if j != 0:
                 raise InvalidRootError("short roots take a single index")
-        elif not self.i < self.j:
-            raise InvalidRootError(f"need i < j, got ({_echo(self.i)}, {_echo(self.j)})")
+        elif not i < j:
+            raise InvalidRootError(f"need i < j, got ({_echo(i)}, {_echo(j)})")
+        root = object.__new__(cls)
+        object.__setattr__(root, "tag", tag)
+        object.__setattr__(root, "i", i)
+        object.__setattr__(root, "j", j)
+        _interned[key] = root
+        return root
+
+    def __reduce__(self):
+        return PositiveRoot, (self.tag, self.i, self.j)
 
     def sort_key(self) -> tuple[int, ...]:
         """Canonical ordering: diff by (j-i, i), then short by i, then sum by (i+j, i)."""

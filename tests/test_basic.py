@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -40,7 +41,8 @@ from coadorbits.functionals import (Functional, coadjoint_apply, e_star, functio
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart, singular_set
-from coadorbits.roots import PositiveRoot, RootSystemKind, diff, get_system, short
+from coadorbits.roots import (InvalidRootError, PositiveRoot, RootSystemKind, diff, get_system,
+                              short, sum_root)
 
 A4 = get_system("A", 4)
 A6 = get_system("A", 6)
@@ -125,6 +127,16 @@ def test_basic_subset_constructor_validates():
         basic_subset(4, [diff(1, 3), diff(2, 3)])
 
 
+@pytest.mark.parametrize("root", [diff(1, 9), short(1), sum_root(1, 3)])
+@pytest.mark.parametrize("call", [s_of, singular_union, derived_set])
+def test_unvalidated_subset_with_a_root_outside_a_n_is_a_root_error(call, root):
+    # Built without basic_subset; these used to raise IndexError, give
+    # s = 0 for e1, and read e1+e3 as e1-e3.
+    subset = BasicSubset(4, (diff(2, 3), root))
+    with pytest.raises(InvalidRootError, match=f"^{re.escape(str(root))} is not a positive root"):
+        call(subset)
+
+
 # ---------------------------------------------------------------------------
 # Singular unions
 # ---------------------------------------------------------------------------
@@ -168,11 +180,12 @@ def test_s_of_equals_set_union_reference(n):
 def test_singular_masks_are_the_closed_form(n):
     system = get_system("A", n)
     masks = _singular_masks(n)
+    assert list(masks) == list(system.roots)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             closed = {diff(i, k) for k in range(i + 1, j)} | {diff(k, j) for k in range(i + 1, j)}
             expected = sum(1 << system.index_of(r) for r in closed)
-            assert masks[i][j] == expected, (i, j)
+            assert masks[diff(i, j)] == expected, (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -247,21 +247,43 @@ def _reference_ad_chains(kind, n):
     return tuple(chains)
 
 
+def _plan_tails(plan):
+    """A letter's plan (twos, ones) as [(g, ((target, m, coef), ...)), ...], in plan order."""
+    twos, ones = plan
+    return ([(g, ((p, 1, c), (q, 2, d))) for g, p, c, q, d in twos]
+            + [(g, ((p, 1, c),)) for g, p, c in ones])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_ad_chains_equal_root_pair_reference(kind):
     for n in range(2, 9):
         chains = _ad_chains(kind, n)
-        assert chains == _reference_ad_chains(kind, n)
+        reference = _reference_ad_chains(kind, n)
+        assert len(chains) == len(reference)
+        # The same tails, grouped longest first, in gamma order within a group.
+        for plan, moved in zip(chains, reference):
+            assert _plan_tails(plan) == sorted(moved, key=lambda item: -len(item[1]))
         # Only type B's short roots leave a denominator: the -1/2 of their
         # second-order tails. Every other coefficient is an int.
         roots = get_system(kind, n).roots
-        for b, moved in enumerate(chains):
-            for _, tail in moved:
+        for b, plan in enumerate(chains):
+            for _, tail in _plan_tails(plan):
                 for _, m, coef in tail:
                     if kind is RootSystemKind.B and roots[b].tag == SHORT and m == 2:
                         assert type(coef) is Q and coef == Q(-1, 2)
                     else:
                         assert type(coef) is int
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ad_chain_plans_read_no_gamma_they_have_updated(kind):
+    """In-place updates are exact: no gamma is read by a gamma listed after it in its plan."""
+    for n in range(2, 9):
+        for plan in _ad_chains(kind, n):
+            written = set()
+            for g, tail in _plan_tails(plan):
+                assert not written & {target for target, _, _ in tail}
+                written.add(g)
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,20 @@ def test_polynomial_text_corner_cases():
     assert polynomial_text(p, system.roots) == "1 - f(e1-e2)^2"
 
 
+@pytest.mark.parametrize("k", [diff(1, 2), Q(1), 1.0, True, "1", None])
+def test_polynomial_var_rejects_a_non_int_position(k):
+    # A root passed where its position belongs used to fail only in __mul__'s sort.
+    with pytest.raises(ValueError, match=f"an int; got a {type(k).__name__}$"):
+        Polynomial.var(k)
+
+
+@pytest.mark.parametrize("k", [-1, -5, pytest.param(-10**5000, id="past-the-int-digit-limit")])
+def test_polynomial_var_rejects_a_negative_position(k):
+    # var(-1) used to evaluate the last position of the values.
+    with pytest.raises(ValueError, match="non-negative int; got a negative int$"):
+        Polynomial.var(k)
+
+
 def _reference_sorted_terms(poly, roots):
     """The display order of root-keyed monomials: by degree, then the roots' sort keys."""
     return sorted(poly.terms.items(),

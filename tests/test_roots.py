@@ -1,16 +1,25 @@
 """Root systems, matrix realizations and bracket tables."""
 
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coadorbits import roots as roots_module
 from coadorbits.roots import (
+    DIFF,
+    SHORT,
+    SUM,
     BracketDecompositionError,
     BracketTable,
     InvalidRootError,
     MatrixRealization,
+    PositiveRoot,
     RankRangeError,
     RootSystemKind,
     bracket,
@@ -131,6 +140,69 @@ def test_index_past_the_int_digit_limit_is_a_short_root_error(call):
     with pytest.raises(InvalidRootError) as info:
         call()
     assert len(str(info.value)) < 200
+
+
+# ---------------------------------------------------------------------------
+# Interned roots
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_every_construction_gives_the_one_live_root(kind, n):
+    for root in get_system(kind, n).roots:
+        built = {DIFF: diff, SHORT: short, SUM: sum_root}[root.tag](
+            *((root.i,) if root.tag == SHORT else (root.i, root.j)))
+        same = [
+            built,
+            PositiveRoot(root.tag, root.i, root.j),
+            parse_root(str(root)),
+            get_system(kind, n + 1).roots[get_system(kind, n + 1).index_of(root)],
+            dataclasses.replace(root),
+            copy.copy(root),
+            copy.deepcopy(root),
+            pickle.loads(pickle.dumps(root)),
+        ]
+        assert all(other is root for other in same)
+    moved = dataclasses.replace(diff(1, 2), j=3)
+    assert moved is diff(1, 3)
+
+
+def test_roots_compare_and_hash_by_identity():
+    assert PositiveRoot.__eq__ is object.__eq__
+    assert PositiveRoot.__hash__ is object.__hash__
+    root = diff(1, 2)
+    assert hash(root) == object.__hash__(root)
+    assert {root: 1}[parse_root("e1-e2")] == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: diff(3, 2),
+    lambda: diff(0, 2),
+    lambda: short(0),
+    lambda: sum_root(2, 2),
+    lambda: PositiveRoot(SHORT, 1, 2),
+    lambda: PositiveRoot("bogus", 1),
+    lambda: diff(True, 2),
+    lambda: diff(1.0, 2),
+    lambda: parse_root("e3-e1"),
+])
+def test_invalid_roots_raise_and_stay_out_of_the_table(call):
+    before = set(roots_module._interned)
+    with pytest.raises(InvalidRootError):
+        call()
+    assert set(roots_module._interned) <= before
+
+
+def test_parsing_many_distinct_roots_leaves_the_table_bounded():
+    gc.collect()
+    before = len(roots_module._interned)
+    for k in range(1, 20001):
+        root = parse_root(f"e{k}-e{k + 10**6}")
+        assert root not in get_system("A", 4)
+    gc.collect()
+    assert len(roots_module._interned) <= before + 1
+    # A root that something still holds stays the one live root.
+    kept = parse_root("e1-e1000001")
+    assert parse_root("e1-e1000001") is kept
 
 
 # ---------------------------------------------------------------------------
