@@ -221,8 +221,10 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
             tt = t * t
             for g, p, c, q, d in twos:
                 x, y = vec[p], vec[q]
-                if x or y:
-                    vec[g] += x * c * t + y * d * tt
+                if x:
+                    vec[g] += x * c * t
+                if y:
+                    vec[g] += y * d * tt
         for g, p, c in ones:
             x = vec[p]
             if x:

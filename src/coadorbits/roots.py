@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from threading import Lock
 from weakref import WeakValueDictionary
 
 
@@ -54,8 +55,10 @@ DIFF = "diff"   # e_i - e_j
 SHORT = "short"  # e_i         (type B only)
 SUM = "sum"     # e_i + e_j   (types B and D)
 
-# The live root of each (tag, i, j), held weakly; see PositiveRoot.
+# The live root of each (tag, i, j), held weakly, and the lock that creates
+# new ones; see PositiveRoot.
 _interned: WeakValueDictionary[tuple[str, int, int], PositiveRoot] = WeakValueDictionary()
+_interning = Lock()
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -95,11 +98,14 @@ class PositiveRoot:
                 raise InvalidRootError("short roots take a single index")
         elif not i < j:
             raise InvalidRootError(f"need i < j, got ({_echo(i)}, {_echo(j)})")
-        root = object.__new__(cls)
-        object.__setattr__(root, "tag", tag)
-        object.__setattr__(root, "i", i)
-        object.__setattr__(root, "j", j)
-        _interned[key] = root
+        with _interning:  # two threads must not both create the root of one key
+            root = _interned.get(key)
+            if root is None:
+                root = object.__new__(cls)
+                object.__setattr__(root, "tag", tag)
+                object.__setattr__(root, "i", i)
+                object.__setattr__(root, "j", j)
+                _interned[key] = root
         return root
 
     def __reduce__(self):

@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import itertools
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -190,6 +192,26 @@ def test_invalid_roots_raise_and_stay_out_of_the_table(call):
     with pytest.raises(InvalidRootError):
         call()
     assert set(roots_module._interned) <= before
+
+
+def test_threads_building_one_root_get_one_object():
+    keys = [(k, k + 5 * 10**6) for k in range(1, 3001)]
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append([diff(*k) for k in keys]))
+                   for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == len(threads)
+    for built in zip(*results):
+        assert all(root is built[0] for root in built)
 
 
 def test_parsing_many_distinct_roots_leaves_the_table_bounded():
