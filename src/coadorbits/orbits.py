@@ -13,23 +13,27 @@ word of construct_group_word, with its parameters taken as variables, is
 applied to e*_alpha by the loop that computes the coadjoint action. Each
 singular coordinate comes back as its own variable and each regular one as
 its constraint, so the sign of the quadratic tail in the sum-root charts
-(CONVENTIONS.md) follows from the derivation. Charts are built once for
-c = 1 and rescaled on use: f lies in the level-c chart iff (1/c) f
-satisfies the level-1 equations, evaluated on a vector over canonical
-positions: a chart variable is its singular root's position, and only the
-renderers decode positions back to roots.
+(CONVENTIONS.md) follows from the derivation. The level-1 equations depend
+only on (kind, n, alpha), so each is derived once and cached; a chart
+carries its scalar c and its own copy of the cached constraints. f lies in
+the level-c chart iff (1/c) f satisfies the level-1 equations. Membership
+is tested over the integers: (1/c) f is written once as an integer vector
+H over canonical positions with one common denominator e, and each
+constraint is compared by cross-multiplication with its cached integer
+form, so no Fraction is built. A chart variable is its singular root's
+position, and only the renderers decode positions back to roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, groupby
 from typing import Callable, Mapping
 
-from .functionals import (Functional, GroupWord, Rational, _act, _frac, _integral, functional,
-                          group_word)
+from .functionals import Functional, GroupWord, Rational, _act, _frac, functional, group_word
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -178,44 +182,70 @@ def _word_letters(data: SingularData, value: Callable) -> list:
     return letters
 
 
-def orbit_chart(
-    kind: RootSystemKind | str, n: int, alpha: PositiveRoot, c: Rational = 1
-) -> OrbitChart:
-    """Build the defining-equation chart of the orbit through c * e*_alpha.
+# The constraint of every regular root that the derivation leaves at 0.
+_ZERO = Polynomial.zero()
+
+
+@lru_cache(maxsize=None)
+def _level_one_constraints(
+    kind: RootSystemKind, n: int, alpha: PositiveRoot
+) -> dict[PositiveRoot, Polynomial]:
+    """The level-1 constraints of alpha's chart, derived once per (kind, n, alpha).
 
     The constructive word, with each singular value as a variable, applied
     to e*_alpha: the regular coordinates of the result are the constraints.
+    Callers copy the dict, so no edit of a chart reaches the cache.
     """
+    system = get_system(kind, n)
+    data = _singular_data(kind, n)[alpha]
+    letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
+    moved = _act(system, letters, {alpha: Polynomial.const(1)})
+    return {beta: moved.get(beta, _ZERO) for beta in data.regular}
+
+
+def orbit_chart(
+    kind: RootSystemKind | str, n: int, alpha: PositiveRoot, c: Rational = 1
+) -> OrbitChart:
+    """The defining-equation chart of the orbit through c * e*_alpha."""
     system = get_system(kind, n)
     system.check_member(alpha)
     c = _frac(c)
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
-    data = singular_set(kind, n, alpha)
-    letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
-    moved = _act(system, letters, {alpha: Polynomial.const(1)})
-    constraints = {beta: moved.get(beta, Polynomial.zero()) for beta in data.regular}
-    return OrbitChart(system, alpha, c, data, constraints)
+    constraints = _level_one_constraints(system.kind, n, alpha)
+    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], dict(constraints))
 
 
-def _level_one(chart: OrbitChart, values: Mapping[PositiveRoot, Fraction]) -> list:
-    """(1/c) times values as a vector over canonical positions, integral entries as ints."""
-    inv = Fraction(1) / chart.c
+def _integer_vector(
+    chart: OrbitChart, values: Mapping[PositiveRoot, Fraction]
+) -> tuple[list[int], int]:
+    """(H, e): (1/c) times values is H / e, with H an int vector over canonical positions.
+
+    e is the lcm of the values' denominators times c's numerator.
+    """
+    c = chart.c
+    common = math.lcm(*[v.denominator for v in values.values()])
+    scale = common * c.denominator
     index_of = chart.system.index_of
     h = [0] * len(chart.system.roots)
     for root, v in values.items():
-        h[index_of(root)] = _integral(v * inv)
-    return h
+        h[index_of(root)] = v.numerator * (scale // v.denominator)
+    return h, common * c.numerator
 
 
 def contains(chart: OrbitChart, f: Functional) -> bool:
-    """Exact membership of f in the chart's orbit."""
+    """Exact membership of f in the chart's orbit.
+
+    With (1/c) f = H / e and a constraint's integer form (L, K), the test
+    h(beta) = P(h) reads H(beta) L e^K = e L e^K P(H / e), all integers.
+    """
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
-    h = _level_one(chart, f.values)
+    h, e = _integer_vector(chart, f.values)
     index_of = chart.system.index_of
     for beta, poly in chart.constraints.items():
-        if h[index_of(beta)] != poly.evaluate(h):
+        scale, degree, _ = poly._integer_form
+        if h[index_of(beta)] * scale * e ** degree != e * poly._integer_value(h, e):
             return False
     return True
 
@@ -231,8 +261,13 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
     given = {root: _frac(v) for root, v in assignment.items()}
-    h = _level_one(chart, given)
-    regular = {beta: chart.c * poly.evaluate(h) for beta, poly in chart.constraints.items()}
+    h, e = _integer_vector(chart, given)
+    c = chart.c
+    regular = {}
+    for beta, poly in chart.constraints.items():
+        scale, degree, _ = poly._integer_form
+        regular[beta] = Fraction(c.numerator * poly._integer_value(h, e),
+                                 c.denominator * scale * e ** degree)
     return functional(chart.system, given | regular)
 
 

@@ -5,14 +5,19 @@ the polynomial itself never decodes positions. A monomial is a sorted tuple of
 positions (with repetition for powers); the zero coefficient is never stored.
 This is all the chart machinery needs: sums, products, exact evaluation. No
 operation mutates an operand, so adding 0 or multiplying by 1 returns the
-operand itself. Coefficients are stored as Fractions; evaluation multiplies
-the integral ones, and integral values, as ints, and returns a Fraction.
+operand itself. Coefficients are stored as Fractions. Evaluation runs over
+the integers: each polynomial caches, on first use, its integer form, the
+coefficients times the lcm L of their denominators, each term with the
+power of a common value denominator it lacks below the degree K, so
+values H / e evaluate as the one integer L e^K P(H / e).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .functionals import _frac
@@ -93,19 +98,39 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, tuple[tuple[int, Monomial, int], ...]]:
+        """(L, K, terms): L the lcm of the coefficient denominators, K the degree.
+
+        Each term is (L * coef, monomial, K - deg), integers throughout. The
+        zero polynomial has L = 1 and K = 0.
+        """
+        scale = math.lcm(*[c.denominator for c in self.terms.values()])
+        degree = max(map(len, self.terms), default=0)
+        terms = tuple((c.numerator * (scale // c.denominator), mono, degree - len(mono))
+                      for mono, c in self.terms.items())
+        return scale, degree, terms
+
+    def _integer_value(self, values: Sequence[int], e: int) -> int:
+        """L * e^K * P(values / e) for int values and a nonzero int e; exact, no Fraction."""
+        total = 0
+        for coef, mono, gap in self._integer_form[2]:
+            prod = coef
+            for k in mono:
+                prod *= values[k]
+            total += prod * e ** gap if gap else prod
+        return total
+
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
         """The exact value at ``values`` (indexed by position), always a Fraction.
 
-        Integral coefficients travel as ints, so over integral values no
-        Fraction is built until the result.
+        The values are brought to one common denominator e and the integer
+        form is evaluated on their numerators.
         """
-        total = 0
-        for mono, c in self.terms.items():
-            prod = c.numerator if c.denominator == 1 else c
-            for v in mono:
-                prod *= values[v]
-            total += prod
-        return Fraction(total) if type(total) is int else total
+        e = math.lcm(*[v.denominator for v in values])
+        scale, degree, _ = self._integer_form
+        ints = [v.numerator * (e // v.denominator) for v in values]
+        return Fraction(self._integer_value(ints, e), scale * e ** degree)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a stable display order: by degree, then positions."""

@@ -403,6 +403,33 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     assert contains(chart, point)
 
 
+@pytest.mark.parametrize("kind", "ABD")
+@pytest.mark.parametrize("n", range(2, 6))
+def test_integer_evaluation_equals_fraction_reference(kind, n):
+    # Level-1 and scaled constraints, values with denominators up to 2^64, and
+    # a negative common denominator e, as a negative scalar gives contains.
+    system = get_system(kind, n)
+    rng = random.Random(f"integer-evaluation:{kind}:{n}")
+    size = len(system.roots)
+    x = Polynomial.var
+    # Chart constraints are homogeneous; these are not.
+    extra = [Polynomial.zero(), Polynomial.const(Q(-5, 3)), x(size - 1) * Q(1, 2**64),
+             x(0) * x(size - 1) * x(size - 1) * Q(3, 4) - x(0) * Q(2, 9) + 7,
+             x(size - 1) * x(size - 1) + x(0) * Q(-1, 6)]
+    for alpha in system.roots:
+        chart = orbit_chart(kind, n, alpha, rng.choice((Q(1), Q(-3, 5), Q(7, 2))))
+        for poly in [*chart.constraints.values(), *chart.scaled_constraints().values(), *extra]:
+            values = [rng.choice((0, 1, -2, Q(rng.randrange(-2**64, 2**64), rng.randrange(1, 2**64))))
+                      for _ in range(size)]
+            value = poly.evaluate(values)
+            assert type(value) is Q and value == _reference_evaluate(poly, values)
+            ints = [rng.randrange(-9, 10) for _ in range(size)]
+            e = rng.choice((1, -1, 6, -2**64 - 1))
+            scale, degree, _ = poly._integer_form
+            assert poly._integer_value(ints, e) == (
+                scale * Q(e) ** degree * _reference_evaluate(poly, [Q(v, e) for v in ints]))
+
+
 @pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
 def test_foreign_letter_raises_at_either_end(kind, n):
     system = get_system(kind, n)

@@ -1,18 +1,23 @@
 """Singular data, orbit charts, membership, parametrization, group words."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
-from coadorbits.functionals import _act, coadjoint_apply, e_star, functional, orbit_dimension
-from coadorbits.oracle import CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_orbit_point
+from coadorbits.functionals import (_act, coadjoint_apply, e_star, functional, orbit_dimension,
+                                    zero_functional)
+from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_functional,
+                               random_orbit_point)
 from coadorbits.orbits import (
     ChartVariableError,
     NotInOrbitError,
     PairSignError,
     SingularData,
     ZeroScalarError,
+    _ZERO,
+    _level_one_constraints,
     _singular_data,
     _word_letters,
     chart_equations_latex,
@@ -496,6 +501,201 @@ def test_scaling_relation(c):
                 assert contains(chart_c, f)
                 assert contains(chart_1, f.scaled(1 / c))
                 assert not contains(chart_1, f) or c == 1 or f.value(alpha) == 1
+
+
+# ---------------------------------------------------------------------------
+# Integer membership against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _reference_contains(chart, f):
+    """Membership as the Fraction loop tested it: (1/c) f against each level-1 constraint."""
+    index_of = chart.system.index_of
+    h = [Q(0)] * len(chart.system.roots)
+    for root, v in f.values.items():
+        h[index_of(root)] = v / chart.c
+    for beta, poly in chart.constraints.items():
+        total = Q(0)
+        for mono, coef in poly.terms.items():
+            prod = coef
+            for k in mono:
+                prod *= h[k]
+            total += prod
+        if h[index_of(beta)] != total:
+            return False
+    return True
+
+
+def _nudged(f, root, by=Q(1, 7)):
+    """f with its value at root moved by ``by``."""
+    return functional(f.system, f.values | {root: f.value(root) + by})
+
+
+def _agree(chart, f):
+    """contains(chart, f), asserted equal to the Fraction reference."""
+    verdict = contains(chart, f)
+    assert verdict is _reference_contains(chart, f)
+    return verdict
+
+
+DIFFERENTIAL_SCALARS = (Q(1), Q(-1), Q(2), Q(-3, 5), Q(7, 2))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_contains_equals_fraction_reference(kind, n):
+    system = get_system(kind, n)
+    rng = random.Random(f"differential:{kind.value}:{n}")
+    for alpha in system.roots:
+        for c in DIFFERENTIAL_SCALARS:
+            chart = orbit_chart(kind, n, alpha, c)
+            f, _ = random_orbit_point(kind, n, alpha, c, seed=f"diff:{kind.value}:{n}:{alpha}:{c}")
+            assert _agree(chart, f)
+            assert not _agree(chart, _nudged(f, rng.choice(chart.data.regular)))
+            if chart.data.singular:
+                _agree(chart, _nudged(f, rng.choice(chart.data.singular)))
+            # The same point against the level-1 chart, where c != 1 moves it off.
+            _agree(orbit_chart(kind, n, alpha, 1), f)
+            assert not _agree(chart, zero_functional(system))
+            # Singular values with denominators up to 2^64: on the orbit, then nudged.
+            big = {s: Q(rng.randrange(-2**64, 2**64), rng.randrange(1, 2**64))
+                   for s in chart.data.singular}
+            point = chart_point(chart, big)
+            assert _agree(chart, point)
+            assert not _agree(chart, _nudged(point, rng.choice(chart.data.regular)))
+            if big:
+                assert not _agree(chart, _nudged(point, alpha, Q(1, 2**64 + 1)))
+            # Off-orbit functionals with small and with 64-bit denominators.
+            g = random_functional(system, rng, force_root=alpha)
+            _agree(chart, g)
+            _agree(chart, functional(system, {r: v / rng.randrange(1, 2**64)
+                                              for r, v in g.values.items()}))
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_contains_honours_replaced_constraints(kind, n):
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        if alpha.tag != SUM:
+            continue
+        for rule in sorted(SIGN_RULES):
+            chart = _paper_chart(kind, n, alpha, rule)
+            for t in range(4):
+                f, _ = random_orbit_point(kind, n, alpha, 1, seed=f"rules:{kind}:{n}:{alpha}:{t}")
+                _agree(chart, f)
+                _agree(chart, _nudged(f, diff(alpha.i, n)))
+
+
+def test_replaced_constraint_rejects_what_the_derived_chart_accepts():
+    f, _ = random_orbit_point("B", 4, sum_root(1, 2), 1, seed="signs-separate")
+    assert _agree(orbit_chart("B", 4, sum_root(1, 2), 1), f)
+    assert not _agree(_paper_chart("B", 4, sum_root(1, 2), "alternating"), f)
+    # A chart replaced after its integer forms were used is read afresh.
+    derived = orbit_chart("B", 4, sum_root(1, 2), 1)
+    contains(derived, f)
+    swapped = replace(derived, constraints=_paper_chart("B", 4, sum_root(1, 2),
+                                                        "alternating").constraints)
+    assert not _agree(swapped, f)
+
+
+@pytest.mark.parametrize("c", DIFFERENTIAL_SCALARS)
+def test_contains_honours_a_constraint_of_mixed_degree(c):
+    # Derived charts are homogeneous; a replaced constraint need not be.
+    chart = orbit_chart("A", 4, diff(1, 4), c)
+    system = chart.system
+    s, t = var(system, diff(1, 2)), var(system, diff(2, 4))
+    mixed = s * s * t * Q(2, 3) - s + Q(5, 7)
+    chart = replace(chart, constraints=chart.constraints | {diff(2, 3): mixed})
+    for a, b in ((Q(1), Q(-2)), (Q(3, 5), Q(7, 11)), (Q(-2**64, 3), Q(1, 2**64))):
+        assignment = {root: 0 for root in chart.data.singular} | {diff(1, 2): a, diff(2, 4): b}
+        point = chart_point(chart, assignment)
+        ha, hb = a / c, b / c
+        assert point.value(diff(2, 3)) == c * (ha * ha * hb * Q(2, 3) - ha + Q(5, 7))
+        assert _agree(chart, point)
+        assert not _agree(chart, _nudged(point, diff(2, 3)))
+
+
+def test_chart_point_equals_fraction_reference():
+    # Each regular value is c times the level-1 constraint at (1/c) times the assignment.
+    rng = random.Random("chart-point-reference")
+    for kind in KINDS:
+        system = get_system(kind, 5)
+        for alpha in system.roots:
+            for c in DIFFERENTIAL_SCALARS:
+                chart = orbit_chart(kind, 5, alpha, c)
+                assignment = {s: Q(rng.randrange(-9, 10), rng.choice((1, 2, 3, 2**64)))
+                              for s in chart.data.singular}
+                h = [Q(0)] * len(system.roots)
+                for s, v in assignment.items():
+                    h[system.index_of(s)] = v / c
+                point = chart_point(chart, assignment)
+                for beta, poly in chart.constraints.items():
+                    expected = c * sum((coef * _product(h[k] for k in mono)
+                                        for mono, coef in poly.terms.items()), Q(0))
+                    assert point.value(beta) == expected
+                assert _agree(chart, point)
+
+
+def _product(factors):
+    out = Q(1)
+    for x in factors:
+        out *= x
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The level-1 derivation cache
+# ---------------------------------------------------------------------------
+
+def test_charts_copy_the_cached_constraints():
+    alpha = sum_root(1, 2)
+    first = orbit_chart("B", 4, alpha, 1)
+    second = orbit_chart("B", 4, alpha, Q(-3, 5))
+    assert first.constraints == second.constraints
+    assert first.constraints is not second.constraints
+    cached = _level_one_constraints(RootSystemKind.B, 4, alpha)
+    assert first.constraints is not cached and second.constraints is not cached
+
+
+def test_editing_a_chart_leaves_the_cache_alone():
+    alpha = sum_root(1, 2)
+    f, _ = random_orbit_point("B", 4, alpha, 2, seed="cache-isolation")
+    bad = _nudged(f, diff(3, 4))
+    pristine = orbit_chart("B", 4, alpha, 2)
+    expected_json = chart_to_json(pristine)
+    expected = dict(pristine.constraints)
+    edited = orbit_chart("B", 4, alpha, 2)
+    edited.constraints.pop(diff(3, 4))
+    edited.constraints[diff(1, 2)] = Polynomial.const(5)
+    edited.constraints[alpha] = Polynomial.zero()
+    assert not contains(edited, f)
+    fresh = orbit_chart("B", 4, alpha, 2)
+    assert fresh.constraints == expected
+    assert chart_to_json(fresh) == expected_json
+    assert contains(fresh, f) and not contains(fresh, bad)
+
+
+def test_a_second_chart_call_derives_nothing(monkeypatch):
+    import coadorbits.orbits as orbits_module
+
+    alpha = diff(1, 5)
+    orbit_chart("A", 6, alpha, 1)
+    before = _level_one_constraints.cache_info()
+    calls = []
+    monkeypatch.setattr(orbits_module, "_act", lambda *args: calls.append(args))
+    chart = orbit_chart("A", 6, alpha, Q(7, 2))
+    after = _level_one_constraints.cache_info()
+    assert calls == []
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert chart.constraints == _level_one_constraints(RootSystemKind.A, 6, alpha)
+
+
+def test_unconstrained_regular_roots_share_one_zero():
+    for kind in KINDS:
+        system = get_system(kind, 5)
+        for alpha in system.roots:
+            for poly in orbit_chart(kind, 5, alpha, 1).constraints.values():
+                assert poly or poly is _ZERO
 
 
 # ---------------------------------------------------------------------------
