@@ -236,16 +236,16 @@ def _integer_vector(
 def contains(chart: OrbitChart, f: Functional) -> bool:
     """Exact membership of f in the chart's orbit.
 
-    With (1/c) f = H / e and a constraint's integer form (L, K), the test
-    h(beta) = P(h) reads H(beta) L e^K = e L e^K P(H / e), all integers.
+    With (1/c) f = H / e and a constraint P(H / e) = num / den, the test
+    h(beta) = P(h) reads H(beta) den = e num, all integers.
     """
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
     h, e = _integer_vector(chart, f.values)
     index_of = chart.system.index_of
     for beta, poly in chart.constraints.items():
-        scale, degree, _ = poly._integer_form
-        if h[index_of(beta)] * scale * e ** degree != e * poly._integer_value(h, e):
+        num, den = poly._integer_ratio(h, e)
+        if h[index_of(beta)] * den != e * num:
             return False
     return True
 
@@ -265,9 +265,8 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
     c = chart.c
     regular = {}
     for beta, poly in chart.constraints.items():
-        scale, degree, _ = poly._integer_form
-        regular[beta] = Fraction(c.numerator * poly._integer_value(h, e),
-                                 c.denominator * scale * e ** degree)
+        num, den = poly._integer_ratio(h, e)
+        regular[beta] = Fraction(c.numerator * num, c.denominator * den)
     return functional(chart.system, given | regular)
 
 

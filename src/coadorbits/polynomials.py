@@ -8,8 +8,8 @@ operation mutates an operand, so adding 0 or multiplying by 1 returns the
 operand itself. Coefficients are stored as Fractions. Evaluation runs over
 the integers: each polynomial caches, on first use, its integer form, the
 coefficients times the lcm L of their denominators, each term with the
-power of a common value denominator it lacks below the degree K, so
-values H / e evaluate as the one integer L e^K P(H / e).
+power of a common value denominator it lacks below the degree K, so at
+values H / e it evaluates to the integer ratio L e^K P(H / e) / (L e^K).
 """
 
 from __future__ import annotations
@@ -111,15 +111,16 @@ class Polynomial:
                       for mono, c in self.terms.items())
         return scale, degree, terms
 
-    def _integer_value(self, values: Sequence[int], e: int) -> int:
-        """L * e^K * P(values / e) for int values and a nonzero int e; exact, no Fraction."""
+    def _integer_ratio(self, values: Sequence[int], e: int) -> tuple[int, int]:
+        """P(values / e) as (L e^K P(values / e), L e^K), for int values and a nonzero int e."""
+        scale, degree, terms = self._integer_form
         total = 0
-        for coef, mono, gap in self._integer_form[2]:
+        for coef, mono, gap in terms:
             prod = coef
             for k in mono:
                 prod *= values[k]
             total += prod * e ** gap if gap else prod
-        return total
+        return total, scale * e ** degree
 
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
         """The exact value at ``values`` (indexed by position), always a Fraction.
@@ -128,9 +129,8 @@ class Polynomial:
         form is evaluated on their numerators.
         """
         e = math.lcm(*[v.denominator for v in values])
-        scale, degree, _ = self._integer_form
         ints = [v.numerator * (e // v.denominator) for v in values]
-        return Fraction(self._integer_value(ints, e), scale * e ** degree)
+        return Fraction(*self._integer_ratio(ints, e))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a stable display order: by degree, then positions."""

@@ -419,15 +419,16 @@ def test_integer_evaluation_equals_fraction_reference(kind, n):
     for alpha in system.roots:
         chart = orbit_chart(kind, n, alpha, rng.choice((Q(1), Q(-3, 5), Q(7, 2))))
         for poly in [*chart.constraints.values(), *chart.scaled_constraints().values(), *extra]:
-            values = [rng.choice((0, 1, -2, Q(rng.randrange(-2**64, 2**64), rng.randrange(1, 2**64))))
-                      for _ in range(size)]
+            wide = [Q(rng.randrange(-2**64, 2**64), rng.randrange(1, 2**64)) for _ in range(size)]
+            values = [rng.choice((0, 1, -2, v)) for v in wide]
             value = poly.evaluate(values)
             assert type(value) is Q and value == _reference_evaluate(poly, values)
             ints = [rng.randrange(-9, 10) for _ in range(size)]
             e = rng.choice((1, -1, 6, -2**64 - 1))
             scale, degree, _ = poly._integer_form
-            assert poly._integer_value(ints, e) == (
-                scale * Q(e) ** degree * _reference_evaluate(poly, [Q(v, e) for v in ints]))
+            num, den = poly._integer_ratio(ints, e)
+            assert den == scale * e ** degree
+            assert num == den * _reference_evaluate(poly, [Q(v, e) for v in ints])
 
 
 @pytest.mark.parametrize("kind,n", REFERENCE_SYSTEMS)
