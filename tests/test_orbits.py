@@ -1,5 +1,6 @@
 """Singular data, orbit charts, membership, parametrization, group words."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -630,17 +631,10 @@ def test_chart_point_equals_fraction_reference():
                     h[system.index_of(s)] = v / c
                 point = chart_point(chart, assignment)
                 for beta, poly in chart.constraints.items():
-                    expected = c * sum((coef * _product(h[k] for k in mono)
+                    expected = c * sum((coef * math.prod(h[k] for k in mono)
                                         for mono, coef in poly.terms.items()), Q(0))
                     assert point.value(beta) == expected
                 assert _agree(chart, point)
-
-
-def _product(factors):
-    out = Q(1)
-    for x in factors:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------
