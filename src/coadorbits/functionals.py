@@ -8,8 +8,11 @@ dimension equal to the rank of the skew form (x, y) -> f([x, y]).
 Both the action and the skew form read the bracket table by canonical
 position (``BracketTable.by_index``). The action reads it through one cached
 plan per letter (``_ad_chains``): the gammas the letter moves, longest tail
-first, each with its one or two tail terms unrolled, so that every letter
-updates one position vector in place. The skew form is built once, as sparse
+first, each with its one or two tail terms unrolled in int coefficients, so
+that every letter updates one position vector in place. That vector holds
+f's values as ints over one common denominator, which type B's second-order
+halves double only where a half is real, so integral parameters keep the
+whole action in ints. The skew form is built once, as sparse
 integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
 ``radical_basis`` hand those rows to the modular kernel of ``linalg``
 (``orbit_dimension`` only counts its vectors), and ``skew_form`` reads them
@@ -53,7 +56,8 @@ def parse_rational(text: str) -> Fraction:
     """The rational of an exact string "p" or "p/q", such as "-3/5" (CONVENTIONS.md).
 
     Decimal, exponent, signed-plus and padded forms, which ``Fraction`` would
-    read, raise ValueError before any integer is built.
+    read, raise ValueError before any integer is built; so does a zero
+    denominator, such as "1/0".
     """
     if not _RATIONAL_STRING.fullmatch(text):
         raise ValueError(f"Invalid literal for Fraction: {_echo(text)}")
@@ -61,6 +65,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ValueError:
         raise ValueError(f"rational string of {len(text)} characters is too long") from None
+    except ZeroDivisionError:
+        raise ValueError(f"rational string {_echo(text)} has a zero denominator") from None
 
 
 def _frac(x: Rational) -> Fraction:
@@ -76,14 +82,6 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {_echo(x)}')
-
-
-def _integral(x):
-    """x as an int when it is an integral Fraction; any other value as it is.
-
-    The exact type test skips the Fraction ABC's slow instance check on ints.
-    """
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -154,34 +152,37 @@ def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
 
 @lru_cache(maxsize=None)
 def _ad_chains(kind: RootSystemKind, n: int):
-    """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves.
+    """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves, in ints.
 
     All roots are positions in the canonical root order. chains[b] is
-    (twos, ones): twos holds (g, p, c, q, d) for each gamma whose tail has
-    two terms, c t e_p + d t^2 e_q with p = g+b and q = g+2b; ones holds
-    (g, p, c) for each gamma with the single term c t e_p. A coefficient
-    carries (-1)^m times the iterated structure constants over m!, an int
-    unless m! leaves a denominator (the 1/2 of type B's short roots). Root
-    strings in A, B and D have at most three roots, so no tail is longer;
-    only type B's short betas have twos. The tail of g+b is the tail of g
-    less its first term, so every gamma a plan entry reads comes later in the
-    plan, if at all: the action updates one vector in place, twos first.
+    (twos, ones): twos holds (g, p, c, q, d2) for each gamma whose tail has
+    two terms, c t e_p + (d2 / 2) t^2 e_q with p = g+b and q = g+2b; ones
+    holds (g, p, c) for each gamma with the single term c t e_p. With k1
+    and k2 the structure constants of the string g, g+b, g+2b, c is -k1 and
+    d2 is k1 k2, the numerator over 2! of the second-order coefficient, so
+    every entry is an int; in type B, the only kind with twos, d2 is -1.
+    Root strings in A, B and D have at most three roots, so no tail is
+    longer; only type B's short betas have twos. The tail of g+b is the
+    tail of g less its first term, so every gamma a plan entry reads comes
+    later in the plan, if at all: the action updates one vector in place,
+    twos first.
     """
     chains = []
     for brackets in structure_table(kind, n).by_index:
         twos, ones = [], []
         for g in sorted(brackets):
-            tail = []
-            cur, c, m = g, 1, 0
-            while (hit := brackets.get(cur)) is not None:
-                k, cur = hit
-                c *= -k
-                m += 1
-                d = math.factorial(m)
-                tail += (cur, c // d if c % d == 0 else Fraction(c, d))
-            (twos if len(tail) == 4 else ones).append((g, *tail))
+            k1, p = brackets[g]
+            hit = brackets.get(p)
+            if hit is None:
+                ones.append((g, p, -k1))
+            else:
+                k2, q = hit
+                twos.append((g, p, -k1, q, k1 * k2))
         chains.append((tuple(twos), tuple(ones)))
     return tuple(chains)
+
+
+_HALF = Fraction(1, 2)
 
 
 def _act(system: RootSystem, letters, values: Mapping) -> dict:
@@ -189,11 +190,18 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
 
     The loop only adds, multiplies and tests for zero, so the parameters and
     values may be Fractions or Polynomials; an orbit chart runs it with its
-    letters' parameters as variables. Inside, integral parameters, values and
-    tail coefficients travel as ints, and int/Fraction promotion keeps every
-    sum exact; the returned values are Fractions (or Polynomials) again.
-    Each letter updates the vector in place, in its plan's order (see
-    ``_ad_chains``). ``values`` itself comes back when nothing moves it.
+    letters' parameters as variables. Inside, the values are written once as
+    ints over one common denominator den, the lcm of their denominators, and
+    integral parameters travel as ints; int/Fraction promotion keeps every
+    sum exact. A second-order term y (d2 / 2) t^2 (type B only) takes
+    z = y d2 t^2 and adds z >> 1 when z is an even int. When z is an odd
+    int, the half is real: the whole vector and den are doubled, and z is
+    added as it is, so integral parameters keep the vector in ints. Any
+    other z (a Fraction from a rational parameter, or a Polynomial) adds
+    z * 1/2. The returned values are Fractions (or Polynomials) again, each
+    divided by den. Each letter updates the vector in place, in its plan's
+    order (see ``_ad_chains``). ``values`` itself comes back when nothing
+    moves it.
     """
     index = system._index
     moves = []
@@ -212,25 +220,39 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
     if not moves or not values:
         return values
     chains = _ad_chains(system.kind, system.n)
+    den = math.lcm(*[v.denominator for v in values.values() if type(v) is Fraction])
     vec = [0] * len(system.roots)
     for root, v in values.items():
-        vec[system.index_of(root)] = _integral(v)
+        vec[system.index_of(root)] = (v.numerator * (den // v.denominator)
+                                      if type(v) is Fraction else v * den)
     for b, t in moves:
         twos, ones = chains[b]
         if twos:
             tt = t * t
-            for g, p, c, q, d in twos:
+            for g, p, c, q, d2 in twos:
                 x, y = vec[p], vec[q]
                 if x:
                     vec[g] += x * c * t
                 if y:
-                    vec[g] += y * d * tt
+                    z = y * d2 * tt
+                    if type(z) is not int:
+                        vec[g] += z * _HALF
+                    elif z & 1:
+                        vec = [v + v for v in vec]
+                        den += den
+                        vec[g] += z
+                    else:
+                        vec[g] += z >> 1
         for g, p, c in ones:
             x = vec[p]
             if x:
                 vec[g] += x * c * t
     roots = system.roots
-    return {roots[k]: Fraction(v) if type(v) is int else v for k, v in enumerate(vec) if v}
+    if den == 1:
+        return {roots[k]: Fraction(v) if type(v) is int else v for k, v in enumerate(vec) if v}
+    scale = Fraction(1, den)
+    return {roots[k]: Fraction(v, den) if type(v) is int else v * scale
+            for k, v in enumerate(vec) if v}
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -340,7 +362,7 @@ def rational_from_json(key: str, value) -> Fraction:
     if isinstance(value, str):
         try:
             return parse_rational(value)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
     raise ValueError(f'value of {key!r} must be an exact rational string such as "-3/5", '
                      f"got {_echo(value)}")

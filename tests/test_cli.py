@@ -247,6 +247,14 @@ def test_chart_c_is_held_to_the_rational_grammar(capsys, c):
     assert err == f"coadorbits: error: Invalid literal for Fraction: {c!r}\n"
 
 
+@pytest.mark.parametrize("c", ["1/0", "-3/00"])
+def test_chart_c_with_a_zero_denominator_is_an_input_error(capsys, c):
+    code, out, err = run_cli(capsys, "chart", "--kind", "A", "--n", "3", "--alpha", "e1-e3",
+                             "--c", c)
+    assert (code, out) == (1, "")
+    assert err == f"coadorbits: error: rational string {c!r} has a zero denominator\n"
+
+
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
 def test_chart_c_over_long_is_an_input_error(capsys):
     c = "7" * (sys.get_int_max_str_digits() + 1)

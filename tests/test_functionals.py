@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coadorbits.basic import basic_map, basic_subset
+from coadorbits.basic import basic_map, basic_point, basic_subset, enumerate_basic_subsets
 from coadorbits.functionals import (
     Functional,
     GroupWord,
@@ -33,7 +33,8 @@ from coadorbits.functionals import (
     zero_functional,
 )
 from coadorbits.linalg import kernel_basis, rank
-from coadorbits.oracle import random_functional, random_orbit_point, random_word
+from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
+                               random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
 from coadorbits.polynomials import Polynomial
 from coadorbits.roots import (
@@ -248,9 +249,12 @@ def _reference_ad_chains(kind, n):
 
 
 def _plan_tails(plan):
-    """A letter's plan (twos, ones) as [(g, ((target, m, coef), ...)), ...], in plan order."""
+    """A letter's plan (twos, ones) as [(g, ((target, m, coef), ...)), ...], in plan order.
+
+    A two-term tail stores its second-order coefficient as a numerator over 2.
+    """
     twos, ones = plan
-    return ([(g, ((p, 1, c), (q, 2, d))) for g, p, c, q, d in twos]
+    return ([(g, ((p, 1, c), (q, 2, Q(d2, 2)))) for g, p, c, q, d2 in twos]
             + [(g, ((p, 1, c),)) for g, p, c in ones])
 
 
@@ -263,16 +267,16 @@ def test_ad_chains_equal_root_pair_reference(kind):
         # The same tails, grouped longest first, in gamma order within a group.
         for plan, moved in zip(chains, reference):
             assert _plan_tails(plan) == sorted(moved, key=lambda item: -len(item[1]))
-        # Only type B's short roots leave a denominator: the -1/2 of their
-        # second-order tails. Every other coefficient is an int.
+        # Every plan entry is an int. Only type B's short roots have
+        # second-order tails, and each stores the reference's -1/2 as the
+        # numerator -1 over 2.
         roots = get_system(kind, n).roots
-        for b, plan in enumerate(chains):
-            for _, tail in _plan_tails(plan):
-                for _, m, coef in tail:
-                    if kind is RootSystemKind.B and roots[b].tag == SHORT and m == 2:
-                        assert type(coef) is Q and coef == Q(-1, 2)
-                    else:
-                        assert type(coef) is int
+        for b, (twos, ones) in enumerate(chains):
+            assert all(type(x) is int for entry in twos + ones for x in entry)
+            if twos:
+                assert kind is RootSystemKind.B and roots[b].tag == SHORT
+            for g, p, c, q, d2 in twos:
+                assert d2 == -1 and Q(d2, 2) == Q(-1, 2)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -371,6 +375,57 @@ def test_action_equals_all_fraction_reference(case):
     assert one.values == _reference_act(system, ((beta, t),), f.values)
     assert _stored_exactly(one)
 
+
+
+def _assert_action_matches_reference(word, f):
+    got = coadjoint_apply(word, f)
+    assert got.values == _reference_act(f.system, word.letters, f.values)
+    assert _stored_exactly(got)
+    return got
+
+
+def test_action_equals_reference_on_workload_shaped_inputs():
+    # Every alpha of B4-B6 under random 2N-letter words, whose odd parameters
+    # make real halves on short-root letters.
+    rng = random.Random("workload-shaped")
+    non_integral = 0
+    for n in (4, 5, 6):
+        system = get_system("B", n)
+        for alpha in system.roots:
+            f = e_star(system, alpha, rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(2):
+                word = random_word(system, rng, default_word_length(system))
+                got = _assert_action_matches_reference(word, f)
+                non_integral += any(v.denominator != 1 for v in got.values.values())
+    assert non_integral
+    # Basic points of A6-A8 with phi denominators 1 to 3: values over a
+    # common denominator above 1.
+    with_denominator = 0
+    for n in (6, 7, 8):
+        system = get_system("A", n)
+        subsets = list(enumerate_basic_subsets(n))
+        for _ in range(8):
+            subset = subsets[rng.randrange(len(subsets))]
+            phi = {root: Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+                   for root in subset.roots}
+            f = basic_point(basic_map(subset, phi)) if phi else zero_functional(system)
+            with_denominator += any(v.denominator != 1 for v in f.values.values())
+            _assert_action_matches_reference(
+                random_word(system, rng, default_word_length(system)), f)
+    assert with_denominator
+    # A rational parameter between two odd short-root letters: the first
+    # letter applied leaves a real half, the rational one turns the vector
+    # into Fractions, and the last meets odd and Fraction second-order terms.
+    for n in (2, 3, 4, 5):
+        system = get_system("B", n)
+        shorts = [r for r in system.roots if r.tag == SHORT]
+        f = functional(system, {r: Q(1 + k % 3, 1 + k % 2) for k, r in enumerate(system.roots)})
+        for first in shorts:
+            for last in shorts:
+                for middle in (system.roots[0], shorts[0], system.roots[-1]):
+                    word = group_word([(last, 3), (middle, Q(-2, 3)), (first, 1)])
+                    got = _assert_action_matches_reference(word, f)
+                    assert any(v.denominator != 1 for v in got.values.values())
 
 @given(st.sampled_from(ACT_SYSTEMS), st.data())
 def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, data):

@@ -4,7 +4,9 @@ Integral numbers travel through the action and chart loops as ints, and
 int/Fraction promotion keeps them exact. A float literal, a ``float()``
 call or a math function outside the integer ones would leave exact
 arithmetic there without any compared value showing it, so this guard
-fails on each of them.
+fails on each of them. So would a true division of two ints, which gives
+a float: every ``/`` in the package must sit in a function listed in
+``DIVISION_SITES``, where it divides Fractions.
 """
 
 import ast
@@ -17,6 +19,8 @@ import coadorbits
 SOURCES = sorted(Path(coadorbits.__file__).parent.glob("*.py"))
 # The integer functions of math in use; every other one takes or returns floats.
 INTEGER_MATH = {"factorial", "lcm", "gcd", "isqrt"}
+# (module, function) of every true division in the package; each divides by a Fraction.
+DIVISION_SITES = {("basic", "decompose"), ("linalg", "_eliminate"), ("linalg", "_exact_kernel")}
 
 
 def float_uses(source: str) -> list[str]:
@@ -38,6 +42,22 @@ def float_uses(source: str) -> list[str]:
             found.extend(f"{node.lineno}: import math as {alias.asname}"
                          for alias in node.names if alias.name == "math" and alias.asname)
     return sorted(found)
+
+
+def true_divisions(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each / and /=, the function by its dotted name of enclosing defs."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((scope or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return sorted(found, key=lambda site: site[1])
 
 
 def test_guard_walks_every_module():
@@ -69,3 +89,30 @@ def test_guard_finds_each_float_form():
         "6: literal 2j",
         "7: import math as m",
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_divides_only_at_listed_sites(path):
+    divisions = true_divisions(path.read_text(encoding="utf-8"))
+    assert [(fn, line) for fn, line in divisions if (path.stem, fn) not in DIVISION_SITES] == []
+
+
+def test_every_listed_division_site_divides():
+    found = {(path.stem, fn) for path in SOURCES
+             for fn, _ in true_divisions(path.read_text(encoding="utf-8"))}
+    assert DIVISION_SITES <= found
+
+
+def test_division_guard_finds_each_form():
+    source = "\n".join([
+        "a = 1 / 2",
+        "def f(x):",
+        "    x /= 2",
+        "    return x // 2",
+        "class C:",
+        "    def g(self, y):",
+        "        def h():",
+        "            return y / 3",
+        "        return h",
+    ])
+    assert true_divisions(source) == [("<module>", 1), ("f", 3), ("C.g.h", 8)]
