@@ -1,5 +1,6 @@
 """Coadjoint action, skew forms, orbit dimensions, radicals."""
 
+import itertools
 import math
 import random
 import re
@@ -376,7 +377,6 @@ def test_action_equals_all_fraction_reference(case):
     assert _stored_exactly(one)
 
 
-
 def _assert_action_matches_reference(word, f):
     got = coadjoint_apply(word, f)
     assert got.values == _reference_act(f.system, word.letters, f.values)
@@ -413,19 +413,26 @@ def test_action_equals_reference_on_workload_shaped_inputs():
             _assert_action_matches_reference(
                 random_word(system, rng, default_word_length(system)), f)
     assert with_denominator
-    # A rational parameter between two odd short-root letters: the first
-    # letter applied leaves a real half, the rational one turns the vector
-    # into Fractions, and the last meets odd and Fraction second-order terms.
+    # A rational parameter between two odd short-root letters. On odd values
+    # the first letter applied meets odd second-order terms wherever its plan
+    # has any; the rational middle letter puts Fractions into the vector,
+    # which the last letter meets in some cases as second-order terms.
+    odd_halves = fraction_halves = 0
     for n in (2, 3, 4, 5):
         system = get_system("B", n)
+        chains = _ad_chains(system.kind, n)
         shorts = [r for r in system.roots if r.tag == SHORT]
-        f = functional(system, {r: Q(1 + k % 3, 1 + k % 2) for k, r in enumerate(system.roots)})
-        for first in shorts:
-            for last in shorts:
-                for middle in (system.roots[0], shorts[0], system.roots[-1]):
-                    word = group_word([(last, 3), (middle, Q(-2, 3)), (first, 1)])
-                    got = _assert_action_matches_reference(word, f)
-                    assert any(v.denominator != 1 for v in got.values.values())
+        f = functional(system, {r: 2 * (k % 3) + 1 for k, r in enumerate(system.roots)})
+        for first, last, middle in itertools.product(shorts, shorts, system.roots):
+            word = group_word([(last, 3), (middle, Q(-2, 3)), (first, 1)])
+            _assert_action_matches_reference(word, f)
+            between = _reference_act(system, word.letters[1:], f.values)
+            odd_halves += bool(chains[system.index_of(first)][0])
+            fraction_halves += any(
+                Q(between.get(system.roots[q], 0)).denominator != 1
+                for _, _, _, q, _ in chains[system.index_of(last)][0])
+    assert odd_halves and fraction_halves
+
 
 @given(st.sampled_from(ACT_SYSTEMS), st.data())
 def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, data):
