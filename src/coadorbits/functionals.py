@@ -14,9 +14,9 @@ f's values as ints over one common denominator, which type B's second-order
 halves double only where a half is real, so integral parameters keep the
 whole action in ints. The skew form is built once, as sparse
 integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
-``radical_basis`` hand those rows to the modular kernel of ``linalg``
-(``orbit_dimension`` only counts its vectors), and ``skew_form`` reads them
-back as dense Fraction rows.
+``radical_basis`` hand those rows to the integer elimination of ``linalg``
+(``orbit_dimension`` only counts its pivots, ``radical_basis`` reads its
+kernel), and ``skew_form`` reads them back as dense Fraction rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import Vector, _fractions, _kernel
+from .linalg import _fractions, _kernel, _reduced
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -319,13 +319,9 @@ def skew_form(f: Functional) -> SkewForm:
                                     for row in int_rows))
 
 
-def _radical(f: Functional) -> list[Vector]:
-    return _kernel(_skew_rows(f)[0], len(f.system.roots))
-
-
 def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = len(f.system.roots) - len(_radical(f))
+    r = len(_reduced(_skew_rows(f)[0]))
     if r % 2 != 0:
         raise OddRankError(f"skew form has odd rank {r}")
     return r
@@ -337,7 +333,8 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     Vectors are coefficient tuples over the canonical root order; their
     count is len(roots) - orbit_dimension(f).
     """
-    return _fractions(_radical(f), len(f.system.roots))
+    n = len(f.system.roots)
+    return _fractions(_kernel(_skew_rows(f)[0], n), n)
 
 
 # ---------------------------------------------------------------------------

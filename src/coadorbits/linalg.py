@@ -5,27 +5,17 @@ Everything here works on sequences of rows (lists or tuples) of
 determinants are exact, which is what makes orbit dimensions trustworthy
 integers rather than numerical estimates.
 
-One certified modular kernel, ``_kernel``, takes sparse integer rows
-{column: int}. ``rank`` and ``kernel_basis`` scale each Fraction row to
-integers by the lcm of its denominators and pass it on; ``functionals``
-passes the integer rows of a skew form directly. The rows are inserted,
-shortest first, into the reduced row echelon form modulo a prime p. Each
-free column gives a kernel vector with 1 there, 0 at the other free columns
-and at the pivots after it, and entries at the earlier pivots read from
-their residues over one denominator per vector, by rational reconstruction
-(Wang 1981) where the denominator so far does not give a small numerator.
-The basis is accepted only if the integer rows annihilate the integer
-numerators of every vector exactly. That certifies it: the pivot columns
-modulo p have a nonzero minor, so they are independent over Q, and each
-vector shows its free column in the span of the pivots before it. So the
-pivots and the vectors are exactly those of elimination over Q. When a
-certificate fails, the next modulus of a fixed ladder (2^127 - 1,
-2^521 - 1) is tried, and after the last one the Fraction elimination
-``_eliminate`` with back-substitution decides, on the integer rows read as
-Fractions. A vector is a denominator and its integer numerators, so a rank
-only counts vectors; ``_fractions`` reads them as Fraction tuples for
-``kernel_basis`` and ``functionals.radical_basis``. ``det`` reads
-``_eliminate``.
+One exact elimination over the integers, ``_reduced``, takes sparse
+integer rows {column: int} and returns their reduced row echelon form over
+Q, each row scaled to coprime integers with a positive pivot (Bareiss 1968
+keeps elimination over the integers in the same way). ``rank`` and
+``kernel_basis`` scale each Fraction row to integers by the lcm of its
+denominators; ``functionals`` passes the integer rows of a skew form
+directly. A rank counts the pivots. ``_kernel`` reads one vector per free
+column off the reduced rows, as a denominator and its integer numerators,
+and ``_fractions`` reads those as Fraction tuples for ``kernel_basis`` and
+``functionals.radical_basis``. ``det`` and the reference kernel
+``_exact_kernel`` read the Fraction elimination ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -37,9 +27,6 @@ from typing import Sequence
 Matrix = Sequence[Sequence[Fraction]]
 # A kernel vector as (denominator, {column: integer numerator}).
 Vector = tuple[int, dict[int, int]]
-
-# Mersenne primes tried in turn before the Fraction elimination.
-_MODULI = (2**127 - 1, 2**521 - 1)
 
 
 def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
@@ -93,9 +80,19 @@ def _exact_kernel(rows: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
-    """Each row times the lcm of its denominators, as {column: nonzero integer}."""
+    """Each row times the lcm of its denominators, as {column: nonzero integer}.
+
+    Rows of unequal length and entries that are not int or Fraction raise
+    ValueError.
+    """
     out = []
+    ncols = len(rows[0]) if rows else 0
     for row in rows:
+        if len(row) != ncols:
+            raise ValueError("matrix rows have unequal lengths")
+        for x in row:
+            if type(x) is bool or not isinstance(x, (int, Fraction)):
+                raise ValueError(f"matrix entries must be int or Fraction, not {type(x).__name__}")
         entries = [(j, x) for j, x in enumerate(row) if x]
         # math.lcm reads lists here and below: unpacking generators into it
         # left memory allocated on CPython 3.11 and raised the peak RSS.
@@ -104,123 +101,90 @@ def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
     return out
 
 
-def _reduced_mod(int_rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """Reduced row echelon form modulo p: {pivot column: its row without the pivot's 1}.
+def _reduced(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form over Q: {pivot column: its row as coprime ints}.
 
-    Rows are inserted shortest first, which keeps the pivot rows sparse. Each
-    row is cleared at the pivot columns found so far; a reduced pivot row
-    holds no other pivot column, so clearing one brings none back. A nonzero
-    remainder, scaled to 1 at its first column, becomes that column's pivot
-    row and clears the column from the earlier pivot rows. So a pivot row
-    holds only columns after its pivot, and the result is the one reduced
-    form of the rows modulo p, whatever order they come in.
+    Rows are inserted shortest first, which keeps the pivot rows sparse. A
+    row is cleared at the pivots found so far by cross-multiplying with the
+    two coefficients over their gcd; a reduced pivot row holds no other
+    pivot column, so clearing one brings none back. A nonzero remainder,
+    made primitive with a positive entry at its first column, becomes that
+    column's pivot row and clears the column from the earlier pivot rows,
+    each made primitive again. So every row is the primitive integer
+    multiple of a row of the one reduced form over Q, whatever order the
+    rows come in, and by Cramer's rule each entry is bounded by a minor.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in sorted(int_rows, key=len):
         row = dict(row)
         for c in [c for c in row if c in echelon]:
-            d = row.pop(c)
-            for j, b in echelon[c].items():
-                row[j] = row.get(j, 0) - d * b
-        row = {j: r for j, a in row.items() if (r := a % p)}
+            top = echelon[c]
+            a = row.pop(c)
+            g = math.gcd(a, top[c])
+            a, s = a // g, top[c] // g
+            if s != 1:
+                row = {j: x * s for j, x in row.items()}
+            for j, x in top.items():
+                if j != c:
+                    row[j] = row.get(j, 0) - a * x
+        row = {j: x for j, x in row.items() if x}
         if not row:
             continue
         c = min(row)
-        inv = pow(row.pop(c), -1, p)
-        row = {j: a * inv % p for j, a in row.items()}
-        for top in echelon.values():
+        g = math.gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        b = row[c]
+        for pc, top in echelon.items():
             d = top.pop(c, 0)
-            if d:
-                for j, b in row.items():
-                    x = (top.get(j, 0) - d * b) % p
-                    if x:
-                        top[j] = x
+            if not d:
+                continue
+            g = math.gcd(d, b)
+            d, s = d // g, b // g
+            if s != 1:
+                top = {j: x * s for j, x in top.items()}
+            for j, x in row.items():
+                if j != c:
+                    y = top.get(j, 0) - d * x
+                    if y:
+                        top[j] = y
                     else:
                         del top[j]
+            g = math.gcd(*top.values())
+            echelon[pc] = {j: x // g for j, x in top.items()} if g != 1 else top
         echelon[c] = row
     return echelon
-
-
-def _reconstruct(a: int, p: int, bound: int) -> tuple[int, int]:
-    """(n, d) with n = a d mod p and |n| <= bound, from the remainders of p and a.
-
-    If a fraction with numerator and denominator at most ``bound`` has
-    residue a, this is it (Wang 1981); any other answer fails the certificate.
-    """
-    r0, r1, t0, t1 = p, a, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return r1, t1
-
-
-def _modular_kernel(int_rows: list[dict[int, int]], ncols: int, p: int) -> list[Vector] | None:
-    """The reduced kernel basis read modulo p, or None if its certificate fails.
-
-    A free column fc gets minus the reduced form's fc entry at each pivot,
-    and only rows of pivots before fc hold one; so 1 at fc and the zeros at
-    the other free columns and the later pivots hold by construction. Each
-    vector keeps one denominator D, which starts at 1: a residue r is read
-    as the numerator r D mod p when that lies within the bound, and only
-    otherwise rebuilt by ``_reconstruct``, which widens D to take its
-    denominator. The exact product of the integer rows with the integer
-    numerators is what is checked.
-    """
-    echelon = _reduced_mod(int_rows, p)
-    bound = math.isqrt(p >> 1)
-    residues: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for pc, row in echelon.items():
-        for j, a in row.items():
-            residues[j].append((pc, p - a))
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for i, row in enumerate(int_rows):
-        for j, a in row.items():
-            columns[j].append((i, a))
-    basis = []
-    for fc in range(ncols):
-        if fc in echelon:
-            continue
-        den, nums = 1, {}
-        for pc, r in residues[fc]:
-            x = r * den % p
-            if x >= p - bound:
-                x -= p
-            elif x > bound:
-                n, d = _reconstruct(r, p, bound)
-                if d < 0:
-                    n, d = -n, -d
-                g = math.gcd(den, d)
-                if d != g:
-                    for j in nums:
-                        nums[j] *= d // g
-                x = n * (den // g)
-                den *= d // g
-            nums[pc] = x
-        nums[fc] = den
-        image = [0] * len(int_rows)
-        for j, x in nums.items():
-            for i, a in columns[j]:
-                image[i] += a * x
-        if any(image):
-            return None
-        basis.append((den, nums))
-    return basis
 
 
 def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[Vector]:
     """The reduced kernel basis of sparse integer rows {column: int} of width ncols.
 
-    Each vector is (denominator, {column: numerator}), so that a rank needs
-    no Fractions; ``_fractions`` reads the vectors as Fraction tuples.
+    A free column fc takes L, the lcm of the pivots of the reduced rows that
+    hold it; each such row, with pivot b at pc and entry a at fc, gives
+    -a L / b at pc, and the vector is divided by the gcd of its entries.
+    Each vector is (denominator, {column: numerator}); ``_fractions`` reads
+    the vectors as Fraction tuples.
     """
-    for p in _MODULI:
-        basis = _modular_kernel(int_rows, ncols, p)
-        if basis is not None:
-            return basis
+    echelon = _reduced(int_rows)
+    held: list[list[tuple[int, int, int]]] = [[] for _ in range(ncols)]
+    for pc, row in echelon.items():
+        for j, a in row.items():
+            if j != pc:
+                held[j].append((pc, row[pc], a))
     basis = []
-    for v in _exact_kernel([[Fraction(row.get(j, 0)) for j in range(ncols)] for row in int_rows]):
-        den = math.lcm(*[x.denominator for x in v])
-        basis.append((den, {j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x}))
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        den = math.lcm(*[b for _, b, _ in held[fc]])
+        nums = {pc: -a * (den // b) for pc, b, a in held[fc]}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {j: x // g for j, x in nums.items()}
+        nums[fc] = den
+        basis.append((den, nums))
     return basis
 
 
@@ -236,9 +200,8 @@ def _fractions(vectors: list[Vector], ncols: int) -> list[tuple[Fraction, ...]]:
 
 
 def rank(rows: Matrix) -> int:
-    """Exact rank of a rational matrix: its width less its nullity."""
-    ncols = len(rows[0]) if rows else 0
-    return ncols - len(_kernel(_integer_rows(rows), ncols))
+    """Exact rank of a rational matrix: the number of its pivots."""
+    return len(_reduced(_integer_rows(rows)))
 
 
 def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:

@@ -33,7 +33,7 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.linalg import kernel_basis, rank
+from coadorbits.linalg import _eliminate, _exact_kernel, kernel_basis, rank
 from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
                                random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -670,6 +670,38 @@ def test_radical_dimension_count_random():
         for _ in range(5):
             f = random_functional(system, rng)
             assert len(radical_basis(f)) == len(system.roots) - orbit_dimension(f)
+
+
+# Functionals shaped like the benchmark's orbit-rank checks: (style, kind, n).
+ORBIT_RANK_CASES = (
+    [("random", kind, n) for kind, n in [("A", 8), ("A", 9), ("B", 5), ("B", 6), ("D", 6), ("D", 7)]]
+    + [("orbit", kind, n) for kind, n in [("A", 9), ("A", 10), ("A", 11), ("B", 6), ("D", 7)]]
+    + [("wide", "B", 6)]
+)
+
+
+@pytest.mark.parametrize("style, kind, n", ORBIT_RANK_CASES)
+def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind, n):
+    # Half-density random values, highest-root orbit points and values near
+    # 2^200 / 2^80: the dimension, the radical count and the Fraction rank
+    # agree, and the radical is the reduced kernel of the skew rows.
+    system = get_system(kind, n)
+    name = f"orbit-rank-shaped:{style}:{kind}{n}"
+    rng = random.Random(name)
+    if style == "orbit":
+        alpha = max(system.roots, key=lambda a: len(singular_set(kind, n, a).singular))
+        f, _ = random_orbit_point(kind, n, alpha, rng.choice([-3, -2, -1, 1, 2, 3]), seed=name)
+    elif style == "wide":
+        f = functional(system, {r: Q(rng.randrange(-2**200, 2**200), rng.randrange(1, 2**80))
+                                for r in system.roots if rng.randrange(2)})
+    else:
+        f = random_functional(system, rng)
+    rows = skew_form(f).rows
+    basis = radical_basis(f)
+    assert orbit_dimension(f) == len(system.roots) - len(basis) == len(_eliminate(rows)[1])
+    assert basis == _exact_kernel(rows)
+    if style == "orbit":
+        assert orbit_dimension(f) == len(singular_set(kind, n, alpha).singular)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Exact rank, kernel and determinant against independent references."""
+"""Exact rank, kernel and determinant against independent references.
+
+The references are the Fraction elimination (``_eliminate``,
+``_exact_kernel``), sympy where it is installed, a column-scan Fraction
+reduced form, and the certified modular kernel that the integer
+elimination replaced, kept here verbatim with its ladder of moduli and its
+Fraction fallback.
+"""
 
 import itertools
 import math
 import random
 from fractions import Fraction as Q
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -12,12 +18,141 @@ from hypothesis import strategies as st
 
 from coadorbits import linalg
 from coadorbits.functionals import _skew_rows, functional, orbit_dimension, radical_basis, skew_form
-from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
+from coadorbits.linalg import Vector, _eliminate, _exact_kernel, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
 from coadorbits.roots import diff, get_system, parse_root
 
-P127, P521 = linalg._MODULI
+# ---------------------------------------------------------------------------
+# The certified modular kernel that ``linalg._reduced`` replaced, verbatim
+# ---------------------------------------------------------------------------
+
+# Mersenne primes tried in turn before the Fraction elimination.
+_MODULI = (2**127 - 1, 2**521 - 1)
+P127, P521 = _MODULI
+
+
+def _reduced_mod(int_rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form modulo p: {pivot column: its row without the pivot's 1}.
+
+    Rows are inserted shortest first, which keeps the pivot rows sparse. Each
+    row is cleared at the pivot columns found so far; a reduced pivot row
+    holds no other pivot column, so clearing one brings none back. A nonzero
+    remainder, scaled to 1 at its first column, becomes that column's pivot
+    row and clears the column from the earlier pivot rows. So a pivot row
+    holds only columns after its pivot, and the result is the one reduced
+    form of the rows modulo p, whatever order they come in.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in sorted(int_rows, key=len):
+        row = dict(row)
+        for c in [c for c in row if c in echelon]:
+            d = row.pop(c)
+            for j, b in echelon[c].items():
+                row[j] = row.get(j, 0) - d * b
+        row = {j: r for j, a in row.items() if (r := a % p)}
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row.pop(c), -1, p)
+        row = {j: a * inv % p for j, a in row.items()}
+        for top in echelon.values():
+            d = top.pop(c, 0)
+            if d:
+                for j, b in row.items():
+                    x = (top.get(j, 0) - d * b) % p
+                    if x:
+                        top[j] = x
+                    else:
+                        del top[j]
+        echelon[c] = row
+    return echelon
+
+
+def _reconstruct(a: int, p: int, bound: int) -> tuple[int, int]:
+    """(n, d) with n = a d mod p and |n| <= bound, from the remainders of p and a.
+
+    If a fraction with numerator and denominator at most ``bound`` has
+    residue a, this is it (Wang 1981); any other answer fails the certificate.
+    """
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return r1, t1
+
+
+def _modular_kernel(int_rows: list[dict[int, int]], ncols: int, p: int) -> list[Vector] | None:
+    """The reduced kernel basis read modulo p, or None if its certificate fails.
+
+    A free column fc gets minus the reduced form's fc entry at each pivot,
+    and only rows of pivots before fc hold one; so 1 at fc and the zeros at
+    the other free columns and the later pivots hold by construction. Each
+    vector keeps one denominator D, which starts at 1: a residue r is read
+    as the numerator r D mod p when that lies within the bound, and only
+    otherwise rebuilt by ``_reconstruct``, which widens D to take its
+    denominator. The exact product of the integer rows with the integer
+    numerators is what is checked.
+    """
+    echelon = _reduced_mod(int_rows, p)
+    bound = math.isqrt(p >> 1)
+    residues: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for pc, row in echelon.items():
+        for j, a in row.items():
+            residues[j].append((pc, p - a))
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(int_rows):
+        for j, a in row.items():
+            columns[j].append((i, a))
+    basis = []
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        den, nums = 1, {}
+        for pc, r in residues[fc]:
+            x = r * den % p
+            if x >= p - bound:
+                x -= p
+            elif x > bound:
+                n, d = _reconstruct(r, p, bound)
+                if d < 0:
+                    n, d = -n, -d
+                g = math.gcd(den, d)
+                if d != g:
+                    for j in nums:
+                        nums[j] *= d // g
+                x = n * (den // g)
+                den *= d // g
+            nums[pc] = x
+        nums[fc] = den
+        image = [0] * len(int_rows)
+        for j, x in nums.items():
+            for i, a in columns[j]:
+                image[i] += a * x
+        if any(image):
+            return None
+        basis.append((den, nums))
+    return basis
+
+
+def _reference_modular_kernel(int_rows, ncols, tried=None):
+    """The modular kernel at each modulus in turn, then the Fraction elimination.
+
+    Each modulus tried is appended to ``tried`` with whether its
+    certificate held.
+    """
+    for p in _MODULI:
+        basis = _modular_kernel(int_rows, ncols, p)
+        if tried is not None:
+            tried.append((p, basis is not None))
+        if basis is not None:
+            return basis
+    basis = []
+    for v in _exact_kernel([[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]):
+        den = math.lcm(*[x.denominator for x in v])
+        basis.append((den, {j: x.numerator * (den // x.denominator) for j, x in enumerate(v) if x}))
+    return basis
+
 
 entries = st.one_of(
     st.just(Q(0)),
@@ -61,23 +196,41 @@ def free_columns(rows) -> list[int]:
 
 
 def reference_rank(rows) -> int:
-    """The rank by Fraction elimination, the modular kernel's fallback."""
+    """The rank by Fraction elimination."""
     return len(_eliminate(rows)[1])
 
 
-def rungs(arg, call=kernel_basis) -> list[tuple[int, bool]]:
-    """The moduli call(arg) tries, each with whether its certificate held."""
+def rungs(rows) -> list[tuple[int, bool]]:
+    """The moduli the reference modular kernel tries on rows, each with whether its certificate held."""
     tried = []
-    modular_kernel = linalg._modular_kernel
-
-    def spy(int_rows, ncols, p):
-        basis = modular_kernel(int_rows, ncols, p)
-        tried.append((p, basis is not None))
-        return basis
-
-    with mock.patch.object(linalg, "_modular_kernel", spy):
-        call(arg)
+    _reference_modular_kernel(linalg._integer_rows(rows), width(rows), tried)
     return tried
+
+
+def skew_rungs(f) -> list[tuple[int, bool]]:
+    """The moduli the reference modular kernel tries on the integer skew rows of f."""
+    tried = []
+    _reference_modular_kernel(_skew_rows(f)[0], len(f.system.roots), tried)
+    return tried
+
+
+def assert_kernel_agrees(rows):
+    """kernel_basis and rank equal the Fraction elimination and the reference modular kernel."""
+    ncols = width(rows)
+    reference = _reference_modular_kernel(linalg._integer_rows(rows), ncols)
+    assert kernel_basis(rows) == _exact_kernel(rows) == linalg._fractions(reference, ncols)
+    assert rank(rows) == reference_rank(rows) == ncols - len(reference)
+
+
+def assert_radical_agrees(f):
+    """radical_basis and orbit_dimension of f equal both references on its skew rows."""
+    int_rows, _ = _skew_rows(f)
+    rows, ncols = skew_form(f).rows, len(f.system.roots)
+    reference = _reference_modular_kernel(int_rows, ncols)
+    basis = radical_basis(f)
+    assert basis == kernel_basis(rows) == _exact_kernel(rows) == linalg._fractions(reference, ncols)
+    assert all(type(x) is Q for v in basis for x in v)
+    assert orbit_dimension(f) == rank(rows) == reference_rank(rows) == ncols - len(reference)
 
 
 def leibniz(rows) -> Q:
@@ -117,12 +270,16 @@ def test_rank_and_kernel_equal_the_fraction_elimination(rows):
     assert rank(rows) == reference_rank(rows)
 
 
+# The tests below keep the inputs that took the reference modular kernel
+# to each rung of its ladder and to its Fraction fallback. The reference's
+# rungs are asserted so that each input still reaches the case it names;
+# the integer elimination must give the same basis and rank on every one.
+
 @given(matrices())
 def test_small_entries_certify_at_the_first_modulus(rows):
-    # Every minor here is far below 2^60, so the first rung must hold; a
-    # broken modular kernel that the fallback would hide fails here.
+    # Every minor here is far below 2^60, so the reference's first rung holds.
     assert rungs(rows) == [(P127, True)]
-    assert rungs(rows, rank) == [(P127, True)]
+    assert_kernel_agrees(rows)
 
 
 def test_a_multiple_of_the_first_modulus_has_rank_one():
@@ -130,15 +287,18 @@ def test_a_multiple_of_the_first_modulus_has_rank_one():
     assert rank(rows) == 1
     assert kernel_basis(rows) == []
     assert rungs(rows) == [(P127, False), (P521, True)]
+    assert_kernel_agrees(rows)
 
 
 def test_reconstruction_bound_is_sharp_at_the_first_modulus():
-    # The kernel of [[d, -n]] is (n/d, 1); the first modulus rebuilds n/d
-    # exactly when |n| and d are at most isqrt(p // 2).
+    # The kernel of [[d, -n]] is (n/d, 1); the reference's first modulus
+    # rebuilds n/d exactly when |n| and d are at most isqrt(p // 2).
     bound = math.isqrt(P127 // 2)
     assert rungs([[bound - 1, -bound]]) == [(P127, True)]
     assert rungs([[bound, -(bound + 1)]]) == [(P127, False), (P521, True)]
     assert kernel_basis([[bound, -(bound + 1)]]) == [(Q(bound + 1, bound), Q(1))]
+    assert_kernel_agrees([[bound - 1, -bound]])
+    assert_kernel_agrees([[bound, -(bound + 1)]])
 
 
 def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
@@ -146,41 +306,34 @@ def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
     assert kernel_basis(rows) == [(Q(-2**600), Q(1))]
     assert rank(rows) == 1
     assert rungs(rows) == [(P127, False), (P521, False)]
-    assert rungs(rows, rank) == [(P127, False), (P521, False)]
+    assert_kernel_agrees(rows)
 
 
 def test_skew_entries_past_every_bound_reach_the_fraction_fallback():
     # In A4 the kernel vector of e3-e4 is f(e2-e4)/f(e1-e3) at e1-e2: 3 * 2^600
-    # here, past every reconstruction bound, so the integer skew rows reach
-    # the Fraction elimination.
+    # here, past every reconstruction bound, so the reference takes the
+    # integer skew rows to the Fraction elimination.
     system = get_system("A", 4)
     f = functional(system, {diff(1, 3): Q(1, 3), diff(2, 4): 2**600})
-    rows = skew_form(f).rows
-    assert rungs(f, radical_basis) == [(P127, False), (P521, False)]
-    # The count path reads the same rows and takes the same rungs.
-    assert rungs(f, orbit_dimension) == rungs(f, radical_basis)
+    assert skew_rungs(f) == [(P127, False), (P521, False)]
     basis = radical_basis(f)
-    assert basis == kernel_basis(rows) == _exact_kernel(rows)
     assert Q(3 * 2**600) in basis[0]
-    assert all(type(x) is Q for v in basis for x in v)
-    assert orbit_dimension(f) == rank(rows) == 2
+    assert orbit_dimension(f) == 2
     assert orbit_dimension(f) == len(system.roots) - len(basis)
+    assert_radical_agrees(f)
 
 
 @pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
 def test_highest_root_orbit_points_certify_at_the_first_modulus(kind, n, seed):
-    # These points fail at 2^61 - 1, which the ladder no longer tries.
+    # These points fail at 2^61 - 1, which the reference's ladder does not try.
     alpha = parse_root("e1+e2")
     f, _ = random_orbit_point(kind, n, alpha, 1, seed=seed)
     rows = skew_form(f).rows
-    assert rungs(rows) == [(P127, True)]
-    assert kernel_basis(rows) == _exact_kernel(rows)
-    assert rank(rows) == reference_rank(rows) == singular_size_formula(kind, n, alpha)
-    # The integer skew rows of f take the same rungs to the same basis, on
-    # the count path too.
-    assert rungs(f, radical_basis) == rungs(f, orbit_dimension) == [(P127, True)]
-    assert radical_basis(f) == kernel_basis(rows)
-    assert orbit_dimension(f) == rank(rows) == len(f.system.roots) - len(radical_basis(f))
+    assert rungs(rows) == skew_rungs(f) == [(P127, True)]
+    assert_kernel_agrees(rows)
+    assert rank(rows) == singular_size_formula(kind, n, alpha)
+    assert orbit_dimension(f) == len(f.system.roots) - len(radical_basis(f))
+    assert_radical_agrees(f)
 
 
 @given(st.sampled_from([("A", 4), ("B", 3), ("D", 4)]), st.data())
@@ -190,8 +343,7 @@ def test_count_path_agrees_with_the_radical_on_wide_values(system_args, data):
                                 max_size=len(system.roots)))
     f = functional(system, dict(zip(system.roots, values)))
     assert orbit_dimension(f) == len(system.roots) - len(radical_basis(f))
-    assert rungs(f, orbit_dimension) == rungs(f, radical_basis)
-    assert orbit_dimension(f) == reference_rank(skew_form(f).rows)
+    assert_radical_agrees(f)
 
 
 @st.composite
@@ -218,47 +370,60 @@ def test_integer_row_kernel_equals_the_fraction_elimination(case):
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
     vectors = linalg._kernel(int_rows, ncols)
     assert linalg._fractions(vectors, ncols) == _exact_kernel(dense)
+    assert linalg._fractions(vectors, ncols) == linalg._fractions(
+        _reference_modular_kernel(int_rows, ncols), ncols)
     assert rank(dense) == ncols - len(vectors) == reference_rank(dense)
 
 
-def _reference_reduced_mod(int_rows, ncols, p):
-    """The reduced form by scanning every live row at each column, left to right."""
-    live = [{j: r for j, a in row.items() if (r := a % p)} for row in int_rows]
+def _reference_reduced(int_rows, ncols):
+    """The reduced form over Q by a column scan in Fractions, rows then made primitive integers.
+
+    At each column, left to right, the first live row that holds it is
+    scaled to 1 there and clears the column from every other row. Each
+    pivot row is then scaled by the lcm of its denominators and divided by
+    the gcd of its entries, which keeps the pivot positive.
+    """
+    live = [{j: Q(a) for j, a in row.items() if a} for row in int_rows]
     echelon = {}
     for c in range(ncols):
-        reaching = [k for k, row in enumerate(live) if c in row]
-        if not reaching:
+        k = next((k for k, row in enumerate(live) if c in row), None)
+        if k is None:
             continue
-        top = live.pop(min(reaching, key=lambda k: len(live[k])))
-        inv = pow(top.pop(c), -1, p)
-        top = {j: a * inv % p for j, a in top.items()}
+        top = live.pop(k)
+        pivot = top[c]
+        top = {j: a / pivot for j, a in top.items()}
         for row in itertools.chain(live, echelon.values()):
             d = row.pop(c, 0)
             if d:
                 for j, b in top.items():
-                    x = (row.get(j, 0) - d * b) % p
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+                    if j != c:
+                        x = row.get(j, 0) - d * b
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
         echelon[c] = top
-    return echelon
+    out = {}
+    for c, row in echelon.items():
+        scale = math.lcm(*[x.denominator for x in row.values()])
+        ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        g = math.gcd(*ints.values())
+        out[c] = {j: x // g for j, x in ints.items()}
+    return out
 
 
-# The ladder's moduli, and two primes at which entries cancel far more often.
-REDUCTION_MODULI = (7, 2**61 - 1, *linalg._MODULI)
-
-
-def assert_reduced_forms_agree(int_rows, ncols):
+def assert_reduced_agrees(int_rows, ncols):
+    """_reduced equals the column scan, in either row order, and leaves its input as it was."""
     before = [dict(row) for row in int_rows]
-    for p in REDUCTION_MODULI:
-        assert linalg._reduced_mod(int_rows, p) == _reference_reduced_mod(int_rows, ncols, p)
+    expected = _reference_reduced(int_rows, ncols)
+    assert linalg._reduced(int_rows) == expected
+    assert linalg._reduced(int_rows[::-1]) == expected
     assert int_rows == before
 
 
 @given(integer_rows())
 def test_row_insertion_gives_the_column_scan_reduced_form(case):
-    assert_reduced_forms_agree(*case)
+    assert_reduced_agrees(*case)
 
 
 @pytest.mark.parametrize("kind, n", [("A", 6), ("A", 8), ("B", 4), ("B", 5), ("D", 5), ("D", 6)])
@@ -267,13 +432,31 @@ def test_row_insertion_reduces_seeded_skew_rows_as_the_column_scan(kind, n):
     system = get_system(kind, n)
     for _ in range(3):
         int_rows, _ = _skew_rows(random_functional(system, rng))
-        assert_reduced_forms_agree(int_rows, len(system.roots))
+        assert_reduced_agrees(int_rows, len(system.roots))
 
 
 @pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
 def test_row_insertion_reduces_highest_root_skew_rows_as_the_column_scan(kind, n, seed):
     f, _ = random_orbit_point(kind, n, parse_root("e1+e2"), 1, seed=seed)
-    assert_reduced_forms_agree(_skew_rows(f)[0], len(f.system.roots))
+    assert_reduced_agrees(_skew_rows(f)[0], len(f.system.roots))
+
+
+@given(integer_rows(), st.randoms(use_true_random=False))
+def test_reduced_form_does_not_depend_on_row_order(case, rng):
+    int_rows, _ = case
+    shuffled = list(int_rows)
+    rng.shuffle(shuffled)
+    assert linalg._reduced(shuffled) == linalg._reduced(int_rows)
+
+
+@given(integer_rows())
+def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
+    int_rows, ncols = case
+    before = [dict(row) for row in int_rows]
+    rows = list(int_rows)
+    linalg._reduced(rows)
+    linalg._kernel(rows, ncols)
+    assert rows == int_rows == before
 
 
 @given(matrices(max_rows=4, square=True))
@@ -299,6 +482,21 @@ def test_edge_shapes():
     assert det(((Q(0), Q(1)), (Q(1), Q(0)))) == -1
     with pytest.raises(ValueError):
         det([[Q(1), Q(2)]])
+
+
+@pytest.mark.parametrize("rows", [[[1], [0, 1]], [[0, 1], [1]], [[Q(1), Q(2)], []]])
+@pytest.mark.parametrize("call", [rank, kernel_basis])
+def test_rows_of_unequal_length_are_rejected(call, rows):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        call(rows)
+
+
+@pytest.mark.parametrize("entry, name", [(0.5, "float"), (0.0, "float"), (True, "bool"),
+                                         (False, "bool"), ("1", "str"), (None, "NoneType")])
+@pytest.mark.parametrize("call", [rank, kernel_basis])
+def test_entries_that_are_not_rational_are_rejected(call, entry, name):
+    with pytest.raises(ValueError, match=f"int or Fraction, not {name}$"):
+        call([[Q(1), 2], [entry, 1]])
 
 
 def _sympy_matrix(sympy, rows):
