@@ -4,7 +4,9 @@
 Builds the sum-root charts in the paper's printed form under every
 candidate sign rule and tests them against sampled orbit points; prints the
 unique surviving rule per kind. The shipped default (CONVENTIONS.md) is the
-sign that the derived charts carry, and this run must single it out.
+sign that the derived charts carry, and this run must single it out. Exit
+code 0 when it does, 1 when another rule or no unique rule survives, and 2
+on a usage error (--max-n below 3 or --trials below 1).
 
 Usage:
     python scripts/certify_signs.py [--max-n 4] [--trials 50] [--seed 314159]
@@ -19,6 +21,7 @@ from coadorbits.oracle import (
     CERTIFIED_SIGN_RULE,
     DEFAULT_SEED,
     SIGN_RULES,
+    AmbiguousSignConventionError,
     resolve_sign_conventions,
 )
 
@@ -29,9 +32,17 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
+    if args.max_n < 3:
+        parser.error(f"--max-n must be at least 3, got {args.max_n}")
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
 
     print(f"candidate rules: {', '.join(sorted(SIGN_RULES))}")
-    convention = resolve_sign_conventions(args.max_n, args.trials, args.seed)
+    try:
+        convention = resolve_sign_conventions(args.max_n, args.trials, args.seed)
+    except AmbiguousSignConventionError as exc:
+        print(f"certify_signs: error: {exc}", file=sys.stderr)
+        return 1
     for kind, rule in sorted(convention.rules.items()):
         marker = "(shipped default)" if rule == CERTIFIED_SIGN_RULE else "(DIFFERS FROM DEFAULT)"
         print(f"kind {kind}: certified rule = {rule} {marker}")

@@ -8,6 +8,8 @@ stderr at the end.
 
 Usage:
     python scripts/scan_achievable_dims.py --n 6 [--out scan6.jsonl]
+
+--n runs from 2 to 12; the scan visits Bell(n) subsets.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import sys
 
 from coadorbits.basic import achievable_dimensions, iter_scan_records
+from coadorbits.oracle import MAX_SCAN_N
 
 
 def main() -> int:
@@ -26,6 +29,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.n < 2:
         parser.error(f"--n must be at least 2, got {args.n}")
+    if args.n > MAX_SCAN_N:
+        parser.error(f"--n must be at most {MAX_SCAN_N}, got {args.n}")
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     reachable = set()

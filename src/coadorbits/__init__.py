@@ -22,7 +22,6 @@ from .basic import (
     max_dimension,
     max_singular_witness,
     s_of,
-    singular_union,
     witness_basic_subsets,
 )
 from .functionals import (

@@ -176,13 +176,6 @@ def _singular_mask(subset: BasicSubset) -> int:
     return union
 
 
-def singular_union(subset: BasicSubset) -> tuple[PositiveRoot, ...]:
-    """Union of the singular sets of the subset's roots, in canonical order."""
-    union = _singular_mask(subset)
-    roots = get_system(RootSystemKind.A, subset.n).roots
-    return tuple(r for k, r in enumerate(roots) if union >> k & 1)
-
-
 def s_of(subset: BasicSubset) -> int:
     """s(D): the number of D-singular roots, the dimension of the basic sum."""
     return _singular_mask(subset).bit_count()

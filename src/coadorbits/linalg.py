@@ -215,10 +215,15 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
 
 
 def det(rows: Matrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix.
+
+    A matrix that is not square, or holds an entry that is not int or
+    Fraction, raises ValueError.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
+    _integer_rows(rows)  # the entry check of rank and kernel_basis
     echelon, pivots, swaps = _eliminate(rows)
     if len(pivots) < n:
         return Fraction(0)

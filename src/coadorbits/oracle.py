@@ -39,9 +39,13 @@ from .functionals import (
 )
 from .orbits import OrbitChart, contains, orbit_chart, singular_set, singular_size_formula
 from .polynomials import Polynomial
-from .roots import DIFF, PositiveRoot, RootSystemKind, diff, get_system, short, sum_root
+from .roots import DIFF, SUM, PositiveRoot, RootSystemKind, diff, get_system, short, sum_root
 
 DEFAULT_SEED = 314159
+
+# Largest n of an exhaustive scan over type-A basic subsets: there are
+# Bell(n) of them, and achievable-dims at n = 12 takes 91 s on a 2-core host.
+MAX_SCAN_N = 12
 
 _NONZERO_INTS = (-3, -2, -1, 1, 2, 3)
 
@@ -88,7 +92,8 @@ class SignConvention:
 
 @dataclass
 class SuiteConfig:
-    """Knobs shared by the suites; None picks each suite's stated default."""
+    """Options of a suite run. None picks the suite's default; a suite that
+    does not read a given option rejects it (see _SUITES)."""
 
     kinds: tuple[RootSystemKind, ...] | None = None
     max_n: int | None = None
@@ -133,6 +138,20 @@ def random_orbit_point(
     length = default_word_length(system) if word_length is None else word_length
     word = random_word(system, rng, length)
     return coadjoint_apply(word, e_star(system, alpha, c)), word
+
+
+def _orbit_points(prefix: str, kind: RootSystemKind, ns, trials: int, tag: str | None = None):
+    """Yield (n, alpha, stamp, point, word): trials random orbit points through e*_alpha
+    for each n in ns and each alpha of the tag (any if None), seeded by the stamps
+    "{prefix}:{kind}:{n}:{alpha}:{t}", one alpha after another."""
+    for n in ns:
+        for alpha in get_system(kind, n).roots:
+            if tag is not None and alpha.tag != tag:
+                continue
+            for t in range(trials):
+                stamp = f"{prefix}:{kind.value}:{n}:{alpha}:{t}"
+                point, word = random_orbit_point(kind, n, alpha, 1, seed=stamp)
+                yield n, alpha, stamp, point, word
 
 
 def random_functional(system, rng: random.Random, force_root: PositiveRoot | None = None) -> Functional:
@@ -203,16 +222,21 @@ def resolve_sign_conventions(
     Every candidate rule is tested against sampled orbit points of every
     sum root with n <= n_max; the unique rule with zero failures wins. With
     n_max < 4 some candidates coincide on every exercised term and the
-    ambiguity is surfaced as an error rather than resolved by fiat.
+    ambiguity is surfaced as an error rather than resolved by fiat. Each
+    point is drawn once and tested against every rule still standing.
     """
     if n_max < 3:
         raise ValueError("certification needs n_max >= 3")
     rules: dict[str, str] = {}
     for kind in (RootSystemKind.B, RootSystemKind.D):
-        survivors = []
-        for rule_name in sorted(SIGN_RULES):
-            if _sign_rule_survives(kind, rule_name, n_max, trials, seed):
-                survivors.append(rule_name)
+        survivors = sorted(SIGN_RULES)
+        key = None
+        for n, alpha, _, point, _ in _orbit_points(
+                f"{seed}:signs", kind, range(3, n_max + 1), trials, SUM):
+            if key != (n, alpha):
+                key = (n, alpha)
+                charts = {rule: _paper_chart(kind, n, alpha, rule) for rule in survivors}
+            survivors = [rule for rule in survivors if contains(charts[rule], point)]
         if len(survivors) != 1:
             raise AmbiguousSignConventionError(
                 f"kind {kind.value}: surviving rules {survivors} (need exactly one); "
@@ -222,86 +246,61 @@ def resolve_sign_conventions(
     return SignConvention(rules)
 
 
-def _sign_rule_survives(kind, rule_name, n_max, trials, seed) -> bool:
-    for n in range(3, n_max + 1):
-        system = get_system(kind, n)
-        for alpha in system.roots:
-            if alpha.tag != "sum":
-                continue
-            chart = _paper_chart(kind, n, alpha, rule_name)
-            for t in range(trials):
-                stamp = f"{seed}:signs:{kind.value}:{n}:{alpha}:{t}"
-                point, _ = random_orbit_point(kind, n, alpha, 1, seed=stamp)
-                if not contains(chart, point):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
+    """Run a suite with the options it reads merged over its defaults.
+
+    A given option that the suite does not read raises ValueError, as do a
+    max_n below 2 or above the suite's bound and a negative trials.
+    """
     config = config or SuiteConfig()
     try:
-        runner = _SUITES[name]
+        runner, defaults, bound = _SUITES[name]
     except KeyError:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
-    if config.max_n is not None and config.max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {config.max_n}")
-    if config.trials is not None and config.trials < 0:
-        raise ValueError(f"trials must be non-negative, got {config.trials}")
-    return runner(config)
+    given = {option: value for option, value in vars(config).items()
+             if option != "seed" and value is not None}
+    unread = sorted(given.keys() - defaults.keys())
+    if unread:
+        raise ValueError(f"suite {name} does not read the option {', '.join(unread)}")
+    options = {**defaults, **given}
+    max_n = options["max_n"]
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if bound is not None and max_n > bound:
+        raise ValueError(f"max_n must be at most {bound} for {name}, got {max_n}")
+    if options.get("trials", 0) < 0:
+        raise ValueError(f"trials must be non-negative, got {options['trials']}")
+    parameters, failures, total = runner(config.seed, **options)
+    return OracleReport(name, parameters, total, failures)
 
 
-def _or_default(value, default):
-    """An explicit value, even 0 or an empty tuple, wins over the suite default."""
-    return default if value is None else value
-
-
-def _failure(stamp: str, detail: str, **extra) -> dict:
-    record = {"seed": stamp, "detail": detail}
-    record.update(extra)
-    return record
-
-
-def _suite_chart_soundness(cfg: SuiteConfig) -> OracleReport:
-    kinds = _or_default(cfg.kinds, tuple(RootSystemKind))
-    max_n = _or_default(cfg.max_n, 4)
-    trials = _or_default(cfg.trials, 100)
+def _suite_chart_soundness(seed, kinds, max_n, trials):
     failures = []
     total = 0
     for kind in kinds:
-        for n in range(2, max_n + 1):
-            system = get_system(kind, n)
-            for alpha in system.roots:
+        key = None
+        for n, alpha, stamp, point, word in _orbit_points(
+                f"{seed}:chart-soundness", kind, range(2, max_n + 1), trials):
+            if key != (n, alpha):
+                key = (n, alpha)
                 chart = orbit_chart(kind, n, alpha, 1)
-                for t in range(trials):
-                    stamp = f"{cfg.seed}:chart-soundness:{kind.value}:{n}:{alpha}:{t}"
-                    point, word = random_orbit_point(kind, n, alpha, 1, seed=stamp)
-                    total += 1
-                    if not contains(chart, point):
-                        failures.append(_failure(
-                            stamp, f"orbit point escapes the {alpha} chart",
-                            kind=kind.value, n=n, alpha=str(alpha),
-                            word=word_to_json(word),
-                            functional=functional_to_json(point),
-                        ))
-    return OracleReport(
-        "chart-soundness",
-        {"kinds": [k.value for k in kinds], "max_n": max_n,
-         "trials_per_alpha": trials, "c": "1", "seed": cfg.seed},
-        total,
-        failures,
-    )
+            total += 1
+            if not contains(chart, point):
+                failures.append(dict(
+                    seed=stamp, detail=f"orbit point escapes the {alpha} chart",
+                    kind=kind.value, n=n, alpha=str(alpha), word=word_to_json(word),
+                    functional=functional_to_json(point)))
+    return ({"kinds": [k.value for k in kinds], "max_n": max_n,
+             "trials_per_alpha": trials, "c": "1", "seed": seed}, failures, total)
 
 
-def _suite_dimension_formulas(cfg: SuiteConfig) -> OracleReport:
-    kinds = _or_default(cfg.kinds, tuple(RootSystemKind))
-    max_n = _or_default(cfg.max_n, 6)
-    scalars = (Fraction(1), Fraction(2), Fraction(-3, 5))
+def _suite_dimension_formulas(seed, kinds, max_n):
     failures = []
     total = 0
     for kind in kinds:
@@ -310,62 +309,43 @@ def _suite_dimension_formulas(cfg: SuiteConfig) -> OracleReport:
             for alpha in system.roots:
                 expected = len(singular_set(kind, n, alpha).singular)
                 if expected != singular_size_formula(kind, n, alpha):
-                    failures.append(_failure(
-                        "-", "singular set size disagrees with the closed form",
+                    failures.append(dict(
+                        seed="-", detail="singular set size disagrees with the closed form",
                         kind=kind.value, n=n, alpha=str(alpha)))
-                for c in scalars:
+                for c in (Fraction(1), Fraction(2), Fraction(-3, 5)):
                     total += 1
                     got = orbit_dimension(e_star(system, alpha, c))
                     if got != expected:
-                        failures.append(_failure(
-                            "-", f"rank {got} != |S(alpha)| {expected}",
+                        failures.append(dict(
+                            seed="-", detail=f"rank {got} != |S(alpha)| {expected}",
                             kind=kind.value, n=n, alpha=str(alpha), c=str(c)))
-    return OracleReport(
-        "dimension-formulas",
-        {"kinds": [k.value for k in kinds], "max_n": max_n, "seed": cfg.seed},
-        total,
-        failures,
-    )
+    return {"kinds": [k.value for k in kinds], "max_n": max_n, "seed": seed}, failures, total
 
 
-def _suite_decompose_roundtrip(cfg: SuiteConfig) -> OracleReport:
-    max_n = _or_default(cfg.max_n, 6)
-    trials = _or_default(cfg.trials, 200)
+def _suite_decompose_roundtrip(seed, max_n, trials):
     failures = []
-    total = 0
     for n in range(2, max_n + 1):
         system = get_system(RootSystemKind.A, n)
         subsets = list(enumerate_basic_subsets(n))
         for t in range(trials):
-            stamp = f"{cfg.seed}:decompose:{n}:{t}"
+            stamp = f"{seed}:decompose:{n}:{t}"
             rng = random.Random(stamp)
             subset = subsets[rng.randrange(len(subsets))]
             phi = _random_phi(subset, rng)
             start = basic_point(basic_map(subset, phi)) if phi else functional(system, {})
             word = random_word(system, rng, default_word_length(system))
             moved = coadjoint_apply(word, start)
-            total += 1
             result = decompose(moved)
             if result.subset != subset or result.map.phi != phi:
-                failures.append(_failure(
-                    stamp, "decomposition did not recover (D, phi)",
-                    n=n,
+                failures.append(dict(
+                    seed=stamp, detail="decomposition did not recover (D, phi)", n=n,
                     expected_roots=[str(r) for r in subset.roots],
                     got_roots=[str(r) for r in result.subset.roots],
-                    word=word_to_json(word),
-                    functional=functional_to_json(moved),
-                ))
-    return OracleReport(
-        "decompose-roundtrip",
-        {"max_n": max_n, "trials_per_n": trials, "seed": cfg.seed},
-        total,
-        failures,
-    )
+                    word=word_to_json(word), functional=functional_to_json(moved)))
+    return {"max_n": max_n, "trials_per_n": trials, "seed": seed}, failures, (max_n - 1) * trials
 
 
-def _suite_single_orbit_scan(cfg: SuiteConfig) -> OracleReport:
-    max_n = _or_default(cfg.max_n, 5)
-    random_phis = _or_default(cfg.trials, 20)
+def _suite_single_orbit_scan(seed, max_n, trials):
     failures = []
     total = 0
     for n in range(2, max_n + 1):
@@ -373,59 +353,43 @@ def _suite_single_orbit_scan(cfg: SuiteConfig) -> OracleReport:
             s = s_of(subset)
             single = not derived_set(subset)
             phis = [{root: Fraction(1) for root in subset.roots}]
-            for t in range(random_phis if subset.roots else 0):
-                rng = random.Random(f"{cfg.seed}:single-orbit:{n}:{subset}:{t}")
+            for t in range(trials if subset.roots else 0):
+                rng = random.Random(f"{seed}:single-orbit:{n}:{subset}:{t}")
                 phis.append(_random_phi(subset, rng))
             for phi in phis:
                 total += 1
                 dim = orbit_dimension(basic_point(basic_map(subset, phi)))
                 ok = (dim == s) if single else (dim < s)
                 if not ok:
-                    failures.append(_failure(
-                        "-", f"dimension {dim} vs s(D)={s}, derived-free={single}",
+                    failures.append(dict(
+                        seed="-", detail=f"dimension {dim} vs s(D)={s}, derived-free={single}",
                         n=n, roots=[str(r) for r in subset.roots],
                         phi={str(r): str(v) for r, v in phi.items()}))
-    return OracleReport(
-        "single-orbit-scan",
-        {"max_n": max_n, "random_phis": random_phis, "seed": cfg.seed},
-        total,
-        failures,
-    )
+    return {"max_n": max_n, "random_phis": trials, "seed": seed}, failures, total
 
 
-def _suite_two_dim_support(cfg: SuiteConfig) -> OracleReport:
-    max_n = _or_default(cfg.max_n, 6)
-    trials = _or_default(cfg.trials, 100)
+def _suite_two_dim_support(seed, max_n, trials):
     if max_n < 4:
         raise ValueError(f"max_n must be at least 4 for two-dim-support, got {max_n}")
     failures = []
-    total = 0
     for n in range(4, max_n + 1):
         system = get_system(RootSystemKind.A, n)
         far = [r for r in system.roots if r.tag == DIFF and r.j - r.i > 2]
         for t in range(trials):
-            stamp = f"{cfg.seed}:two-dim:{n}:{t}"
+            stamp = f"{seed}:two-dim:{n}:{t}"
             rng = random.Random(stamp)
             forced = far[rng.randrange(len(far))]
             f = random_functional(system, rng, force_root=forced)
-            total += 1
             dim = orbit_dimension(f)
             if dim < 4:
-                failures.append(_failure(
-                    stamp, f"far-supported functional has orbit dimension {dim} < 4",
+                failures.append(dict(
+                    seed=stamp, detail=f"far-supported functional has orbit dimension {dim} < 4",
                     n=n, forced=str(forced), functional=functional_to_json(f)))
-    return OracleReport(
-        "two-dim-support",
-        {"max_n": max_n, "trials_per_n": trials, "seed": cfg.seed},
-        total,
-        failures,
-    )
+    return {"max_n": max_n, "trials_per_n": trials, "seed": seed}, failures, (max_n - 3) * trials
 
 
-def _suite_achievable_dims(cfg: SuiteConfig) -> OracleReport:
-    max_n = _or_default(cfg.max_n, 8)
+def _suite_achievable_dims(seed, max_n):
     failures = []
-    total = 0
     results = {}
     for n in range(2, max_n + 1):
         reachable = set()
@@ -435,31 +399,30 @@ def _suite_achievable_dims(cfg: SuiteConfig) -> OracleReport:
             overall_max = max(overall_max, s)
             if not derived_set(subset):
                 reachable.add(s)
-        total += 1
         expected = achievable_dimensions(n)
         results[str(n)] = sorted(reachable)
         if sorted(reachable) != expected:
-            failures.append(_failure(
-                "-", "scanned dimension set disagrees with the closed form",
+            failures.append(dict(
+                seed="-", detail="scanned dimension set disagrees with the closed form",
                 n=n, scanned=sorted(reachable), expected=expected))
         if overall_max != max_dimension(n):
-            failures.append(_failure(
-                "-", f"max s(D) {overall_max} != {max_dimension(n)}", n=n))
-    return OracleReport(
-        "achievable-dims",
-        {"max_n": max_n, "seed": cfg.seed, "scanned": results},
-        total,
-        failures,
-    )
+            failures.append(dict(
+                seed="-", detail=f"max s(D) {overall_max} != {max_dimension(n)}", n=n))
+    return {"max_n": max_n, "seed": seed, "scanned": results}, failures, len(results)
 
 
+# Each suite's runner, the options it reads with their defaults, and the
+# largest max_n it accepts (None leaves only the CLI's bound). The two scans
+# enumerate Bell(n) basic subsets, about 6x the time per step of n.
+_ALL_KINDS = tuple(RootSystemKind)
 _SUITES = {
-    "chart-soundness": _suite_chart_soundness,
-    "dimension-formulas": _suite_dimension_formulas,
-    "decompose-roundtrip": _suite_decompose_roundtrip,
-    "single-orbit-scan": _suite_single_orbit_scan,
-    "two-dim-support": _suite_two_dim_support,
-    "achievable-dims": _suite_achievable_dims,
+    "chart-soundness": (
+        _suite_chart_soundness, {"kinds": _ALL_KINDS, "max_n": 4, "trials": 100}, None),
+    "dimension-formulas": (_suite_dimension_formulas, {"kinds": _ALL_KINDS, "max_n": 6}, None),
+    "decompose-roundtrip": (_suite_decompose_roundtrip, {"max_n": 6, "trials": 200}, None),
+    "single-orbit-scan": (_suite_single_orbit_scan, {"max_n": 5, "trials": 20}, 9),
+    "two-dim-support": (_suite_two_dim_support, {"max_n": 6, "trials": 100}, None),
+    "achievable-dims": (_suite_achievable_dims, {"max_n": 8}, MAX_SCAN_N),
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -158,6 +158,14 @@ def test_verify_explicit_zero_trials_run_no_checks(capsys):
     (["--suite", "two-dim-support", "--max-n", "3"], "max_n must be at least 4"),
     (["--suite", "chart-soundness", "--max-n", str(MAX_N + 1)],
      f"--max-n must be at most {MAX_N}"),
+    (["--suite", "achievable-dims", "--max-n", "13"],
+     "max_n must be at most 12 for achievable-dims, got 13"),
+    (["--suite", "single-orbit-scan", "--max-n", "10"],
+     "max_n must be at most 9 for single-orbit-scan, got 10"),
+    (["--suite", "two-dim-support", "--kind", "B"],
+     "suite two-dim-support does not read the option kinds"),
+    (["--suite", "dimension-formulas", "--max-n", "2", "--trials", "0"],
+     "suite dimension-formulas does not read the option trials"),
 ])
 def test_verify_rejects_out_of_range_sizes(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -493,7 +493,7 @@ def test_rows_of_unequal_length_are_rejected(call, rows):
 
 @pytest.mark.parametrize("entry, name", [(0.5, "float"), (0.0, "float"), (True, "bool"),
                                          (False, "bool"), ("1", "str"), (None, "NoneType")])
-@pytest.mark.parametrize("call", [rank, kernel_basis])
+@pytest.mark.parametrize("call", [rank, kernel_basis, det])
 def test_entries_that_are_not_rational_are_rejected(call, entry, name):
     with pytest.raises(ValueError, match=f"int or Fraction, not {name}$"):
         call([[Q(1), 2], [entry, 1]])

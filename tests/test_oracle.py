@@ -2,10 +2,16 @@
 
 import json
 
+import dataclasses
+
 import pytest
 
+import coadorbits.oracle as oracle
+from coadorbits.basic import enumerate_basic_subsets
 from coadorbits.functionals import orbit_dimension
 from coadorbits.oracle import (
+    _SUITES,
+    MAX_SCAN_N,
     AmbiguousSignConventionError,
     SuiteConfig,
     UnknownSuiteError,
@@ -122,3 +128,77 @@ def test_report_records_failures_with_replay_data():
     assert failures, "the rejected sign rule must fail on sampled points"
     replayed, _ = random_orbit_point("B", 4, alpha, 1, seed=failures[0]["seed"])
     assert functional_to_json(replayed) == failures[0]["functional"]
+
+
+# A value of each option that a suite reading it accepts; () and 0 check
+# that an explicit empty value counts as given.
+_GIVEN = {"kinds": (), "max_n": 4, "trials": 0}
+
+
+@pytest.mark.parametrize("name", list(_SUITES))
+def test_a_suite_rejects_every_option_it_does_not_read(name):
+    _, defaults, _ = _SUITES[name]
+    options = {f.name for f in dataclasses.fields(SuiteConfig)} - {"seed"}
+    assert options == _GIVEN.keys() and defaults.keys() <= options
+    for option in sorted(options - defaults.keys()):
+        with pytest.raises(ValueError, match=f"^suite {name} does not read the option {option}$"):
+            run_suite(name, SuiteConfig(**{option: _GIVEN[option]}))
+
+
+@pytest.mark.parametrize("name,key", [
+    ("chart-soundness", "trials_per_alpha"),
+    ("decompose-roundtrip", "trials_per_n"),
+    ("single-orbit-scan", "random_phis"),
+    ("two-dim-support", "trials_per_n"),
+])
+def test_explicit_zero_trials_wins_wherever_it_is_read(name, key):
+    assert "trials" in _SUITES[name][1]
+    report = run_suite(name, SuiteConfig(max_n=4, trials=0))
+    assert report.parameters[key] == 0 and report.passed
+    # single-orbit-scan still checks the all-ones phi of every basic subset
+    subsets = sum(len(list(enumerate_basic_subsets(n))) for n in range(2, 5))
+    assert report.trials == (subsets if name == "single-orbit-scan" else 0)
+
+
+@pytest.mark.parametrize("name", ["chart-soundness", "dimension-formulas"])
+def test_explicit_empty_kinds_wins(name):
+    report = run_suite(name, SuiteConfig(kinds=(), max_n=3))
+    assert report.parameters["kinds"] == [] and report.trials == 0
+
+
+@pytest.mark.parametrize("name,bound", [("achievable-dims", MAX_SCAN_N), ("single-orbit-scan", 9)])
+def test_exponential_scans_are_bounded_before_they_start(name, bound):
+    assert _SUITES[name][2] == bound
+    with pytest.raises(ValueError, match=f"^max_n must be at most {bound} for {name}, got {bound + 1}$"):
+        run_suite(name, SuiteConfig(max_n=bound + 1))
+
+
+def test_certification_draws_each_point_once(monkeypatch):
+    drawn = []
+    real = oracle.random_orbit_point
+
+    def spy(kind, n, alpha, c=1, seed=None):
+        drawn.append(seed)
+        return real(kind, n, alpha, c, seed=seed)
+
+    monkeypatch.setattr(oracle, "random_orbit_point", spy)
+    assert resolve_sign_conventions(n_max=4, trials=3, seed=2024).rules == {
+        "B": "constant-minus", "D": "constant-minus"}
+    assert drawn == [f"2024:signs:{kind}:{n}:{alpha}:{t}"
+                     for kind in "BD" for n in (3, 4)
+                     for alpha in get_system(kind, n).roots if alpha.tag == "sum"
+                     for t in range(3)]
+
+
+def test_chart_soundness_builds_each_chart_once(monkeypatch):
+    built = []
+    real = oracle.orbit_chart
+
+    def spy(kind, n, alpha, c):
+        built.append((n, alpha))
+        return real(kind, n, alpha, c)
+
+    monkeypatch.setattr(oracle, "orbit_chart", spy)
+    report = run_suite("chart-soundness", SuiteConfig(kinds=(RootSystemKind.B,), max_n=3, trials=2))
+    assert report.passed and report.trials == 2 * len(built)
+    assert built == [(n, alpha) for n in (2, 3) for alpha in get_system("B", n).roots]

@@ -63,3 +63,31 @@ def test_scan_achievable_dims_rejects_rank_below_two(n):
     assert done.stdout == ""
     assert "usage:" in done.stderr and "--n must be at least 2" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-n", "2"], "--max-n must be at least 3, got 2"),
+    (["--trials", "0"], "--trials must be at least 1, got 0"),
+    (["--trials", "-1"], "--trials must be at least 1, got -1"),
+])
+def test_certify_signs_rejects_sizes_that_cannot_certify(argv, message):
+    done = run_script("certify_signs.py", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage:") and done.stderr.endswith(f"error: {message}\n")
+
+
+def test_certify_signs_reports_an_ambiguous_result_in_one_line():
+    done = run_script("certify_signs.py", "--max-n", "3")
+    assert done.returncode == 1
+    assert done.stdout.startswith("candidate rules: ")
+    assert done.stderr.startswith("certify_signs: error: kind B: surviving rules [")
+    assert done.stderr.count("\n") == 1
+
+
+def test_scan_achievable_dims_rejects_rank_above_the_bound():
+    done = run_script("scan_achievable_dims.py", "--n", "13")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "usage:" in done.stderr and "--n must be at most 12, got 13" in done.stderr
+    assert "Traceback" not in done.stderr
