@@ -202,7 +202,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kinds = (RootSystemKind(args.kind),) if args.kind else None
+    kinds = (args.kind,) if args.kind else None
     config = SuiteConfig(kinds=kinds, max_n=args.max_n, trials=args.trials, seed=args.seed)
     report = run_suite(args.suite, config)
     if args.format == "json":

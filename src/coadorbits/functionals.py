@@ -13,10 +13,11 @@ that every letter updates one position vector in place. That vector holds
 f's values as ints over one common denominator, which type B's second-order
 halves double only where a half is real, so integral parameters keep the
 whole action in ints. The skew form is built once, as sparse
-integer rows scaled by the lcm of f's denominators; ``orbit_dimension`` and
-``radical_basis`` hand those rows to the integer elimination of ``linalg``
-(``orbit_dimension`` only counts its pivots, ``radical_basis`` reads its
-kernel), and ``skew_form`` reads them back as dense Fraction rows.
+integer rows scaled by the lcm of f's denominators, and ``skew_form`` reads
+them back as dense Fraction rows. ``orbit_dimension`` counts the pivots of
+their integer elimination in ``linalg`` and ``radical_basis`` reads its
+kernel; ``_reduced_skew`` keeps the last functional's reduced form, so
+asking both of one functional reduces it once.
 """
 
 from __future__ import annotations
@@ -319,9 +320,28 @@ def skew_form(f: Functional) -> SkewForm:
                                     for row in int_rows))
 
 
+# (system, a copy of f.values, reduced form) of the last functional reduced.
+_last_reduced: tuple = (None, None, None)
+
+
+def _reduced_skew(f: Functional) -> dict[int, dict[int, int]]:
+    """The reduced form over Q of f's skew rows, which callers only read.
+
+    One slot, keyed on f's system and values, keeps the last form; it is
+    replaced by one assignment, so concurrent callers can at worst miss.
+    """
+    global _last_reduced
+    system, values, echelon = _last_reduced
+    if system is f.system and values == f.values:
+        return echelon
+    echelon = _reduced(_skew_rows(f)[0])
+    _last_reduced = (f.system, dict(f.values), echelon)
+    return echelon
+
+
 def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = len(_reduced(_skew_rows(f)[0]))
+    r = len(_reduced_skew(f))
     if r % 2 != 0:
         raise OddRankError(f"skew form has odd rank {r}")
     return r
@@ -334,7 +354,7 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     count is len(roots) - orbit_dimension(f).
     """
     n = len(f.system.roots)
-    return _fractions(_kernel(_skew_rows(f)[0], n), n)
+    return _fractions(_kernel(_reduced_skew(f), n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ integer rows {column: int} and returns their reduced row echelon form over
 Q, each row scaled to coprime integers with a positive pivot (Bareiss 1968
 keeps elimination over the integers in the same way). ``rank`` and
 ``kernel_basis`` scale each Fraction row to integers by the lcm of its
-denominators; ``functionals`` passes the integer rows of a skew form
-directly. A rank counts the pivots. ``_kernel`` reads one vector per free
-column off the reduced rows, as a denominator and its integer numerators,
-and ``_fractions`` reads those as Fraction tuples for ``kernel_basis`` and
+denominators; ``functionals`` reduces the integer rows of a skew form
+directly, once for both its rank and its kernel. A rank counts the pivots.
+``_kernel`` reads one vector per free column off a given reduced form,
+which it leaves as it is, as a denominator and its integer numerators, and
+``_fractions`` reads those as Fraction tuples for ``kernel_basis`` and
 ``functionals.radical_basis``. ``det`` and the reference kernel
 ``_exact_kernel`` read the Fraction elimination ``_eliminate``.
 """
@@ -158,8 +159,8 @@ def _reduced(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[Vector]:
-    """The reduced kernel basis of sparse integer rows {column: int} of width ncols.
+def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
+    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduced``.
 
     A free column fc takes L, the lcm of the pivots of the reduced rows that
     hold it; each such row, with pivot b at pc and entry a at fc, gives
@@ -167,7 +168,6 @@ def _kernel(int_rows: list[dict[int, int]], ncols: int) -> list[Vector]:
     Each vector is (denominator, {column: numerator}); ``_fractions`` reads
     the vectors as Fraction tuples.
     """
-    echelon = _reduced(int_rows)
     held: list[list[tuple[int, int, int]]] = [[] for _ in range(ncols)]
     for pc, row in echelon.items():
         for j, a in row.items():
@@ -211,7 +211,7 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     columns, so the basis is in reduced form and deterministic.
     """
     ncols = len(rows[0]) if rows else 0
-    return _fractions(_kernel(_integer_rows(rows), ncols), ncols)
+    return _fractions(_kernel(_reduced(_integer_rows(rows)), ncols), ncols)
 
 
 def det(rows: Matrix) -> Fraction:

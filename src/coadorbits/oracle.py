@@ -39,7 +39,8 @@ from .functionals import (
 )
 from .orbits import OrbitChart, contains, orbit_chart, singular_set, singular_size_formula
 from .polynomials import Polynomial
-from .roots import DIFF, SUM, PositiveRoot, RootSystemKind, diff, get_system, short, sum_root
+from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, diff, get_system, short,
+                    sum_root)
 
 DEFAULT_SEED = 314159
 
@@ -95,7 +96,7 @@ class SuiteConfig:
     """Options of a suite run. None picks the suite's default; a suite that
     does not read a given option rejects it (see _SUITES)."""
 
-    kinds: tuple[RootSystemKind, ...] | None = None
+    kinds: tuple[RootSystemKind | str, ...] | None = None
     max_n: int | None = None
     trials: int | None = None
     seed: int = DEFAULT_SEED
@@ -254,7 +255,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
     """Run a suite with the options it reads merged over its defaults.
 
     A given option that the suite does not read raises ValueError, as do a
-    max_n below 2 or above the suite's bound and a negative trials.
+    max_n below 2 or above the suite's bound and a negative trials. A kind
+    may be given by name; an unknown one raises InvalidRootError.
     """
     config = config or SuiteConfig()
     try:
@@ -269,6 +271,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
     if unread:
         raise ValueError(f"suite {name} does not read the option {', '.join(unread)}")
     options = {**defaults, **given}
+    if "kinds" in options:
+        options["kinds"] = tuple(_as_kind(kind) for kind in options["kinds"])
     max_n = options["max_n"]
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")

@@ -1,6 +1,7 @@
 """Basic subsets, derived sets, decomposition, achievable dimensions."""
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -190,6 +191,35 @@ def test_singular_masks_are_the_closed_form(n):
             closed = {diff(i, k) for k in range(i + 1, j)} | {diff(k, j) for k in range(i + 1, j)}
             expected = sum(1 << system.index_of(r) for r in closed)
             assert masks[diff(i, j)] == expected, (i, j)
+
+
+def _crossings(subset: BasicSubset) -> int:
+    """The pairs of arcs (a, b), (c, d) of D with a < c < b < d."""
+    arcs = [(r.i, r.j) for r in subset.roots]
+    return sum(1 for (a, b), (c, d) in itertools.permutations(arcs, 2) if a < c < b < d)
+
+
+# Derived-free basic subsets of A_n with at least one crossing.
+CROSSING_DERIVED_FREE = {2: 0, 3: 0, 4: 0, 5: 1, 6: 10, 7: 68, 8: 396, 9: 2132}
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_s_of_is_twice_the_arc_lengths_less_the_crossings(n):
+    # S(e_i - e_j) holds 2(j-i-1) roots, and two arcs of a rook placement
+    # share exactly one singular root where they cross and none elsewhere.
+    noncrossing = crossing_derived_free = 0
+    for subset in enumerate_basic_subsets(n):
+        crs = _crossings(subset)
+        expected = 2 * sum(r.j - r.i - 1 for r in subset.roots) - crs
+        assert s_of(subset) == expected == len(_reference_singular_union(subset)), subset
+        if not crs:
+            noncrossing += 1
+            assert derived_set(subset) == frozenset(), subset
+        elif not derived_set(subset):
+            crossing_derived_free += 1
+    # The noncrossing set partitions of {1..n} number Catalan(n).
+    assert noncrossing == math.comb(2 * n, n) // (n + 1)
+    assert crossing_derived_free == CROSSING_DERIVED_FREE[n]
 
 
 # ---------------------------------------------------------------------------

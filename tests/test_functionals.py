@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coadorbits import functionals
 from coadorbits.basic import basic_map, basic_point, basic_subset, enumerate_basic_subsets
 from coadorbits.functionals import (
     Functional,
     GroupWord,
     _act,
     _ad_chains,
+    _skew_rows,
     coadjoint_apply,
     coadjoint_apply_one,
     concat_words,
@@ -33,7 +35,8 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.linalg import _eliminate, _exact_kernel, kernel_basis, rank
+from coadorbits.linalg import (_eliminate, _exact_kernel, _fractions, _kernel, _reduced,
+                               kernel_basis, rank)
 from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
                                random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -702,6 +705,76 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
     assert basis == _exact_kernel(rows)
     if style == "orbit":
         assert orbit_dimension(f) == len(singular_set(kind, n, alpha).singular)
+
+
+def _uncached_radical(f):
+    """The radical from a fresh reduction of f's skew rows, as before the one-slot cache."""
+    n = len(f.system.roots)
+    return _fractions(_kernel(_reduced(_skew_rows(f)[0]), n), n)
+
+
+@pytest.fixture
+def count_reductions(monkeypatch):
+    """An empty reduced-form slot and a list that records each call of functionals._reduced."""
+    calls = []
+
+    def counted(int_rows):
+        calls.append(len(int_rows))
+        return _reduced(int_rows)
+
+    monkeypatch.setattr(functionals, "_last_reduced", (None, None, None))
+    monkeypatch.setattr(functionals, "_reduced", counted)
+    return calls
+
+
+def test_dimension_and_radical_of_one_functional_reduce_it_once(count_reductions):
+    system = get_system("B", 4)
+    rng = random.Random("reduce-once:B4")
+    f = random_functional(system, rng)
+    dim = orbit_dimension(f)
+    basis = radical_basis(f)
+    assert len(count_reductions) == 1
+    assert basis == _uncached_radical(f) and dim == len(system.roots) - len(basis)
+    # An equal functional built afresh is keyed by its values, not its identity.
+    twin = functional(system, {root: str(v) for root, v in f.values.items()})
+    assert twin is not f and twin.values is not f.values
+    assert orbit_dimension(twin) == dim and radical_basis(twin) == basis
+    assert len(count_reductions) == 1
+    other = random_functional(system, rng)
+    assert other != f
+    assert radical_basis(other) == _uncached_radical(other)
+    assert len(count_reductions) == 2
+
+
+def test_equal_values_in_another_system_are_reduced_again(count_reductions):
+    # A4 and D3 both have six roots, and e1-e3, e2-e3 lie in both.
+    a4, d3 = get_system("A", 4), get_system("D", 3)
+    assert len(a4.roots) == len(d3.roots)
+    values = {diff(1, 3): Q(2), diff(2, 3): Q(-1, 3)}
+    f, g = functional(a4, values), functional(d3, values)
+    assert f.values == g.values
+    assert radical_basis(f) == _uncached_radical(f)
+    assert radical_basis(g) == _uncached_radical(g)
+    assert len(count_reductions) == 2
+    assert orbit_dimension(g) == len(d3.roots) - len(_uncached_radical(g))
+    assert len(count_reductions) == 2
+
+
+@pytest.mark.parametrize("kind, n", [("A", 6), ("B", 4), ("D", 5)])
+def test_interleaved_dimensions_and_radicals_equal_fresh_reductions(count_reductions, kind, n):
+    system = get_system(kind, n)
+    rng = random.Random(f"interleaved:{kind}{n}")
+    f, g = random_functional(system, rng), random_functional(system, rng)
+    assert f != g
+    size = len(system.roots)
+    dim_f = orbit_dimension(f)
+    rad_g = radical_basis(g)
+    rad_f = radical_basis(f)
+    dim_g = orbit_dimension(g)
+    assert rad_f == _uncached_radical(f) and dim_f == size - len(rad_f)
+    assert rad_g == _uncached_radical(g) and dim_g == size - len(rad_g)
+    # Each call follows a call on the other functional, so each one misses.
+    assert len(count_reductions) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ elimination replaced, kept here verbatim with its ladder of moduli and its
 Fraction fallback.
 """
 
+import copy
 import itertools
 import math
 import random
@@ -368,7 +369,7 @@ def integer_rows(draw, max_rows=5, max_cols=6):
 def test_integer_row_kernel_equals_the_fraction_elimination(case):
     int_rows, ncols = case
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
-    vectors = linalg._kernel(int_rows, ncols)
+    vectors = linalg._kernel(linalg._reduced(int_rows), ncols)
     assert linalg._fractions(vectors, ncols) == _exact_kernel(dense)
     assert linalg._fractions(vectors, ncols) == linalg._fractions(
         _reference_modular_kernel(int_rows, ncols), ncols)
@@ -454,9 +455,13 @@ def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
     int_rows, ncols = case
     before = [dict(row) for row in int_rows]
     rows = list(int_rows)
-    linalg._reduced(rows)
-    linalg._kernel(rows, ncols)
+    echelon = linalg._reduced(rows)
+    shared = copy.deepcopy(echelon)
+    vectors = linalg._kernel(echelon, ncols)
     assert rows == int_rows == before
+    # A reduced form shared by a rank and a kernel is only read.
+    assert echelon == shared
+    assert linalg._kernel(echelon, ncols) == vectors
 
 
 @given(matrices(max_rows=4, square=True))

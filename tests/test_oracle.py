@@ -20,7 +20,7 @@ from coadorbits.oracle import (
     run_suite,
 )
 from coadorbits.orbits import singular_set
-from coadorbits.roots import RootSystemKind, diff, get_system, sum_root
+from coadorbits.roots import InvalidRootError, RootSystemKind, diff, get_system, sum_root
 
 
 def test_zero_length_word_gives_base_point():
@@ -95,6 +95,17 @@ def test_suites_pass_at_reduced_scale(name, config):
     assert report.passed, report.failures[:3]
     assert report.verdict == "pass"
     assert report.trials > 0
+
+
+@pytest.mark.parametrize("name, options", [("dimension-formulas", {}),
+                                           ("chart-soundness", {"trials": 3})])
+def test_kind_names_run_as_their_kinds(name, options):
+    named = run_suite(name, SuiteConfig(kinds=("A",), max_n=3, **options))
+    typed = run_suite(name, SuiteConfig(kinds=(RootSystemKind.A,), max_n=3, **options))
+    assert named.passed and named.trials > 0
+    assert json.dumps(named.to_json(), sort_keys=True) == json.dumps(typed.to_json(), sort_keys=True)
+    with pytest.raises(InvalidRootError, match="unknown root system kind 'Q'"):
+        run_suite(name, SuiteConfig(kinds=("Q",), max_n=3, **options))
 
 
 def test_explicit_zero_trials_is_not_the_default():
