@@ -457,11 +457,10 @@ def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
     rows = list(int_rows)
     echelon = linalg._reduced(rows)
     shared = copy.deepcopy(echelon)
-    vectors = linalg._kernel(echelon, ncols)
+    linalg._kernel(echelon, ncols)
     assert rows == int_rows == before
     # A reduced form shared by a rank and a kernel is only read.
     assert echelon == shared
-    assert linalg._kernel(echelon, ncols) == vectors
 
 
 @given(matrices(max_rows=4, square=True))
