@@ -17,7 +17,10 @@ integer rows scaled by the lcm of f's denominators, and ``skew_form`` reads
 them back as dense Fraction rows. ``orbit_dimension`` counts the pivots of
 their integer elimination in ``linalg`` and ``radical_basis`` reads its
 kernel; ``_reduced_skew`` keeps the last functional's reduced form, so
-asking both of one functional reduces it once.
+asking both of one functional back to back reduces it once. Nothing in
+the package asks both, perfbench's orbit-rank checks do; the oracle suites
+and ``dim`` ask the dimension alone, nearly always of a new functional, and
+their misses cost one compare of the slot's key.
 """
 
 from __future__ import annotations
@@ -294,48 +297,54 @@ class SkewForm:
     rows: tuple[tuple[Fraction, ...], ...]
 
 
-def _skew_rows(f: Functional) -> tuple[list[dict[int, int]], int]:
-    """The skew form of f times one integer scale, as sparse rows {b: entry}; with the scale.
-
-    The scale is the lcm of the denominators of f's values. With F[g] the
-    value at position g times the scale, [e_a, e_b] = c e_g gives the
-    integer entry c * F[g]; scaling all rows alike leaves rank and kernel as
-    they are.
-    """
+def _scaled(f: Functional) -> tuple[list[int], int]:
+    """f's value at each canonical position times the lcm of its denominators; with that lcm."""
     system = f.system
     scale = math.lcm(*[v.denominator for v in f.values.values()])
     scaled = [0] * len(system.roots)
     for root, v in f.values.items():
         scaled[system.index_of(root)] = v.numerator * (scale // v.denominator)
+    return scaled, scale
+
+
+def _skew_rows(system: RootSystem, scaled: list[int]) -> list[dict[int, int]]:
+    """The skew form of the functional with scaled values ``scaled``, as sparse rows {b: entry}.
+
+    [e_a, e_b] = c e_g gives the integer entry c * scaled[g]; scaling all
+    rows alike leaves rank and kernel as they are.
+    """
     by_index = structure_table(system.kind, system.n).by_index
-    rows = [{b: c * scaled[g] for b, (c, g) in brackets.items() if scaled[g]}
+    return [{b: c * scaled[g] for b, (c, g) in brackets.items() if scaled[g]}
             for brackets in by_index]
-    return rows, scale
 
 
 def skew_form(f: Functional) -> SkewForm:
-    int_rows, scale = _skew_rows(f)
+    scaled, scale = _scaled(f)
     columns = range(len(f.system.roots))
     return SkewForm(f.system, tuple(tuple(Fraction(row.get(b, 0), scale) for b in columns)
-                                    for row in int_rows))
+                                    for row in _skew_rows(f.system, scaled)))
 
 
-# (system, a copy of f.values, reduced form) of the last functional reduced.
+# (system, scaled values, reduced form) of the last functional reduced.
 _last_reduced: tuple = (None, None, None)
 
 
 def _reduced_skew(f: Functional) -> dict[int, dict[int, int]]:
     """The reduced form over Q of f's skew rows, which callers only read.
 
-    One slot, keyed on f's system and values, keeps the last form; it is
-    replaced by one assignment, so concurrent callers can at worst miss.
+    One slot keeps the last form, keyed on f's system and its scaled
+    values, the ints the rows are built from, so a miss costs one compare
+    of int lists. It hits when the dimension and the radical of one
+    functional are asked back to back. The slot is replaced by one
+    assignment, so concurrent callers can at worst miss.
     """
     global _last_reduced
-    system, values, echelon = _last_reduced
-    if system is f.system and values == f.values:
+    scaled = _scaled(f)[0]
+    system, kept, echelon = _last_reduced
+    if system is f.system and kept == scaled:
         return echelon
-    echelon = _reduced(_skew_rows(f)[0])
-    _last_reduced = (f.system, dict(f.values), echelon)
+    echelon = _reduced(_skew_rows(f.system, scaled))
+    _last_reduced = (f.system, scaled, echelon)
     return echelon
 
 

@@ -19,6 +19,7 @@ from coadorbits.functionals import (
     GroupWord,
     _act,
     _ad_chains,
+    _scaled,
     _skew_rows,
     coadjoint_apply,
     coadjoint_apply_one,
@@ -710,7 +711,7 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
 def _uncached_radical(f):
     """The radical from a fresh reduction of f's skew rows, as before the one-slot cache."""
     n = len(f.system.roots)
-    return _fractions(_kernel(_reduced(_skew_rows(f)[0]), n), n)
+    return _fractions(_kernel(_reduced(_skew_rows(f.system, _scaled(f)[0])), n), n)
 
 
 @pytest.fixture
@@ -758,6 +759,23 @@ def test_equal_values_in_another_system_are_reduced_again(count_reductions):
     assert len(count_reductions) == 2
     assert orbit_dimension(g) == len(d3.roots) - len(_uncached_radical(g))
     assert len(count_reductions) == 2
+    # The same values at the same canonical positions give equal slot keys.
+    h = functional(a4, {a4.roots[d3.index_of(root)]: v for root, v in g.values.items()})
+    assert _scaled(h) == _scaled(g)
+    assert radical_basis(h) == _uncached_radical(h)
+    assert len(count_reductions) == 3
+
+
+def test_functionals_with_equal_integer_rows_share_one_reduction(count_reductions):
+    # e*_alpha / 2 and e*_alpha have the same scaled values, so the same rows.
+    system = get_system("B", 4)
+    alpha = system.roots[-1]
+    half, whole = e_star(system, alpha, Q(1, 2)), e_star(system, alpha)
+    assert _scaled(half)[0] == _scaled(whole)[0] and half != whole
+    dim = orbit_dimension(half)
+    assert radical_basis(whole) == _uncached_radical(whole)
+    assert dim == len(system.roots) - len(_uncached_radical(half))
+    assert len(count_reductions) == 1
 
 
 @pytest.mark.parametrize("kind, n", [("A", 6), ("B", 4), ("D", 5)])

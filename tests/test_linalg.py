@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import linalg
-from coadorbits.functionals import _skew_rows, functional, orbit_dimension, radical_basis, skew_form
+from coadorbits.functionals import _scaled, _skew_rows, functional, orbit_dimension, radical_basis, skew_form
 from coadorbits.linalg import Vector, _eliminate, _exact_kernel, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
@@ -208,10 +208,15 @@ def rungs(rows) -> list[tuple[int, bool]]:
     return tried
 
 
+def int_skew_rows(f) -> list[dict[int, int]]:
+    """The sparse integer skew rows of f, at the lcm of its denominators."""
+    return _skew_rows(f.system, _scaled(f)[0])
+
+
 def skew_rungs(f) -> list[tuple[int, bool]]:
     """The moduli the reference modular kernel tries on the integer skew rows of f."""
     tried = []
-    _reference_modular_kernel(_skew_rows(f)[0], len(f.system.roots), tried)
+    _reference_modular_kernel(int_skew_rows(f), len(f.system.roots), tried)
     return tried
 
 
@@ -225,7 +230,7 @@ def assert_kernel_agrees(rows):
 
 def assert_radical_agrees(f):
     """radical_basis and orbit_dimension of f equal both references on its skew rows."""
-    int_rows, _ = _skew_rows(f)
+    int_rows = int_skew_rows(f)
     rows, ncols = skew_form(f).rows, len(f.system.roots)
     reference = _reference_modular_kernel(int_rows, ncols)
     basis = radical_basis(f)
@@ -432,14 +437,14 @@ def test_row_insertion_reduces_seeded_skew_rows_as_the_column_scan(kind, n):
     rng = random.Random(f"reduced:{kind}{n}")
     system = get_system(kind, n)
     for _ in range(3):
-        int_rows, _ = _skew_rows(random_functional(system, rng))
+        int_rows = int_skew_rows(random_functional(system, rng))
         assert_reduced_agrees(int_rows, len(system.roots))
 
 
 @pytest.mark.parametrize("kind, n, seed", [("B", 6, 0), ("D", 7, 1)])
 def test_row_insertion_reduces_highest_root_skew_rows_as_the_column_scan(kind, n, seed):
     f, _ = random_orbit_point(kind, n, parse_root("e1+e2"), 1, seed=seed)
-    assert_reduced_agrees(_skew_rows(f)[0], len(f.system.roots))
+    assert_reduced_agrees(int_skew_rows(f), len(f.system.roots))
 
 
 @given(integer_rows(), st.randoms(use_true_random=False))
