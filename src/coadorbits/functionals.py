@@ -17,10 +17,10 @@ integer rows scaled by the lcm of f's denominators, and ``skew_form`` reads
 them back as dense Fraction rows. ``orbit_dimension`` counts the pivots of
 their integer elimination in ``linalg`` and ``radical_basis`` reads its
 kernel; ``_reduced_skew`` keeps the last functional's reduced form, so
-asking both of one functional back to back reduces it once. Nothing in
-the package asks both, perfbench's orbit-rank checks do; the oracle suites
+asking both of one functional back to back reduces it once. perfbench's
+orbit-rank checks ask both; nothing in the package does. The oracle suites
 and ``dim`` ask the dimension alone, nearly always of a new functional, and
-their misses cost one compare of the slot's key.
+each miss costs one compare of the slot's key.
 """
 
 from __future__ import annotations
