@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .functionals import (Functional, Rational, _frac, functional, int_from_json,
-                          object_from_json, rational_from_json)
+                          object_from_json, root_rationals_from_json)
 from .orbits import singular_set
 from .roots import (
     DIFF,
@@ -301,10 +301,9 @@ def decompose(f: Functional) -> DecompositionResult:
     """
     _require_type_a(f.system)
     n = f.system.n
-    F = [
-        [f.value(diff(i, j)) if i < j else Fraction(0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    pos, nums, den = _positions(n), f.nums, f.den
+    F = [[Fraction(nums[pos[i][j]], den) if i < j else 0 for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
     phi: dict[PositiveRoot, Fraction] = {}
     for i, row in enumerate(F):
         j = next((c for c in range(n - 1, i, -1) if row[c]), None)
@@ -393,8 +392,7 @@ def basic_map_from_json(data: Mapping) -> BasicMap:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed basic map object: {exc}") from None
     subset = basic_subset(n, [parse_root(s) for s in names])
-    phi = {parse_root(name): rational_from_json(name, v) for name, v in raw.items()}
-    return basic_map(subset, phi)
+    return basic_map(subset, root_rationals_from_json(raw))
 
 
 def iter_scan_records(n: int) -> Iterator[dict]:

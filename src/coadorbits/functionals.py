@@ -1,33 +1,31 @@
 """Functionals on the nilpotent algebras and the coadjoint action.
 
-A functional f is stored sparsely by its values on the root-vector basis,
-its coadjoint translates g.f are computed from the terminating exponential
-series of the nilpotent adjoint action, and the orbit through f has exact
-dimension equal to the rank of the skew form (x, y) -> f([x, y]).
+A functional f is stored as int numerators by canonical root position over
+one denominator, in lowest terms; its coadjoint translates g.f are computed
+from the terminating exponential series of the nilpotent adjoint action,
+and the orbit through f has exact dimension equal to the rank of the skew
+form (x, y) -> f([x, y]).
 
 Both the action and the skew form read the bracket table by canonical
 position (``BracketTable.by_index``). The action reads it through one cached
 plan per letter (``_ad_chains``): the gammas the letter moves, longest tail
 first, each with its one or two tail terms unrolled in int coefficients, so
-that every letter updates one position vector in place. That vector holds
-f's values as ints over one common denominator, which type B's second-order
-halves double only where a half is real, so integral parameters keep the
-whole action in ints. The skew form is built once, as sparse
-integer rows scaled by the lcm of f's denominators, and ``skew_form`` reads
-them back as dense Fraction rows. ``orbit_dimension`` counts the pivots of
-their integer elimination in ``linalg`` and ``radical_basis`` reads its
-kernel; ``_reduced_skew`` keeps the last functional's reduced form, so
-asking both of one functional back to back reduces it once. perfbench's
-orbit-rank checks ask both; nothing in the package does. The oracle suites
-and ``dim`` ask the dimension alone, nearly always of a new functional, and
-each miss costs one compare of the slot's key.
+that every letter updates a copy of f's numerators in place, over f's
+denominator, which type B's second-order halves double only where a half is
+real. The skew rows are sparse int rows over f's numerators, which
+``skew_form`` reads back over f's denominator; ``orbit_dimension`` counts
+the pivots of their integer elimination in ``linalg`` and ``radical_basis``
+reads its kernel; ``_reduced_skew`` keeps the last functional's reduced
+form, so asking both of one functional back to back reduces it once.
+perfbench's orbit-rank checks ask both; the package's callers ask the
+dimension alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -88,47 +86,70 @@ def _frac(x: Rational) -> Fraction:
     raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {_echo(x)}')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Functional:
-    """Element of the dual space, as a sparse root -> rational map.
+    """Element of the dual space: f(e_root) is nums[system.index_of(root)] / den.
 
-    Absent roots have value 0; zero values are never stored, so equality of
-    the dataclass is equality of functionals. Instances are immutable and
-    safe to share.
+    The form is canonical, den > 0 and gcd(den, *nums) == 1 (so den == 1 for
+    zero), and equality of the dataclass is equality of functionals. Build
+    instances with ``functional``, ``e_star`` or the action; the constructor
+    takes its fields as they are. Instances are immutable and hashable.
     """
 
     system: RootSystem
-    values: dict[PositiveRoot, Fraction] = field(default_factory=dict)
+    den: int
+    nums: tuple[int, ...]
+
+    @property
+    def values(self) -> dict[PositiveRoot, Fraction]:
+        """A fresh root -> value map of the nonzero values, in canonical order."""
+        return {root: Fraction(v, self.den) for root, v in zip(self.system.roots, self.nums) if v}
 
     def value(self, root: PositiveRoot) -> Fraction:
-        return self.values.get(root, Fraction(0))
+        """f(e_root); 0 for a root outside the system."""
+        k = self.system._index.get(root)
+        return Fraction(0) if k is None else Fraction(self.nums[k], self.den)
 
     def scaled(self, c: Rational) -> "Functional":
         c = _frac(c)
-        if c == 0:
-            return Functional(self.system, {})
-        return Functional(self.system, {r: c * v for r, v in self.values.items()})
+        return _from_vector(self.system, [v * c.numerator for v in self.nums],
+                            self.den * c.denominator)
 
     def __str__(self) -> str:
-        if not self.values:
-            return "0"
-        return " + ".join(f"{v}*e*[{r}]" for r, v in sorted(
-            self.values.items(), key=lambda item: item[0].sort_key()))
+        return " + ".join(f"{v}*e*[{r}]" for r, v in self.values.items()) or "0"
+
+
+def _from_vector(system: RootSystem, vec: list, den: int) -> Functional:
+    """vec / den in lowest terms, for int or Fraction entries and a positive int den."""
+    denominators = [v.denominator for v in vec if type(v) is not int]
+    if denominators:
+        scale = math.lcm(*denominators)
+        vec = [v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+               for v in vec]
+        den *= scale
+    if den != 1:
+        g = math.gcd(den, *vec)
+        if g != 1:
+            den //= g
+            vec = [v // g for v in vec]
+    return Functional(system, den, tuple(vec))
 
 
 def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> Functional:
-    """Build a functional, validating roots and dropping zero values."""
-    vals: dict[PositiveRoot, Fraction] = {}
-    for root, v in values.items():
-        system.check_member(root)
-        fv = _frac(v)
-        if fv:
-            vals[root] = fv
-    return Functional(system, vals)
+    """Build a functional from a root -> rational map, validating the roots.
+
+    Written over the lcm of their denominators, the values are in lowest terms.
+    """
+    given = {system.index_of(root): _frac(v) for root, v in values.items()}
+    den = math.lcm(*[q.denominator for q in given.values()])
+    nums = [0] * len(system.roots)
+    for k, q in given.items():
+        nums[k] = q.numerator * (den // q.denominator)
+    return Functional(system, den, tuple(nums))
 
 
 def zero_functional(system: RootSystem) -> Functional:
-    return Functional(system, {})
+    return Functional(system, 1, (0,) * len(system.roots))
 
 
 def e_star(system: RootSystem, alpha: PositiveRoot, c: Rational = 1) -> Functional:
@@ -189,23 +210,20 @@ def _ad_chains(kind: RootSystemKind, n: int):
 _HALF = Fraction(1, 2)
 
 
-def _act(system: RootSystem, letters, values: Mapping) -> dict:
-    """Apply the letters (beta, t), last first, to values over a vector in canonical order.
+def _act(system: RootSystem, letters, vec, den: int):
+    """Apply the letters (beta, t), last first, to the values vec / den; return (vec, den).
 
-    The loop only adds, multiplies and tests for zero, so the parameters and
-    values may be Fractions or Polynomials; an orbit chart runs it with its
-    letters' parameters as variables. Inside, the values are written once as
-    ints over one common denominator den, the lcm of their denominators, and
-    integral parameters travel as ints; int/Fraction promotion keeps every
-    sum exact. A second-order term y (d2 / 2) t^2 (type B only) takes
-    z = y d2 t^2 and adds z >> 1 when z is an even int. When z is an odd
-    int, the half is real: the whole vector and den are doubled, and z is
-    added as it is, so integral parameters keep the vector in ints. Any
-    other z (a Fraction from a rational parameter, or a Polynomial) adds
-    z * 1/2. The returned values are Fractions (or Polynomials) again, each
-    divided by den. Each letter updates the vector in place, in its plan's
-    order (see ``_ad_chains``). ``values`` itself comes back when nothing
-    moves it.
+    vec is indexed by canonical position and den is a positive int. The loop
+    only adds, multiplies and tests for zero, so parameters and entries may
+    be ints, Fractions or Polynomials; an orbit chart runs it with its
+    letters' parameters as variables. A second-order term y (d2 / 2) t^2
+    (type B only) takes z = y d2 t^2 and adds z >> 1 when z is an even int.
+    When z is an odd int, the half is real: the whole vector and den are
+    doubled and z is added as it is, so integral parameters keep an int
+    vector in ints. Any other z (a Fraction or a Polynomial) adds z * 1/2,
+    so a Polynomial vector stays over 1. Each letter updates a copy of vec
+    in place, in its plan's order (see ``_ad_chains``); vec itself comes
+    back, unchanged, when nothing moves it.
     """
     index = system._index
     moves = []
@@ -221,14 +239,10 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
         elif not t:
             continue
         moves.append((b, t))
-    if not moves or not values:
-        return values
+    if not moves or not any(vec):
+        return vec, den
     chains = _ad_chains(system.kind, system.n)
-    den = math.lcm(*[v.denominator for v in values.values() if type(v) is Fraction])
-    vec = [0] * len(system.roots)
-    for root, v in values.items():
-        vec[system.index_of(root)] = (v.numerator * (den // v.denominator)
-                                      if type(v) is Fraction else v * den)
+    vec = list(vec)
     for b, t in moves:
         twos, ones = chains[b]
         if twos:
@@ -251,12 +265,7 @@ def _act(system: RootSystem, letters, values: Mapping) -> dict:
             x = vec[p]
             if x:
                 vec[g] += x * c * t
-    roots = system.roots
-    if den == 1:
-        return {roots[k]: Fraction(v) if type(v) is int else v for k, v in enumerate(vec) if v}
-    scale = Fraction(1, den)
-    return {roots[k]: Fraction(v, den) if type(v) is int else v * scale
-            for k, v in enumerate(vec) if v}
+    return vec, den
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -278,8 +287,8 @@ def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
 
 
 def _act_on(letters, f: Functional) -> Functional:
-    values = _act(f.system, letters, f.values)
-    return f if values is f.values else Functional(f.system, values)
+    vec, den = _act(f.system, letters, f.nums, f.den)
+    return f if vec is f.nums else _from_vector(f.system, vec, den)
 
 
 def concat_words(*words: GroupWord) -> GroupWord:
@@ -297,54 +306,42 @@ class SkewForm:
     rows: tuple[tuple[Fraction, ...], ...]
 
 
-def _scaled(f: Functional) -> tuple[list[int], int]:
-    """f's value at each canonical position times the lcm of its denominators; with that lcm."""
-    system = f.system
-    scale = math.lcm(*[v.denominator for v in f.values.values()])
-    scaled = [0] * len(system.roots)
-    for root, v in f.values.items():
-        scaled[system.index_of(root)] = v.numerator * (scale // v.denominator)
-    return scaled, scale
+def _skew_rows(system: RootSystem, nums: tuple[int, ...]) -> list[dict[int, int]]:
+    """The skew form of a functional with numerators nums, times its den, as sparse rows {b: entry}.
 
-
-def _skew_rows(system: RootSystem, scaled: list[int]) -> list[dict[int, int]]:
-    """The skew form of the functional with scaled values ``scaled``, as sparse rows {b: entry}.
-
-    [e_a, e_b] = c e_g gives the integer entry c * scaled[g]; scaling all
+    [e_a, e_b] = c e_g gives the integer entry c * nums[g]; scaling all
     rows alike leaves rank and kernel as they are.
     """
     by_index = structure_table(system.kind, system.n).by_index
-    return [{b: c * scaled[g] for b, (c, g) in brackets.items() if scaled[g]}
+    return [{b: c * nums[g] for b, (c, g) in brackets.items() if nums[g]}
             for brackets in by_index]
 
 
 def skew_form(f: Functional) -> SkewForm:
-    scaled, scale = _scaled(f)
     columns = range(len(f.system.roots))
-    return SkewForm(f.system, tuple(tuple(Fraction(row.get(b, 0), scale) for b in columns)
-                                    for row in _skew_rows(f.system, scaled)))
+    return SkewForm(f.system, tuple(tuple(Fraction(row.get(b, 0), f.den) for b in columns)
+                                    for row in _skew_rows(f.system, f.nums)))
 
 
-# (system, scaled values, reduced form) of the last functional reduced.
+# (system, numerators, reduced form) of the last functional reduced.
 _last_reduced: tuple = (None, None, None)
 
 
 def _reduced_skew(f: Functional) -> dict[int, dict[int, int]]:
     """The reduced form over Q of f's skew rows, which callers only read.
 
-    One slot keeps the last form, keyed on f's system and its scaled
-    values, the ints the rows are built from, so a miss costs one compare
-    of int lists. It hits when the dimension and the radical of one
-    functional are asked back to back. The slot is replaced by one
-    assignment, so concurrent callers can at worst miss.
+    One slot keeps the last form, keyed on f's system and its numerators,
+    the ints the rows are built from, so a miss costs one compare of int
+    tuples and f/2 shares f's entry. It hits when the dimension and the
+    radical of one functional are asked back to back. The slot is replaced
+    by one assignment, so concurrent callers can at worst miss.
     """
     global _last_reduced
-    scaled = _scaled(f)[0]
     system, kept, echelon = _last_reduced
-    if system is f.system and kept == scaled:
+    if system is f.system and kept == f.nums:
         return echelon
-    echelon = _reduced(_skew_rows(f.system, scaled))
-    _last_reduced = (f.system, scaled, echelon)
+    echelon = _reduced(_skew_rows(f.system, f.nums))
+    _last_reduced = (f.system, f.nums, echelon)
     return echelon
 
 
@@ -374,8 +371,7 @@ def functional_to_json(f: Functional) -> dict:
     return {
         "kind": f.system.kind.value,
         "n": f.system.n,
-        "values": {str(r): str(v) for r, v in sorted(
-            f.values.items(), key=lambda item: item[0].sort_key())},
+        "values": {str(r): str(v) for r, v in f.values.items()},
     }
 
 
@@ -408,14 +404,27 @@ def object_from_json(key: str, value) -> dict:
     raise ValueError(f"value of {key!r} must be a JSON object, got {_echo(value)}")
 
 
+def root_rationals_from_json(raw: Mapping) -> dict[PositiveRoot, Fraction]:
+    """The root -> rational map of a JSON object; two keys naming one root raise ValueError."""
+    names: dict[PositiveRoot, str] = {}
+    values = {}
+    for name, v in raw.items():
+        root = parse_root(name)
+        if root in names:
+            raise ValueError(f"keys {_echo(names[root])} and {_echo(name)} "
+                             f"name the same root {_echo(root)}")
+        names[root] = name
+        values[root] = rational_from_json(name, v)
+    return values
+
+
 def functional_from_json(data: Mapping) -> Functional:
     try:
         system = get_system(data["kind"], int_from_json("n", data["n"]))
         raw = object_from_json("values", data["values"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed functional object: {exc}") from None
-    values = {parse_root(name): rational_from_json(name, v) for name, v in raw.items()}
-    return functional(system, values)
+    return functional(system, root_rationals_from_json(raw))
 
 
 def word_to_json(word: GroupWord) -> list:

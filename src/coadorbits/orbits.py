@@ -17,8 +17,8 @@ its constraint, so the sign of the quadratic tail in the sum-root charts
 only on (kind, n, alpha), so each is derived once and cached; a chart
 carries its scalar c and its own copy of the cached constraints. f lies in
 the level-c chart iff (1/c) f satisfies the level-1 equations. Membership
-is tested over the integers: (1/c) f is written once as an integer vector
-H over canonical positions with one common denominator e, and each
+is tested over the integers: (1/c) f is H / e, with H f's numerators by
+canonical position times c's denominator and e an int, and each
 constraint is compared by cross-multiplication with its cached integer
 form, so no Fraction is built. A chart variable is its singular root's
 position, and only the renderers decode positions back to roots.
@@ -26,14 +26,14 @@ position, and only the renderers decode positions back to roots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, groupby
 from typing import Callable, Mapping
 
-from .functionals import Functional, GroupWord, Rational, _act, _frac, functional, group_word
+from .functionals import (Functional, GroupWord, Rational, _act, _frac, _from_vector, e_star,
+                          functional, group_word)
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -199,8 +199,9 @@ def _level_one_constraints(
     system = get_system(kind, n)
     data = _singular_data(kind, n)[alpha]
     letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
-    moved = _act(system, letters, {alpha: Polynomial.const(1)})
-    return {beta: moved.get(beta, _ZERO) for beta in data.regular}
+    start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
+    moved, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
+    return {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular}
 
 
 def orbit_chart(
@@ -216,21 +217,11 @@ def orbit_chart(
     return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], dict(constraints))
 
 
-def _integer_vector(
-    chart: OrbitChart, values: Mapping[PositiveRoot, Fraction]
-) -> tuple[list[int], int]:
-    """(H, e): (1/c) times values is H / e, with H an int vector over canonical positions.
-
-    e is the lcm of the values' denominators times c's numerator.
-    """
+def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], int]:
+    """(H, e) with (1/c) f = H / e: H is f.nums * c.denominator, e is f.den * c.numerator."""
     c = chart.c
-    common = math.lcm(*[v.denominator for v in values.values()])
-    scale = common * c.denominator
-    index_of = chart.system.index_of
-    h = [0] * len(chart.system.roots)
-    for root, v in values.items():
-        h[index_of(root)] = v.numerator * (scale // v.denominator)
-    return h, common * c.numerator
+    h = f.nums if c.denominator == 1 else tuple(v * c.denominator for v in f.nums)
+    return h, f.den * c.numerator
 
 
 def contains(chart: OrbitChart, f: Functional) -> bool:
@@ -241,7 +232,7 @@ def contains(chart: OrbitChart, f: Functional) -> bool:
     """
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
-    h, e = _integer_vector(chart, f.values)
+    h, e = _integer_vector(chart, f)
     index_of = chart.system.index_of
     for beta, poly in chart.constraints.items():
         num, den = poly._integer_ratio(h, e)
@@ -260,14 +251,14 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         raise ChartVariableError(
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
-    given = {root: _frac(v) for root, v in assignment.items()}
+    given = functional(chart.system, assignment)
     h, e = _integer_vector(chart, given)
-    c = chart.c
-    regular = {}
+    c, index_of = chart.c, chart.system.index_of
+    vec: list = list(given.nums)  # over given.den, as each regular value is written
     for beta, poly in chart.constraints.items():
         num, den = poly._integer_ratio(h, e)
-        regular[beta] = Fraction(c.numerator * num, c.denominator * den)
-    return functional(chart.system, given | regular)
+        vec[index_of(beta)] = Fraction(c.numerator * num * given.den, c.denominator * den)
+    return _from_vector(chart.system, vec, given.den)
 
 
 def construct_group_word(
@@ -286,7 +277,8 @@ def construct_group_word(
     letters = _word_letters(singular_set(kind, n, alpha), f.value)
     if f.system != get_system(kind, n):
         raise ValueError(f"functional lives on a different system than {alpha}")
-    if _act(f.system, letters, {alpha: Fraction(1)}) != f.values:
+    moved = _act(f.system, letters, e_star(f.system, alpha).nums, 1)
+    if _from_vector(f.system, *moved) != f:
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
     return group_word(letters)
 

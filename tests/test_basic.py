@@ -36,7 +36,7 @@ from coadorbits.basic import (
     witness_basic_subsets,
 )
 from coadorbits.basic import _root_set, _singular_mask, _singular_masks
-from coadorbits.functionals import (Functional, coadjoint_apply, e_star, functional, orbit_dimension,
+from coadorbits.functionals import (coadjoint_apply, e_star, functional, orbit_dimension,
                                     zero_functional)
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import default_word_length, random_functional, random_word
@@ -82,7 +82,7 @@ def plus(f, g):
             values[r] = w
         else:
             values.pop(r, None)
-    return Functional(f.system, values)
+    return functional(f.system, values)
 
 
 def test_support_examples():
@@ -703,6 +703,13 @@ def test_basic_map_json_round_trip():
 def test_basic_map_json_rejects_non_string_rational(value):
     payload = {"n": 5, "roots": ["e1-e3", "e2-e5"], "phi": {"e1-e3": "2", "e2-e5": value}}
     with pytest.raises(ValueError, match="e2-e5"):
+        basic_map_from_json(payload)
+
+
+@pytest.mark.parametrize("other", [" e1-e3", "e01-e3", "e1-e03 "])
+def test_basic_map_json_rejects_a_root_named_twice(other):
+    payload = {"n": 5, "roots": ["e1-e3"], "phi": {"e1-e3": "2", other: "-3"}}
+    with pytest.raises(ValueError, match=f"keys 'e1-e3' and '{other}' name the same root e1-e3"):
         basic_map_from_json(payload)
 
 

@@ -6,16 +6,20 @@ here as source, without importing perfbench, so a renamed or uncached
 package function fails this test instead of a traced benchmark run. The
 root-keyed ``BracketTable.table`` view, which perfbench reads outside those
 tables (tracing.py's entry counter, the orbit-rank certificate in
-workloads.py), is checked here too.
+workloads.py), is checked here too, and so is what perfbench reads of a
+functional: the density and coefficient-size counters in tracing.py, the
+round-trip verdict and the orbit-rank certificate in workloads.py.
 """
 
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coadorbits.roots import PositiveRoot, structure_table
+from coadorbits import functionals
+from coadorbits.roots import PositiveRoot, diff, get_system, short, structure_table, sum_root
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +74,25 @@ def test_root_keyed_table_view(kind, n):
     for (alpha, beta), (c, gamma) in view.items():
         assert isinstance(alpha, PositiveRoot) and isinstance(beta, PositiveRoot)
         assert type(c) is int and isinstance(gamma, PositiveRoot)
+
+
+def test_functional_reads_of_perfbench():
+    # A moved functional with a real type-B half, so its values are not all integral.
+    system = get_system("B", 4)
+    start = functionals.functional(system, {short(1): 3, sum_root(1, 2): Fraction(-1, 3)})
+    word = functionals.group_word([(diff(3, 4), Fraction(2, 5)), (short(2), 1)])
+    f = functionals.coadjoint_apply(word, start)
+    assert f != start
+    values = f.values
+    # tracing.py: len(values) / len(f.system.roots), and each value's bit lengths.
+    assert 0 < len(values) <= len(f.system.roots)
+    assert all(type(v) is Fraction and v for v in values.values())
+    assert any(v.denominator != 1 for v in values.values())
+    assert max(max(v.numerator.bit_length(), v.denominator.bit_length())
+               for v in values.values()) > 0
+    # workloads.py: values.get(gamma) in the orbit-rank certificate, f.value(r) in
+    # the round-trip verdict, and == between functionals.
+    for root in system.roots:
+        assert values.get(root, 0) == f.value(root)
+        assert (values.get(root) is None) == (f.value(root) == 0)
+    assert functionals.functional(system, values) == f

@@ -101,6 +101,20 @@ def test_decompose_command(tmp_path, capsys):
     assert "phi[e1-e3] = 2" in out
 
 
+# Three keys that parse_root reads as e1-e4; the last one used to win.
+ONE_ROOT_THREE_KEYS = {"e1-e4": "1", " e1-e4": "-3", "e01-e4": "5"}
+
+
+@pytest.mark.parametrize("command", ["dim", "decompose"])
+def test_a_root_named_twice_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "A", "n": 4, "values": ONE_ROOT_THREE_KEYS}))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, command, str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "coadorbits: error: keys 'e1-e4' and ' e1-e4' name the same root e1-e4\n"
+
+
 def test_dims_command(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "6")
     assert code == 0

@@ -19,7 +19,6 @@ from coadorbits.functionals import (
     GroupWord,
     _act,
     _ad_chains,
-    _scaled,
     _skew_rows,
     coadjoint_apply,
     coadjoint_apply_one,
@@ -176,7 +175,7 @@ def _reference_apply_one(beta, t, f):
                 v += fv * coef * (-t) ** m
         if v:
             vals[gamma] = v
-    return Functional(system, vals)
+    return functional(system, vals)
 
 
 def _reference_apply(word, f):
@@ -296,7 +295,7 @@ def test_ad_chain_plans_read_no_gamma_they_have_updated(kind):
 
 
 # ---------------------------------------------------------------------------
-# Integral numbers as ints inside the action, Fractions at the boundary
+# The integer action against the all-Fraction loop it replaced
 # ---------------------------------------------------------------------------
 
 def _reference_act(system, letters, values):
@@ -445,9 +444,12 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     alpha = data.draw(st.sampled_from(system.roots))
     sing = singular_set(kind, n, alpha)
     letters = _word_letters(sing, lambda root: Polynomial.var(system.index_of(root)))
-    start = {alpha: Polynomial.const(1)}
-    moved = _act(system, letters, start)
-    assert moved == _reference_act(system, letters, start)
+    start = [0] * len(system.roots)
+    start[system.index_of(alpha)] = Polynomial.const(1)
+    moved, den = _act(system, letters, start, 1)
+    assert den == 1
+    assert ({root: v for root, v in zip(system.roots, moved) if v}
+            == _reference_act(system, letters, {alpha: Polynomial.const(1)}))
     c = data.draw(act_rationals.filter(bool))
     chart = orbit_chart(kind, n, alpha, c)
     for polys in (chart.constraints, chart.scaled_constraints()):
@@ -511,6 +513,79 @@ def test_foreign_letter_raises_at_either_end(kind, n):
                 coadjoint_apply(group_word(letters), f)
         with pytest.raises(InvalidRootError):
             coadjoint_apply_one(foreign, 1, f)
+
+
+# ---------------------------------------------------------------------------
+# One canonical form: ints over one denominator, by canonical position
+# ---------------------------------------------------------------------------
+
+def _is_canonical(f):
+    """den >= 1, one int numerator per root, gcd(den, *nums) == 1, and den == 1 at zero."""
+    return (type(f.den) is int and f.den >= 1
+            and type(f.nums) is tuple and len(f.nums) == len(f.system.roots)
+            and all(type(v) is int for v in f.nums)
+            and math.gcd(f.den, *f.nums) == 1
+            and (any(f.nums) or f.den == 1))
+
+
+def test_equal_functionals_hash_equal_however_built():
+    system = get_system("B", 3)
+    alpha, beta = sum_root(1, 2), short(3)
+    by_strings = functional(system, {alpha: "-3/2", beta: "0", diff(1, 2): "4/2"})
+    by_fractions = functional(system, {diff(1, 2): Q(2), alpha: Q(-3, 2)})
+    by_scaling = functional(system, {diff(1, 2): 4, alpha: -3}).scaled(Q(1, 2))
+    by_json = functional_from_json(functional_to_json(by_fractions))
+    # The word is w w^-1 for w = exp(e_beta) exp(-5/3 e_{e2-e3}), so it carries
+    # f back to f through a rational parameter and a short-root letter.
+    word = group_word([(beta, Q(1)), (diff(2, 3), Q(-5, 3)), (diff(2, 3), Q(5, 3)), (beta, -1)])
+    by_action = coadjoint_apply(word, by_fractions)
+    assert by_action is not by_fractions
+    built = [by_strings, by_fractions, by_scaling, by_json, by_action]
+    assert all(g == by_fractions and hash(g) == hash(by_fractions) for g in built)
+    assert all(_is_canonical(g) for g in built)
+    assert by_fractions == Functional(system, 2, by_fractions.nums)
+    assert by_fractions.nums[system.index_of(diff(1, 2))] == 4
+    assert len(set(built)) == 1
+    assert {g: k for k, g in enumerate(built)} == {by_fractions: len(built) - 1}
+    other = by_fractions.scaled(2)
+    assert other != by_fractions and len({other, *built}) == 2
+    assert hash(zero_functional(system)) == hash(by_fractions.scaled(0))
+
+
+def test_editing_values_leaves_the_functional_unchanged():
+    system = get_system("A", 4)
+    given = {diff(2, 3): Q(-1, 2), diff(1, 4): Q(1)}
+    f, twin = functional(system, given), functional(system, given)
+    values = f.values
+    values[diff(1, 4)] = Q(0)
+    values[diff(1, 2)] = Q(5)
+    del values[diff(2, 3)]
+    assert f == twin and hash(f) == hash(twin)
+    assert f.values == given and f.values is not f.values
+    assert list(f.values) == [r for r in system.roots if r in given]
+    assert f.value(diff(1, 2)) == 0 and f.value(diff(2, 3)) == Q(-1, 2)
+    assert orbit_dimension(f) == orbit_dimension(twin)
+    with pytest.raises(AttributeError):
+        f.nums = (0,) * len(system.roots)
+
+
+@given(act_cases(), st.data())
+def test_functionals_are_built_in_canonical_form(case, data):
+    # Parameters from act_rationals; each type-B word carries an integral
+    # short-root letter, whose odd second-order terms double the denominator.
+    system, letters, values = case
+    f = functional(system, values)
+    assert _is_canonical(f)
+    word = group_word(letters)
+    moved = coadjoint_apply(word, f)
+    assert _is_canonical(moved)
+    if word.letters:
+        assert _is_canonical(coadjoint_apply_one(*word.letters[0], f))
+    alpha = data.draw(st.sampled_from(system.roots))
+    chart = orbit_chart(system.kind, system.n, alpha, data.draw(act_rationals.filter(bool)))
+    point = chart_point(chart, {s: data.draw(act_rationals) for s in chart.data.singular})
+    assert _is_canonical(point)
+    assert _is_canonical(coadjoint_apply(word, point))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +786,7 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
 def _uncached_radical(f):
     """The radical from a fresh reduction of f's skew rows, as before the one-slot cache."""
     n = len(f.system.roots)
-    return _fractions(_kernel(_reduced(_skew_rows(f.system, _scaled(f)[0])), n), n)
+    return _fractions(_kernel(_reduced(_skew_rows(f.system, f.nums)), n), n)
 
 
 @pytest.fixture
@@ -761,7 +836,7 @@ def test_equal_values_in_another_system_are_reduced_again(count_reductions):
     assert len(count_reductions) == 2
     # The same values at the same canonical positions give equal slot keys.
     h = functional(a4, {a4.roots[d3.index_of(root)]: v for root, v in g.values.items()})
-    assert _scaled(h) == _scaled(g)
+    assert (h.den, h.nums) == (g.den, g.nums)
     assert radical_basis(h) == _uncached_radical(h)
     assert len(count_reductions) == 3
 
@@ -771,7 +846,7 @@ def test_functionals_with_equal_integer_rows_share_one_reduction(count_reduction
     system = get_system("B", 4)
     alpha = system.roots[-1]
     half, whole = e_star(system, alpha, Q(1, 2)), e_star(system, alpha)
-    assert _scaled(half)[0] == _scaled(whole)[0] and half != whole
+    assert half.nums == whole.nums and half != whole
     dim = orbit_dimension(half)
     assert radical_basis(whole) == _uncached_radical(whole)
     assert dim == len(system.roots) - len(_uncached_radical(half))
@@ -806,6 +881,14 @@ def test_functional_json_round_trip():
     assert payload["kind"] == "B" and payload["n"] == 3
     assert payload["values"]["e1-e3"] == "-3/7"
     assert functional_from_json(payload) == f
+
+
+@pytest.mark.parametrize("other", [" e1-e3", "e01-e3", "e1-e003", "e1-e3\n"])
+def test_functional_json_rejects_a_root_named_twice(other):
+    payload = {"kind": "A", "n": 3, "values": {"e1-e3": "1", "e1-e2": "2", other: "-3"}}
+    with pytest.raises(ValueError) as info:
+        functional_from_json(payload)
+    assert str(info.value) == f"keys 'e1-e3' and {other!r} name the same root e1-e3"
 
 
 def test_functional_json_rejects_bad_input():

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import linalg
-from coadorbits.functionals import _scaled, _skew_rows, functional, orbit_dimension, radical_basis, skew_form
+from coadorbits.functionals import _skew_rows, functional, orbit_dimension, radical_basis, skew_form
 from coadorbits.linalg import Vector, _eliminate, _exact_kernel, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
@@ -209,8 +209,8 @@ def rungs(rows) -> list[tuple[int, bool]]:
 
 
 def int_skew_rows(f) -> list[dict[int, int]]:
-    """The sparse integer skew rows of f, at the lcm of its denominators."""
-    return _skew_rows(f.system, _scaled(f)[0])
+    """The sparse integer skew rows of f, times its denominator."""
+    return _skew_rows(f.system, f.nums)
 
 
 def skew_rungs(f) -> list[tuple[int, bool]]:

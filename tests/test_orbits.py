@@ -407,7 +407,11 @@ def test_derived_chart_equals_reference(kind, n):
     for alpha in system.roots:
         data = singular_set(kind, n, alpha)
         letters = _word_letters(data, lambda root: var(system, root))
-        moved = _act(system, letters, {alpha: Polynomial.const(1)})
+        start = [0] * len(system.roots)
+        start[system.index_of(alpha)] = Polynomial.const(1)
+        vec, den = _act(system, letters, start, 1)
+        moved = dict(zip(system.roots, vec))
+        assert den == 1
         assert all(moved[s] == var(system, s) for s in data.singular)
         assert moved[alpha] == Polynomial.const(1)
         assert orbit_chart(kind, n, alpha, 1).constraints == _reference_chart(kind, n, alpha)
