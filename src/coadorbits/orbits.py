@@ -4,9 +4,9 @@ For a positive root alpha and a nonzero scalar c, the orbit through
 c * e*_alpha is cut out, inside the dual space, by one polynomial constraint
 per regular root, in the coordinates indexed by the singular roots. The
 singular roots S(alpha) are the roots beta with [e_beta, e_gamma] = c e_alpha
-for some root gamma; they, their pairing and the pair signs are all read
-in one pass over the position-keyed rows of the cached bracket table
-(roots.structure_table).
+for some root gamma. They and their pairs (left, partner, sign) are read in
+one pass over the position-keyed rows of the cached bracket table
+(roots.structure_table) into one immutable SingularData per root.
 
 Charts are derived, not written out per family: the constructive group
 word of construct_group_word, with its parameters taken as variables, is
@@ -75,18 +75,17 @@ class SingularData:
     """S(alpha), R(alpha) and the pairing of S(alpha) into pairs summing to alpha.
 
     A root beta is singular when [e_beta, e_gamma] = c e_alpha for some root
-    gamma, its unique partner alpha - beta. ``left`` collects
-    the member of each pair whose first index is alpha's first index,
-    ``pairing`` maps each of them to its partner, and ``pair_signs`` records
-    the structure constant c (+/-1) of the bracket [e_left, e_partner].
+    gamma, its unique partner alpha - beta. ``pairs`` holds each pair once,
+    as (left, partner, sign) in canonical order of left: left is the member
+    whose first index is alpha's first index, and sign is the structure
+    constant (+/-1) of [e_left, e_partner]. Every field is a tuple, so the
+    cached record is hashable and cannot be edited.
     """
 
     alpha: PositiveRoot
     singular: tuple[PositiveRoot, ...]
     regular: tuple[PositiveRoot, ...]
-    left: tuple[PositiveRoot, ...]
-    pairing: dict[PositiveRoot, PositiveRoot]
-    pair_signs: dict[PositiveRoot, int]
+    pairs: tuple[tuple[PositiveRoot, PositiveRoot, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -94,40 +93,38 @@ def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularD
     """Every root's SingularData, read in one pass over the position-keyed table.
 
     An entry by_index[b][g] = (c, a) is a pair of S(a) when b and a share
-    their first index; positions are decoded to roots only at the end.
+    their first index. Rows are read in order of b, so pairs come in
+    canonical order of left; positions become roots only at the end.
     """
     table = structure_table(kind, n)
     roots = table.system.roots
     first = [root.i for root in roots]
-    pairs: list[dict[int, tuple[int, int]]] = [{} for _ in roots]
+    pairs: list[list[tuple[int, int, int]]] = [[] for _ in roots]
     for b, row in enumerate(table.by_index):
         for g, (c, a) in row.items():
             if first[b] == first[a]:
                 if c not in (1, -1):
                     raise PairSignError(
                         f"pair ({roots[b]}, {roots[g]}) does not bracket to +/- e_{roots[a]}")
-                pairs[a][b] = (g, c)
+                pairs[a].append((b, g, c))
     out = {}
     size = len(roots)
     for alpha, found in zip(roots, pairs):
-        left = sorted(found)
         singular, regular = bytearray(size), bytearray(b"\x01") * size
-        for b, (g, _) in found.items():
+        for b, g, _ in found:
             singular[b] = singular[g] = 1
             regular[b] = regular[g] = 0
         out[alpha] = SingularData(
             alpha,
             tuple(compress(roots, singular)),
             tuple(compress(roots, regular)),
-            tuple(roots[b] for b in left),
-            {roots[b]: roots[found[b][0]] for b in left},
-            {roots[b]: found[b][1] for b in left},
+            tuple((roots[b], roots[g], c) for b, g, c in found),
         )
     return out
 
 
 def singular_set(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> SingularData:
-    """Singular and regular roots of alpha, with the pairing of the singular roots."""
+    """Singular and regular roots of alpha and its pairs: the cached, immutable record."""
     system = get_system(kind, n)
     system.check_member(alpha)
     return _singular_data(system.kind, n)[alpha]
@@ -177,9 +174,8 @@ class OrbitChart:
 
 def _word_letters(data: SingularData, value: Callable) -> list:
     """The letters of construct_group_word's product, with value(root) in place of f(root)."""
-    letters = [(data.pairing[g], data.pair_signs[g] * value(g)) for g in data.left]
-    letters += [(g, -data.pair_signs[g] * value(data.pairing[g])) for g in data.left]
-    return letters
+    return ([(p, s * value(g)) for g, p, s in data.pairs]
+            + [(g, -s * value(p)) for g, p, s in data.pairs])
 
 
 # The constraint of every regular root that the derivation leaves at 0.
@@ -266,13 +262,13 @@ def construct_group_word(
 ) -> GroupWord:
     """A word w with w . e*_alpha = f, for f in the level-1 orbit of alpha.
 
-    One constructive product serves every chart family: for each left
-    singular root gamma with partner p and bracket sign s, first the
-    exponentials along p with parameter s f(gamma), then those along gamma
-    with parameter -s f(p). For e_i - e_j this runs along e_k - e_j, then
-    e_i - e_k; for e_i along e_k, then e_i - e_k; difference and short pairs
-    all have sign +1. f is in the orbit exactly when the word carries
-    e*_alpha to f, the test the derived chart makes.
+    One constructive product serves every chart family: for each pair
+    (gamma, p, s) of SingularData.pairs, first the exponentials along p
+    with parameter s f(gamma), then those along gamma with parameter
+    -s f(p). For e_i - e_j this runs along e_k - e_j, then e_i - e_k; for
+    e_i along e_k, then e_i - e_k; difference and short pairs all have
+    sign +1. f is in the orbit exactly when the word carries e*_alpha to f,
+    the test the derived chart makes.
     """
     letters = _word_letters(singular_set(kind, n, alpha), f.value)
     if f.system != get_system(kind, n):

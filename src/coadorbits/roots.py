@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from threading import Lock
+from types import MappingProxyType
 from weakref import WeakValueDictionary
 
 
@@ -327,13 +328,13 @@ def bracket(
 class BracketTable:
     """Complete bracket table of a system, over canonical positions.
 
-    by_index[a] is {b: (c, g)} for every nonzero [e_a, e_b] = c e_g, so each
-    row holds both orders of a pair: by_index[b][a] is (-c, g).
+    by_index[a] is a read-only {b: (c, g)} for every nonzero [e_a, e_b] = c e_g,
+    so each row holds both orders of a pair: by_index[b][a] is (-c, g).
     """
 
     __slots__ = ("system", "by_index")
 
-    def __init__(self, system: RootSystem, by_index: tuple[dict[int, tuple[int, int]], ...]):
+    def __init__(self, system: RootSystem, by_index: tuple[MappingProxyType, ...]):
         self.system = system
         self.by_index = by_index
 
@@ -397,7 +398,7 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
                 f"[{roots[a]}, {roots[b]}] is not an integer multiple of one root vector")
         by_index[a][b] = (coef, g)
         by_index[b][a] = (-coef, g)
-    return BracketTable(system, by_index)
+    return BracketTable(system, tuple(map(MappingProxyType, by_index)))
 
 
 def structure_table(kind: RootSystemKind | str, n: int) -> BracketTable:

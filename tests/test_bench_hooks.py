@@ -8,7 +8,9 @@ root-keyed ``BracketTable.table`` view, which perfbench reads outside those
 tables (tracing.py's entry counter, the orbit-rank certificate in
 workloads.py), is checked here too, and so is what perfbench reads of a
 functional: the density and coefficient-size counters in tracing.py, the
-round-trip verdict and the orbit-rank certificate in workloads.py.
+round-trip verdict and the orbit-rank certificate in workloads.py. So is
+what it reads of singular data: the round-trip assignments and the orbit-rank
+highest root in workloads.py.
 """
 
 import ast
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from coadorbits import functionals
+from coadorbits import functionals, orbits
 from coadorbits.roots import PositiveRoot, diff, get_system, short, structure_table, sum_root
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -96,3 +98,18 @@ def test_functional_reads_of_perfbench():
         assert values.get(root, 0) == f.value(root)
         assert (values.get(root) is None) == (f.value(root) == 0)
     assert functionals.functional(system, values) == f
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_singular_data_reads_of_perfbench(kind, n):
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        # workloads.py: singular_set(...).singular keys the round-trip assignment,
+        # and its length picks the orbit-rank highest root.
+        singular = orbits.singular_set(system.kind, n, alpha).singular
+        assert type(singular) is tuple
+        assert all(root in system.roots for root in singular)
+        assert len(singular) == orbits.singular_size_formula(kind, n, alpha)
+        assignment = {root: Fraction(k + 2, 3) for k, root in enumerate(singular)}
+        point = orbits.chart_point(orbits.orbit_chart(kind, n, alpha, Fraction(-3, 5)), assignment)
+        assert all(point.value(root) == value for root, value in assignment.items())

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as Q
 
 import pytest
@@ -38,6 +38,7 @@ from coadorbits.roots import (
     SHORT,
     SUM,
     BracketTable,
+    PositiveRoot,
     RootSystemKind,
     bracket,
     diff,
@@ -89,9 +90,14 @@ def add_roots(a, b):
     return root_from_weight(w)
 
 
+def left(data):
+    """The left member of each pair, in canonical order."""
+    return tuple(gamma for gamma, _, _ in data.pairs)
+
+
 def right(data):
     """The partner half of the pairing, in canonical order (the removed ``SingularData.right``)."""
-    partners = set(data.pairing.values())
+    partners = {partner for _, partner, _ in data.pairs}
     return tuple(r for r in data.singular if r in partners)
 
 
@@ -106,8 +112,7 @@ def test_singular_set_examples():
     assert set(data.singular) == {diff(1, 2), short(2), diff(1, 3), short(3)}
     data = singular_set("D", 3, sum_root(1, 3))
     assert set(data.singular) == {diff(1, 2), sum_root(2, 3)}
-    assert data.pairing == {diff(1, 2): sum_root(2, 3)}
-    assert data.pair_signs == {diff(1, 2): 1}
+    assert data.pairs == ((diff(1, 2), sum_root(2, 3), 1),)
 
 
 def test_singular_set_worked_example_b3():
@@ -152,16 +157,18 @@ def test_sum_root_pairings(kind, n):
     system = get_system(kind, n)
     for alpha in system.roots:
         data = singular_set(kind, n, alpha)
-        assert set(data.left) | set(right(data)) == set(data.singular)
-        assert set(data.left).isdisjoint(right(data))
-        assert 2 * len(data.left) == len(data.singular)
-        assert set(data.pairing) == set(data.left) == set(data.pair_signs)
-        for gamma, partner in data.pairing.items():
+        assert set(left(data)) | set(right(data)) == set(data.singular)
+        assert set(left(data)).isdisjoint(right(data))
+        assert 2 * len(data.pairs) == len(data.singular)
+        # each pair once, in canonical order of its left member
+        assert list(left(data)) == sorted(left(data), key=system.index_of)
+        for gamma, partner, sign in data.pairs:
             assert gamma.i == alpha.i
             assert add_roots(gamma, partner) == alpha
-            assert data.pair_signs[gamma] in (1, -1)
+            assert bracket(kind, n, gamma, partner) == (sign, alpha)
+            assert sign in (1, -1)
             if alpha.tag != "sum":
-                assert data.pair_signs[gamma] == 1
+                assert sign == 1
 
 
 def _reference_singular_data(kind, n):
@@ -180,14 +187,11 @@ def _reference_singular_data(kind, n):
     out = {}
     for alpha, found in pairs.items():
         sing = set(found) | {partner for partner, _ in found.values()}
-        left = tuple(r for r in roots if r in found)
         out[alpha] = SingularData(
             alpha,
             tuple(r for r in roots if r in sing),
             tuple(r for r in roots if r not in sing),
-            left,
-            {gamma: found[gamma][0] for gamma in left},
-            {gamma: found[gamma][1] for gamma in left},
+            tuple((gamma, *found[gamma]) for gamma in roots if gamma in found),
         )
     return out
 
@@ -198,7 +202,7 @@ def test_singular_data_equals_root_keyed_reference(kind, n):
     got = _singular_data(kind, n)
     expected = _reference_singular_data(kind, n)
     assert got == expected
-    # the same order, down to the pairing dicts
+    # the same order, down to the pairs
     assert repr(got) == repr(expected)
 
 
@@ -212,6 +216,47 @@ def test_singular_data_rejects_a_pair_without_unit_sign(monkeypatch):
                         lambda kind, n: BracketTable(system, by_index))
     with pytest.raises(PairSignError, match=r"^pair \(e1-e2, e2-e3\) .* e_e1-e3$"):
         _singular_data.__wrapped__(RootSystemKind.A, 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_singular_data_is_a_hashable_record_of_tuples(kind, n):
+    for alpha in get_system(kind, n).roots:
+        data = singular_set(kind, n, alpha)
+        assert [field.name for field in fields(data)] == ["alpha", "singular", "regular", "pairs"]
+        assert all(type(getattr(data, field.name)) is tuple for field in fields(data)[1:])
+        for attr in ("left", "pairing", "pair_signs"):
+            assert not hasattr(data, attr)
+        for pair in data.pairs:
+            assert type(pair) is tuple and len(pair) == 3
+            gamma, partner, sign = pair
+            assert isinstance(gamma, PositiveRoot) and isinstance(partner, PositiveRoot)
+            assert type(sign) is int
+        rebuilt = _singular_data.__wrapped__(RootSystemKind(kind), n)[alpha]
+        assert rebuilt is not data and rebuilt == data
+        assert hash(rebuilt) == hash(data)
+        assert {data: alpha}[rebuilt] == alpha
+
+
+def test_cached_singular_data_survives_attempted_edits():
+    # A genuine orbit point: one flipped sign in the cached record would make
+    # construct_group_word reject it for every later caller.
+    alpha = diff(1, 4)
+    f, _ = random_orbit_point("A", 4, alpha, 1, seed=3)
+    data = singular_set("A", 4, alpha)
+    before = repr(data)
+    gamma, partner, sign = data.pairs[0]
+    with pytest.raises(FrozenInstanceError):
+        data.pairs = ((gamma, partner, -sign),) + data.pairs[1:]
+    with pytest.raises(TypeError):
+        data.pairs[0] = (gamma, partner, -sign)
+    with pytest.raises(TypeError):
+        data.singular[0] = partner
+    assert singular_set("A", 4, alpha) is data
+    assert repr(orbit_chart("A", 4, alpha).data) == before
+    word = construct_group_word("A", 4, alpha, f)
+    assert coadjoint_apply(word, e_star(f.system, alpha)) == f
+    assert contains(orbit_chart("A", 4, alpha), f)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,21 @@ def test_bracket_table_stores_only_the_position_keyed_rows():
         table.table = {}
 
 
+@pytest.mark.parametrize("kind, n", [("A", 4), ("B", 3), ("D", 4)])
+def test_cached_bracket_rows_are_read_only(kind, n):
+    # structure_table hands every caller the one cached table, so a row it
+    # could edit would change every later bracket, dimension and chart.
+    table = structure_table(kind, n)
+    assert type(table.by_index) is tuple
+    for row in table.by_index:
+        for method in ("clear", "pop", "popitem", "setdefault", "update"):
+            assert not hasattr(row, method)
+        for b, entry in row.items():
+            with pytest.raises(TypeError):
+                row[b] = entry  # the same value, so an allowed write would change nothing
+    assert structure_table(kind, n) is table
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_bracket_grading_and_antisymmetry(kind, n):
