@@ -14,11 +14,11 @@ that every letter updates a copy of f's numerators in place, over f's
 denominator, which type B's second-order halves double only where a half is
 real. The skew rows are sparse int rows over f's numerators, which
 ``skew_form`` reads back over f's denominator; ``orbit_dimension`` counts
-the pivots of their integer elimination in ``linalg`` and ``radical_basis``
-reads its kernel; ``_reduced_skew`` keeps the last functional's reduced
-form, so asking both of one functional back to back reduces it once.
-perfbench's orbit-rank checks ask both; the package's callers ask the
-dimension alone.
+the pivots of their integer elimination in ``linalg``, and ``radical_basis``
+reads the kernel straight off the reduced rows, one Fraction per entry;
+``_reduced_skew`` keeps the last functional's reduced form, so asking both
+of one functional back to back reduces it once. perfbench's orbit-rank
+checks ask both; the package's callers ask the dimension alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import _fractions, _kernel, _reduced
+from .linalg import _kernel, _reduced
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -356,11 +356,11 @@ def orbit_dimension(f: Functional) -> int:
 def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     """Exact basis of the radical {x : f([x, y]) = 0 for all y}.
 
-    Vectors are coefficient tuples over the canonical root order; their
-    count is len(roots) - orbit_dimension(f).
+    Vectors are tuples of Fractions over the canonical root order, one for
+    each free column of the reduced skew form, with 1 there and 0 at the
+    other free columns; their count is len(roots) - orbit_dimension(f).
     """
-    n = len(f.system.roots)
-    return _fractions(_kernel(_reduced_skew(f), n), n)
+    return _kernel(_reduced_skew(f), len(f.system.roots))
 
 
 # ---------------------------------------------------------------------------

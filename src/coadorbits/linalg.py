@@ -1,22 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on sequences of rows (lists or tuples) of
-``fractions.Fraction`` and never touches floating point: ranks, kernels and
-determinants are exact, which is what makes orbit dimensions trustworthy
-integers rather than numerical estimates.
+Nothing here touches floating point: ranks, kernels and determinants are
+exact, which is what makes orbit dimensions trustworthy integers rather
+than numerical estimates. The public functions take rows (lists or tuples)
+of ints and ``fractions.Fraction``s; the elimination itself takes sparse
+integer rows.
 
 One exact elimination over the integers, ``_reduced``, takes sparse
 integer rows {column: int} and returns their reduced row echelon form over
 Q, each row scaled to coprime integers with a positive pivot (Bareiss 1968
 keeps elimination over the integers in the same way). ``rank`` and
-``kernel_basis`` scale each Fraction row to integers by the lcm of its
-denominators; ``functionals`` reduces the integer rows of a skew form
-directly, once for both its rank and its kernel. A rank counts the pivots.
-``_kernel`` reads one vector per free column off a given reduced form,
-which it leaves as it is, as a denominator and its integer numerators, and
-``_fractions`` reads those as Fraction tuples for ``kernel_basis`` and
-``functionals.radical_basis``. ``det`` and the reference kernel
-``_exact_kernel`` read the Fraction elimination ``_eliminate``.
+``kernel_basis`` scale each row to integers by the lcm of its denominators
+(``_integer_rows``); ``functionals`` reduces the integer rows of a skew
+form directly, once for both its rank and its kernel. A rank counts the
+pivots. ``_kernel`` reads the kernel basis off a given reduced form, which
+it leaves as it is, as Fraction tuples for ``kernel_basis`` and
+``functionals.radical_basis``, one Fraction per entry. ``det`` and the
+reference kernel ``_exact_kernel`` read the Fraction elimination
+``_eliminate``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
-# A kernel vector as (denominator, {column: integer numerator}).
-Vector = tuple[int, dict[int, int]]
 
 
 def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
@@ -159,44 +158,26 @@ def _reduced(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
+def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
     """The reduced kernel basis, of width ncols, of a reduced form from ``_reduced``.
 
-    A free column fc takes L, the lcm of the pivots of the reduced rows that
-    hold it; each such row, with pivot b at pc and entry a at fc, gives
-    -a L / b at pc, and the vector is divided by the gcd of its entries.
-    Each vector is (denominator, {column: numerator}); ``_fractions`` reads
-    the vectors as Fraction tuples.
+    Each free column fc gives a vector with 1 at fc and 0 at the other free
+    columns; a reduced row with pivot b at pc and entry a at fc gives it
+    -a / b at pc. A reduced row holds no other pivot column, so each entry
+    is placed in one pass over the rows, which are only read.
     """
-    held: list[list[tuple[int, int, int]]] = [[] for _ in range(ncols)]
+    zero, one = Fraction(0), Fraction(1)
+    basis: dict[int, list[Fraction]] = {}
+    for fc in range(ncols):
+        if fc not in echelon:
+            basis[fc] = v = [zero] * ncols
+            v[fc] = one
     for pc, row in echelon.items():
+        b = row[pc]
         for j, a in row.items():
             if j != pc:
-                held[j].append((pc, row[pc], a))
-    basis = []
-    for fc in range(ncols):
-        if fc in echelon:
-            continue
-        den = math.lcm(*[b for _, b, _ in held[fc]])
-        nums = {pc: -a * (den // b) for pc, b, a in held[fc]}
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {j: x // g for j, x in nums.items()}
-        nums[fc] = den
-        basis.append((den, nums))
-    return basis
-
-
-def _fractions(vectors: list[Vector], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel vectors (denominator, {column: numerator}) as Fraction tuples of width ncols."""
-    basis = []
-    for den, nums in vectors:
-        v = [Fraction(0)] * ncols
-        for j, x in nums.items():
-            v[j] = Fraction(x, den)
-        basis.append(tuple(v))
-    return basis
+                basis[j][pc] = Fraction(-a, b)
+    return [tuple(v) for v in basis.values()]
 
 
 def rank(rows: Matrix) -> int:
@@ -211,7 +192,7 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     columns, so the basis is in reduced form and deterministic.
     """
     ncols = len(rows[0]) if rows else 0
-    return _fractions(_kernel(_reduced(_integer_rows(rows)), ncols), ncols)
+    return _kernel(_reduced(_integer_rows(rows)), ncols)
 
 
 def det(rows: Matrix) -> Fraction:

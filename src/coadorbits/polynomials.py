@@ -5,11 +5,12 @@ the polynomial itself never decodes positions. A monomial is a sorted tuple of
 positions (with repetition for powers); the zero coefficient is never stored.
 This is all the chart machinery needs: sums, products, exact evaluation. No
 operation mutates an operand, so adding 0 or multiplying by 1 returns the
-operand itself. Coefficients are stored as Fractions. Evaluation runs over
-the integers: each polynomial caches, on first use, its integer form, the
-coefficients times the lcm L of their denominators, each term with the
-power of a common value denominator it lacks below the degree K, so at
-values H / e it evaluates to the integer ratio L e^K P(H / e) / (L e^K).
+operand itself, and the terms are a read-only copy of the mapping given.
+Coefficients are stored as Fractions. Evaluation runs over the integers:
+each polynomial caches, on first use, its integer form, the coefficients
+times the lcm L of their denominators, each term with the power of a common
+value denominator it lacks below the degree K, so at values H / e it
+evaluates to the integer ratio L e^K P(H / e) / (L e^K).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .functionals import _frac
 
@@ -27,7 +29,12 @@ Monomial = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Polynomial:
-    terms: dict[Monomial, Fraction]
+    terms: Mapping[Monomial, Fraction]
+
+    def __post_init__(self):
+        # A read-only copy: polynomials are shared (the chart cache hands the
+        # same ones to every chart), and the cached integer form must stay true.
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @staticmethod
     def zero() -> "Polynomial":

@@ -325,18 +325,22 @@ def bracket(
     return _structure_table(system.kind, n).get(alpha, beta)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class BracketTable:
     """Complete bracket table of a system, over canonical positions.
 
     by_index[a] is a read-only {b: (c, g)} for every nonzero [e_a, e_b] = c e_g,
-    so each row holds both orders of a pair: by_index[b][a] is (-c, g).
+    so each row holds both orders of a pair: by_index[b][a] is (-c, g). The
+    attributes cannot be rebound either: ``structure_table`` hands every
+    caller the one cached table.
     """
 
+    # Declared by hand, as for PositiveRoot: dataclass(slots=True) remakes
+    # the class, and the frozen __setattr__ of the remade class raises
+    # TypeError, not AttributeError, for a name that is not a field.
     __slots__ = ("system", "by_index")
-
-    def __init__(self, system: RootSystem, by_index: tuple[MappingProxyType, ...]):
-        self.system = system
-        self.by_index = by_index
+    system: RootSystem
+    by_index: tuple[MappingProxyType, ...]
 
     @property
     def table(self) -> dict[tuple[PositiveRoot, PositiveRoot], tuple[int, PositiveRoot]]:

@@ -10,7 +10,8 @@ workloads.py), is checked here too, and so is what perfbench reads of a
 functional: the density and coefficient-size counters in tracing.py, the
 round-trip verdict and the orbit-rank certificate in workloads.py. So is
 what it reads of singular data: the round-trip assignments and the orbit-rank
-highest root in workloads.py.
+highest root in workloads.py, and of a radical basis: the orbit-rank
+certificate in workloads.py.
 """
 
 import ast
@@ -98,6 +99,23 @@ def test_functional_reads_of_perfbench():
         assert values.get(root, 0) == f.value(root)
         assert (values.get(root) is None) == (f.value(root) == 0)
     assert functionals.functional(system, values) == f
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_radical_reads_of_perfbench(kind, n):
+    # workloads.py's orbit-rank certificate reads v[b] of each radical vector
+    # for b < N, and hands list(v) to _rank_mod_p, which reads .numerator and
+    # .denominator, and to _rank_exact, which divides with / (a float on ints).
+    system = get_system(kind, n)
+    size = len(system.roots)
+    f = functionals.functional(system, {root: Fraction(k % 4 - 2, k % 3 + 1)
+                                        for k, root in enumerate(system.roots)})
+    radical = functionals.radical_basis(f)
+    assert len(radical) == size - functionals.orbit_dimension(f) > 0
+    for v in radical:
+        assert type(v) is tuple and len(v) == size
+        assert all(type(x) is Fraction for x in v)
+    assert any(x.denominator != 1 for v in radical for x in v)
 
 
 @pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])

@@ -35,8 +35,7 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.linalg import (_eliminate, _exact_kernel, _fractions, _kernel, _reduced,
-                               kernel_basis, rank)
+from coadorbits.linalg import _eliminate, _exact_kernel, _kernel, _reduced, kernel_basis, rank
 from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
                                random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -785,8 +784,7 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
 
 def _uncached_radical(f):
     """The radical from a fresh reduction of f's skew rows, as before the one-slot cache."""
-    n = len(f.system.roots)
-    return _fractions(_kernel(_reduced(_skew_rows(f.system, f.nums)), n), n)
+    return _kernel(_reduced(_skew_rows(f.system, f.nums)), len(f.system.roots))
 
 
 @pytest.fixture

@@ -2,9 +2,10 @@
 
 The references are the Fraction elimination (``_eliminate``,
 ``_exact_kernel``), sympy where it is installed, a column-scan Fraction
-reduced form, and the certified modular kernel that the integer
-elimination replaced, kept here verbatim with its ladder of moduli and its
-Fraction fallback.
+reduced form, the certified modular kernel that the integer elimination
+replaced, kept here verbatim with its ladder of moduli and its Fraction
+fallback, and the integer kernel that the one-pass Fraction kernel
+replaced, kept here verbatim with the step that read it as Fractions.
 """
 
 import copy
@@ -18,11 +19,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import linalg
-from coadorbits.functionals import _skew_rows, functional, orbit_dimension, radical_basis, skew_form
-from coadorbits.linalg import Vector, _eliminate, _exact_kernel, det, kernel_basis, rank
+from coadorbits.functionals import (_skew_rows, functional, orbit_dimension, radical_basis,
+                                    skew_form, zero_functional)
+from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
-from coadorbits.roots import diff, get_system, parse_root
+from coadorbits.roots import diff, get_system, parse_root, sum_root
+
+# A kernel vector as (denominator, {column: integer numerator}), the form
+# both replaced kernels below return.
+Vector = tuple[int, dict[int, int]]
 
 # ---------------------------------------------------------------------------
 # The certified modular kernel that ``linalg._reduced`` replaced, verbatim
@@ -155,6 +161,51 @@ def _reference_modular_kernel(int_rows, ncols, tried=None):
     return basis
 
 
+# ---------------------------------------------------------------------------
+# The integer kernel that ``linalg._kernel`` replaced, verbatim, and the
+# step that read its vectors as Fraction tuples
+# ---------------------------------------------------------------------------
+
+def _reference_int_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
+    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduced``.
+
+    A free column fc takes L, the lcm of the pivots of the reduced rows that
+    hold it; each such row, with pivot b at pc and entry a at fc, gives
+    -a L / b at pc, and the vector is divided by the gcd of its entries.
+    Each vector is (denominator, {column: numerator}); ``_fractions`` reads
+    the vectors as Fraction tuples.
+    """
+    held: list[list[tuple[int, int, int]]] = [[] for _ in range(ncols)]
+    for pc, row in echelon.items():
+        for j, a in row.items():
+            if j != pc:
+                held[j].append((pc, row[pc], a))
+    basis = []
+    for fc in range(ncols):
+        if fc in echelon:
+            continue
+        den = math.lcm(*[b for _, b, _ in held[fc]])
+        nums = {pc: -a * (den // b) for pc, b, a in held[fc]}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {j: x // g for j, x in nums.items()}
+        nums[fc] = den
+        basis.append((den, nums))
+    return basis
+
+
+def _fractions(vectors: list[Vector], ncols: int) -> list[tuple[Q, ...]]:
+    """Kernel vectors (denominator, {column: numerator}) as Fraction tuples of width ncols."""
+    basis = []
+    for den, nums in vectors:
+        v = [Q(0)] * ncols
+        for j, x in nums.items():
+            v[j] = Q(x, den)
+        basis.append(tuple(v))
+    return basis
+
+
 entries = st.one_of(
     st.just(Q(0)),
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
@@ -224,7 +275,7 @@ def assert_kernel_agrees(rows):
     """kernel_basis and rank equal the Fraction elimination and the reference modular kernel."""
     ncols = width(rows)
     reference = _reference_modular_kernel(linalg._integer_rows(rows), ncols)
-    assert kernel_basis(rows) == _exact_kernel(rows) == linalg._fractions(reference, ncols)
+    assert kernel_basis(rows) == _exact_kernel(rows) == _fractions(reference, ncols)
     assert rank(rows) == reference_rank(rows) == ncols - len(reference)
 
 
@@ -234,7 +285,7 @@ def assert_radical_agrees(f):
     rows, ncols = skew_form(f).rows, len(f.system.roots)
     reference = _reference_modular_kernel(int_rows, ncols)
     basis = radical_basis(f)
-    assert basis == kernel_basis(rows) == _exact_kernel(rows) == linalg._fractions(reference, ncols)
+    assert basis == kernel_basis(rows) == _exact_kernel(rows) == _fractions(reference, ncols)
     assert all(type(x) is Q for v in basis for x in v)
     assert orbit_dimension(f) == rank(rows) == reference_rank(rows) == ncols - len(reference)
 
@@ -374,11 +425,71 @@ def integer_rows(draw, max_rows=5, max_cols=6):
 def test_integer_row_kernel_equals_the_fraction_elimination(case):
     int_rows, ncols = case
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
-    vectors = linalg._kernel(linalg._reduced(int_rows), ncols)
-    assert linalg._fractions(vectors, ncols) == _exact_kernel(dense)
-    assert linalg._fractions(vectors, ncols) == linalg._fractions(
-        _reference_modular_kernel(int_rows, ncols), ncols)
-    assert rank(dense) == ncols - len(vectors) == reference_rank(dense)
+    basis = linalg._kernel(linalg._reduced(int_rows), ncols)
+    assert basis == _exact_kernel(dense)
+    assert basis == _fractions(_reference_modular_kernel(int_rows, ncols), ncols)
+    assert rank(dense) == ncols - len(basis) == reference_rank(dense)
+
+
+def assert_fraction_tuples(basis, ncols):
+    """Each vector is a tuple of width ncols whose entries are all exactly Fractions."""
+    assert all(type(v) is tuple and len(v) == ncols for v in basis)
+    assert all(type(x) is Q for v in basis for x in v)
+
+
+@given(integer_rows())
+def test_kernel_equals_the_integer_kernel_it_replaced(case):
+    int_rows, ncols = case
+    echelon = linalg._reduced(int_rows)
+    basis = linalg._kernel(echelon, ncols)
+    dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
+    assert basis == _fractions(_reference_int_kernel(echelon, ncols), ncols)
+    assert basis == _exact_kernel(dense)
+    assert basis == _fractions(_reference_modular_kernel(int_rows, ncols), ncols)
+    assert_fraction_tuples(basis, ncols)
+
+
+def _radical_cases(kind, n):
+    """A random, a highest-root orbit point and a wide functional of kind and n."""
+    system = get_system(kind, n)
+    rng = random.Random(f"one-pass-kernel:{kind}{n}")
+    highest = diff(1, n) if kind == "A" else sum_root(1, 2)
+    wide = {root: Q(rng.randrange(-2**200, 2**200), rng.randrange(1, 2**80))
+            for root in system.roots if rng.randrange(2)}
+    return [random_functional(system, rng),
+            random_orbit_point(kind, n, highest, Q(-3, 2), seed=n)[0],
+            functional(system, wide)]
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_radical_equals_the_integer_kernel_it_replaced(kind, n):
+    for f in _radical_cases(kind, n):
+        ncols = len(f.system.roots)
+        basis = radical_basis(f)
+        assert basis == _fractions(_reference_int_kernel(linalg._reduced(int_skew_rows(f)), ncols),
+                                   ncols)
+        assert basis == _exact_kernel(skew_form(f).rows)
+        assert_fraction_tuples(basis, ncols)
+        assert orbit_dimension(f) == ncols - len(basis)
+
+
+def test_kernel_edge_cases():
+    one, zero = Q(1), Q(0)
+    # A zero row leaves every column free: the identity basis.
+    assert linalg._kernel(linalg._reduced([{}]), 1) == [(one,)]
+    assert linalg._kernel(linalg._reduced([{}]), 2) == [(one, zero), (zero, one)]
+    assert linalg._kernel(linalg._reduced([{}]), 0) == []
+    # A full-rank form leaves none.
+    assert linalg._kernel(linalg._reduced([{0: 2, 1: 4}, {1: -3}]), 2) == []
+    assert kernel_basis([]) == [] and kernel_basis([[Q(2), 1], [0, Q(1, 3)]]) == []
+    for kind, n in [("A", 4), ("B", 3), ("D", 4)]:
+        system = get_system(kind, n)
+        ncols = len(system.roots)
+        basis = radical_basis(zero_functional(system))
+        assert basis == [tuple(one if j == k else zero for j in range(ncols)) for k in range(ncols)]
+        assert_fraction_tuples(basis, ncols)
+        assert orbit_dimension(zero_functional(system)) == 0
 
 
 def _reference_reduced(int_rows, ncols):

@@ -718,6 +718,37 @@ def test_editing_a_chart_leaves_the_cache_alone():
     assert contains(fresh, f) and not contains(fresh, bad)
 
 
+def test_chart_polynomials_are_read_only():
+    # Every chart of a root holds the cached level-1 polynomials themselves, so
+    # terms an edit could reach would change every later chart's equations
+    # while contains kept reading the stale cached integer form.
+    alpha, beta = diff(1, 4), diff(2, 3)
+    f, _ = random_orbit_point("A", 4, alpha, 1, seed=3)
+    expected = (chart_equations_text(orbit_chart("A", 4, alpha)), chart_to_json(orbit_chart("A", 4, alpha)))
+    poly = orbit_chart("A", 4, alpha).constraints[beta]
+    assert poly is _level_one_constraints(RootSystemKind.A, 4, alpha)[beta]
+    for mono in list(poly.terms):
+        with pytest.raises(TypeError):
+            poly.terms[mono] = Q(7)
+    for method in ("clear", "pop", "popitem", "setdefault", "update"):
+        assert not hasattr(poly.terms, method)
+    fresh = orbit_chart("A", 4, alpha)
+    assert (chart_equations_text(fresh), chart_to_json(fresh)) == expected
+    assert "f(e2-e3) = f(e1-e3)*f(e2-e4)" in expected[0]
+    assert contains(fresh, f) and not contains(fresh, _nudged(f, beta))
+
+
+def test_a_polynomial_keeps_its_own_copy_of_the_terms_given():
+    terms = {(0,): Q(2), (0, 1): Q(-1, 3)}
+    poly = Polynomial(terms)
+    value = poly.evaluate([Q(1), Q(3)])
+    terms[(0,)] = Q(7)
+    terms.clear()
+    assert poly.terms == {(0,): Q(2), (0, 1): Q(-1, 3)}
+    assert poly.evaluate([Q(1), Q(3)]) == value == 1
+    assert poly == Polynomial(dict(poly.terms)) and -(-poly) == poly
+
+
 def test_a_second_chart_call_derives_nothing(monkeypatch):
     import coadorbits.orbits as orbits_module
 

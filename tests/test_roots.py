@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coadorbits import roots as roots_module
+from coadorbits.functionals import e_star, orbit_dimension
 from coadorbits.roots import (
     DIFF,
     SHORT,
@@ -307,6 +308,23 @@ def test_cached_bracket_rows_are_read_only(kind, n):
             with pytest.raises(TypeError):
                 row[b] = entry  # the same value, so an allowed write would change nothing
     assert structure_table(kind, n) is table
+
+
+@pytest.mark.parametrize("attribute", ["system", "by_index"])
+def test_cached_bracket_table_attributes_cannot_be_rebound(attribute):
+    # Rebinding by_index to empty rows on the one cached table used to make
+    # every later orbit dimension of the system 0.
+    system = get_system("A", 4)
+    table = structure_table("A", 4)
+    kept = getattr(table, attribute)
+    replacement = tuple({} for _ in system.roots) if attribute == "by_index" else get_system("A", 5)
+    with pytest.raises(AttributeError):
+        setattr(table, attribute, replacement)
+    with pytest.raises(AttributeError):
+        delattr(table, attribute)
+    assert getattr(table, attribute) is kept
+    assert structure_table("A", 4) is table
+    assert orbit_dimension(e_star(system, diff(1, 3), 2)) == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)
