@@ -482,7 +482,7 @@ def test_kernel_edge_cases():
     assert linalg._kernel(linalg._reduced([{}]), 0) == []
     # A full-rank form leaves none.
     assert linalg._kernel(linalg._reduced([{0: 2, 1: 4}, {1: -3}]), 2) == []
-    assert kernel_basis([]) == [] and kernel_basis([[Q(2), 1], [0, Q(1, 3)]]) == []
+    assert kernel_basis([[Q(2), 1], [0, Q(1, 3)]]) == []
     for kind, n in [("A", 4), ("B", 3), ("D", 4)]:
         system = get_system(kind, n)
         ncols = len(system.roots)
