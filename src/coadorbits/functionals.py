@@ -9,16 +9,19 @@ form (x, y) -> f([x, y]).
 Both the action and the skew form read the bracket table by canonical
 position (``BracketTable.by_index``). The action reads it through one cached
 plan per letter (``_ad_chains``): the gammas the letter moves, longest tail
-first, each with its one or two tail terms unrolled in int coefficients, so
-that every letter updates a copy of f's numerators in place, over f's
-denominator, which type B's second-order halves double only where a half is
-real. The skew rows are sparse int rows over f's numerators, which
-``skew_form`` reads back over f's denominator; ``orbit_dimension`` counts
-the pivots of their integer elimination in ``linalg``, and ``radical_basis``
-reads the kernel straight off the reduced rows, one Fraction per entry;
-``_reduced_skew`` keeps the last functional's reduced form, so asking both
-of one functional back to back reduces it once. perfbench's orbit-rank
-checks ask both; the package's callers ask the dimension alone.
+first, each with its one or two tail terms unrolled in int coefficients,
+and the bitmask of the positions those terms read. A letter whose mask
+meets none of the nonzero positions moves nothing and is skipped; the
+first letter that moves f updates a copy of its numerators in place, over
+f's denominator, which type B's second-order halves double only where a
+half is real, and f itself comes back when no letter moves it. The skew
+rows are sparse int rows over f's numerators, which ``skew_form`` reads
+back over f's denominator; ``orbit_dimension`` counts the pivots of their
+integer elimination in ``linalg``, and ``radical_basis`` reads the kernel
+straight off the reduced rows, one Fraction per entry; ``_reduced_skew``
+keeps the last functional's reduced form, so asking both of one functional
+back to back reduces it once. perfbench's orbit-rank checks ask both; the
+package's callers ask the dimension alone.
 """
 
 from __future__ import annotations
@@ -154,7 +157,11 @@ def zero_functional(system: RootSystem) -> Functional:
 
 def e_star(system: RootSystem, alpha: PositiveRoot, c: Rational = 1) -> Functional:
     """The dual basis vector c * e*_alpha."""
-    return functional(system, {alpha: c})
+    k = system.index_of(alpha)
+    c = _frac(c)
+    nums = [0] * len(system.roots)
+    nums[k] = c.numerator
+    return Functional(system, c.denominator, tuple(nums))
 
 
 @dataclass(frozen=True)
@@ -180,30 +187,34 @@ def _ad_chains(kind: RootSystemKind, n: int):
     """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves, in ints.
 
     All roots are positions in the canonical root order. chains[b] is
-    (twos, ones): twos holds (g, p, c, q, d2) for each gamma whose tail has
-    two terms, c t e_p + (d2 / 2) t^2 e_q with p = g+b and q = g+2b; ones
-    holds (g, p, c) for each gamma with the single term c t e_p. With k1
-    and k2 the structure constants of the string g, g+b, g+2b, c is -k1 and
-    d2 is k1 k2, the numerator over 2! of the second-order coefficient, so
-    every entry is an int; in type B, the only kind with twos, d2 is -1.
-    Root strings in A, B and D have at most three roots, so no tail is
-    longer; only type B's short betas have twos. The tail of g+b is the
-    tail of g less its first term, so every gamma a plan entry reads comes
-    later in the plan, if at all: the action updates one vector in place,
-    twos first.
+    (twos, ones, reads): twos holds (g, p, c, q, d2) for each gamma whose
+    tail has two terms, c t e_p + (d2 / 2) t^2 e_q with p = g+b and
+    q = g+2b; ones holds (g, p, c) for each gamma with the single term
+    c t e_p; reads is the bitmask of the positions the entries read, bit p
+    of every entry and bit q of every two-term one, so a letter whose reads
+    meet no nonzero value moves nothing. With k1 and k2 the structure
+    constants of the string g, g+b, g+2b, c is -k1 and d2 is k1 k2, the
+    numerator over 2! of the second-order coefficient, so every entry is an
+    int; in type B, the only kind with twos, d2 is -1. Root strings in A, B
+    and D have at most three roots, so no tail is longer; only type B's
+    short betas have twos. The tail of g+b is the tail of g less its first
+    term, so every gamma a plan entry reads comes later in the plan, if at
+    all: the action updates one vector in place, twos first.
     """
     chains = []
     for brackets in structure_table(kind, n).by_index:
-        twos, ones = [], []
+        twos, ones, reads = [], [], 0
         for g in sorted(brackets):
             k1, p = brackets[g]
             hit = brackets.get(p)
             if hit is None:
                 ones.append((g, p, -k1))
+                reads |= 1 << p
             else:
                 k2, q = hit
                 twos.append((g, p, -k1, q, k1 * k2))
-        chains.append((tuple(twos), tuple(ones)))
+                reads |= 1 << p | 1 << q
+        chains.append((tuple(twos), tuple(ones), reads))
     return tuple(chains)
 
 
@@ -221,16 +232,30 @@ def _act(system: RootSystem, letters, vec, den: int):
     When z is an odd int, the half is real: the whole vector and den are
     doubled and z is added as it is, so integral parameters keep an int
     vector in ints. Any other z (a Fraction or a Polynomial) adds z * 1/2,
-    so a Polynomial vector stays over 1. Each letter updates a copy of vec
-    in place, in its plan's order (see ``_ad_chains``); vec itself comes
-    back, unchanged, when nothing moves it.
+    so a Polynomial vector stays over 1.
+
+    Every letter is validated, but the bitmask live of vec's nonzero
+    positions skips, before its parameter is read, each letter whose plan
+    reads none of them (see ``_ad_chains``). Each write sets its bit; a bit
+    left set when an entry cancels to zero only lets a letter through that
+    then adds nothing. The first letter that moves vec updates a copy of it
+    in place, in its plan's order; vec itself comes back, unchanged, when
+    no letter moves it.
     """
     index = system._index
-    moves = []
+    chains = _ad_chains(system.kind, system.n)
+    live = 0
+    for k, v in enumerate(vec):
+        if v:
+            live |= 1 << k
+    start = vec
     for beta, t in reversed(letters):
         b = index.get(beta)
         if b is None:
             system.index_of(beta)  # raises InvalidRootError
+        twos, ones, reads = chains[b]
+        if not reads & live:
+            continue
         if type(t) is Fraction:
             if t.denominator == 1:
                 t = t.numerator
@@ -238,19 +263,15 @@ def _act(system: RootSystem, letters, vec, den: int):
                     continue
         elif not t:
             continue
-        moves.append((b, t))
-    if not moves or not any(vec):
-        return vec, den
-    chains = _ad_chains(system.kind, system.n)
-    vec = list(vec)
-    for b, t in moves:
-        twos, ones = chains[b]
+        if vec is start:
+            vec = list(vec)
         if twos:
             tt = t * t
             for g, p, c, q, d2 in twos:
                 x, y = vec[p], vec[q]
                 if x:
                     vec[g] += x * c * t
+                    live |= 1 << g
                 if y:
                     z = y * d2 * tt
                     if type(z) is not int:
@@ -261,10 +282,12 @@ def _act(system: RootSystem, letters, vec, den: int):
                         vec[g] += z
                     else:
                         vec[g] += z >> 1
+                    live |= 1 << g
         for g, p, c in ones:
             x = vec[p]
             if x:
                 vec[g] += x * c * t
+                live |= 1 << g
     return vec, den
 
 

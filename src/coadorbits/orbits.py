@@ -229,10 +229,13 @@ def contains(chart: OrbitChart, f: Functional) -> bool:
     if f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
     h, e = _integer_vector(chart, f)
-    index_of = chart.system.index_of
+    index = chart.system._index
     for beta, poly in chart.constraints.items():
+        k = index.get(beta)
+        if k is None:
+            chart.system.index_of(beta)  # raises InvalidRootError
         num, den = poly._integer_ratio(h, e)
-        if h[index_of(beta)] * den != e * num:
+        if h[k] * den != e * num:
             return False
     return True
 
@@ -249,11 +252,14 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         )
     given = functional(chart.system, assignment)
     h, e = _integer_vector(chart, given)
-    c, index_of = chart.c, chart.system.index_of
+    c, index = chart.c, chart.system._index
     vec: list = list(given.nums)  # over given.den, as each regular value is written
     for beta, poly in chart.constraints.items():
+        k = index.get(beta)
+        if k is None:
+            chart.system.index_of(beta)  # raises InvalidRootError
         num, den = poly._integer_ratio(h, e)
-        vec[index_of(beta)] = Fraction(c.numerator * num * given.den, c.denominator * den)
+        vec[k] = Fraction(c.numerator * num * given.den, c.denominator * den)
     return _from_vector(chart.system, vec, given.den)
 
 

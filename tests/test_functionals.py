@@ -252,11 +252,11 @@ def _reference_ad_chains(kind, n):
 
 
 def _plan_tails(plan):
-    """A letter's plan (twos, ones) as [(g, ((target, m, coef), ...)), ...], in plan order.
+    """A letter's plan (twos, ones, reads) as [(g, ((target, m, coef), ...)), ...], in plan order.
 
     A two-term tail stores its second-order coefficient as a numerator over 2.
     """
-    twos, ones = plan
+    twos, ones, _ = plan
     return ([(g, ((p, 1, c), (q, 2, Q(d2, 2)))) for g, p, c, q, d2 in twos]
             + [(g, ((p, 1, c),)) for g, p, c in ones])
 
@@ -267,14 +267,16 @@ def test_ad_chains_equal_root_pair_reference(kind):
         chains = _ad_chains(kind, n)
         reference = _reference_ad_chains(kind, n)
         assert len(chains) == len(reference)
-        # The same tails, grouped longest first, in gamma order within a group.
+        # The same tails, grouped longest first, in gamma order within a group,
+        # and a reads mask with the bit of every position a tail reads.
         for plan, moved in zip(chains, reference):
             assert _plan_tails(plan) == sorted(moved, key=lambda item: -len(item[1]))
+            assert plan[2] == sum({1 << target for _, tail in moved for target, _, _ in tail})
         # Every plan entry is an int. Only type B's short roots have
         # second-order tails, and each stores the reference's -1/2 as the
         # numerator -1 over 2.
         roots = get_system(kind, n).roots
-        for b, (twos, ones) in enumerate(chains):
+        for b, (twos, ones, _) in enumerate(chains):
             assert all(type(x) is int for entry in twos + ones for x in entry)
             if twos:
                 assert kind is RootSystemKind.B and roots[b].tag == SHORT
@@ -436,6 +438,72 @@ def test_action_equals_reference_on_workload_shaped_inputs():
     assert odd_halves and fraction_halves
 
 
+def _reads(system, beta):
+    """The positions the reference plan of the letter beta reads."""
+    chains = _reference_ad_chains(system.kind, system.n)
+    return {target for _, tail in chains[system.index_of(beta)] for target, _, _ in tail}
+
+
+@lru_cache(maxsize=None)
+def _basic_subsets(n):
+    return tuple(enumerate_basic_subsets(n))
+
+
+@st.composite
+def sparse_act_cases(draw):
+    """(system, start, letters): e*_alpha or a basic point, integral, under a word built in
+    the order its letters act.
+
+    A letter that reads a nonzero value takes an integral parameter and is
+    followed, or not, by its inverse, which returns the values it wrote to
+    zero and leaves their live bits set. A letter that reads none takes a
+    non-integral parameter, which must then never reach the vector.
+    """
+    kind, n = draw(st.sampled_from(ACT_SYSTEMS))
+    system = get_system(kind, n)
+    nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    if kind == "A" and draw(st.booleans()):
+        subset = draw(st.sampled_from(_basic_subsets(n)))
+        phi = {root: Q(draw(nonzero)) for root in subset.roots}
+        start = basic_point(basic_map(subset, phi)) if phi else zero_functional(system)
+    else:
+        start = e_star(system, draw(st.sampled_from(system.roots)), draw(nonzero))
+    values, applied = start.values, []
+    for _ in range(draw(st.integers(0, 2 * len(system.roots)))):
+        beta = draw(st.sampled_from(system.roots))
+        if _reads(system, beta).isdisjoint(map(system.index_of, values)):
+            step = [(beta, draw(st.sampled_from((Q(1, 2), Q(-3, 5), Q(7, 4)))))]
+        else:
+            t = Q(draw(nonzero))
+            step = [(beta, t), (beta, -t)] if draw(st.booleans()) else [(beta, t)]
+        applied += step
+        values = _reference_act(system, step[::-1], values)
+    return system, start, tuple(applied[::-1])
+
+
+@given(sparse_act_cases())
+def test_masked_action_equals_reference_on_sparse_starts(case):
+    system, start, letters = case
+    assert start.den == 1
+    vec, den = _act(system, letters, start.nums, start.den)
+    assert all(type(v) is int for v in vec)
+    got = Functional(system, 1, tuple(vec)).scaled(Q(1, den))
+    assert got.values == _reference_act(system, letters, start.values)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_word_that_reads_nothing_of_f_returns_f_itself(kind):
+    system = get_system(kind, 5)
+    skipped = 0
+    for alpha in system.roots:
+        f = e_star(system, alpha, -3)
+        blind = [beta for beta in system.roots if system.index_of(alpha) not in _reads(system, beta)]
+        word = group_word((beta, Q(2 * k + 1, 2)) for k, beta in enumerate(blind))
+        assert coadjoint_apply(word, f) is f
+        skipped += len(blind)
+    assert skipped
+
+
 @given(st.sampled_from(ACT_SYSTEMS), st.data())
 def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, data):
     kind, n = system_key
@@ -525,6 +593,18 @@ def _is_canonical(f):
             and all(type(v) is int for v in f.nums)
             and math.gcd(f.den, *f.nums) == 1
             and (any(f.nums) or f.den == 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_e_star_equals_the_general_constructor(kind):
+    system = get_system(kind, 4)
+    for alpha in system.roots:
+        for c in (0, Q(0), -3, Q(-5, 2), Q(7, 6), "-3/5", 1):
+            built = e_star(system, alpha, c)
+            assert built == functional(system, {alpha: c})
+            assert _is_canonical(built)
+    with pytest.raises(InvalidRootError):
+        e_star(system, diff(1, 6), Q(1, 2))
 
 
 def test_equal_functionals_hash_equal_however_built():

@@ -38,6 +38,7 @@ from coadorbits.roots import (
     SHORT,
     SUM,
     BracketTable,
+    InvalidRootError,
     PositiveRoot,
     RootSystemKind,
     bracket,
@@ -646,6 +647,15 @@ def test_replaced_constraint_rejects_what_the_derived_chart_accepts():
     swapped = replace(derived, constraints=_paper_chart("B", 4, sum_root(1, 2),
                                                         "alternating").constraints)
     assert not _agree(swapped, f)
+
+
+def test_a_constraint_on_a_foreign_root_raises_a_typed_error():
+    chart = orbit_chart("A", 4, diff(1, 4), 1)
+    edited = replace(chart, constraints=chart.constraints | {diff(1, 6): Polynomial.const(1)})
+    with pytest.raises(InvalidRootError):
+        contains(edited, e_star(chart.system, diff(1, 4)))
+    with pytest.raises(InvalidRootError):
+        chart_point(edited, {root: 0 for root in chart.data.singular})
 
 
 @pytest.mark.parametrize("c", DIFFERENTIAL_SCALARS)
