@@ -451,10 +451,9 @@ def _basic_subsets(n):
 
 @st.composite
 def sparse_act_cases(draw):
-    """(system, start, letters): e*_alpha or a basic point, integral, under a word built in
-    the order its letters act.
+    """(system, start, letters): an integral e*_alpha or basic point and a word.
 
-    A letter that reads a nonzero value takes an integral parameter and is
+    The word is built in the order its letters act. A letter that reads a nonzero value takes an integral parameter and is
     followed, or not, by its inverse, which returns the values it wrote to
     zero and leaves their live bits set. A letter that reads none takes a
     non-integral parameter, which must then never reach the vector.
@@ -497,7 +496,8 @@ def test_a_word_that_reads_nothing_of_f_returns_f_itself(kind):
     skipped = 0
     for alpha in system.roots:
         f = e_star(system, alpha, -3)
-        blind = [beta for beta in system.roots if system.index_of(alpha) not in _reads(system, beta)]
+        a = system.index_of(alpha)
+        blind = [beta for beta in system.roots if a not in _reads(system, beta)]
         word = group_word((beta, Q(2 * k + 1, 2)) for k, beta in enumerate(blind))
         assert coadjoint_apply(word, f) is f
         skipped += len(blind)
