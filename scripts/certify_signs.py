@@ -39,14 +39,14 @@ def main() -> int:
 
     print(f"candidate rules: {', '.join(sorted(SIGN_RULES))}")
     try:
-        convention = resolve_sign_conventions(args.max_n, args.trials, args.seed)
+        rules = resolve_sign_conventions(args.max_n, args.trials, args.seed)
     except AmbiguousSignConventionError as exc:
         print(f"certify_signs: error: {exc}", file=sys.stderr)
         return 1
-    for kind, rule in sorted(convention.rules.items()):
+    for kind, rule in sorted(rules.items()):
         marker = "(shipped default)" if rule == CERTIFIED_SIGN_RULE else "(DIFFERS FROM DEFAULT)"
         print(f"kind {kind}: certified rule = {rule} {marker}")
-    ok = all(rule == CERTIFIED_SIGN_RULE for rule in convention.rules.values())
+    ok = all(rule == CERTIFIED_SIGN_RULE for rule in rules.values())
     return 0 if ok else 1
 
 

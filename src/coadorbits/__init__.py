@@ -44,8 +44,6 @@ from .oracle import (
     CERTIFIED_SIGN_RULE,
     DEFAULT_SEED,
     OracleReport,
-    SignConvention,
-    SuiteConfig,
     random_orbit_point,
     resolve_sign_conventions,
     run_suite,

@@ -106,9 +106,6 @@ class BasicMap:
     subset: BasicSubset
     phi: dict[PositiveRoot, Fraction]
 
-    def value(self, root: PositiveRoot) -> Fraction:
-        return self.phi[root]
-
 
 def basic_map(subset: BasicSubset, phi: Mapping[PositiveRoot, Rational]) -> BasicMap:
     if set(phi) != set(subset.roots):

@@ -18,7 +18,7 @@ import sys
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import OddRankError, functional_from_json, orbit_dimension, parse_rational
-from .oracle import DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
+from .oracle import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .orbits import (
     PairSignError,
     chart_equations_latex,
@@ -203,8 +203,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_verify(args) -> int:
     kinds = (args.kind,) if args.kind else None
-    config = SuiteConfig(kinds=kinds, max_n=args.max_n, trials=args.trials, seed=args.seed)
-    report = run_suite(args.suite, config)
+    report = run_suite(args.suite, args.seed, kinds=kinds, max_n=args.max_n, trials=args.trials)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True), args.out)
     else:

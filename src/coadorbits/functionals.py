@@ -18,10 +18,12 @@ half is real, and f itself comes back when no letter moves it. The skew
 rows are sparse int rows over f's numerators, which ``skew_form`` reads
 back over f's denominator; ``orbit_dimension`` counts the pivots of their
 integer elimination in ``linalg``, and ``radical_basis`` reads the kernel
-straight off the reduced rows, one Fraction per entry; ``_reduced_skew``
-keeps the last functional's reduced form, so asking both of one functional
-back to back reduces it once. perfbench's orbit-rank checks ask both; the
-package's callers ask the dimension alone.
+straight off the reduced rows, one Fraction per entry; ``_reduced_form``,
+an ``lru_cache`` of one entry keyed on the system and the numerators,
+keeps the last reduced form, so asking both of one functional back to back
+reduces it once. perfbench's orbit-rank checks ask both; the package's
+callers ask the dimension alone. ``functional`` and the action both write
+their result through ``_from_vector``, the one canonicaliser.
 """
 
 from __future__ import annotations
@@ -139,16 +141,11 @@ def _from_vector(system: RootSystem, vec: list, den: int) -> Functional:
 
 
 def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> Functional:
-    """Build a functional from a root -> rational map, validating the roots.
-
-    Written over the lcm of their denominators, the values are in lowest terms.
-    """
-    given = {system.index_of(root): _frac(v) for root, v in values.items()}
-    den = math.lcm(*[q.denominator for q in given.values()])
-    nums = [0] * len(system.roots)
-    for k, q in given.items():
-        nums[k] = q.numerator * (den // q.denominator)
-    return Functional(system, den, tuple(nums))
+    """Build a functional from a root -> rational map, validating the roots and the values."""
+    vec: list = [0] * len(system.roots)
+    for root, v in values.items():
+        vec[system.index_of(root)] = _frac(v)
+    return _from_vector(system, vec, 1)
 
 
 def zero_functional(system: RootSystem) -> Functional:
@@ -174,12 +171,17 @@ class GroupWord:
 
     letters: tuple[tuple[PositiveRoot, Fraction], ...] = ()
 
+    def __post_init__(self):
+        # Each parameter as a Fraction; a float, a bool or anything else raises
+        # ValueError here rather than inside the action.
+        object.__setattr__(self, "letters", tuple((root, _frac(t)) for root, t in self.letters))
+
     def __len__(self) -> int:
         return len(self.letters)
 
 
 def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
-    return GroupWord(tuple((root, _frac(t)) for root, t in letters))
+    return GroupWord(tuple(letters))
 
 
 @lru_cache(maxsize=None)
@@ -346,31 +348,20 @@ def skew_form(f: Functional) -> SkewForm:
                                     for row in _skew_rows(f.system, f.nums)))
 
 
-# (system, numerators, reduced form) of the last functional reduced.
-_last_reduced: tuple = (None, None, None)
+@lru_cache(maxsize=1)
+def _reduced_form(system: RootSystem, nums: tuple[int, ...]) -> dict[int, dict[int, int]]:
+    """The reduced form over Q of the skew rows of numerators nums, which callers only read.
 
-
-def _reduced_skew(f: Functional) -> dict[int, dict[int, int]]:
-    """The reduced form over Q of f's skew rows, which callers only read.
-
-    One slot keeps the last form, keyed on f's system and its numerators,
-    the ints the rows are built from, so a miss costs one compare of int
-    tuples and f/2 shares f's entry. It hits when the dimension and the
-    radical of one functional are asked back to back. The slot is replaced
-    by one assignment, so concurrent callers can at worst miss.
+    One entry, keyed on the system and the numerators, the ints the rows
+    are built from, so f/2 shares f's entry. It hits when the dimension and
+    the radical of one functional are asked back to back.
     """
-    global _last_reduced
-    system, kept, echelon = _last_reduced
-    if system is f.system and kept == f.nums:
-        return echelon
-    echelon = _reduced(_skew_rows(f.system, f.nums))
-    _last_reduced = (f.system, f.nums, echelon)
-    return echelon
+    return _reduced(_skew_rows(system, nums))
 
 
 def orbit_dimension(f: Functional) -> int:
     """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = len(_reduced_skew(f))
+    r = len(_reduced_form(f.system, f.nums))
     if r % 2 != 0:
         raise OddRankError(f"skew form has odd rank {r}")
     return r
@@ -383,7 +374,7 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     each free column of the reduced skew form, with 1 there and 0 at the
     other free columns; their count is len(roots) - orbit_dimension(f).
     """
-    return _kernel(_reduced_skew(f), len(f.system.roots))
+    return _kernel(_reduced_form(f.system, f.nums), len(f.system.roots))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .functionals import (
 )
 from .orbits import OrbitChart, contains, orbit_chart, singular_set, singular_size_formula
 from .polynomials import Polynomial
-from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, diff, get_system, short,
-                    sum_root)
+from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, diff, get_system,
+                    short, sum_root)
 
 DEFAULT_SEED = 314159
 
@@ -84,24 +84,6 @@ class OracleReport:
         }
 
 
-@dataclass(frozen=True)
-class SignConvention:
-    """Certified sign rule per kind for the sum-root chart tails."""
-
-    rules: dict[str, str]
-
-
-@dataclass
-class SuiteConfig:
-    """Options of a suite run. None picks the suite's default; a suite that
-    does not read a given option rejects it (see _SUITES)."""
-
-    kinds: tuple[RootSystemKind | str, ...] | None = None
-    max_n: int | None = None
-    trials: int | None = None
-    seed: int = DEFAULT_SEED
-
-
 # ---------------------------------------------------------------------------
 # Randomized sampling
 # ---------------------------------------------------------------------------
@@ -127,7 +109,6 @@ def random_orbit_point(
     alpha: PositiveRoot,
     c=1,
     seed=DEFAULT_SEED,
-    word_length: int | None = None,
 ) -> tuple[Functional, GroupWord]:
     """A deterministic random point of the orbit through c * e*_alpha, with its word."""
     system = get_system(kind, n)
@@ -136,8 +117,7 @@ def random_orbit_point(
     if c == 0:
         raise ValueError("need a nonzero scalar")
     rng = random.Random(seed)
-    length = default_word_length(system) if word_length is None else word_length
-    word = random_word(system, rng, length)
+    word = random_word(system, rng, default_word_length(system))
     return coadjoint_apply(word, e_star(system, alpha, c)), word
 
 
@@ -215,10 +195,8 @@ def _paper_chart(kind, n: int, alpha: PositiveRoot, rule: str) -> OrbitChart:
     return replace(chart, constraints=constraints)
 
 
-def resolve_sign_conventions(
-    n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
-) -> SignConvention:
-    """Certify the tail sign rule empirically, per kind.
+def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED) -> dict[str, str]:
+    """Certify the tail sign rule empirically, per kind: {kind name: rule}.
 
     Every candidate rule is tested against sampled orbit points of every
     sum root with n <= n_max; the unique rule with zero failures wins. With
@@ -244,33 +222,38 @@ def resolve_sign_conventions(
                 f"raise n_max to separate them"
             )
         rules[kind.value] = survivors[0]
-    return SignConvention(rules)
+    return rules
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
-    """Run a suite with the options it reads merged over its defaults.
+def run_suite(name: str, seed=DEFAULT_SEED, **options) -> OracleReport:
+    """Run a suite with the options it reads (kinds, max_n, trials) merged over its defaults.
 
-    A given option that the suite does not read raises ValueError, as do a
-    max_n below 2 or above the suite's bound and a negative trials. A kind
-    may be given by name; an unknown one raises InvalidRootError.
+    None takes the default. An option the suite does not read, or that no
+    suite reads, raises ValueError before the suite starts, as do a max_n or
+    trials that is not an int (nor a bool), a max_n below 2 or above the
+    suite's bound and a negative trials. A kind may be given by name; an
+    unknown one raises InvalidRootError.
     """
-    config = config or SuiteConfig()
     try:
         runner, defaults, bound = _SUITES[name]
     except KeyError:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
-    given = {option: value for option, value in vars(config).items()
-             if option != "seed" and value is not None}
+    given = {option: value for option, value in options.items()
+             if value is not None or option not in _OPTIONS}
     unread = sorted(given.keys() - defaults.keys())
     if unread:
         raise ValueError(f"suite {name} does not read the option {', '.join(unread)}")
     options = {**defaults, **given}
+    for option in ("max_n", "trials"):
+        value = options.get(option, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{option} must be an int, got {_echo(value)}")
     if "kinds" in options:
         options["kinds"] = tuple(_as_kind(kind) for kind in options["kinds"])
     max_n = options["max_n"]
@@ -280,7 +263,7 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> OracleReport:
         raise ValueError(f"max_n must be at most {bound} for {name}, got {max_n}")
     if options.get("trials", 0) < 0:
         raise ValueError(f"trials must be non-negative, got {options['trials']}")
-    parameters, failures, total = runner(config.seed, **options)
+    parameters, failures, total = runner(seed, **options)
     return OracleReport(name, parameters, total, failures)
 
 
@@ -430,3 +413,4 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
+_OPTIONS = {option for _, read, _ in _SUITES.values() for option in read}

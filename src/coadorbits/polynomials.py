@@ -59,9 +59,9 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
+            other = Polynomial.const(other)
             if not other:
                 return self
-            other = Polynomial.const(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             s = terms.get(mono, 0) + c

@@ -20,7 +20,7 @@ from coadorbits.basic import (
 )
 from coadorbits.cli import main as cli_main
 from coadorbits.functionals import coadjoint_apply, e_star, orbit_dimension
-from coadorbits.oracle import SuiteConfig, random_functional, run_suite
+from coadorbits.oracle import random_functional, run_suite
 from coadorbits.orbits import (
     chart_equations_text,
     chart_point,
@@ -88,7 +88,7 @@ def test_c03_elementary_orbit_dimension():
 
 
 def test_c04_chart_soundness():
-    report = run_suite("chart-soundness", SuiteConfig(max_n=4, trials=100))
+    report = run_suite("chart-soundness", max_n=4, trials=100)
     assert report.passed, report.failures[:3]
     # pinned worked-example value, certified sign convention
     chart = orbit_chart("B", 3, sum_root(1, 3), 1)
@@ -118,7 +118,7 @@ def test_c05_chart_round_trip():
 
 
 def test_c06_decomposition_uniqueness():
-    report = run_suite("decompose-roundtrip", SuiteConfig(max_n=6, trials=200))
+    report = run_suite("decompose-roundtrip", max_n=6, trials=200)
     assert report.passed, report.failures[:3]
     announce(6, "decomposition-uniqueness")
 
@@ -130,7 +130,7 @@ def test_c07_derived_set_example():
 
 
 def test_c08_single_orbit_dichotomy():
-    report = run_suite("single-orbit-scan", SuiteConfig(max_n=5, trials=20))
+    report = run_suite("single-orbit-scan", max_n=5, trials=20)
     assert report.passed, report.failures[:3]
     announce(8, "single-orbit-dichotomy")
 
@@ -169,7 +169,7 @@ def test_c10_max_dimension_bound():
 
 
 def test_c11_far_support_forces_dimension_four():
-    report = run_suite("two-dim-support", SuiteConfig(max_n=6, trials=100))
+    report = run_suite("two-dim-support", max_n=6, trials=100)
     assert report.passed, report.failures[:3]
     announce(11, "two-dim-support-bound")
 

@@ -148,7 +148,7 @@ def test_verify_exit_code_two_on_failure(capsys, monkeypatch):
     import coadorbits.cli as cli_mod
     from coadorbits.oracle import OracleReport
 
-    def fake_run_suite(name, config):
+    def fake_run_suite(name, seed, **options):
         return OracleReport(name, {}, 1, [{"detail": "forced"}])
 
     monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)

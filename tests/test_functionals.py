@@ -867,16 +867,23 @@ def _uncached_radical(f):
     return _kernel(_reduced(_skew_rows(f.system, f.nums)), len(f.system.roots))
 
 
+def _slot_traffic():
+    """(hits, misses) of the reduced-form cache since the fixture emptied it."""
+    info = functionals._reduced_form.cache_info()
+    assert info.maxsize == 1 and info.currsize <= 1
+    return info.hits, info.misses
+
+
 @pytest.fixture
 def count_reductions(monkeypatch):
-    """An empty reduced-form slot and a list that records each call of functionals._reduced."""
+    """An emptied reduced-form cache and a list that records each call of functionals._reduced."""
     calls = []
 
     def counted(int_rows):
         calls.append(len(int_rows))
         return _reduced(int_rows)
 
-    monkeypatch.setattr(functionals, "_last_reduced", (None, None, None))
+    functionals._reduced_form.cache_clear()
     monkeypatch.setattr(functionals, "_reduced", counted)
     return calls
 
@@ -894,10 +901,12 @@ def test_dimension_and_radical_of_one_functional_reduce_it_once(count_reductions
     assert twin is not f and twin.values is not f.values
     assert orbit_dimension(twin) == dim and radical_basis(twin) == basis
     assert len(count_reductions) == 1
+    assert _slot_traffic() == (3, 1)
     other = random_functional(system, rng)
     assert other != f
     assert radical_basis(other) == _uncached_radical(other)
     assert len(count_reductions) == 2
+    assert _slot_traffic() == (3, 2)
 
 
 def test_equal_values_in_another_system_are_reduced_again(count_reductions):
@@ -912,11 +921,13 @@ def test_equal_values_in_another_system_are_reduced_again(count_reductions):
     assert len(count_reductions) == 2
     assert orbit_dimension(g) == len(d3.roots) - len(_uncached_radical(g))
     assert len(count_reductions) == 2
+    assert _slot_traffic() == (1, 2)
     # The same values at the same canonical positions give equal slot keys.
     h = functional(a4, {a4.roots[d3.index_of(root)]: v for root, v in g.values.items()})
     assert (h.den, h.nums) == (g.den, g.nums)
     assert radical_basis(h) == _uncached_radical(h)
     assert len(count_reductions) == 3
+    assert _slot_traffic() == (1, 3)
 
 
 def test_functionals_with_equal_integer_rows_share_one_reduction(count_reductions):
@@ -929,6 +940,7 @@ def test_functionals_with_equal_integer_rows_share_one_reduction(count_reduction
     assert radical_basis(whole) == _uncached_radical(whole)
     assert dim == len(system.roots) - len(_uncached_radical(half))
     assert len(count_reductions) == 1
+    assert _slot_traffic() == (1, 1)
 
 
 @pytest.mark.parametrize("kind, n", [("A", 6), ("B", 4), ("D", 5)])
@@ -946,6 +958,7 @@ def test_interleaved_dimensions_and_radicals_equal_fresh_reductions(count_reduct
     assert rad_g == _uncached_radical(g) and dim_g == size - len(rad_g)
     # Each call follows a call on the other functional, so each one misses.
     assert len(count_reductions) == 4
+    assert _slot_traffic() == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1041,7 @@ def _library_calls(value):
         lambda: e_star(system, alpha, value),
         lambda: e_star(system, alpha).scaled(value),
         lambda: group_word([(alpha, value)]),
+        lambda: GroupWord(((alpha, value),)),
         lambda: coadjoint_apply_one(diff(1, 2), value, e_star(system, alpha)),
         lambda: orbit_chart("A", 3, alpha, value),
         lambda: chart_point(orbit_chart("A", 3, alpha),
@@ -1036,6 +1050,9 @@ def _library_calls(value):
         lambda: random_orbit_point("A", 3, alpha, value),
         lambda: Polynomial.const(value),
         lambda: Polynomial.var(0) * value,
+        lambda: Polynomial.var(0) + value,
+        lambda: value + Polynomial.var(0),
+        lambda: Polynomial.var(0) - value,
     ]
 
 
@@ -1044,6 +1061,24 @@ def test_library_rejects_floats_and_bools(value):
     for call in _library_calls(value):
         with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
             call()
+
+
+def test_a_word_built_directly_reads_a_rational_string():
+    # GroupWord itself turns its parameters into Fractions, as group_word
+    # always did; built directly, a string parameter used to raise TypeError
+    # inside the action. Floats and bools raise (test_library_rejects_floats_and_bools).
+    word = GroupWord(((diff(1, 2), "1/2"),))
+    assert word == group_word([(diff(1, 2), Q(1, 2))]) and type(word.letters[0][1]) is Q
+    f = e_star(get_system("A", 3), diff(1, 3))
+    assert coadjoint_apply(word, f).values == _reference_act(f.system, word.letters, f.values)
+    assert coadjoint_apply(word, f).values[diff(2, 3)] == Q(-1, 2)
+
+
+def test_a_word_of_int_parameters_holds_fractions():
+    word = GroupWord(((diff(1, 2), 3), (diff(2, 3), -1)))
+    assert [type(t) for _, t in word.letters] == [Q, Q]
+    assert word == group_word([(diff(1, 2), Q(3)), (diff(2, 3), Q(-1))])
+    assert concat_words(word, GroupWord()).letters == word.letters
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")

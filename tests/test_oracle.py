@@ -2,18 +2,15 @@
 
 import json
 
-import dataclasses
-
 import pytest
 
 import coadorbits.oracle as oracle
 from coadorbits.basic import enumerate_basic_subsets
-from coadorbits.functionals import orbit_dimension
+from coadorbits.functionals import GroupWord, coadjoint_apply, e_star, orbit_dimension
 from coadorbits.oracle import (
     _SUITES,
     MAX_SCAN_N,
     AmbiguousSignConventionError,
-    SuiteConfig,
     UnknownSuiteError,
     random_orbit_point,
     resolve_sign_conventions,
@@ -24,7 +21,8 @@ from coadorbits.roots import InvalidRootError, RootSystemKind, diff, get_system,
 
 
 def test_zero_length_word_gives_base_point():
-    f, word = random_orbit_point("A", 4, diff(1, 4), 2, seed=11, word_length=0)
+    word = GroupWord()
+    f = coadjoint_apply(word, e_star(get_system("A", 4), diff(1, 4), 2))
     assert len(word) == 0
     assert f.values == {diff(1, 4): 2}
 
@@ -54,9 +52,9 @@ def test_word_parameters_are_small_nonzero_integers():
 
 
 def test_resolve_sign_conventions_certifies_constant_minus():
-    convention = resolve_sign_conventions(n_max=4, trials=8, seed=2024)
-    assert convention.rules == {"B": "constant-minus", "D": "constant-minus"}
-    assert convention.rules[RootSystemKind.B.value] == "constant-minus"
+    rules = resolve_sign_conventions(n_max=4, trials=8, seed=2024)
+    assert rules == {"B": "constant-minus", "D": "constant-minus"}
+    assert rules[RootSystemKind.B.value] == "constant-minus"
 
 
 def test_resolve_sign_conventions_stable_across_seed_ranges():
@@ -82,16 +80,16 @@ def test_unknown_suite():
 @pytest.mark.parametrize(
     "name,config",
     [
-        ("chart-soundness", SuiteConfig(max_n=3, trials=5)),
-        ("dimension-formulas", SuiteConfig(max_n=4)),
-        ("decompose-roundtrip", SuiteConfig(max_n=4, trials=20)),
-        ("single-orbit-scan", SuiteConfig(max_n=4, trials=3)),
-        ("two-dim-support", SuiteConfig(max_n=5, trials=20)),
-        ("achievable-dims", SuiteConfig(max_n=6)),
+        ("chart-soundness", dict(max_n=3, trials=5)),
+        ("dimension-formulas", dict(max_n=4)),
+        ("decompose-roundtrip", dict(max_n=4, trials=20)),
+        ("single-orbit-scan", dict(max_n=4, trials=3)),
+        ("two-dim-support", dict(max_n=5, trials=20)),
+        ("achievable-dims", dict(max_n=6)),
     ],
 )
 def test_suites_pass_at_reduced_scale(name, config):
-    report = run_suite(name, config)
+    report = run_suite(name, **config)
     assert report.passed, report.failures[:3]
     assert report.verdict == "pass"
     assert report.trials > 0
@@ -100,26 +98,27 @@ def test_suites_pass_at_reduced_scale(name, config):
 @pytest.mark.parametrize("name, options", [("dimension-formulas", {}),
                                            ("chart-soundness", {"trials": 3})])
 def test_kind_names_run_as_their_kinds(name, options):
-    named = run_suite(name, SuiteConfig(kinds=("A",), max_n=3, **options))
-    typed = run_suite(name, SuiteConfig(kinds=(RootSystemKind.A,), max_n=3, **options))
+    named = run_suite(name, kinds=("A",), max_n=3, **options)
+    typed = run_suite(name, kinds=(RootSystemKind.A,), max_n=3, **options)
     assert named.passed and named.trials > 0
     assert json.dumps(named.to_json(), sort_keys=True) == json.dumps(typed.to_json(), sort_keys=True)
     with pytest.raises(InvalidRootError, match="unknown root system kind 'Q'"):
-        run_suite(name, SuiteConfig(kinds=("Q",), max_n=3, **options))
+        run_suite(name, kinds=("Q",), max_n=3, **options)
 
 
 def test_explicit_zero_trials_is_not_the_default():
-    report = run_suite("chart-soundness", SuiteConfig(max_n=3, trials=0))
+    report = run_suite("chart-soundness", max_n=3, trials=0)
     assert report.trials == 0
     assert report.parameters["trials_per_alpha"] == 0
     assert report.passed
 
 
 def test_reports_are_reproducible_byte_for_byte():
-    cfg = SuiteConfig(max_n=3, trials=4, seed=77)
-    first = json.dumps(run_suite("chart-soundness", cfg).to_json(), sort_keys=True)
-    second = json.dumps(run_suite("chart-soundness", cfg).to_json(), sort_keys=True)
+    options = dict(seed=77, max_n=3, trials=4)
+    first = json.dumps(run_suite("chart-soundness", **options).to_json(), sort_keys=True)
+    second = json.dumps(run_suite("chart-soundness", **options).to_json(), sort_keys=True)
     assert first == second
+    assert json.loads(first)["parameters"]["seed"] == 77
 
 
 def test_report_records_failures_with_replay_data():
@@ -149,11 +148,39 @@ _GIVEN = {"kinds": (), "max_n": 4, "trials": 0}
 @pytest.mark.parametrize("name", list(_SUITES))
 def test_a_suite_rejects_every_option_it_does_not_read(name):
     _, defaults, _ = _SUITES[name]
-    options = {f.name for f in dataclasses.fields(SuiteConfig)} - {"seed"}
+    options = oracle._OPTIONS
     assert options == _GIVEN.keys() and defaults.keys() <= options
     for option in sorted(options - defaults.keys()):
         with pytest.raises(ValueError, match=f"^suite {name} does not read the option {option}$"):
-            run_suite(name, SuiteConfig(**{option: _GIVEN[option]}))
+            run_suite(name, **{option: _GIVEN[option]})
+
+
+def test_an_option_given_as_none_takes_the_default():
+    # achievable-dims reads only max_n; None for kinds and trials is no option at all.
+    plain = run_suite("achievable-dims", max_n=3)
+    assert run_suite("achievable-dims", kinds=None, max_n=3, trials=None) == plain
+    assert run_suite("achievable-dims", max_n=None).parameters["max_n"] == _SUITES[
+        "achievable-dims"][1]["max_n"]
+    # A name no suite reads is a mistake, not a default.
+    with pytest.raises(ValueError, match="^suite achievable-dims does not read the option trails$"):
+        run_suite("achievable-dims", max_n=3, trails=None)
+
+
+@pytest.mark.parametrize("name, options, message", [
+    ("dimension-formulas", dict(max_n=3.0), "max_n must be an int, got 3.0"),
+    ("decompose-roundtrip", dict(max_n=3, trials=2.5), "trials must be an int, got 2.5"),
+    ("decompose-roundtrip", dict(max_n=3, trials=True), "trials must be an int, got True"),
+    ("achievable-dims", dict(max_n=True), "max_n must be an int, got True"),
+    ("two-dim-support", dict(max_n="5"), "max_n must be an int, got '5'"),
+])
+def test_a_non_int_max_n_or_trials_is_rejected_before_the_suite_runs(
+        monkeypatch, name, options, message):
+    _, defaults, bound = _SUITES[name]
+    ran = []
+    monkeypatch.setitem(_SUITES, name, (lambda *a, **k: ran.append(1), defaults, bound))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite(name, **options)
+    assert ran == []
 
 
 @pytest.mark.parametrize("name,key", [
@@ -164,7 +191,7 @@ def test_a_suite_rejects_every_option_it_does_not_read(name):
 ])
 def test_explicit_zero_trials_wins_wherever_it_is_read(name, key):
     assert "trials" in _SUITES[name][1]
-    report = run_suite(name, SuiteConfig(max_n=4, trials=0))
+    report = run_suite(name, max_n=4, trials=0)
     assert report.parameters[key] == 0 and report.passed
     # single-orbit-scan still checks the all-ones phi of every basic subset
     subsets = sum(len(list(enumerate_basic_subsets(n))) for n in range(2, 5))
@@ -173,7 +200,7 @@ def test_explicit_zero_trials_wins_wherever_it_is_read(name, key):
 
 @pytest.mark.parametrize("name", ["chart-soundness", "dimension-formulas"])
 def test_explicit_empty_kinds_wins(name):
-    report = run_suite(name, SuiteConfig(kinds=(), max_n=3))
+    report = run_suite(name, kinds=(), max_n=3)
     assert report.parameters["kinds"] == [] and report.trials == 0
 
 
@@ -181,7 +208,7 @@ def test_explicit_empty_kinds_wins(name):
 def test_exponential_scans_are_bounded_before_they_start(name, bound):
     assert _SUITES[name][2] == bound
     with pytest.raises(ValueError, match=f"^max_n must be at most {bound} for {name}, got {bound + 1}$"):
-        run_suite(name, SuiteConfig(max_n=bound + 1))
+        run_suite(name, max_n=bound + 1)
 
 
 def test_certification_draws_each_point_once(monkeypatch):
@@ -193,7 +220,7 @@ def test_certification_draws_each_point_once(monkeypatch):
         return real(kind, n, alpha, c, seed=seed)
 
     monkeypatch.setattr(oracle, "random_orbit_point", spy)
-    assert resolve_sign_conventions(n_max=4, trials=3, seed=2024).rules == {
+    assert resolve_sign_conventions(n_max=4, trials=3, seed=2024) == {
         "B": "constant-minus", "D": "constant-minus"}
     assert drawn == [f"2024:signs:{kind}:{n}:{alpha}:{t}"
                      for kind in "BD" for n in (3, 4)
@@ -210,6 +237,6 @@ def test_chart_soundness_builds_each_chart_once(monkeypatch):
         return real(kind, n, alpha, c)
 
     monkeypatch.setattr(oracle, "orbit_chart", spy)
-    report = run_suite("chart-soundness", SuiteConfig(kinds=(RootSystemKind.B,), max_n=3, trials=2))
+    report = run_suite("chart-soundness", kinds=(RootSystemKind.B,), max_n=3, trials=2)
     assert report.passed and report.trials == 2 * len(built)
     assert built == [(n, alpha) for n in (2, 3) for alpha in get_system("B", n).roots]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as Q
 
@@ -951,6 +952,23 @@ def test_polynomial_var_rejects_a_negative_position(k):
     # var(-1) used to evaluate the last position of the values.
     with pytest.raises(ValueError, match="non-negative int; got a negative int$"):
         Polynomial.var(k)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, False, None, [], ""])
+def test_polynomial_addition_rejects_a_falsy_non_rational(value):
+    # Adding a falsy float, bool, None, [] or "" used to return the polynomial
+    # itself, although + 0.5 and + True raised.
+    p = Polynomial.var(0)
+    for add in (lambda: p + value, lambda: value + p, lambda: p - value):
+        with pytest.raises(ValueError, match=re.escape(repr(value)) + "$"):
+            add()
+
+
+@pytest.mark.parametrize("zero", [0, Q(0), "0", "-0/5"])
+def test_adding_an_exact_zero_returns_the_polynomial_itself(zero):
+    p = Polynomial.var(0) * Q(3, 2)
+    assert p + zero is p and zero + p is p
+    assert p + "1/2" == p + Q(1, 2) == Q(1, 2) + p
 
 
 def _reference_sorted_terms(poly, roots):
