@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .basic import (
     achievable_dimensions,
@@ -235,8 +235,9 @@ def run_suite(name: str, seed=DEFAULT_SEED, **options) -> OracleReport:
     None takes the default. An option the suite does not read, or that no
     suite reads, raises ValueError before the suite starts, as do a max_n or
     trials that is not an int (nor a bool), a max_n below 2 or above the
-    suite's bound and a negative trials. A kind may be given by name; an
-    unknown one raises InvalidRootError.
+    suite's bound, a negative trials and kinds that is a string or not
+    iterable. A kind may be given by name; an unknown one raises
+    InvalidRootError.
     """
     try:
         runner, defaults, bound = _SUITES[name]
@@ -255,7 +256,11 @@ def run_suite(name: str, seed=DEFAULT_SEED, **options) -> OracleReport:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{option} must be an int, got {_echo(value)}")
     if "kinds" in options:
-        options["kinds"] = tuple(_as_kind(kind) for kind in options["kinds"])
+        kinds = options["kinds"]
+        # A string iterates by character, so "BD" would run B and D.
+        if isinstance(kinds, str) or not isinstance(kinds, Iterable):
+            raise ValueError(f"kinds must be a collection of kinds, got {_echo(kinds)}")
+        options["kinds"] = tuple(_as_kind(kind) for kind in kinds)
     max_n = options["max_n"]
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")

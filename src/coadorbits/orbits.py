@@ -14,22 +14,26 @@ applied to e*_alpha by the loop that computes the coadjoint action. Each
 singular coordinate comes back as its own variable and each regular one as
 its constraint, so the sign of the quadratic tail in the sum-root charts
 (CONVENTIONS.md) follows from the derivation. The level-1 equations depend
-only on (kind, n, alpha), so each is derived once and cached; a chart
-carries its scalar c and its own copy of the cached constraints. f lies in
-the level-c chart iff (1/c) f satisfies the level-1 equations. Membership
-is tested over the integers: (1/c) f is H / e, with H f's numerators by
-canonical position times c's denominator and e an int, and each
-constraint is compared by cross-multiplication with its cached integer
-form, so no Fraction is built. A chart variable is its singular root's
-position, and only the renderers decode positions back to roots.
+only on (kind, n, alpha), so each is derived once and cached, as one
+read-only mapping that every chart of the root shares; a chart adds only its
+scalar c. f lies in the level-c chart iff (1/c) f satisfies the level-1
+equations. Membership reads the constraints through a membership form, also
+cached per root: the positions whose constraint is zero, where f must
+vanish, and (position, polynomial) for each other constraint. It is tested
+over the integers: (1/c) f is H / e, with H f's numerators by canonical
+position times c's denominator and e an int, and each nonzero constraint is
+compared by cross-multiplication with its cached integer form, so no
+Fraction is built. A chart variable is its singular root's position, and
+only the renderers decode positions back to roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, groupby
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .functionals import (Functional, GroupWord, Rational, _act, _frac, _from_vector, e_star,
@@ -152,7 +156,9 @@ class OrbitChart:
     """Defining equations of the orbit through c * e*_alpha.
 
     ``constraints`` holds the level-1 polynomials (one per regular root, in
-    the positions of the singular roots); ``c`` is the scalar. Membership at
+    the positions of the singular roots) as a read-only mapping: orbit_chart
+    hands every chart of a root the one cached mapping, and a mapping that is
+    not read-only is copied into one. ``c`` is the scalar. Membership at
     level c is tested by feeding (1/c) f to the level-1 equations.
     """
 
@@ -160,7 +166,25 @@ class OrbitChart:
     alpha: PositiveRoot
     c: Fraction
     data: SingularData
-    constraints: dict[PositiveRoot, Polynomial]
+    constraints: Mapping[PositiveRoot, Polynomial]
+
+    def __post_init__(self):
+        # The membership form is read from the constraints once per chart, so
+        # they must not change under it.
+        if type(self.constraints) is not MappingProxyType:
+            object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
+
+    @cached_property
+    def _form(self) -> "_MembershipForm":
+        """The cached form when the constraints are the cached ones, else one read here.
+
+        Read on first use, so a constraint on a foreign root raises
+        InvalidRootError from contains and chart_point; a chart made by
+        dataclasses.replace is a new chart and reads its own.
+        """
+        system = self.system
+        form = _level_one_form(system.kind, system.n, self.alpha)
+        return form if form[0] is self.constraints else _membership_form(system, self.constraints)
 
     def scaled_constraints(self) -> dict[PositiveRoot, Polynomial]:
         """Constraints written for f itself: each coefficient picks up c^(1-deg)."""
@@ -185,19 +209,46 @@ _ZERO = Polynomial.zero()
 @lru_cache(maxsize=None)
 def _level_one_constraints(
     kind: RootSystemKind, n: int, alpha: PositiveRoot
-) -> dict[PositiveRoot, Polynomial]:
+) -> Mapping[PositiveRoot, Polynomial]:
     """The level-1 constraints of alpha's chart, derived once per (kind, n, alpha).
 
     The constructive word, with each singular value as a variable, applied
     to e*_alpha: the regular coordinates of the result are the constraints.
-    Callers copy the dict, so no edit of a chart reaches the cache.
+    The mapping is read-only, so every chart of alpha can share it.
     """
     system = get_system(kind, n)
     data = _singular_data(kind, n)[alpha]
     letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
     start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
     moved, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
-    return {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular}
+    return MappingProxyType(
+        {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular})
+
+
+# (constraints, zeros, nonzero): the positions whose constraint is zero, and
+# (position, polynomial) for every other constraint of the mapping read.
+_MembershipForm = tuple[Mapping[PositiveRoot, Polynomial], tuple[int, ...],
+                        tuple[tuple[int, Polynomial], ...]]
+
+
+def _membership_form(
+    system: RootSystem, constraints: Mapping[PositiveRoot, Polynomial]
+) -> _MembershipForm:
+    """Split the constraints by position; a root outside the system raises InvalidRootError."""
+    zeros, nonzero = [], []
+    for beta, poly in constraints.items():
+        k = system.index_of(beta)
+        if poly:
+            nonzero.append((k, poly))
+        else:
+            zeros.append(k)
+    return constraints, tuple(zeros), tuple(nonzero)
+
+
+@lru_cache(maxsize=None)
+def _level_one_form(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> _MembershipForm:
+    """The membership form of the cached level-1 constraints, read once per (kind, n, alpha)."""
+    return _membership_form(get_system(kind, n), _level_one_constraints(kind, n, alpha))
 
 
 def orbit_chart(
@@ -210,7 +261,7 @@ def orbit_chart(
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
     constraints = _level_one_constraints(system.kind, n, alpha)
-    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], dict(constraints))
+    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], constraints)
 
 
 def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], int]:
@@ -223,17 +274,17 @@ def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], 
 def contains(chart: OrbitChart, f: Functional) -> bool:
     """Exact membership of f in the chart's orbit.
 
-    With (1/c) f = H / e and a constraint P(H / e) = num / den, the test
+    f must vanish at every position whose constraint is zero. With
+    (1/c) f = H / e and a nonzero constraint P(H / e) = num / den, the test
     h(beta) = P(h) reads H(beta) den = e num, all integers.
     """
-    if f.system != chart.system:
+    if f.system is not chart.system and f.system != chart.system:
         raise ValueError("functional and chart live on different systems")
+    _, zeros, nonzero = chart._form
     h, e = _integer_vector(chart, f)
-    index = chart.system._index
-    for beta, poly in chart.constraints.items():
-        k = index.get(beta)
-        if k is None:
-            chart.system.index_of(beta)  # raises InvalidRootError
+    if any(map(h.__getitem__, zeros)):
+        return False
+    for k, poly in nonzero:
         num, den = poly._integer_ratio(h, e)
         if h[k] * den != e * num:
             return False
@@ -250,14 +301,14 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         raise ChartVariableError(
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
+    _, _, nonzero = chart._form
     given = functional(chart.system, assignment)
     h, e = _integer_vector(chart, given)
-    c, index = chart.c, chart.system._index
-    vec: list = list(given.nums)  # over given.den, as each regular value is written
-    for beta, poly in chart.constraints.items():
-        k = index.get(beta)
-        if k is None:
-            chart.system.index_of(beta)  # raises InvalidRootError
+    c = chart.c
+    # Over given.den, as each regular value is written; a zero constraint's
+    # position is one the assignment left at 0.
+    vec: list = list(given.nums)
+    for k, poly in nonzero:
         num, den = poly._integer_ratio(h, e)
         vec[k] = Fraction(c.numerator * num * given.den, c.denominator * den)
     return _from_vector(chart.system, vec, given.den)

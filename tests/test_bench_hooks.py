@@ -10,8 +10,9 @@ workloads.py), is checked here too, and so is what perfbench reads of a
 functional: the density and coefficient-size counters in tracing.py, the
 round-trip verdict and the orbit-rank certificate in workloads.py. So is
 what it reads of singular data: the round-trip assignments and the orbit-rank
-highest root in workloads.py, and of a radical basis: the orbit-rank
-certificate in workloads.py.
+highest root in workloads.py, of a radical basis: the orbit-rank
+certificate in workloads.py, and of a chart: the term counter in tracing.py
+and the chart and round-trip checks in workloads.py.
 """
 
 import ast
@@ -131,3 +132,28 @@ def test_singular_data_reads_of_perfbench(kind, n):
         assignment = {root: Fraction(k + 2, 3) for k, root in enumerate(singular)}
         point = orbits.chart_point(orbits.orbit_chart(kind, n, alpha, Fraction(-3, 5)), assignment)
         assert all(point.value(root) == value for root, value in assignment.items())
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("B", 4), ("D", 4)])
+def test_chart_reads_of_perfbench(kind, n):
+    system = get_system(kind, n)
+    for alpha in system.roots:
+        c = Fraction(-3, 5)
+        chart = orbits.orbit_chart(kind, n, alpha, c)
+        # tracing.py: the orbit_chart term counter sums len(poly.terms) over
+        # chart.constraints.values(), which every chart of alpha shares read-only.
+        terms = sum(len(poly.terms) for poly in chart.constraints.values())
+        level_one = orbits.orbit_chart(kind, n, alpha).constraints
+        assert level_one is chart.constraints
+        assert terms == sum(len(poly.terms) for poly in level_one.values()) > 0
+        assert len(chart.constraints) == len(chart.data.regular)
+        with pytest.raises(TypeError):
+            chart.constraints[alpha] = chart.constraints[alpha]
+        # workloads.py: the chart kept in the check state is handed back to
+        # contains, once per trial, and chart_point builds round-trip points.
+        state = {"chart": chart}
+        point = functionals.e_star(system, alpha, c)
+        assert orbits.contains(state["chart"], point) is True
+        assert orbits.contains(state["chart"], functionals.e_star(system, alpha)) is False
+        assignment = {root: Fraction(1) for root in chart.data.singular}
+        assert orbits.contains(state["chart"], orbits.chart_point(chart, assignment)) is True

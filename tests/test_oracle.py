@@ -1,6 +1,7 @@
 """Oracle determinism, sign certification, and suite plumbing."""
 
 import json
+import re
 
 import pytest
 
@@ -181,6 +182,33 @@ def test_a_non_int_max_n_or_trials_is_rejected_before_the_suite_runs(
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_suite(name, **options)
     assert ran == []
+
+
+@pytest.mark.parametrize("kinds, message", [
+    ("BD", "kinds must be a collection of kinds, got 'BD'"),
+    ("B", "kinds must be a collection of kinds, got 'B'"),
+    (3, "kinds must be a collection of kinds, got 3"),
+    (RootSystemKind.B, "kinds must be a collection of kinds, got <RootSystemKind.B: 'B'>"),
+])
+def test_kinds_that_are_a_string_or_not_iterable_are_rejected_before_the_suite_runs(
+        monkeypatch, kinds, message):
+    _, defaults, bound = _SUITES["dimension-formulas"]
+    ran = []
+    monkeypatch.setitem(_SUITES, "dimension-formulas",
+                        (lambda *a, **k: ran.append(1), defaults, bound))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("dimension-formulas", kinds=kinds, max_n=2)
+    assert ran == []
+
+
+@pytest.mark.parametrize("kinds, expected", [
+    (("A",), ["A"]),
+    (["B", "D"], ["B", "D"]),
+    ((RootSystemKind.D, "A"), ["D", "A"]),
+])
+def test_kinds_given_as_a_collection_of_names_or_kinds_run(kinds, expected):
+    report = run_suite("dimension-formulas", kinds=kinds, max_n=2)
+    assert report.passed and report.parameters["kinds"] == expected
 
 
 @pytest.mark.parametrize("name,key", [

@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as Q
+from types import MappingProxyType
 
 import pytest
 
@@ -20,6 +21,7 @@ from coadorbits.orbits import (
     ZeroScalarError,
     _ZERO,
     _level_one_constraints,
+    _level_one_form,
     _singular_data,
     _word_letters,
     chart_equations_latex,
@@ -623,6 +625,36 @@ def test_contains_equals_fraction_reference(kind, n):
                                               for r, v in g.values.items()}))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_nudge_at_any_regular_coordinate_leaves_the_orbit(kind, n):
+    # Each regular coordinate in turn, so both membership paths run: the
+    # positions whose constraint is zero and the evaluated constraints.
+    system = get_system(kind, n)
+    paths = set()
+    for alpha in system.roots:
+        for c in (Q(1), Q(-3, 5)):
+            chart = orbit_chart(kind, n, alpha, c)
+            f, _ = random_orbit_point(kind, n, alpha, c, seed=f"every:{kind.value}:{n}:{alpha}:{c}")
+            assert _agree(chart, f)
+            for beta in chart.data.regular:
+                assert not _agree(chart, _nudged(f, beta))
+                paths.add(bool(chart.constraints[beta]))
+    assert paths == ({True} if (kind, n) == (RootSystemKind.A, 2) else {False, True})
+    # The paper's printed charts, one per sign rule, are charts made by replace:
+    # each reads its own form, and agrees with the reference at every nudge.
+    for alpha in system.roots:
+        if alpha.tag != SUM:
+            continue
+        f, _ = random_orbit_point(kind, n, alpha, 1, seed=f"every-rule:{kind.value}:{n}:{alpha}")
+        for rule in sorted(SIGN_RULES):
+            chart = _paper_chart(kind, n, alpha, rule)
+            assert chart._form is not _level_one_form(system.kind, n, alpha)
+            _agree(chart, f)
+            for beta in chart.data.regular:
+                _agree(chart, _nudged(f, beta))
+
+
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_contains_honours_replaced_constraints(kind, n):
@@ -701,14 +733,22 @@ def test_chart_point_equals_fraction_reference():
 # The level-1 derivation cache
 # ---------------------------------------------------------------------------
 
-def test_charts_copy_the_cached_constraints():
+def test_charts_share_the_cached_constraints():
     alpha = sum_root(1, 2)
     first = orbit_chart("B", 4, alpha, 1)
     second = orbit_chart("B", 4, alpha, Q(-3, 5))
-    assert first.constraints == second.constraints
-    assert first.constraints is not second.constraints
     cached = _level_one_constraints(RootSystemKind.B, 4, alpha)
-    assert first.constraints is not cached and second.constraints is not cached
+    assert first.constraints is cached and second.constraints is cached
+    assert type(cached) is MappingProxyType
+    # So an in-place edit, which would reach every chart of the root, raises.
+    with pytest.raises(TypeError):
+        first.constraints[diff(3, 4)] = Polynomial.const(5)
+    with pytest.raises(TypeError):
+        del first.constraints[diff(3, 4)]
+    for method in ("clear", "pop", "popitem", "setdefault", "update"):
+        assert not hasattr(first.constraints, method)
+    # Both charts read membership through the one cached form.
+    assert first._form is second._form is _level_one_form(RootSystemKind.B, 4, alpha)
 
 
 def test_editing_a_chart_leaves_the_cache_alone():
@@ -718,12 +758,25 @@ def test_editing_a_chart_leaves_the_cache_alone():
     pristine = orbit_chart("B", 4, alpha, 2)
     expected_json = chart_to_json(pristine)
     expected = dict(pristine.constraints)
-    edited = orbit_chart("B", 4, alpha, 2)
-    edited.constraints.pop(diff(3, 4))
-    edited.constraints[diff(1, 2)] = Polynomial.const(5)
-    edited.constraints[alpha] = Polynomial.zero()
+    assert contains(pristine, f)  # the cached form is in use before the edits
+    with pytest.raises(TypeError):
+        pristine.constraints[diff(1, 2)] = Polynomial.const(5)
+    kept = {beta: poly for beta, poly in pristine.constraints.items() if beta != diff(3, 4)}
+    edited = replace(pristine, constraints=kept | {diff(1, 2): Polynomial.const(5),
+                                                   alpha: Polynomial.zero()})
     assert not contains(edited, f)
+    # The edits are honoured one by one: the dropped constraint frees its root,
+    # and the zero at alpha rejects f, where f(alpha) = c, but not f moved to 0 there.
+    loosened = replace(pristine, constraints=kept)
+    assert contains(loosened, bad) and not contains(pristine, bad)
+    zeroed = replace(pristine, constraints=pristine.constraints | {alpha: Polynomial.zero()})
+    assert not _agree(zeroed, f)
+    assert _agree(zeroed, functional(f.system, f.values | {alpha: 0}))
+    # A replaced chart's constraints are read-only too.
+    with pytest.raises(TypeError):
+        edited.constraints[diff(1, 2)] = Polynomial.const(1)
     fresh = orbit_chart("B", 4, alpha, 2)
+    assert fresh.constraints is _level_one_constraints(RootSystemKind.B, 4, alpha)
     assert fresh.constraints == expected
     assert chart_to_json(fresh) == expected_json
     assert contains(fresh, f) and not contains(fresh, bad)
@@ -764,15 +817,25 @@ def test_a_second_chart_call_derives_nothing(monkeypatch):
     import coadorbits.orbits as orbits_module
 
     alpha = diff(1, 5)
-    orbit_chart("A", 6, alpha, 1)
+    first = orbit_chart("A", 6, alpha, 1)
+    point = chart_point(first, {root: 1 for root in first.data.singular})
+    assert contains(first, point)
     before = _level_one_constraints.cache_info()
+    forms_before = _level_one_form.cache_info()
     calls = []
     monkeypatch.setattr(orbits_module, "_act", lambda *args: calls.append(args))
+    monkeypatch.setattr(orbits_module, "_membership_form", lambda *args: calls.append(args))
     chart = orbit_chart("A", 6, alpha, Q(7, 2))
     after = _level_one_constraints.cache_info()
-    assert calls == []
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert chart.constraints == _level_one_constraints(RootSystemKind.A, 6, alpha)
+    assert chart.constraints is _level_one_constraints(RootSystemKind.A, 6, alpha)
+    # Membership and chart points read the form cached with the first chart.
+    assert contains(chart, point.scaled(Q(7, 2)))
+    scaled = {root: Q(7, 2) for root in chart.data.singular}
+    assert chart_point(chart, scaled) == point.scaled(Q(7, 2))
+    forms_after = _level_one_form.cache_info()
+    assert (forms_after.hits, forms_after.misses) == (forms_before.hits + 1, forms_before.misses)
+    assert calls == []
 
 
 def test_unconstrained_regular_roots_share_one_zero():
