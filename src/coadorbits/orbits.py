@@ -175,7 +175,7 @@ class OrbitChart:
             object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
 
     @cached_property
-    def _form(self) -> "_MembershipForm":
+    def _form(self) -> tuple:
         """The cached form when the constraints are the cached ones, else one read here.
 
         Read on first use, so a constraint on a foreign root raises
@@ -225,28 +225,20 @@ def _level_one_constraints(
         {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular})
 
 
-# (constraints, zeros, nonzero): the positions whose constraint is zero, and
-# (position, polynomial) for every other constraint of the mapping read.
-_MembershipForm = tuple[Mapping[PositiveRoot, Polynomial], tuple[int, ...],
-                        tuple[tuple[int, Polynomial], ...]]
+def _membership_form(system: RootSystem, constraints: Mapping[PositiveRoot, Polynomial]) -> tuple:
+    """The membership form (constraints, zeros, nonzero) of the mapping given.
 
-
-def _membership_form(
-    system: RootSystem, constraints: Mapping[PositiveRoot, Polynomial]
-) -> _MembershipForm:
-    """Split the constraints by position; a root outside the system raises InvalidRootError."""
-    zeros, nonzero = [], []
-    for beta, poly in constraints.items():
-        k = system.index_of(beta)
-        if poly:
-            nonzero.append((k, poly))
-        else:
-            zeros.append(k)
-    return constraints, tuple(zeros), tuple(nonzero)
+    zeros holds the positions whose constraint is zero, nonzero a (position,
+    polynomial) pair for every other constraint. A root outside the system
+    raises InvalidRootError.
+    """
+    by_position = [(system.index_of(beta), poly) for beta, poly in constraints.items()]
+    return (constraints, tuple(k for k, poly in by_position if not poly),
+            tuple((k, poly) for k, poly in by_position if poly))
 
 
 @lru_cache(maxsize=None)
-def _level_one_form(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> _MembershipForm:
+def _level_one_form(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
     """The membership form of the cached level-1 constraints, read once per (kind, n, alpha)."""
     return _membership_form(get_system(kind, n), _level_one_constraints(kind, n, alpha))
 
