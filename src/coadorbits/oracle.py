@@ -37,7 +37,8 @@ from .functionals import (
     orbit_dimension,
     word_to_json,
 )
-from .orbits import OrbitChart, contains, orbit_chart, singular_set, singular_size_formula
+from .orbits import (OrbitChart, ZeroScalarError, contains, orbit_chart, singular_set,
+                     singular_size_formula)
 from .polynomials import Polynomial
 from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, diff, get_system,
                     short, sum_root)
@@ -115,7 +116,7 @@ def random_orbit_point(
     system.check_member(alpha)
     c = _frac(c)
     if c == 0:
-        raise ValueError("need a nonzero scalar")
+        raise ZeroScalarError("need a nonzero scalar")
     rng = random.Random(seed)
     word = random_word(system, rng, default_word_length(system))
     return coadjoint_apply(word, e_star(system, alpha, c)), word
@@ -202,10 +203,17 @@ def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
     sum root with n <= n_max; the unique rule with zero failures wins. With
     n_max < 4 some candidates coincide on every exercised term and the
     ambiguity is surfaced as an error rather than resolved by fiat. Each
-    point is drawn once and tested against every rule still standing.
+    point is drawn once and tested against every rule still standing. An
+    n_max or trials that is not an int, an n_max below 3 and trials below 1
+    raise ValueError.
     """
+    for name, value in (("n_max", n_max), ("trials", trials)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {_echo(value)}")
     if n_max < 3:
         raise ValueError("certification needs n_max >= 3")
+    if trials < 1:
+        raise ValueError(f"certification needs trials >= 1, got {trials}")
     rules: dict[str, str] = {}
     for kind in (RootSystemKind.B, RootSystemKind.D):
         survivors = sorted(SIGN_RULES)

@@ -14,17 +14,18 @@ applied to e*_alpha by the loop that computes the coadjoint action. Each
 singular coordinate comes back as its own variable and each regular one as
 its constraint, so the sign of the quadratic tail in the sum-root charts
 (CONVENTIONS.md) follows from the derivation. The level-1 equations depend
-only on (kind, n, alpha), so each is derived once and cached, as one
-read-only mapping that every chart of the root shares; a chart adds only its
-scalar c. f lies in the level-c chart iff (1/c) f satisfies the level-1
-equations. Membership reads the constraints through a membership form, also
-cached per root: the positions whose constraint is zero, where f must
-vanish, and (position, polynomial) for each other constraint. It is tested
-over the integers: (1/c) f is H / e, with H f's numerators by canonical
-position times c's denominator and e an int, and each nonzero constraint is
-compared by cross-multiplication with its cached integer form, so no
-Fraction is built. A chart variable is its singular root's position, and
-only the renderers decode positions back to roots.
+only on (kind, n, alpha), so one cache entry per root holds them, derived
+once, in their membership form: the read-only constraints that every chart
+of the root shares, the positions whose constraint is zero, where f must
+vanish, and (position, polynomial) for each other constraint. A chart adds
+its scalar c, and f lies in the level-c chart iff (1/c) f satisfies the
+level-1 equations. That is the one membership test; construct_group_word
+asks it of the level-1 chart, as its word carries e*_alpha to f exactly when
+the chart contains f. It runs over the integers: (1/c) f is H / e, with H
+f's numerators times c's denominator and e an int, and each nonzero
+constraint is compared by cross-multiplication with its cached integer
+form. A chart variable is its singular root's position; only the renderers
+decode positions back to roots.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from itertools import compress, groupby
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .functionals import (Functional, GroupWord, Rational, _act, _frac, _from_vector, e_star,
-                          functional, group_word)
+from .functionals import (Functional, GroupWord, Rational, _act, _frac, _from_vector, functional,
+                          group_word)
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -183,17 +184,14 @@ class OrbitChart:
         dataclasses.replace is a new chart and reads its own.
         """
         system = self.system
-        form = _level_one_form(system.kind, system.n, self.alpha)
+        form = _level_one(system.kind, system.n, self.alpha)
         return form if form[0] is self.constraints else _membership_form(system, self.constraints)
 
     def scaled_constraints(self) -> dict[PositiveRoot, Polynomial]:
         """Constraints written for f itself: each coefficient picks up c^(1-deg)."""
-        out = {}
-        for beta, poly in self.constraints.items():
-            out[beta] = Polynomial(
-                {mono: coef * self.c ** (1 - len(mono)) for mono, coef in poly.terms.items()}
-            )
-        return out
+        return {beta: Polynomial({mono: coef * self.c ** (1 - len(mono))
+                                  for mono, coef in poly.terms.items()})
+                for beta, poly in self.constraints.items()}
 
 
 def _word_letters(data: SingularData, value: Callable) -> list:
@@ -204,25 +202,6 @@ def _word_letters(data: SingularData, value: Callable) -> list:
 
 # The constraint of every regular root that the derivation leaves at 0.
 _ZERO = Polynomial.zero()
-
-
-@lru_cache(maxsize=None)
-def _level_one_constraints(
-    kind: RootSystemKind, n: int, alpha: PositiveRoot
-) -> Mapping[PositiveRoot, Polynomial]:
-    """The level-1 constraints of alpha's chart, derived once per (kind, n, alpha).
-
-    The constructive word, with each singular value as a variable, applied
-    to e*_alpha: the regular coordinates of the result are the constraints.
-    The mapping is read-only, so every chart of alpha can share it.
-    """
-    system = get_system(kind, n)
-    data = _singular_data(kind, n)[alpha]
-    letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
-    start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
-    moved, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
-    return MappingProxyType(
-        {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular})
 
 
 def _membership_form(system: RootSystem, constraints: Mapping[PositiveRoot, Polynomial]) -> tuple:
@@ -238,9 +217,20 @@ def _membership_form(system: RootSystem, constraints: Mapping[PositiveRoot, Poly
 
 
 @lru_cache(maxsize=None)
-def _level_one_form(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
-    """The membership form of the cached level-1 constraints, read once per (kind, n, alpha)."""
-    return _membership_form(get_system(kind, n), _level_one_constraints(kind, n, alpha))
+def _level_one(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
+    """The membership form of alpha's level-1 chart, derived once per (kind, n, alpha).
+
+    The constructive word, with each singular value as a variable, applied
+    to e*_alpha: the regular coordinates of the result are the constraints.
+    The mapping is read-only, so every chart of alpha can share it.
+    """
+    system = get_system(kind, n)
+    data = _singular_data(kind, n)[alpha]
+    letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
+    start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
+    moved, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
+    return _membership_form(system, MappingProxyType(
+        {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular}))
 
 
 def orbit_chart(
@@ -252,8 +242,8 @@ def orbit_chart(
     c = _frac(c)
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
-    constraints = _level_one_constraints(system.kind, n, alpha)
-    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], constraints)
+    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha],
+                      _level_one(system.kind, n, alpha)[0])
 
 
 def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], int]:
@@ -316,16 +306,14 @@ def construct_group_word(
     with parameter s f(gamma), then those along gamma with parameter
     -s f(p). For e_i - e_j this runs along e_k - e_j, then e_i - e_k; for
     e_i along e_k, then e_i - e_k; difference and short pairs all have
-    sign +1. f is in the orbit exactly when the word carries e*_alpha to f,
-    the test the derived chart makes.
+    sign +1. The level-1 chart is this word with its parameters taken as
+    variables, so f is in the orbit, and the word carries e*_alpha to f,
+    exactly when the chart contains f.
     """
-    letters = _word_letters(singular_set(kind, n, alpha), f.value)
-    if f.system != get_system(kind, n):
-        raise ValueError(f"functional lives on a different system than {alpha}")
-    moved = _act(f.system, letters, e_star(f.system, alpha).nums, 1)
-    if _from_vector(f.system, *moved) != f:
+    chart = orbit_chart(kind, n, alpha)
+    if not contains(chart, f):
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    return group_word(letters)
+    return group_word(_word_letters(chart.data, f.value))
 
 
 # ---------------------------------------------------------------------------

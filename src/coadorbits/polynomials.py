@@ -3,14 +3,15 @@
 Variable k is the root at canonical position k of its system (RootSystem.roots);
 the polynomial itself never decodes positions. A monomial is a sorted tuple of
 positions (with repetition for powers); the zero coefficient is never stored.
-This is all the chart machinery needs: sums, products, exact evaluation. No
+The constructor is the one canonicaliser: it sorts each monomial, rejects a
+position that is not a non-negative int, reads each coefficient as an exact
+rational, merges equal monomials, drops zeros and keeps a read-only copy. No
 operation mutates an operand, so adding 0 or multiplying by 1 returns the
-operand itself, and the terms are a read-only copy of the mapping given.
-Coefficients are stored as Fractions. Evaluation runs over the integers:
-each polynomial caches, on first use, its integer form, the coefficients
-times the lcm L of their denominators, each term with the power of a common
-value denominator it lacks below the degree K, so at values H / e it
-evaluates to the integer ratio L e^K P(H / e) / (L e^K).
+operand itself. Evaluation runs over the integers: each polynomial caches, on
+first use, its integer form, the coefficients times the lcm L of their
+denominators, each term with the power of a common value denominator it
+lacks below the degree K, so at values H / e it evaluates to the integer
+ratio L e^K P(H / e) / (L e^K).
 """
 
 from __future__ import annotations
@@ -32,9 +33,19 @@ class Polynomial:
     terms: Mapping[Monomial, Fraction]
 
     def __post_init__(self):
-        # A read-only copy: polynomials are shared (the chart cache hands the
-        # same ones to every chart), and the cached integer form must stay true.
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        # Read-only, as the chart cache shares polynomials and their integer forms.
+        terms: dict[Monomial, Fraction] = {}
+        for mono, coef in self.terms.items():
+            for k in mono:
+                if type(k) is not int:
+                    raise ValueError(f"a variable is a position, an int; got a {type(k).__name__}")
+            mono = tuple(sorted(mono))
+            if mono and mono[0] < 0:
+                raise ValueError("a variable is a position, a non-negative int; got a negative int")
+            coef = coef if type(coef) is Fraction else _frac(coef)
+            terms[mono] = terms[mono] + coef if mono in terms else coef
+        object.__setattr__(self, "terms",
+                           MappingProxyType({mono: c for mono, c in terms.items() if c}))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -42,17 +53,12 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        c = _frac(c)
-        return Polynomial({(): c} if c else {})
+        return Polynomial({(): c})
 
     @staticmethod
     def var(k: int) -> "Polynomial":
         """The variable at position k, a non-negative int; anything else raises ValueError."""
-        if type(k) is not int:
-            raise ValueError(f"a variable is a position, an int; got a {type(k).__name__}")
-        if k < 0:
-            raise ValueError("a variable is a position, a non-negative int; got a negative int")
-        return Polynomial({(k,): Fraction(1)})
+        return Polynomial({(k,): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -60,15 +66,11 @@ class Polynomial:
     def __add__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
-            if not other:
-                return self
+        if not other:
+            return self
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms[mono] + c if mono in terms else c
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -95,12 +97,8 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                s = terms.get(mono, 0) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
+                mono = m1 + m2
+                terms[mono] = terms[mono] + c1 * c2 if mono in terms else c1 * c2
         return Polynomial(terms)
 
     __rmul__ = __mul__

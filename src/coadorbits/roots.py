@@ -265,9 +265,12 @@ def _system(kind: RootSystemKind, n: int) -> RootSystem:
 def positive_roots(kind: RootSystemKind | str, n: int) -> RootSystem:
     """The positive roots of the given kind, in canonical order.
 
-    Counts are n(n-1)/2 for A, n^2 for B and n^2 - n for D.
+    Counts are n(n-1)/2 for A, n^2 for B and n^2 - n for D. An n below 2, or
+    not an int (3.0 would hit the cache entry of 3), raises RankRangeError.
     """
     kind = _as_kind(kind)
+    if type(n) is not int:
+        raise RankRangeError(f"kind {kind.value} needs an int n, got {_echo(n)}")
     if n < 2:
         raise RankRangeError(f"kind {kind.value} needs n >= 2, got {n}")
     return _system(kind, n)

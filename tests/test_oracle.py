@@ -17,7 +17,7 @@ from coadorbits.oracle import (
     resolve_sign_conventions,
     run_suite,
 )
-from coadorbits.orbits import singular_set
+from coadorbits.orbits import ZeroScalarError, singular_set
 from coadorbits.roots import InvalidRootError, RootSystemKind, diff, get_system, sum_root
 
 
@@ -71,6 +71,27 @@ def test_resolve_sign_conventions_ambiguous_at_n3():
         resolve_sign_conventions(n_max=3, trials=6, seed=5)
     with pytest.raises(ValueError):
         resolve_sign_conventions(n_max=2)
+
+
+@pytest.mark.parametrize("options", [dict(trials=0), dict(trials=-3)])
+def test_resolve_sign_conventions_needs_a_trial(options):
+    # trials=0 used to raise AmbiguousSignConventionError listing all six
+    # rules and advising to raise n_max.
+    with pytest.raises(ValueError, match="trials >= 1, got"):
+        resolve_sign_conventions(n_max=4, **options)
+
+
+@pytest.mark.parametrize("options", [dict(n_max=4.0), dict(n_max="4"), dict(n_max=True),
+                                     dict(trials=2.0), dict(trials=None), dict(trials=True)])
+def test_resolve_sign_conventions_needs_int_options(options):
+    with pytest.raises(ValueError, match="must be an int, got"):
+        resolve_sign_conventions(**options)
+
+
+@pytest.mark.parametrize("c", [0, "0", "-0/3"])
+def test_random_orbit_point_at_zero_raises_the_chart_error(c):
+    with pytest.raises(ZeroScalarError):
+        random_orbit_point("A", 3, diff(1, 3), c)
 
 
 def test_unknown_suite():

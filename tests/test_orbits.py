@@ -9,8 +9,8 @@ from types import MappingProxyType
 
 import pytest
 
-from coadorbits.functionals import (_act, coadjoint_apply, e_star, functional, orbit_dimension,
-                                    zero_functional)
+from coadorbits.functionals import (_act, _from_vector, coadjoint_apply, e_star, functional,
+                                    group_word, orbit_dimension, zero_functional)
 from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_functional,
                                random_orbit_point)
 from coadorbits.orbits import (
@@ -20,8 +20,7 @@ from coadorbits.orbits import (
     SingularData,
     ZeroScalarError,
     _ZERO,
-    _level_one_constraints,
-    _level_one_form,
+    _level_one,
     _singular_data,
     _word_letters,
     chart_equations_latex,
@@ -649,7 +648,7 @@ def test_a_nudge_at_any_regular_coordinate_leaves_the_orbit(kind, n):
         f, _ = random_orbit_point(kind, n, alpha, 1, seed=f"every-rule:{kind.value}:{n}:{alpha}")
         for rule in sorted(SIGN_RULES):
             chart = _paper_chart(kind, n, alpha, rule)
-            assert chart._form is not _level_one_form(system.kind, n, alpha)
+            assert chart._form is not _level_one(system.kind, n, alpha)
             _agree(chart, f)
             for beta in chart.data.regular:
                 _agree(chart, _nudged(f, beta))
@@ -737,7 +736,7 @@ def test_charts_share_the_cached_constraints():
     alpha = sum_root(1, 2)
     first = orbit_chart("B", 4, alpha, 1)
     second = orbit_chart("B", 4, alpha, Q(-3, 5))
-    cached = _level_one_constraints(RootSystemKind.B, 4, alpha)
+    cached, _, _ = _level_one(RootSystemKind.B, 4, alpha)
     assert first.constraints is cached and second.constraints is cached
     assert type(cached) is MappingProxyType
     # So an in-place edit, which would reach every chart of the root, raises.
@@ -748,7 +747,7 @@ def test_charts_share_the_cached_constraints():
     for method in ("clear", "pop", "popitem", "setdefault", "update"):
         assert not hasattr(first.constraints, method)
     # Both charts read membership through the one cached form.
-    assert first._form is second._form is _level_one_form(RootSystemKind.B, 4, alpha)
+    assert first._form is second._form is _level_one(RootSystemKind.B, 4, alpha)
 
 
 def test_editing_a_chart_leaves_the_cache_alone():
@@ -776,7 +775,7 @@ def test_editing_a_chart_leaves_the_cache_alone():
     with pytest.raises(TypeError):
         edited.constraints[diff(1, 2)] = Polynomial.const(1)
     fresh = orbit_chart("B", 4, alpha, 2)
-    assert fresh.constraints is _level_one_constraints(RootSystemKind.B, 4, alpha)
+    assert fresh.constraints is _level_one(RootSystemKind.B, 4, alpha)[0]
     assert fresh.constraints == expected
     assert chart_to_json(fresh) == expected_json
     assert contains(fresh, f) and not contains(fresh, bad)
@@ -790,7 +789,7 @@ def test_chart_polynomials_are_read_only():
     f, _ = random_orbit_point("A", 4, alpha, 1, seed=3)
     expected = (chart_equations_text(orbit_chart("A", 4, alpha)), chart_to_json(orbit_chart("A", 4, alpha)))
     poly = orbit_chart("A", 4, alpha).constraints[beta]
-    assert poly is _level_one_constraints(RootSystemKind.A, 4, alpha)[beta]
+    assert poly is _level_one(RootSystemKind.A, 4, alpha)[0][beta]
     for mono in list(poly.terms):
         with pytest.raises(TypeError):
             poly.terms[mono] = Q(7)
@@ -820,21 +819,21 @@ def test_a_second_chart_call_derives_nothing(monkeypatch):
     first = orbit_chart("A", 6, alpha, 1)
     point = chart_point(first, {root: 1 for root in first.data.singular})
     assert contains(first, point)
-    before = _level_one_constraints.cache_info()
-    forms_before = _level_one_form.cache_info()
+    before = _level_one.cache_info()
     calls = []
     monkeypatch.setattr(orbits_module, "_act", lambda *args: calls.append(args))
     monkeypatch.setattr(orbits_module, "_membership_form", lambda *args: calls.append(args))
     chart = orbit_chart("A", 6, alpha, Q(7, 2))
-    after = _level_one_constraints.cache_info()
+    after = _level_one.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert chart.constraints is _level_one_constraints(RootSystemKind.A, 6, alpha)
-    # Membership and chart points read the form cached with the first chart.
+    # Membership and chart points read the form cached with the first chart,
+    # one more hit for the chart's first read, none for the second.
     assert contains(chart, point.scaled(Q(7, 2)))
     scaled = {root: Q(7, 2) for root in chart.data.singular}
     assert chart_point(chart, scaled) == point.scaled(Q(7, 2))
-    forms_after = _level_one_form.cache_info()
-    assert (forms_after.hits, forms_after.misses) == (forms_before.hits + 1, forms_before.misses)
+    forms_after = _level_one.cache_info()
+    assert (forms_after.hits, forms_after.misses) == (after.hits + 1, after.misses)
+    assert chart.constraints is _level_one(RootSystemKind.A, 6, alpha)[0]
     assert calls == []
 
 
@@ -969,6 +968,48 @@ def test_word_rejects_a_functional_on_another_system():
         construct_group_word("A", 5, diff(1, 4), f)
 
 
+def _replayed_word(kind, n, alpha, f):
+    """The word by replay, the reference for construct_group_word's chart test.
+
+    The constructive letters at f's singular values are applied to e*_alpha;
+    f is in the level-1 orbit exactly when that gives f back.
+    """
+    letters = _word_letters(singular_set(kind, n, alpha), f.value)
+    moved = _act(f.system, letters, e_star(f.system, alpha).nums, 1)
+    if _from_vector(f.system, *moved) != f:
+        raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
+    return group_word(letters)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_word_rejects_exactly_where_the_replay_rejects(kind, n):
+    rng = random.Random(f"replay:{kind.value}:{n}")
+    system = get_system(kind, n)
+
+    def accepted(alpha, f):
+        """Whether the replay accepts f, asserted to match construct_group_word."""
+        try:
+            expected = _replayed_word(kind, n, alpha, f)
+        except NotInOrbitError:
+            with pytest.raises(NotInOrbitError):
+                construct_group_word(kind, n, alpha, f)
+            return False
+        assert construct_group_word(kind, n, alpha, f) == expected
+        return True
+
+    for alpha in system.roots:
+        chart = orbit_chart(kind, n, alpha, 1)
+        f = chart_point(chart, {r: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                                for r in chart.data.singular})
+        assert accepted(alpha, f)
+        assert accepted(alpha, random_orbit_point(kind, n, alpha, 1, seed=f"replay:{alpha}")[0])
+        for beta in chart.data.regular:
+            assert not accepted(alpha, _nudged(f, beta))
+        for _ in range(3):
+            accepted(alpha, random_functional(system, rng, force_root=alpha))
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -1032,6 +1073,42 @@ def test_adding_an_exact_zero_returns_the_polynomial_itself(zero):
     p = Polynomial.var(0) * Q(3, 2)
     assert p + zero is p and zero + p is p
     assert p + "1/2" == p + Q(1, 2) == Q(1, 2) + p
+
+
+def test_a_polynomial_rejects_a_float_coefficient():
+    # It used to be stored, and the integer form then raised AttributeError.
+    with pytest.raises(ValueError, match="got 0.5$"):
+        Polynomial({(0,): 0.5})
+
+
+def test_a_polynomial_rejects_a_bool_coefficient():
+    # True used to be stored as a coefficient.
+    with pytest.raises(ValueError, match="got True$"):
+        Polynomial({(0,): True})
+
+
+def test_a_polynomial_drops_a_zero_coefficient():
+    # Polynomial({(): Fraction(0)}) used to be truthy and unequal to zero.
+    zero = Polynomial({(): Q(0), (1, 0): "0/3"})
+    assert not zero and zero == Polynomial.zero() and zero.terms == {}
+
+
+def test_a_polynomial_merges_monomials_that_sort_alike():
+    # Unsorted monomials used to stay apart, so this sum stayed nonzero and
+    # rendered as -f(e1-e2)*f(e2-e3) + f(e2-e3)*f(e1-e2).
+    assert not Polynomial({(1, 0): 1}) + Polynomial({(0, 1): -1})
+    merged = Polynomial({(1, 0): 1, (0, 1): Q(1, 2), (2,): "-3/4"})
+    assert merged.terms == {(0, 1): Q(3, 2), (2,): Q(-3, 4)}
+    assert all(type(c) is Q for c in merged.terms.values())
+    roots = get_system("A", 3).roots
+    assert polynomial_text(merged, roots) == "-3/4*f(e1-e3) + 3/2*f(e1-e2)*f(e2-e3)"
+
+
+@pytest.mark.parametrize("mono", [(-1,), (2, -1), (0, Q(1)), (True,), (0, "1")])
+def test_a_polynomial_rejects_a_position_that_is_not_a_non_negative_int(mono):
+    # Polynomial({(-1,): 1}) used to read values[-1], the last position.
+    with pytest.raises(ValueError, match="^a variable is a position, a"):
+        Polynomial({mono: 1})
 
 
 def _reference_sorted_terms(poly, roots):

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -119,6 +120,18 @@ def test_rank_out_of_range():
     for kind in KINDS:
         with pytest.raises(RankRangeError):
             positive_roots(kind, 1)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None, True, Fraction(3)])
+def test_rank_that_is_not_an_int_raises_cold_and_warm(n):
+    # 3.0 used to return A3 once A3 was cached, and raise an untyped
+    # TypeError when it was not; "3" and None failed in the comparison.
+    roots_module._system.cache_clear()
+    with pytest.raises(RankRangeError, match="needs an int n, got"):
+        positive_roots("A", n)
+    positive_roots("A", 3)
+    with pytest.raises(RankRangeError, match="needs an int n, got"):
+        positive_roots("A", n)
 
 
 def test_membership_constraints():
