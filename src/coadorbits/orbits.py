@@ -221,8 +221,8 @@ def _level_one(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
     """The membership form of alpha's level-1 chart, derived once per (kind, n, alpha).
 
     The constructive word, with each singular value as a variable, applied
-    to e*_alpha: the regular coordinates of the result are the constraints.
-    The mapping is read-only, so every chart of alpha can share it.
+    to e*_alpha: the regular coordinates of the result are the constraints,
+    in a read-only mapping that every chart of alpha can share.
     """
     system = get_system(kind, n)
     data = _singular_data(kind, n)[alpha]

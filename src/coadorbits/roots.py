@@ -272,7 +272,7 @@ def positive_roots(kind: RootSystemKind | str, n: int) -> RootSystem:
     if type(n) is not int:
         raise RankRangeError(f"kind {kind.value} needs an int n, got {_echo(n)}")
     if n < 2:
-        raise RankRangeError(f"kind {kind.value} needs n >= 2, got {n}")
+        raise RankRangeError(f"kind {kind.value} needs n >= 2, got {_echo(n)}")
     return _system(kind, n)
 
 

@@ -122,6 +122,12 @@ def test_rank_out_of_range():
             positive_roots(kind, 1)
 
 
+def test_rank_past_the_int_digit_limit_raises_the_typed_error():
+    # The message used to format n itself, which raised a bare ValueError.
+    with pytest.raises(RankRangeError, match="got an int of 16610 bits$"):
+        positive_roots("A", -10**5000)
+
+
 @pytest.mark.parametrize("n", [3.0, "3", None, True, Fraction(3)])
 def test_rank_that_is_not_an_int_raises_cold_and_warm(n):
     # 3.0 used to return A3 once A3 was cached, and raise an untyped
@@ -129,6 +135,7 @@ def test_rank_that_is_not_an_int_raises_cold_and_warm(n):
     roots_module._system.cache_clear()
     with pytest.raises(RankRangeError, match="needs an int n, got"):
         positive_roots("A", n)
+    assert roots_module._system.cache_info().misses == 0  # rejected before the cache
     positive_roots("A", 3)
     with pytest.raises(RankRangeError, match="needs an int n, got"):
         positive_roots("A", n)
