@@ -6,7 +6,7 @@ candidate sign rule and tests them against sampled orbit points; prints the
 unique surviving rule per kind. The shipped default (CONVENTIONS.md) is the
 sign that the derived charts carry, and this run must single it out. Exit
 code 0 when it does, 1 when another rule or no unique rule survives, and 2
-on a usage error (--max-n below 3 or --trials below 1).
+on a usage error (--max-n below 3 or above 24, or --trials below 1).
 
 Usage:
     python scripts/certify_signs.py [--max-n 4] [--trials 50] [--seed 314159]
@@ -20,6 +20,7 @@ import sys
 from coadorbits.oracle import (
     CERTIFIED_SIGN_RULE,
     DEFAULT_SEED,
+    MAX_N,
     SIGN_RULES,
     AmbiguousSignConventionError,
     resolve_sign_conventions,
@@ -34,6 +35,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.max_n < 3:
         parser.error(f"--max-n must be at least 3, got {args.max_n}")
+    if args.max_n > MAX_N:
+        parser.error(f"--max-n must be at most {MAX_N}, got {args.max_n}")
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
 

@@ -18,7 +18,7 @@ import sys
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import OddRankError, functional_from_json, orbit_dimension, parse_rational
-from .oracle import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .oracle import DEFAULT_SEED, MAX_N, SUITE_NAMES, run_suite
 from .orbits import (
     PairSignError,
     chart_equations_latex,
@@ -36,10 +36,6 @@ from .roots import (
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
-
-# Largest --n, verify --max-n and JSON "n": B_n has n^2 roots and its bracket table
-# about n^4 / 2 entries, all built before the first answer.
-MAX_N = 24
 
 # The exit code of every error main reports, looked up along the error's MRO.
 _EXIT_CODES = {

@@ -8,16 +8,15 @@ integer rows.
 
 One exact elimination over the integers, ``_reduced``, takes sparse
 integer rows {column: int} and returns their reduced row echelon form over
-Q, each row scaled to coprime integers with a positive pivot (Bareiss 1968
-keeps elimination over the integers in the same way). ``rank`` and
+Q, each row scaled to coprime integers with a positive pivot. ``rank`` and
 ``kernel_basis`` scale each row to integers by the lcm of its denominators
 (``_integer_rows``); ``functionals`` reduces the integer rows of a skew
 form directly, once for both its rank and its kernel. A rank counts the
 pivots. ``_kernel`` reads the kernel basis off a given reduced form, which
 it leaves as it is, as Fraction tuples for ``kernel_basis`` and
-``functionals.radical_basis``, one Fraction per entry. ``det`` and the
-reference kernel ``_exact_kernel`` read the Fraction elimination
-``_eliminate``.
+``functionals.radical_basis``, one Fraction per entry. ``det`` eliminates
+the same integer rows fraction-free (Bareiss 1968): each step divides
+exactly by the previous pivot, so no step leaves the integers.
 """
 
 from __future__ import annotations
@@ -27,56 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
-
-
-def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
-    """Forward-eliminate a copy of ``rows``; return (echelon rows, pivot columns, swaps).
-
-    Row r of the echelon form leads at column pivots[r]; the rows past the
-    pivots are zero. Pivoting picks the first nonzero entry in the column,
-    which is all a field needs; there is no magnitude to balance.
-    """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    swaps = 0
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot_row = next((k for k in range(r, nrows) if m[k][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            swaps += 1
-        top = m[r]
-        inv = Fraction(1) / top[c]
-        for k in range(r + 1, nrows):
-            if m[k][c]:
-                d = m[k][c] * inv
-                # Zeros of the pivot row leave an entry as it is.
-                m[k] = [a - d * b if b else a for a, b in zip(m[k], top)]
-        pivots.append(c)
-    return m, pivots, swaps
-
-
-def _exact_kernel(rows: Matrix) -> list[tuple[Fraction, ...]]:
-    """The reduced kernel basis by Fraction elimination and back-substitution."""
-    echelon, pivots, _ = _eliminate(rows)
-    ncols = len(echelon[0]) if echelon else 0
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in reversed(range(len(pivots))):
-            pc, row = pivots[r], echelon[r]
-            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j]),
-                         Fraction(0)) / row[pc]
-        basis.append(tuple(v))
-    return basis
 
 
 def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
@@ -163,8 +112,8 @@ def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[Fracti
 
     Each free column fc gives a vector with 1 at fc and 0 at the other free
     columns; a reduced row with pivot b at pc and entry a at fc gives it
-    -a / b at pc. A reduced row holds no other pivot column, so each entry
-    is placed in one pass over the rows, which are only read.
+    Fraction(-a, b) at pc. A reduced row holds no other pivot column, so
+    each entry is placed in one pass over the rows, which are only read.
     """
     zero, one = Fraction(0), Fraction(1)
     basis: dict[int, list[Fraction]] = {}
@@ -198,17 +147,29 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
 def det(rows: Matrix) -> Fraction:
     """Exact determinant of a square rational matrix.
 
-    A matrix that is not square, or holds an entry that is not int or
-    Fraction, raises ValueError.
+    Bareiss elimination of the integer rows of ``_integer_rows``: a zero
+    pivot swaps in a lower row, and each step divides exactly by the
+    previous pivot, so the last pivot over the product of the row scales is
+    the determinant. A matrix that is not square, or holds an entry that is
+    not int or Fraction, raises ValueError.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    _integer_rows(rows)  # the entry check of rank and kernel_basis
-    echelon, pivots, swaps = _eliminate(rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    result = Fraction(-1 if swaps % 2 else 1)
-    for r in range(n):
-        result *= echelon[r][r]
-    return result
+    m = [[row.get(j, 0) for j in range(n)] for row in _integer_rows(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(top[k] * row[j] - row[k] * top[j]) // prev for j in range(k + 1, n)]
+        prev = top[k]
+    scale = 1
+    for row in rows:
+        scale *= math.lcm(*[x.denominator for x in row])
+    return Fraction(sign * prev, scale)

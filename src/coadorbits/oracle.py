@@ -45,6 +45,11 @@ from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, di
 
 DEFAULT_SEED = 314159
 
+# Largest rank of any system built: the CLI's --n, verify --max-n and JSON "n",
+# every suite's max_n and the certification's n_max. B_n has n^2 roots and its
+# bracket table about n^4 / 2 entries, all built before the first answer.
+MAX_N = 24
+
 # Largest n of an exhaustive scan over type-A basic subsets: there are
 # Bell(n) of them, and achievable-dims at n = 12 takes 91 s on a 2-core host.
 MAX_SCAN_N = 12
@@ -204,14 +209,14 @@ def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
     n_max < 4 some candidates coincide on every exercised term and the
     ambiguity is surfaced as an error rather than resolved by fiat. Each
     point is drawn once and tested against every rule still standing. An
-    n_max or trials that is not an int, an n_max below 3 and trials below 1
-    raise ValueError.
+    n_max or trials that is not an int, an n_max below 3 or above MAX_N and
+    trials below 1 raise ValueError.
     """
     for name, value in (("n_max", n_max), ("trials", trials)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {_echo(value)}")
-    if n_max < 3:
-        raise ValueError("certification needs n_max >= 3")
+    if not 3 <= n_max <= MAX_N:
+        raise ValueError(f"certification needs 3 <= n_max <= {MAX_N}, got {_echo(n_max)}")
     if trials < 1:
         raise ValueError(f"certification needs trials >= 1, got {trials}")
     rules: dict[str, str] = {}
@@ -272,8 +277,8 @@ def run_suite(name: str, seed=DEFAULT_SEED, **options) -> OracleReport:
     max_n = options["max_n"]
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    if bound is not None and max_n > bound:
-        raise ValueError(f"max_n must be at most {bound} for {name}, got {max_n}")
+    if max_n > bound:
+        raise ValueError(f"max_n must be at most {bound} for {name}, got {_echo(max_n)}")
     if options.get("trials", 0) < 0:
         raise ValueError(f"trials must be non-negative, got {options['trials']}")
     parameters, failures, total = runner(seed, **options)
@@ -412,16 +417,16 @@ def _suite_achievable_dims(seed, max_n):
 
 
 # Each suite's runner, the options it reads with their defaults, and the
-# largest max_n it accepts (None leaves only the CLI's bound). The two scans
-# enumerate Bell(n) basic subsets, about 6x the time per step of n.
+# largest max_n it accepts. The two scans enumerate Bell(n) basic subsets,
+# about 6x the time per step of n.
 _ALL_KINDS = tuple(RootSystemKind)
 _SUITES = {
     "chart-soundness": (
-        _suite_chart_soundness, {"kinds": _ALL_KINDS, "max_n": 4, "trials": 100}, None),
-    "dimension-formulas": (_suite_dimension_formulas, {"kinds": _ALL_KINDS, "max_n": 6}, None),
-    "decompose-roundtrip": (_suite_decompose_roundtrip, {"max_n": 6, "trials": 200}, None),
+        _suite_chart_soundness, {"kinds": _ALL_KINDS, "max_n": 4, "trials": 100}, MAX_N),
+    "dimension-formulas": (_suite_dimension_formulas, {"kinds": _ALL_KINDS, "max_n": 6}, MAX_N),
+    "decompose-roundtrip": (_suite_decompose_roundtrip, {"max_n": 6, "trials": 200}, MAX_N),
     "single-orbit-scan": (_suite_single_orbit_scan, {"max_n": 5, "trials": 20}, 9),
-    "two-dim-support": (_suite_two_dim_support, {"max_n": 6, "trials": 100}, None),
+    "two-dim-support": (_suite_two_dim_support, {"max_n": 6, "trials": 100}, MAX_N),
     "achievable-dims": (_suite_achievable_dims, {"max_n": 8}, MAX_SCAN_N),
 }
 

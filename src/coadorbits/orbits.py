@@ -175,6 +175,10 @@ class OrbitChart:
         if type(self.constraints) is not MappingProxyType:
             object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the read-only mapping, which is unhashable.
+        return hash((self.alpha, self.c, frozenset(self.constraints.items())))
+
     @cached_property
     def _form(self) -> tuple:
         """The cached form when the constraints are the cached ones, else one read here.

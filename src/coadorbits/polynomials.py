@@ -47,6 +47,10 @@ class Polynomial:
         object.__setattr__(self, "terms",
                            MappingProxyType({mono: c for mono, c in terms.items() if c}))
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the read-only mapping, which is unhashable.
+        return hash(frozenset(self.terms.items()))
+
     @staticmethod
     def zero() -> "Polynomial":
         return Polynomial({})

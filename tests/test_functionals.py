@@ -35,7 +35,7 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.linalg import _eliminate, _exact_kernel, _kernel, _reduced, kernel_basis, rank
+from coadorbits.linalg import _kernel, _reduced, kernel_basis, rank
 from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
                                random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -51,6 +51,7 @@ from coadorbits.roots import (
     structure_table,
     sum_root,
 )
+from test_linalg import _eliminate, _exact_kernel
 
 KINDS = tuple(RootSystemKind)
 

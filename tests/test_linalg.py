@@ -1,17 +1,20 @@
 """Exact rank, kernel and determinant against independent references.
 
 The references are the Fraction elimination (``_eliminate``,
-``_exact_kernel``), sympy where it is installed, a column-scan Fraction
-reduced form, the certified modular kernel that the integer elimination
-replaced, kept here verbatim with its ladder of moduli and its Fraction
-fallback, and the integer kernel that the one-pass Fraction kernel
-replaced, kept here verbatim with the step that read it as Fractions.
+``_exact_kernel`` and the determinant ``_fraction_det`` that Bareiss
+elimination replaced, kept here verbatim), the Leibniz formula, sympy
+where it is installed, a column-scan Fraction reduced form, the certified
+modular kernel that the integer elimination replaced, kept here verbatim
+with its ladder of moduli and its Fraction fallback, and the integer
+kernel that the one-pass Fraction kernel replaced, kept here verbatim with
+the step that read it as Fractions.
 """
 
 import copy
 import itertools
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as Q
 
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from coadorbits import linalg
 from coadorbits.functionals import (_skew_rows, functional, orbit_dimension, radical_basis,
                                     skew_form, zero_functional)
-from coadorbits.linalg import _eliminate, _exact_kernel, det, kernel_basis, rank
+from coadorbits.linalg import Matrix, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
 from coadorbits.roots import diff, get_system, parse_root, sum_root
@@ -29,6 +32,73 @@ from coadorbits.roots import diff, get_system, parse_root, sum_root
 # A kernel vector as (denominator, {column: integer numerator}), the form
 # both replaced kernels below return.
 Vector = tuple[int, dict[int, int]]
+
+# ---------------------------------------------------------------------------
+# The Fraction elimination that ``linalg`` dropped, verbatim, with the
+# determinant that read it
+# ---------------------------------------------------------------------------
+
+def _eliminate(rows: Matrix) -> tuple[list[list[Fraction]], list[int], int]:
+    """Forward-eliminate a copy of ``rows``; return (echelon rows, pivot columns, swaps).
+
+    Row r of the echelon form leads at column pivots[r]; the rows past the
+    pivots are zero. Pivoting picks the first nonzero entry in the column,
+    which is all a field needs; there is no magnitude to balance.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: list[int] = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((k for k in range(r, nrows) if m[k][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            swaps += 1
+        top = m[r]
+        inv = Fraction(1) / top[c]
+        for k in range(r + 1, nrows):
+            if m[k][c]:
+                d = m[k][c] * inv
+                # Zeros of the pivot row leave an entry as it is.
+                m[k] = [a - d * b if b else a for a, b in zip(m[k], top)]
+        pivots.append(c)
+    return m, pivots, swaps
+
+
+def _exact_kernel(rows: Matrix) -> list[tuple[Fraction, ...]]:
+    """The reduced kernel basis by Fraction elimination and back-substitution."""
+    echelon, pivots, _ = _eliminate(rows)
+    ncols = len(echelon[0]) if echelon else 0
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r in reversed(range(len(pivots))):
+            pc, row = pivots[r], echelon[r]
+            v[pc] = -sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j]),
+                         Fraction(0)) / row[pc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _fraction_det(rows: Matrix) -> Fraction:
+    """The determinant of a square matrix by Fraction elimination: the signed pivot product."""
+    n = len(rows)
+    echelon, pivots, swaps = _eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    result = Fraction(-1 if swaps % 2 else 1)
+    for r in range(n):
+        result *= echelon[r][r]
+    return result
+
 
 # ---------------------------------------------------------------------------
 # The certified modular kernel that ``linalg._reduced`` replaced, verbatim
@@ -579,12 +649,44 @@ def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
     assert echelon == shared
 
 
-@given(matrices(max_rows=4, square=True))
+@st.composite
+def det_cases(draw, max_size=5):
+    """Square matrices, often with a zero leading entry, rows over unequal denominators."""
+    rows = [list(row) for row in draw(matrices(max_size, square=True, elements=wide_entries))]
+    if rows and draw(st.booleans()):
+        # A zero at the first pivot makes the elimination swap in a lower row.
+        rows[0][0] = Q(0)
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.integers(1, 2**40), min_size=len(rows), max_size=len(rows)))
+        rows = [[Q(x) / d for x in row] for row, d in zip(rows, dens)]
+    return rows
+
+
+@given(det_cases())
 def test_det_matches_leibniz(rows):
     got = det(rows)
-    assert isinstance(got, Q)
-    assert got == leibniz(rows)
+    assert type(got) is Q
+    assert got == leibniz(rows) == _fraction_det(rows)
     assert (got != 0) == (rank(rows) == len(rows))
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[Q(0)]], 0),
+    ([[7]], 7),
+    # A zero leading entry: the second row is swapped in.
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 2, 1], [3, 0, 0], [0, 0, 5]], -30),
+    # A zero that appears at the second pivot only after elimination.
+    ([[1, 2, 3], [2, 4, 7], [1, 3, 1]], -1),
+    # A zero leading column and two equal rows: singular.
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+    ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 0),
+    # Rows over unequal denominators.
+    ([[Q(1, 2), Q(1, 3)], [Q(1, 5), Q(2, 7)]], Q(8, 105)),
+    ([[Q(0), Q(3, 4), 1], [Q(2, 9), Q(0), Q(5, 6)], [1, Q(-1, 8), Q(0)]], Q(43, 72)),
+])
+def test_det_cases(rows, expected):
+    assert det(rows) == expected == _fraction_det(rows) == leibniz(rows)
 
 
 @given(matrices())
@@ -592,6 +694,8 @@ def test_inputs_are_not_modified(rows):
     before = [list(row) for row in rows]
     rank(rows)
     kernel_basis(rows)
+    if all(len(row) == len(rows) for row in rows):
+        det(rows)
     assert [list(row) for row in rows] == before
 
 
@@ -600,8 +704,11 @@ def test_edge_shapes():
     assert rank([[], []]) == 0 and kernel_basis([[], []]) == []
     assert kernel_basis([[Q(0), Q(0)]]) == [(1, 0), (0, 1)]
     assert det(((Q(0), Q(1)), (Q(1), Q(0)))) == -1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
         det([[Q(1), Q(2)]])
+    # Squareness is checked before the entries.
+    with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+        det([[0.5], [1, 2]])
 
 
 @pytest.mark.parametrize("rows", [[[1], [0, 1]], [[0, 1], [1]], [[Q(1), Q(2)], []]])

@@ -20,7 +20,7 @@ SOURCES = sorted(Path(coadorbits.__file__).parent.glob("*.py"))
 # The integer functions of math in use; every other one takes or returns floats.
 INTEGER_MATH = {"factorial", "lcm", "gcd", "isqrt"}
 # (module, function) of every true division in the package; each divides by a Fraction.
-DIVISION_SITES = {("basic", "decompose"), ("linalg", "_eliminate"), ("linalg", "_exact_kernel")}
+DIVISION_SITES = {("basic", "decompose")}
 
 
 def float_uses(source: str) -> list[str]:

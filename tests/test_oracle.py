@@ -6,10 +6,12 @@ import re
 import pytest
 
 import coadorbits.oracle as oracle
+from coadorbits import cli
 from coadorbits.basic import enumerate_basic_subsets
 from coadorbits.functionals import GroupWord, coadjoint_apply, e_star, orbit_dimension
 from coadorbits.oracle import (
     _SUITES,
+    MAX_N,
     MAX_SCAN_N,
     AmbiguousSignConventionError,
     UnknownSuiteError,
@@ -79,6 +81,24 @@ def test_resolve_sign_conventions_needs_a_trial(options):
     # rules and advising to raise n_max.
     with pytest.raises(ValueError, match="trials >= 1, got"):
         resolve_sign_conventions(n_max=4, **options)
+
+
+# Sizes past MAX_N, each with its echo in the error; the last is past
+# Python's int-digit limit, so it is echoed by its bit length.
+_TOO_LARGE = [pytest.param(MAX_N + 1, str(MAX_N + 1), id="bound+1"),
+              pytest.param(10**6, str(10**6), id="million"),
+              pytest.param(10**5000, "an int of 16610 bits", id="digit-limit")]
+
+
+@pytest.mark.parametrize("n_max, shown", _TOO_LARGE)
+def test_resolve_sign_conventions_is_bounded_before_it_starts(monkeypatch, n_max, shown):
+    built = []
+    monkeypatch.setattr(oracle, "_orbit_points", lambda *a, **k: built.append(a) or iter(()))
+    monkeypatch.setattr(oracle, "_paper_chart", lambda *a, **k: built.append(a))
+    message = f"^certification needs 3 <= n_max <= {MAX_N}, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        resolve_sign_conventions(n_max=n_max)
+    assert built == []
 
 
 @pytest.mark.parametrize("options", [dict(n_max=4.0), dict(n_max="4"), dict(n_max=True),
@@ -258,6 +278,26 @@ def test_exponential_scans_are_bounded_before_they_start(name, bound):
     assert _SUITES[name][2] == bound
     with pytest.raises(ValueError, match=f"^max_n must be at most {bound} for {name}, got {bound + 1}$"):
         run_suite(name, max_n=bound + 1)
+
+
+def test_the_library_and_the_cli_share_one_rank_bound():
+    assert cli.MAX_N is MAX_N == 24
+    assert all(bound <= MAX_N for _, _, bound in _SUITES.values())
+
+
+@pytest.mark.parametrize("name", list(_SUITES))
+@pytest.mark.parametrize("max_n, shown", _TOO_LARGE)
+def test_every_suite_is_bounded_before_it_starts(monkeypatch, name, max_n, shown):
+    _, defaults, bound = _SUITES[name]
+    ran = []
+    monkeypatch.setitem(_SUITES, name,
+                        (lambda *a, **k: ran.append(1) or ({}, [], 0), defaults, bound))
+    message = f"^max_n must be at most {bound} for {name}, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, max_n=max_n)
+    assert ran == []
+    run_suite(name, max_n=bound)
+    assert ran == [1]
 
 
 def test_certification_draws_each_point_once(monkeypatch):

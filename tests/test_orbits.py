@@ -812,6 +812,28 @@ def test_a_polynomial_keeps_its_own_copy_of_the_terms_given():
     assert poly == Polynomial(dict(poly.terms)) and -(-poly) == poly
 
 
+def test_equal_polynomials_hash_equal_however_built():
+    a = Polynomial({(0, 1): Q(1, 2), (2,): 3, (): -1})
+    b = Polynomial({(): -1, (1, 0): Q(1, 4), (2,): Q(3), (0, 1): Q(1, 4)})
+    c = Polynomial.var(2) * 3 + Polynomial.var(1) * Polynomial.var(0) * Q(1, 2) - 1
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, Polynomial.var(2)}) == 2
+    assert {a: "a"}[c] == "a"
+    assert hash(Polynomial({(0,): 0})) == hash(Polynomial.zero())
+
+
+@pytest.mark.parametrize("kind, n, alpha", [("A", 5, diff(1, 5)), ("B", 4, sum_root(1, 2)),
+                                            ("B", 4, short(2)), ("D", 5, sum_root(1, 3))])
+def test_charts_of_one_root_are_equal_and_hash_equal(kind, n, alpha):
+    first, second = orbit_chart(kind, n, alpha, Q(-3, 5)), orbit_chart(kind, n, alpha, Q(-3, 5))
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, orbit_chart(kind, n, alpha, 2)}) == 2
+    # A chart whose constraints are an equal copy is equal and hashes equal.
+    copy = replace(first, constraints=dict(first.constraints))
+    assert copy.constraints is not first.constraints
+    assert copy == first and hash(copy) == hash(first)
+
+
 def test_a_second_chart_call_derives_nothing(monkeypatch):
     import coadorbits.orbits as orbits_module
 

@@ -69,6 +69,8 @@ def test_scan_achievable_dims_rejects_rank_below_two(n):
     (["--max-n", "2"], "--max-n must be at least 3, got 2"),
     (["--trials", "0"], "--trials must be at least 1, got 0"),
     (["--trials", "-1"], "--trials must be at least 1, got -1"),
+    (["--max-n", "25"], "--max-n must be at most 24, got 25"),
+    (["--max-n", str(10**6)], f"--max-n must be at most 24, got {10**6}"),
 ])
 def test_certify_signs_rejects_sizes_that_cannot_certify(argv, message):
     done = run_script("certify_signs.py", *argv)
