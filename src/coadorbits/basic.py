@@ -15,12 +15,15 @@ coefficient matrix F under the two-sided moves that preserve the basic sum:
 a row may take multiples of the rows above it, a column multiples of the
 columns to its right. Going down the rows, the rightmost nonzero entry of
 each row is a pivot of D with phi its value; the moves then clear the rest
-of its column and its row. The generative round-trip suites in the oracle
+of its column and its row. Each row is held as integers over its own scale,
+and a row move cross-multiplies, so the reduction divides nothing and makes
+one Fraction per pivot. The generative round-trip suites in the oracle
 module certify the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -292,26 +295,37 @@ class DecompositionResult:
 def decompose(f: Functional) -> DecompositionResult:
     """The unique (D, phi) with f in the basic sum O_D(phi).
 
-    Row i's rightmost nonzero entry (i, j) is a pivot with phi its value.
-    Subtracting multiples of row i clears column j below it; the column moves
-    that then clear row i left of j touch row i only, which is not read again.
+    Row k of F is H[k] / scale[k]: integers over a scale that starts at
+    f.den. Row i's rightmost nonzero entry (i, j) is a pivot with phi its
+    value. Each row k below it with H[k][j] nonzero clears column j by
+    cross-multiplication: with a and b the pivot and H[k][j] over their gcd,
+    H[k] becomes a H[k] - b H[i] on every column after k (row i is zero
+    right of j, but the factor a reaches there too) and scale[k] takes the
+    factor a. The column moves that then clear row i left of j touch row i
+    only, which is not read again.
     """
     _require_type_a(f.system)
     n = f.system.n
-    pos, nums, den = _positions(n), f.nums, f.den
-    F = [[Fraction(nums[pos[i][j]], den) if i < j else 0 for j in range(1, n + 1)]
+    pos, nums = _positions(n), f.nums
+    H = [[nums[pos[i][j]] if i < j else 0 for j in range(1, n + 1)]
          for i in range(1, n + 1)]
+    scale = [f.den] * n
     phi: dict[PositiveRoot, Fraction] = {}
-    for i, row in enumerate(F):
+    for i, row in enumerate(H):
         j = next((c for c in range(n - 1, i, -1) if row[c]), None)
         if j is None:
             continue
+        top = row[j]
         for k in range(i + 1, j):
-            if F[k][j]:
-                ratio = F[k][j] / row[j]
-                for c in range(k + 1, j + 1):
-                    F[k][c] -= ratio * row[c]
-        phi[diff(i + 1, j + 1)] = row[j]
+            below = H[k]
+            b = below[j]
+            if b:
+                g = math.gcd(top, b)
+                a, b = top // g, b // g
+                for c in range(k + 1, n):
+                    below[c] = a * below[c] - b * row[c]
+                scale[k] *= a
+        phi[diff(i + 1, j + 1)] = Fraction(top, scale[i])
     subset = basic_subset(n, phi)
     return DecompositionResult(subset, basic_map(subset, phi))
 

@@ -29,6 +29,7 @@ from .orbits import (
 from .roots import (
     BracketDecompositionError,
     RootSystemKind,
+    _echo,
     get_system,
     parse_root,
     system_to_json,
@@ -124,7 +125,7 @@ def _load_functional(path: str):
         data = json.load(handle)
     n = data.get("n") if isinstance(data, dict) else None
     if isinstance(n, int) and n > MAX_N:
-        raise ValueError(f"value of 'n' must be at most {MAX_N}, got {n}")
+        raise ValueError(f"value of 'n' must be at most {MAX_N}, got {_echo(n)}")
     return functional_from_json(data)
 
 
@@ -228,7 +229,7 @@ def _check_size(args) -> None:
         value = getattr(args, option, None)
         if value is not None and value > MAX_N:
             flag = "--" + option.replace("_", "-")
-            raise ValueError(f"{flag} must be at most {MAX_N}, got {value}")
+            raise ValueError(f"{flag} must be at most {MAX_N}, got {_echo(value)}")
 
 
 def main(argv=None) -> int:

@@ -218,7 +218,7 @@ def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
     if not 3 <= n_max <= MAX_N:
         raise ValueError(f"certification needs 3 <= n_max <= {MAX_N}, got {_echo(n_max)}")
     if trials < 1:
-        raise ValueError(f"certification needs trials >= 1, got {trials}")
+        raise ValueError(f"certification needs trials >= 1, got {_echo(trials)}")
     rules: dict[str, str] = {}
     for kind in (RootSystemKind.B, RootSystemKind.D):
         survivors = sorted(SIGN_RULES)
@@ -276,11 +276,11 @@ def run_suite(name: str, seed=DEFAULT_SEED, **options) -> OracleReport:
         options["kinds"] = tuple(_as_kind(kind) for kind in kinds)
     max_n = options["max_n"]
     if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
+        raise ValueError(f"max_n must be at least 2, got {_echo(max_n)}")
     if max_n > bound:
         raise ValueError(f"max_n must be at most {bound} for {name}, got {_echo(max_n)}")
     if options.get("trials", 0) < 0:
-        raise ValueError(f"trials must be non-negative, got {options['trials']}")
+        raise ValueError(f"trials must be non-negative, got {_echo(options['trials'])}")
     parameters, failures, total = runner(seed, **options)
     return OracleReport(name, parameters, total, failures)
 
@@ -375,7 +375,7 @@ def _suite_single_orbit_scan(seed, max_n, trials):
 
 def _suite_two_dim_support(seed, max_n, trials):
     if max_n < 4:
-        raise ValueError(f"max_n must be at least 4 for two-dim-support, got {max_n}")
+        raise ValueError(f"max_n must be at least 4 for two-dim-support, got {_echo(max_n)}")
     failures = []
     for n in range(4, max_n + 1):
         system = get_system(RootSystemKind.A, n)

@@ -317,7 +317,11 @@ def construct_group_word(
     chart = orbit_chart(kind, n, alpha)
     if not contains(chart, f):
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    return group_word(_word_letters(chart.data, f.value))
+    # The letters over f's numerators are ints; each parameter is then one
+    # Fraction over f.den, with no Fraction product.
+    index, nums, den = chart.system.index_of, f.nums, f.den
+    return group_word((root, Fraction(t, den))
+                      for root, t in _word_letters(chart.data, lambda root: nums[index(root)]))
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,12 @@ from coadorbits.basic import (
     s_of,
     witness_basic_subsets,
 )
-from coadorbits.basic import _root_set, _singular_mask, _singular_masks
-from coadorbits.functionals import (coadjoint_apply, e_star, functional, orbit_dimension,
-                                    zero_functional)
+from coadorbits.basic import (_positions, _require_type_a, _root_set, _singular_mask,
+                              _singular_masks)
+from coadorbits.functionals import (Functional, coadjoint_apply, e_star, functional,
+                                    orbit_dimension, zero_functional)
 from coadorbits.linalg import det, rank
-from coadorbits.oracle import default_word_length, random_functional, random_word
+from coadorbits.oracle import MAX_N, default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart, singular_set
 from coadorbits.roots import (InvalidRootError, PositiveRoot, RootSystemKind, diff, get_system,
                               short, sum_root)
@@ -535,6 +536,104 @@ def test_decompose_equals_corner_rank_reference(n):
         got, expected = decompose(f), _reference_decompose(f)
         assert got.subset == expected.subset
         assert got.map.phi == expected.map.phi
+
+
+# The Fraction reduction that ``decompose`` ran before it moved to integer
+# rows, verbatim but for the module's Fraction alias: the reference for the
+# cross-multiplied reduction, which must give the same (D, phi).
+def _fraction_decompose(f: Functional) -> DecompositionResult:
+    """The unique (D, phi) with f in the basic sum O_D(phi).
+
+    Row i's rightmost nonzero entry (i, j) is a pivot with phi its value.
+    Subtracting multiples of row i clears column j below it; the column moves
+    that then clear row i left of j touch row i only, which is not read again.
+    """
+    _require_type_a(f.system)
+    n = f.system.n
+    pos, nums, den = _positions(n), f.nums, f.den
+    F = [[Q(nums[pos[i][j]], den) if i < j else 0 for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    phi: dict[PositiveRoot, Q] = {}
+    for i, row in enumerate(F):
+        j = next((c for c in range(n - 1, i, -1) if row[c]), None)
+        if j is None:
+            continue
+        for k in range(i + 1, j):
+            if F[k][j]:
+                ratio = F[k][j] / row[j]
+                for c in range(k + 1, j + 1):
+                    F[k][c] -= ratio * row[c]
+        phi[diff(i + 1, j + 1)] = row[j]
+    subset = basic_subset(n, phi)
+    return DecompositionResult(subset, basic_map(subset, phi))
+
+
+def _wide(rng: random.Random) -> Q:
+    """A nonzero rational with up to 30-digit numerator and 12-digit denominator."""
+    top = 10 ** rng.randint(0, 30)
+    return Q(rng.choice([-1, 1]) * rng.randint(1, top), rng.randint(1, 10 ** rng.randint(0, 12)))
+
+
+def _random_rooks(n: int, rng: random.Random) -> BasicSubset:
+    """A random rook placement in A_n: each row takes a free column right of it or none."""
+    used, roots = set(), []
+    for i in range(1, n):
+        free = [j for j in range(i + 1, n + 1) if j not in used]
+        if free and rng.random() < 0.6:
+            j = rng.choice(free)
+            used.add(j)
+            roots.append(diff(i, j))
+    return basic_subset(n, roots)
+
+
+def _agreement_inputs(n: int):
+    """Seeded wide-valued functionals of A_n: zero, every density, whole rows
+    zero, rook points and basic points moved by a random word."""
+    system = get_system("A", n)
+    rng = random.Random(f"fraction-decompose:{n}")
+    yield zero_functional(system)
+    for _ in range(20):
+        density = rng.random()
+        yield functional(system, {r: _wide(rng) for r in system.roots if rng.random() < density})
+    for _ in range(5):
+        empty = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        yield functional(system, {r: _wide(rng) for r in system.roots if r.i not in empty})
+    for _ in range(15):
+        subset = _random_rooks(n, rng)
+        f = basic_point(basic_map(subset, {r: _wide(rng) for r in subset.roots}))
+        yield f
+        yield coadjoint_apply(random_word(system, rng, default_word_length(system)), f)
+
+
+def _assert_agrees(f):
+    got, expected = decompose(f), _fraction_decompose(f)
+    assert got.subset == expected.subset
+    assert got.map.phi == expected.map.phi
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_decompose_equals_fraction_reduction(n):
+    for f in _agreement_inputs(n):
+        _assert_agrees(f)
+
+
+def test_decompose_equals_fraction_reduction_dense_at_the_rank_bound():
+    system = get_system("A", MAX_N)
+    rng = random.Random("fraction-decompose:dense")
+    values = [Q(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**3))
+              for _ in system.roots]
+    _assert_agrees(functional(system, dict(zip(system.roots, values))))
+
+
+@given(st.data())
+def test_decompose_equals_fraction_reduction_on_drawn_functionals(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    system = get_system("A", n)
+    value = st.one_of(st.just(0), st.fractions(),
+                      st.builds(Q, st.integers(-10**40, 10**40), st.integers(1, 10**15)))
+    values = data.draw(st.lists(value, min_size=len(system.roots), max_size=len(system.roots)),
+                       label="values")
+    _assert_agrees(functional(system, dict(zip(system.roots, values))))
 
 
 def test_decompose_rejects_other_kinds():

@@ -365,6 +365,26 @@ def test_json_rank_above_bound_is_rejected(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["dim", "decompose"])
+def test_json_rank_far_above_bound_is_echoed_short(tmp_path, capsys, command):
+    # A 4000-digit "n" is cut short, as a root error's value is.
+    path = tmp_path / "f.json"
+    path.write_text('{"kind": "A", "n": ' + "9" * 4000 + ', "values": {}}')
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"coadorbits: error: value of 'n' must be at most {MAX_N}, "
+                   f"got {'9' * 40}... (4000 characters)\n")
+
+
+def test_flag_rank_far_above_bound_is_echoed_short(capsys):
+    code, out, err = run_cli(capsys, "dims", "--n", "9" * 4000)
+    assert code == 1
+    assert out == ""
+    assert err == (f"coadorbits: error: --n must be at most {MAX_N}, "
+                   f"got {'9' * 40}... (4000 characters)\n")
+
+
+@pytest.mark.parametrize("command", ["dim", "decompose"])
 @pytest.mark.parametrize("payload", [[1, 2], "A", 7])
 def test_json_non_object_is_malformed(tmp_path, capsys, command, payload):
     path = tmp_path / "f.json"

@@ -5,8 +5,10 @@ int/Fraction promotion keeps them exact. A float literal, a ``float()``
 call or a math function outside the integer ones would leave exact
 arithmetic there without any compared value showing it, so this guard
 fails on each of them. So would a true division of two ints, which gives
-a float: every ``/`` in the package must sit in a function listed in
-``DIVISION_SITES``, where it divides Fractions.
+a float. The package divides nothing with ``/``: its eliminations
+cross-multiply and divide exactly with ``//``, so ``DIVISION_SITES`` is
+empty and the guard rejects every ``/`` and ``/=``. A site may be listed
+only where it divides Fractions.
 """
 
 import ast
@@ -19,8 +21,8 @@ import coadorbits
 SOURCES = sorted(Path(coadorbits.__file__).parent.glob("*.py"))
 # The integer functions of math in use; every other one takes or returns floats.
 INTEGER_MATH = {"factorial", "lcm", "gcd", "isqrt"}
-# (module, function) of every true division in the package; each divides by a Fraction.
-DIVISION_SITES = {("basic", "decompose")}
+# (module, function) of every true division in the package: none.
+DIVISION_SITES: set[tuple[str, str]] = set()
 
 
 def float_uses(source: str) -> list[str]:

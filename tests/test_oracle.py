@@ -83,6 +83,34 @@ def test_resolve_sign_conventions_needs_a_trial(options):
         resolve_sign_conventions(n_max=4, **options)
 
 
+# A value past Python's int-digit limit in a bare f-string raises Python's
+# conversion error in place of the library's own message; each lower-bound
+# message echoes it by its bit length.
+_HUGE_NEGATIVE = -10**5000
+_HUGE_ECHO = "an int of 16610 bits"
+
+
+def test_resolve_sign_conventions_echoes_a_huge_negative_trials():
+    with pytest.raises(ValueError, match=f"^certification needs trials >= 1, got {_HUGE_ECHO}$"):
+        resolve_sign_conventions(n_max=4, trials=_HUGE_NEGATIVE)
+
+
+def test_run_suite_echoes_a_huge_negative_max_n():
+    with pytest.raises(ValueError, match=f"^max_n must be at least 2, got {_HUGE_ECHO}$"):
+        run_suite("dimension-formulas", max_n=_HUGE_NEGATIVE)
+
+
+def test_run_suite_echoes_a_huge_negative_trials():
+    with pytest.raises(ValueError, match=f"^trials must be non-negative, got {_HUGE_ECHO}$"):
+        run_suite("decompose-roundtrip", trials=_HUGE_NEGATIVE)
+
+
+def test_two_dim_support_runner_echoes_a_huge_negative_max_n():
+    message = f"^max_n must be at least 4 for two-dim-support, got {_HUGE_ECHO}$"
+    with pytest.raises(ValueError, match=message):
+        oracle._suite_two_dim_support(oracle.DEFAULT_SEED, max_n=_HUGE_NEGATIVE, trials=1)
+
+
 # Sizes past MAX_N, each with its echo in the error; the last is past
 # Python's int-digit limit, so it is echoed by its bit length.
 _TOO_LARGE = [pytest.param(MAX_N + 1, str(MAX_N + 1), id="bound+1"),
