@@ -161,27 +161,50 @@ def e_star(system: RootSystem, alpha: PositiveRoot, c: Rational = 1) -> Function
     return Functional(system, c.denominator, tuple(nums))
 
 
-@dataclass(frozen=True)
+def _word_parameter(t: Rational) -> int | Fraction:
+    """t in a group word's canonical form: an int when t is integral, else a Fraction.
+
+    Floats, bools and everything else ``_frac`` rejects raise ValueError.
+    """
+    if type(t) is int:
+        return t
+    t = _frac(t)
+    return t.numerator if t.denominator == 1 else t
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class GroupWord:
     """A product of exponentials exp(t_1 e_{b_1}) ... exp(t_m e_{b_m}).
 
     The letters are listed in the order the factors are written, so word
-    concatenation is group multiplication.
+    concatenation is group multiplication. The one stored field holds each
+    parameter in canonical form (``_word_parameter``), an int when it is
+    integral and a Fraction otherwise, so 3, Fraction(6, 2) and "3" give
+    equal words with equal hashes, and the action multiplies plain ints.
+    ``letters`` is the public view, built on demand: every parameter there
+    is a Fraction.
     """
 
-    letters: tuple[tuple[PositiveRoot, Fraction], ...] = ()
+    _letters: tuple[tuple[PositiveRoot, int | Fraction], ...]
 
-    def __post_init__(self):
-        # Each parameter as a Fraction; a float, a bool or anything else raises
-        # ValueError here rather than inside the action.
-        object.__setattr__(self, "letters", tuple((root, _frac(t)) for root, t in self.letters))
+    def __init__(self, letters: Iterable[tuple[PositiveRoot, Rational]] = ()):
+        object.__setattr__(self, "_letters",
+                           tuple((root, _word_parameter(t)) for root, t in letters))
+
+    @property
+    def letters(self) -> tuple[tuple[PositiveRoot, Fraction], ...]:
+        """The (root, parameter) pairs in written order, each parameter a Fraction."""
+        return tuple((root, Fraction(t)) for root, t in self._letters)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._letters)
+
+    def __repr__(self) -> str:
+        return f"GroupWord(letters={self.letters!r})"
 
 
 def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
-    return GroupWord(tuple(letters))
+    return GroupWord(letters)
 
 
 @lru_cache(maxsize=None)
@@ -229,20 +252,21 @@ def _act(system: RootSystem, letters, vec, den: int):
     vec is indexed by canonical position and den is a positive int. The loop
     only adds, multiplies and tests for zero, so parameters and entries may
     be ints, Fractions or Polynomials; an orbit chart runs it with its
-    letters' parameters as variables. A second-order term y (d2 / 2) t^2
-    (type B only) takes z = y d2 t^2 and adds z >> 1 when z is an even int.
-    When z is an odd int, the half is real: the whole vector and den are
-    doubled and z is added as it is, so integral parameters keep an int
-    vector in ints. Any other z (a Fraction or a Polynomial) adds z * 1/2,
-    so a Polynomial vector stays over 1.
+    letters' parameters as variables, and a group word passes its integral
+    parameters as ints (see ``GroupWord``), so an int vector stays in ints.
+    A second-order term y (d2 / 2) t^2 (type B only) takes z = y d2 t^2 and
+    adds z >> 1 when z is an even int. When z is an odd int, the half is
+    real: the whole vector and den are doubled and z is added as it is.
+    Any other z (a Fraction or a Polynomial) adds z * 1/2, so a Polynomial
+    vector stays over 1.
 
     Every letter is validated, but the bitmask live of vec's nonzero
     positions skips, before its parameter is read, each letter whose plan
-    reads none of them (see ``_ad_chains``). Each write sets its bit; a bit
-    left set when an entry cancels to zero only lets a letter through that
-    then adds nothing. The first letter that moves vec updates a copy of it
-    in place, in its plan's order; vec itself comes back, unchanged, when
-    no letter moves it.
+    reads none of them (see ``_ad_chains``), and so does a zero parameter.
+    Each write sets its bit; a bit left set when an entry cancels to zero
+    only lets a letter through that then adds nothing. The first letter
+    that moves vec updates a copy of it in place, in its plan's order; vec
+    itself comes back, unchanged, when no letter moves it.
     """
     index = system._index
     chains = _ad_chains(system.kind, system.n)
@@ -256,14 +280,7 @@ def _act(system: RootSystem, letters, vec, den: int):
         if b is None:
             system.index_of(beta)  # raises InvalidRootError
         twos, ones, reads = chains[b]
-        if not reads & live:
-            continue
-        if type(t) is Fraction:
-            if t.denominator == 1:
-                t = t.numerator
-                if not t:
-                    continue
-        elif not t:
+        if not reads & live or not t:
             continue
         if vec is start:
             vec = list(vec)
@@ -299,7 +316,7 @@ def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Funct
     The new value at e_gamma is f(exp(ad(-t e_beta)) e_gamma); the series
     stops on its own once the bracket chain dies.
     """
-    return _act_on(((beta, _frac(t)),), f)
+    return _act_on(((beta, _word_parameter(t)),), f)
 
 
 def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
@@ -308,7 +325,7 @@ def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
     Composition follows the group: for words w1, w2 and their concatenation
     w1 + w2, apply(w1 + w2, f) == apply(w1, apply(w2, f)).
     """
-    return _act_on(word.letters, f)
+    return _act_on(word._letters, f)
 
 
 def _act_on(letters, f: Functional) -> Functional:
@@ -317,10 +334,7 @@ def _act_on(letters, f: Functional) -> Functional:
 
 
 def concat_words(*words: GroupWord) -> GroupWord:
-    letters: list[tuple[PositiveRoot, Fraction]] = []
-    for w in words:
-        letters.extend(w.letters)
-    return GroupWord(tuple(letters))
+    return GroupWord(letter for w in words for letter in w._letters)
 
 
 @dataclass(frozen=True)
@@ -442,8 +456,25 @@ def functional_from_json(data: Mapping) -> Functional:
 
 
 def word_to_json(word: GroupWord) -> list:
-    return [[str(root), str(t)] for root, t in word.letters]
+    # str of an int is str of the equal Fraction, so the stored form is written as it is.
+    return [[str(root), str(t)] for root, t in word._letters]
 
 
-def word_from_json(data: Iterable) -> GroupWord:
-    return group_word((parse_root(name), rational_from_json(name, t)) for name, t in data)
+def word_from_json(data: list) -> GroupWord:
+    """The word of a JSON array of [root, rational] pairs, such as [["e1-e2", "-3/5"]].
+
+    An object, a string or any other value, and an entry that is not a
+    two-item array led by a string, raise ValueError naming it.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"a group word must be a JSON array of [root, rational] pairs, "
+                         f"got {_echo(data)}")
+    letters = []
+    for k, entry in enumerate(data):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise ValueError(f"entry {k} of a group word must be a [root, rational] pair, "
+                             f"got {_echo(entry)}")
+        name, t = entry
+        letters.append((parse_root(name), rational_from_json(name, t)))
+    return GroupWord(letters)

@@ -97,7 +97,7 @@ class OracleReport:
 def random_word(system, rng: random.Random, length: int) -> GroupWord:
     """Uniform roots, exact integer parameters in {-3..3} minus zero."""
     letters = [
-        (system.roots[rng.randrange(len(system.roots))], Fraction(rng.choice(_NONZERO_INTS)))
+        (system.roots[rng.randrange(len(system.roots))], rng.choice(_NONZERO_INTS))
         for _ in range(length)
     ]
     return group_word(letters)

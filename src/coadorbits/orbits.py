@@ -317,10 +317,10 @@ def construct_group_word(
     chart = orbit_chart(kind, n, alpha)
     if not contains(chart, f):
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    # The letters over f's numerators are ints; each parameter is then one
-    # Fraction over f.den, with no Fraction product.
+    # The letters over f's numerators are ints: over den 1 they are the
+    # parameters as the word stores them, else each is one Fraction over f.den.
     index, nums, den = chart.system.index_of, f.nums, f.den
-    return group_word((root, Fraction(t, den))
+    return group_word((root, t if den == 1 else Fraction(t, den))
                       for root, t in _word_letters(chart.data, lambda root: nums[index(root)]))
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -242,6 +243,19 @@ def bell(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_enumeration_count_is_bell_number(n):
     assert sum(1 for _ in enumerate_basic_subsets(n)) == bell(n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_basic_sums_count_every_point_over_every_finite_field(n):
+    # If the basic sum of D has q^s(D) points over F_q and the basic sums
+    # partition n^*, then sum over D of (q-1)^|D| q^s(D) = q^N, N = n(n-1)/2:
+    # an identity of integer polynomials in q, which checks every s_of value.
+    shapes = Counter((len(d.roots), s_of(d)) for d in enumerate_basic_subsets(n))
+    coefficients = Counter()
+    for (size, s), count in shapes.items():
+        for i in range(size + 1):
+            coefficients[s + i] += count * math.comb(size, i) * (-1) ** (size - i)
+    assert {power: c for power, c in coefficients.items() if c} == {n * (n - 1) // 2: 1}
 
 
 def test_enumeration_small_cases_exactly():

@@ -1,7 +1,9 @@
 """Coadjoint action, skew forms, orbit dimensions, radicals."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 import sys
@@ -485,7 +487,8 @@ def sparse_act_cases(draw):
 def test_masked_action_equals_reference_on_sparse_starts(case):
     system, start, letters = case
     assert start.den == 1
-    vec, den = _act(system, letters, start.nums, start.den)
+    # The action reads a word's stored parameters, where an integral one is an int.
+    vec, den = _act(system, GroupWord(letters)._letters, start.nums, start.den)
     assert all(type(v) is int for v in vec)
     got = Functional(system, 1, tuple(vec)).scaled(Q(1, den))
     assert got.values == _reference_act(system, letters, start.values)
@@ -1017,6 +1020,24 @@ def test_word_json_round_trip():
     assert word_from_json(word_to_json(w)) == w
 
 
+@pytest.mark.parametrize("value", [{"e1-e2": "1"}, {"ab": "1"}, "e1-e2", 5, None])
+def test_word_json_rejects_anything_but_an_array(value):
+    # An object used to be read key by key: {"ab": "1"} as root "a" with value "b".
+    message = f"a group word must be a JSON array of [root, rational] pairs, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        word_from_json(value)
+
+
+@pytest.mark.parametrize("entry", [["e1-e2"], ["e1-e2", "1", "2"], [], "e1", [1, "1"],
+                                   {"e1-e2": "1"}, None])
+def test_word_json_rejects_an_entry_that_is_not_a_pair(entry):
+    message = f"entry 1 of a group word must be a [root, rational] pair, got {entry!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        word_from_json([["e1-e2", "1"], entry])
+    with pytest.raises(ValueError, match=re.escape(message.replace("entry 1", "entry 0"))):
+        word_from_json([entry])
+
+
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
 def test_over_long_rational_string_is_a_value_error():
     digits = "7" * (sys.get_int_max_str_digits() + 1)
@@ -1080,6 +1101,12 @@ def test_a_word_of_int_parameters_holds_fractions():
     assert [type(t) for _, t in word.letters] == [Q, Q]
     assert word == group_word([(diff(1, 2), Q(3)), (diff(2, 3), Q(-1))])
     assert concat_words(word, GroupWord()).letters == word.letters
+    # The letters view yields Fractions whatever form each parameter was stored in.
+    mixed = group_word([(diff(1, 2), 3), (diff(2, 3), Q(1, 2)), (diff(1, 3), "-6/3"),
+                        (diff(1, 2), 0), (diff(2, 3), "5/7")])
+    assert mixed.letters == ((diff(1, 2), Q(3)), (diff(2, 3), Q(1, 2)), (diff(1, 3), Q(-2)),
+                             (diff(1, 2), Q(0)), (diff(2, 3), Q(5, 7)))
+    assert [type(t) for _, t in mixed.letters] == [Q] * 5 and len(mixed) == 5
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int string length unbounded")
@@ -1095,3 +1122,94 @@ def test_library_holds_strings_to_the_grammar(value):
     for call in _library_calls(value):
         with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {value!r}")):
             call()
+
+
+# ---------------------------------------------------------------------------
+# The stored parameter form of group words
+# ---------------------------------------------------------------------------
+
+def test_integral_parameters_give_one_word_however_written():
+    beta, gamma = diff(1, 2), diff(2, 3)
+    words = [group_word([(beta, 3), (gamma, -2)]),
+             group_word([(beta, Q(6, 2)), (gamma, Q(-2))]),
+             group_word([(beta, "3"), (gamma, "-6/3")]),
+             GroupWord(((beta, "3"), (gamma, -2)))]
+    assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
+    assert [type(t) for w in words for _, t in w._letters] == [int] * 8
+    halves = [group_word([(beta, t)]) for t in (Q(-1, 2), "-3/6", Q(2, -4))]
+    assert all(w == halves[0] and hash(w) == hash(halves[0]) for w in halves)
+    assert words[0] != group_word([(beta, 3), (gamma, 2)])
+
+
+def test_a_word_stays_equal_through_json_concatenation_copy_and_pickle():
+    word = group_word([(diff(1, 2), 3), (short(2), Q(-1, 2)), (sum_root(1, 2), "0"),
+                       (diff(2, 3), "10/4")])
+    assert word_to_json(word) == [["e1-e2", "3"], ["e2", "-1/2"], ["e1+e2", "0"], ["e2-e3", "5/2"]]
+    assert word_from_json(word_to_json(word)) == word
+    assert concat_words(word) == concat_words(GroupWord(), word, GroupWord()) == word
+    assert concat_words(word, word).letters == word.letters * 2
+    for other in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert other == word and hash(other) == hash(word) and other.letters == word.letters
+    with pytest.raises(AttributeError):
+        word.letters = ()
+    with pytest.raises(AttributeError):
+        word._letters = ()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t", [3, Q(6, 2), "-1/2", 0])
+def test_one_letter_equals_the_one_letter_word(kind, t):
+    system = get_system(kind, 4)
+    rng = random.Random(f"one-letter:{kind}")
+    starts = ([random_functional(system, rng) for _ in range(3)]
+              + [e_star(system, alpha, -3) for alpha in system.roots])
+    for f in starts:
+        for beta in system.roots:
+            one = coadjoint_apply_one(beta, t, f)
+            assert one == coadjoint_apply(group_word([(beta, t)]), f)
+            if not t:
+                assert one is f
+
+
+MIXED_PARAMETERS = (1, -1, 2, -3, Q(4, 2), "-6/3", 0, Q(1, 2), Q(-5, 3), "7/4")
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in "ABD" for n in range(2, 8)])
+def test_action_on_stored_parameters_equals_reference_on_letters(kind, n):
+    system = get_system(kind, n)
+    rng = random.Random(f"stored:{kind}:{n}")
+    odd = functional(system, {root: 2 * (k % 3) + 1 for k, root in enumerate(system.roots)})
+    doubled = 0
+    for trial in range(9):
+        if trial % 3 == 0:
+            f = e_star(system, rng.choice(system.roots), rng.choice((-3, -1, 1, 3)))
+        else:
+            f = random_functional(system, rng) if trial % 3 == 1 else odd
+        # Every third word has only odd integral parameters: on the odd values,
+        # a type-B short letter meets odd second-order terms and doubles the vector.
+        choices = (1, -1, 3, -3) if trial % 3 == 2 else MIXED_PARAMETERS
+        word = group_word((rng.choice(system.roots), rng.choice(choices))
+                          for _ in range(2 * len(system.roots)))
+        got = coadjoint_apply(word, f)
+        assert got.values == _reference_act(system, word.letters, f.values)
+        assert _stored_exactly(got)
+        doubled += trial % 3 == 2 and got.den % 2 == 0
+    assert doubled or kind != "B"
+
+
+def _fraction_random_word(system, rng, length):
+    """random_word as it drew its parameters, each one a Fraction."""
+    return group_word([(system.roots[rng.randrange(len(system.roots))],
+                        Q(rng.choice((-3, -2, -1, 1, 2, 3)))) for _ in range(length)])
+
+
+@pytest.mark.parametrize("kind,n", [("A", 5), ("B", 4), ("D", 4)])
+def test_random_word_draws_the_stream_it_drew_with_fraction_parameters(kind, n):
+    system = get_system(kind, n)
+    rng, reference = random.Random(f"stream:{kind}"), random.Random(f"stream:{kind}")
+    length = default_word_length(system)
+    for _ in range(3):
+        word = random_word(system, rng, length)
+        assert word == _fraction_random_word(system, reference, length)
+        assert [type(t) for _, t in word._letters] == [int] * length
+    assert rng.getstate() == reference.getstate()
