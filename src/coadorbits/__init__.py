@@ -34,7 +34,6 @@ from .functionals import (
     functional,
     functional_from_json,
     functional_to_json,
-    group_word,
     orbit_dimension,
     radical_basis,
     skew_form,

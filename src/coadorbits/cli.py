@@ -15,17 +15,12 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import OddRankError, functional_from_json, orbit_dimension, parse_rational
 from .oracle import DEFAULT_SEED, MAX_N, SUITE_NAMES, run_suite
-from .orbits import (
-    PairSignError,
-    chart_equations_latex,
-    chart_equations_text,
-    chart_to_json,
-    orbit_chart,
-)
+from .orbits import PairSignError, chart_lines, chart_to_json, orbit_chart
 from .roots import (
     BracketDecompositionError,
     RootSystemKind,
@@ -129,88 +124,60 @@ def _load_functional(path: str):
     return functional_from_json(data)
 
 
-def _cmd_roots(args) -> int:
+# Each command returns (payload, lines, failed): payload() is its JSON
+# object, lines(fmt) its lines in "text" or "latex", and failed whether a
+# verify failed. main renders the one format asked for.
+
+def _cmd_roots(args):
     system = get_system(args.kind, args.n)
-    if args.format == "json":
-        _emit(json.dumps(system_to_json(system), sort_keys=True), args.out)
-    elif args.format == "latex":
-        _emit("\n".join(r.latex() for r in system.roots), args.out)
-    else:
-        _emit("\n".join(f"{k}: {r}" for k, r in enumerate(system.roots)), args.out)
-    return 0
+    return (lambda: system_to_json(system),
+            lambda fmt: [r.latex() if fmt == "latex" else f"{k}: {r}"
+                         for k, r in enumerate(system.roots)], False)
 
 
-def _cmd_chart(args) -> int:
+def _cmd_chart(args):
     alpha = parse_root(args.alpha)
     chart = orbit_chart(args.kind, args.n, alpha, parse_rational(args.c))
-    free = " ".join(str(r) for r in chart.data.singular)
-    if args.format == "json":
-        _emit(json.dumps(chart_to_json(chart), sort_keys=True), args.out)
-    elif args.format == "latex":
-        lines = chart_equations_latex(chart)
-        lines.append(r"\text{free: } " + ", ".join(
-            f"e_{{{r.latex()}}}" for r in chart.data.singular))
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = chart_equations_text(chart)
-        lines.append(f"free: {free}" if free else "free: (none)")
-        _emit("\n".join(lines), args.out)
-    return 0
+    return partial(chart_to_json, chart), partial(chart_lines, chart), False
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args):
     f = _load_functional(args.functional)
     dim = orbit_dimension(f)
-    if args.format == "json":
-        _emit(json.dumps({"dimension": dim, "weyl_index": dim // 2}, sort_keys=True), args.out)
-    else:
-        _emit(str(dim), args.out)
-    return 0
+    return lambda: {"dimension": dim, "weyl_index": dim // 2}, lambda fmt: [str(dim)], False
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     f = _load_functional(args.functional)
     result = decompose(f)
-    if args.format == "json":
-        _emit(json.dumps(basic_map_to_json(result.map), sort_keys=True), args.out)
-    else:
-        lines = ["roots: " + (" ".join(str(r) for r in result.subset.roots) or "(empty)")]
-        lines.extend(f"phi[{r}] = {result.map.phi[r]}" for r in result.subset.roots)
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = ["roots: " + (" ".join(str(r) for r in result.subset.roots) or "(empty)")]
+    lines.extend(f"phi[{r}] = {result.map.phi[r]}" for r in result.subset.roots)
+    return lambda: basic_map_to_json(result.map), lambda fmt: lines, False
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args):
     dims = achievable_dimensions(args.n)
     indices = [d // 2 for d in dims]
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "dims": dims,
-            "weyl_indices": indices,
-            "max_dimension": dims[-1],
-            "max_weyl_index": max_weyl_index(args.n),
-        }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        lines = [" ".join(str(d) for d in dims), "m: " + " ".join(str(m) for m in indices)]
-        _emit("\n".join(lines), args.out)
-    return 0
+    payload = {
+        "n": args.n,
+        "dims": dims,
+        "weyl_indices": indices,
+        "max_dimension": dims[-1],
+        "max_weyl_index": max_weyl_index(args.n),
+    }
+    lines = [" ".join(str(d) for d in dims), "m: " + " ".join(str(m) for m in indices)]
+    return lambda: payload, lambda fmt: lines, False
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     kinds = (args.kind,) if args.kind else None
     report = run_suite(args.suite, args.seed, kinds=kinds, max_n=args.max_n, trials=args.trials)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), sort_keys=True), args.out)
-    else:
-        lines = [f"suite {report.check_name}: {report.verdict.upper()} ({report.trials} checks)"]
-        for failure in report.failures[:10]:
-            lines.append(f"  failure: {failure}")
-        if len(report.failures) > 10:
-            lines.append(f"  ... and {len(report.failures) - 10} more")
-        _emit("\n".join(lines), args.out)
-    return 0 if report.passed else VERIFY_ERROR
+    lines = [f"suite {report.check_name}: {report.verdict.upper()} ({report.trials} checks)"]
+    for failure in report.failures[:10]:
+        lines.append(f"  failure: {failure}")
+    if len(report.failures) > 10:
+        lines.append(f"  ... and {len(report.failures) - 10} more")
+    return report.to_json, lambda fmt: lines, bool(report.failures)
 
 
 _DISPATCH = {
@@ -237,7 +204,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_size(args)
-        return _DISPATCH[args.command](args)
+        payload, lines, failed = _DISPATCH[args.command](args)
+        _emit(json.dumps(payload(), sort_keys=True) if args.format == "json"
+              else "\n".join(lines(args.format)), args.out)
+        return VERIFY_ERROR if failed else 0
     except tuple(_EXIT_CODES) as exc:
         code = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
         detail = f"{type(exc).__name__}: {exc}" if code == VERIFY_ERROR else exc

@@ -203,10 +203,6 @@ class GroupWord:
         return f"GroupWord(letters={self.letters!r})"
 
 
-def group_word(letters: Iterable[tuple[PositiveRoot, Rational]]) -> GroupWord:
-    return GroupWord(letters)
-
-
 @lru_cache(maxsize=None)
 def _ad_chains(kind: RootSystemKind, n: int):
     """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves, in ints.

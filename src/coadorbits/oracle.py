@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable
 
 from .basic import (
@@ -33,7 +34,6 @@ from .functionals import (
     e_star,
     functional,
     functional_to_json,
-    group_word,
     orbit_dimension,
     word_to_json,
 )
@@ -76,10 +76,6 @@ class OracleReport:
     def verdict(self) -> str:
         return "pass" if not self.failures else "fail"
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def to_json(self) -> dict:
         return {
             "check_name": self.check_name,
@@ -100,7 +96,7 @@ def random_word(system, rng: random.Random, length: int) -> GroupWord:
         (system.roots[rng.randrange(len(system.roots))], rng.choice(_NONZERO_INTS))
         for _ in range(length)
     ]
-    return group_word(letters)
+    return GroupWord(letters)
 
 
 def default_word_length(system) -> int:
@@ -357,11 +353,10 @@ def _suite_single_orbit_scan(seed, max_n, trials):
         for subset in enumerate_basic_subsets(n):
             s = s_of(subset)
             single = not derived_set(subset)
-            phis = [{root: Fraction(1) for root in subset.roots}]
-            for t in range(trials if subset.roots else 0):
-                rng = random.Random(f"{seed}:single-orbit:{n}:{subset}:{t}")
-                phis.append(_random_phi(subset, rng))
-            for phi in phis:
+            # The all-ones phi, then each random one drawn just before its rank.
+            phis = (_random_phi(subset, random.Random(f"{seed}:single-orbit:{n}:{subset}:{t}"))
+                    for t in range(trials if subset.roots else 0))
+            for phi in chain([{root: Fraction(1) for root in subset.roots}], phis):
                 total += 1
                 dim = orbit_dimension(basic_point(basic_map(subset, phi)))
                 ok = (dim == s) if single else (dim < s)
@@ -418,13 +413,14 @@ def _suite_achievable_dims(seed, max_n):
 
 # Each suite's runner, the options it reads with their defaults, and the
 # largest max_n it accepts. The two scans enumerate Bell(n) basic subsets,
-# about 6x the time per step of n.
+# about 6x the time per step of n, and decompose-roundtrip lists them all,
+# about 144 B each (16 MiB at n = 10).
 _ALL_KINDS = tuple(RootSystemKind)
 _SUITES = {
     "chart-soundness": (
         _suite_chart_soundness, {"kinds": _ALL_KINDS, "max_n": 4, "trials": 100}, MAX_N),
     "dimension-formulas": (_suite_dimension_formulas, {"kinds": _ALL_KINDS, "max_n": 6}, MAX_N),
-    "decompose-roundtrip": (_suite_decompose_roundtrip, {"max_n": 6, "trials": 200}, MAX_N),
+    "decompose-roundtrip": (_suite_decompose_roundtrip, {"max_n": 6, "trials": 200}, MAX_SCAN_N),
     "single-orbit-scan": (_suite_single_orbit_scan, {"max_n": 5, "trials": 20}, 9),
     "two-dim-support": (_suite_two_dim_support, {"max_n": 6, "trials": 100}, MAX_N),
     "achievable-dims": (_suite_achievable_dims, {"max_n": 8}, MAX_SCAN_N),

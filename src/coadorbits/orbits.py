@@ -37,8 +37,7 @@ from itertools import compress, groupby
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .functionals import (Functional, GroupWord, Rational, _act, _frac, _from_vector, functional,
-                          group_word)
+from .functionals import Functional, GroupWord, Rational, _act, _frac, _from_vector, functional
 from .polynomials import Polynomial
 from .roots import (
     DIFF,
@@ -320,23 +319,42 @@ def construct_group_word(
     # The letters over f's numerators are ints: over den 1 they are the
     # parameters as the word stores them, else each is one Fraction over f.den.
     index, nums, den = chart.system.index_of, f.nums, f.den
-    return group_word((root, t if den == 1 else Fraction(t, den))
-                      for root, t in _word_letters(chart.data, lambda root: nums[index(root)]))
+    return GroupWord((root, t if den == 1 else Fraction(t, den))
+                     for root, t in _word_letters(chart.data, lambda root: nums[index(root)]))
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render(poly: Polynomial, roots: tuple[PositiveRoot, ...],
-            factor: Callable[[PositiveRoot, int], str],
-            number: Callable[[Fraction], str], sep: str) -> str:
-    """Terms in display order, variable k as roots[k]; ``sep`` joins coefficient and factors."""
+def _frac_latex(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    sign = "-" if c < 0 else ""
+    return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+
+
+# Per format: a root's name inside f(...), the power of a repeated factor, a
+# coefficient, what joins a coefficient to its factors, and the free line's
+# opening, separator and text when no root is free.
+_STYLES = {
+    "text": (str, "^{}", str, "*", "free: ", " ", "(none)"),
+    "latex": (lambda r: rf"e_{{{r.latex()}}}", "^{{{}}}", _frac_latex, "",
+              r"\text{free: } ", ", ", ""),
+}
+
+
+def _render(poly: Polynomial, roots: tuple[PositiveRoot, ...], style: tuple) -> str:
+    """Terms in display order, variable k as roots[k], in one of the _STYLES."""
     if not poly:
         return "0"
+    name, power, number, sep = style[:4]
     rendered = []
     for mono, coef in poly.sorted_terms():
-        factors = [factor(roots[k], len(list(group))) for k, group in groupby(mono)]
+        factors = []
+        for k, group in groupby(mono):
+            p = len(list(group))
+            factors.append(f"f({name(roots[k])})" + (power.format(p) if p > 1 else ""))
         if not factors:
             rendered.append(number(coef))
         elif coef in (1, -1):
@@ -349,36 +367,15 @@ def _render(poly: Polynomial, roots: tuple[PositiveRoot, ...],
     return out
 
 
-def polynomial_text(poly: Polynomial, roots: tuple[PositiveRoot, ...]) -> str:
-    return _render(poly, roots, lambda v, p: f"f({v})" + (f"^{p}" if p > 1 else ""), str, "*")
-
-
-def polynomial_latex(poly: Polynomial, roots: tuple[PositiveRoot, ...]) -> str:
-    return _render(poly, roots,
-                   lambda v, p: rf"f(e_{{{v.latex()}}})" + (f"^{{{p}}}" if p > 1 else ""),
-                   _frac_latex, "")
-
-
-def _frac_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-
-
-def chart_equations_text(chart: OrbitChart) -> list[str]:
+def chart_lines(chart: OrbitChart, fmt: str) -> list[str]:
+    """The chart in "text" or "latex": one equation per regular root, then the free roots."""
+    style = _STYLES[fmt]
+    name, free, comma, none = style[0], *style[4:]
     polys = chart.scaled_constraints()
     roots = chart.system.roots
-    return [f"f({beta}) = {polynomial_text(polys[beta], roots)}" for beta in chart.data.regular]
-
-
-def chart_equations_latex(chart: OrbitChart) -> list[str]:
-    polys = chart.scaled_constraints()
-    roots = chart.system.roots
-    return [
-        rf"f(e_{{{beta.latex()}}}) = {polynomial_latex(polys[beta], roots)}"
-        for beta in chart.data.regular
-    ]
+    lines = [f"f({name(beta)}) = {_render(polys[beta], roots, style)}"
+             for beta in chart.data.regular]
+    return lines + [free + (comma.join(map(name, chart.data.singular)) or none)]
 
 
 def chart_to_json(chart: OrbitChart) -> dict:

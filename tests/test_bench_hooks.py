@@ -84,7 +84,7 @@ def test_functional_reads_of_perfbench():
     # A moved functional with a real type-B half, so its values are not all integral.
     system = get_system("B", 4)
     start = functionals.functional(system, {short(1): 3, sum_root(1, 2): Fraction(-1, 3)})
-    word = functionals.group_word([(diff(3, 4), Fraction(2, 5)), (short(2), 1)])
+    word = functionals.GroupWord([(diff(3, 4), Fraction(2, 5)), (short(2), 1)])
     f = functionals.coadjoint_apply(word, start)
     assert f != start
     values = f.values

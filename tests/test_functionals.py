@@ -29,7 +29,6 @@ from coadorbits.functionals import (
     functional,
     functional_from_json,
     functional_to_json,
-    group_word,
     orbit_dimension,
     radical_basis,
     skew_form,
@@ -64,7 +63,7 @@ rationals = st.fractions(
 
 def small_words(system, max_len=4):
     roots = st.sampled_from(system.roots)
-    return st.lists(st.tuples(roots, rationals), max_size=max_len).map(group_word)
+    return st.lists(st.tuples(roots, rationals), max_size=max_len).map(GroupWord)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +100,13 @@ def test_one_letter_worked_example():
 def test_empty_word_is_identity():
     system = get_system("D", 3)
     f = e_star(system, sum_root(1, 3), -2)
-    assert coadjoint_apply(group_word([]), f) == f
+    assert coadjoint_apply(GroupWord([]), f) == f
 
 
 def test_inverse_word():
     system = get_system("B", 3)
     f = functional(system, {sum_root(1, 3): Q(2), diff(1, 2): Q(-1, 3)})
-    w = group_word([(short(2), Q(3, 2)), (short(2), Q(-3, 2))])
+    w = GroupWord([(short(2), Q(3, 2)), (short(2), Q(-3, 2))])
     assert coadjoint_apply(w, f) == f
 
 
@@ -116,8 +115,8 @@ def test_one_parameter_subgroup_law(s, t):
     system = get_system("B", 3)
     f = functional(system, {sum_root(1, 3): 1, diff(1, 3): Q(1, 2), short(3): -2})
     beta = short(2)
-    two = coadjoint_apply(group_word([(beta, s), (beta, t)]), f)
-    one = coadjoint_apply(group_word([(beta, s + t)]), f)
+    two = coadjoint_apply(GroupWord([(beta, s), (beta, t)]), f)
+    one = coadjoint_apply(GroupWord([(beta, s + t)]), f)
     assert two == one
 
 
@@ -374,7 +373,7 @@ def act_cases(draw):
 def test_action_equals_all_fraction_reference(case):
     system, letters, values = case
     f = functional(system, values)
-    word = group_word(letters)
+    word = GroupWord(letters)
     got = coadjoint_apply(word, f)
     assert got.values == _reference_act(system, word.letters, f.values)
     assert _stored_exactly(got)
@@ -431,7 +430,7 @@ def test_action_equals_reference_on_workload_shaped_inputs():
         shorts = [r for r in system.roots if r.tag == SHORT]
         f = functional(system, {r: 2 * (k % 3) + 1 for k, r in enumerate(system.roots)})
         for first, last, middle in itertools.product(shorts, shorts, system.roots):
-            word = group_word([(last, 3), (middle, Q(-2, 3)), (first, 1)])
+            word = GroupWord([(last, 3), (middle, Q(-2, 3)), (first, 1)])
             _assert_action_matches_reference(word, f)
             between = _reference_act(system, word.letters[1:], f.values)
             odd_halves += bool(chains[system.index_of(first)][0])
@@ -502,7 +501,7 @@ def test_a_word_that_reads_nothing_of_f_returns_f_itself(kind):
         f = e_star(system, alpha, -3)
         a = system.index_of(alpha)
         blind = [beta for beta in system.roots if a not in _reads(system, beta)]
-        word = group_word((beta, Q(2 * k + 1, 2)) for k, beta in enumerate(blind))
+        word = GroupWord((beta, Q(2 * k + 1, 2)) for k, beta in enumerate(blind))
         assert coadjoint_apply(word, f) is f
         skipped += len(blind)
     assert skipped
@@ -581,7 +580,7 @@ def test_foreign_letter_raises_at_either_end(kind, n):
         for letters in ([(foreign, Q(1))] + inner, inner + [(foreign, Q(1))],
                         [(foreign, Q(0))]):
             with pytest.raises(InvalidRootError):
-                coadjoint_apply(group_word(letters), f)
+                coadjoint_apply(GroupWord(letters), f)
         with pytest.raises(InvalidRootError):
             coadjoint_apply_one(foreign, 1, f)
 
@@ -620,7 +619,7 @@ def test_equal_functionals_hash_equal_however_built():
     by_json = functional_from_json(functional_to_json(by_fractions))
     # The word is w w^-1 for w = exp(e_beta) exp(-5/3 e_{e2-e3}), so it carries
     # f back to f through a rational parameter and a short-root letter.
-    word = group_word([(beta, Q(1)), (diff(2, 3), Q(-5, 3)), (diff(2, 3), Q(5, 3)), (beta, -1)])
+    word = GroupWord([(beta, Q(1)), (diff(2, 3), Q(-5, 3)), (diff(2, 3), Q(5, 3)), (beta, -1)])
     by_action = coadjoint_apply(word, by_fractions)
     assert by_action is not by_fractions
     built = [by_strings, by_fractions, by_scaling, by_json, by_action]
@@ -659,7 +658,7 @@ def test_functionals_are_built_in_canonical_form(case, data):
     system, letters, values = case
     f = functional(system, values)
     assert _is_canonical(f)
-    word = group_word(letters)
+    word = GroupWord(letters)
     moved = coadjoint_apply(word, f)
     assert _is_canonical(moved)
     if word.letters:
@@ -1015,7 +1014,7 @@ def test_word_json_rejects_non_string_rational(value):
 
 
 def test_word_json_round_trip():
-    w = group_word([(diff(1, 2), Q(-3, 5)), (short(2), Q(4))])
+    w = GroupWord([(diff(1, 2), Q(-3, 5)), (short(2), Q(4))])
     assert word_to_json(w) == [["e1-e2", "-3/5"], ["e2", "4"]]
     assert word_from_json(word_to_json(w)) == w
 
@@ -1062,7 +1061,6 @@ def _library_calls(value):
         lambda: functional(system, {alpha: value}),
         lambda: e_star(system, alpha, value),
         lambda: e_star(system, alpha).scaled(value),
-        lambda: group_word([(alpha, value)]),
         lambda: GroupWord(((alpha, value),)),
         lambda: coadjoint_apply_one(diff(1, 2), value, e_star(system, alpha)),
         lambda: orbit_chart("A", 3, alpha, value),
@@ -1086,11 +1084,11 @@ def test_library_rejects_floats_and_bools(value):
 
 
 def test_a_word_built_directly_reads_a_rational_string():
-    # GroupWord itself turns its parameters into Fractions, as group_word
-    # always did; built directly, a string parameter used to raise TypeError
-    # inside the action. Floats and bools raise (test_library_rejects_floats_and_bools).
+    # GroupWord turns its parameters into Fractions; built directly, a string
+    # parameter used to raise TypeError inside the action. Floats and bools
+    # raise (test_library_rejects_floats_and_bools).
     word = GroupWord(((diff(1, 2), "1/2"),))
-    assert word == group_word([(diff(1, 2), Q(1, 2))]) and type(word.letters[0][1]) is Q
+    assert word == GroupWord([(diff(1, 2), Q(1, 2))]) and type(word.letters[0][1]) is Q
     f = e_star(get_system("A", 3), diff(1, 3))
     assert coadjoint_apply(word, f).values == _reference_act(f.system, word.letters, f.values)
     assert coadjoint_apply(word, f).values[diff(2, 3)] == Q(-1, 2)
@@ -1099,10 +1097,10 @@ def test_a_word_built_directly_reads_a_rational_string():
 def test_a_word_of_int_parameters_holds_fractions():
     word = GroupWord(((diff(1, 2), 3), (diff(2, 3), -1)))
     assert [type(t) for _, t in word.letters] == [Q, Q]
-    assert word == group_word([(diff(1, 2), Q(3)), (diff(2, 3), Q(-1))])
+    assert word == GroupWord([(diff(1, 2), Q(3)), (diff(2, 3), Q(-1))])
     assert concat_words(word, GroupWord()).letters == word.letters
     # The letters view yields Fractions whatever form each parameter was stored in.
-    mixed = group_word([(diff(1, 2), 3), (diff(2, 3), Q(1, 2)), (diff(1, 3), "-6/3"),
+    mixed = GroupWord([(diff(1, 2), 3), (diff(2, 3), Q(1, 2)), (diff(1, 3), "-6/3"),
                         (diff(1, 2), 0), (diff(2, 3), "5/7")])
     assert mixed.letters == ((diff(1, 2), Q(3)), (diff(2, 3), Q(1, 2)), (diff(1, 3), Q(-2)),
                              (diff(1, 2), Q(0)), (diff(2, 3), Q(5, 7)))
@@ -1130,20 +1128,20 @@ def test_library_holds_strings_to_the_grammar(value):
 
 def test_integral_parameters_give_one_word_however_written():
     beta, gamma = diff(1, 2), diff(2, 3)
-    words = [group_word([(beta, 3), (gamma, -2)]),
-             group_word([(beta, Q(6, 2)), (gamma, Q(-2))]),
-             group_word([(beta, "3"), (gamma, "-6/3")]),
+    words = [GroupWord([(beta, 3), (gamma, -2)]),
+             GroupWord([(beta, Q(6, 2)), (gamma, Q(-2))]),
+             GroupWord([(beta, "3"), (gamma, "-6/3")]),
              GroupWord(((beta, "3"), (gamma, -2)))]
     assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
     assert [type(t) for w in words for _, t in w._letters] == [int] * 8
-    halves = [group_word([(beta, t)]) for t in (Q(-1, 2), "-3/6", Q(2, -4))]
+    halves = [GroupWord([(beta, t)]) for t in (Q(-1, 2), "-3/6", Q(2, -4))]
     assert all(w == halves[0] and hash(w) == hash(halves[0]) for w in halves)
-    assert words[0] != group_word([(beta, 3), (gamma, 2)])
+    assert words[0] != GroupWord([(beta, 3), (gamma, 2)])
 
 
 def test_a_word_stays_equal_through_json_concatenation_copy_and_pickle():
-    word = group_word([(diff(1, 2), 3), (short(2), Q(-1, 2)), (sum_root(1, 2), "0"),
-                       (diff(2, 3), "10/4")])
+    word = GroupWord([(diff(1, 2), 3), (short(2), Q(-1, 2)), (sum_root(1, 2), "0"),
+                      (diff(2, 3), "10/4")])
     assert word_to_json(word) == [["e1-e2", "3"], ["e2", "-1/2"], ["e1+e2", "0"], ["e2-e3", "5/2"]]
     assert word_from_json(word_to_json(word)) == word
     assert concat_words(word) == concat_words(GroupWord(), word, GroupWord()) == word
@@ -1166,7 +1164,7 @@ def test_one_letter_equals_the_one_letter_word(kind, t):
     for f in starts:
         for beta in system.roots:
             one = coadjoint_apply_one(beta, t, f)
-            assert one == coadjoint_apply(group_word([(beta, t)]), f)
+            assert one == coadjoint_apply(GroupWord([(beta, t)]), f)
             if not t:
                 assert one is f
 
@@ -1188,8 +1186,8 @@ def test_action_on_stored_parameters_equals_reference_on_letters(kind, n):
         # Every third word has only odd integral parameters: on the odd values,
         # a type-B short letter meets odd second-order terms and doubles the vector.
         choices = (1, -1, 3, -3) if trial % 3 == 2 else MIXED_PARAMETERS
-        word = group_word((rng.choice(system.roots), rng.choice(choices))
-                          for _ in range(2 * len(system.roots)))
+        word = GroupWord((rng.choice(system.roots), rng.choice(choices))
+                         for _ in range(2 * len(system.roots)))
         got = coadjoint_apply(word, f)
         assert got.values == _reference_act(system, word.letters, f.values)
         assert _stored_exactly(got)
@@ -1199,8 +1197,8 @@ def test_action_on_stored_parameters_equals_reference_on_letters(kind, n):
 
 def _fraction_random_word(system, rng, length):
     """random_word as it drew its parameters, each one a Fraction."""
-    return group_word([(system.roots[rng.randrange(len(system.roots))],
-                        Q(rng.choice((-3, -2, -1, 1, 2, 3)))) for _ in range(length)])
+    return GroupWord([(system.roots[rng.randrange(len(system.roots))],
+                       Q(rng.choice((-3, -2, -1, 1, 2, 3)))) for _ in range(length)])
 
 
 @pytest.mark.parametrize("kind,n", [("A", 5), ("B", 4), ("D", 4)])

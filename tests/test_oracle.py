@@ -160,7 +160,7 @@ def test_unknown_suite():
 )
 def test_suites_pass_at_reduced_scale(name, config):
     report = run_suite(name, **config)
-    assert report.passed, report.failures[:3]
+    assert not report.failures, report.failures[:3]
     assert report.verdict == "pass"
     assert report.trials > 0
 
@@ -170,7 +170,7 @@ def test_suites_pass_at_reduced_scale(name, config):
 def test_kind_names_run_as_their_kinds(name, options):
     named = run_suite(name, kinds=("A",), max_n=3, **options)
     typed = run_suite(name, kinds=(RootSystemKind.A,), max_n=3, **options)
-    assert named.passed and named.trials > 0
+    assert not named.failures and named.trials > 0
     assert json.dumps(named.to_json(), sort_keys=True) == json.dumps(typed.to_json(), sort_keys=True)
     with pytest.raises(InvalidRootError, match="unknown root system kind 'Q'"):
         run_suite(name, kinds=("Q",), max_n=3, **options)
@@ -180,7 +180,7 @@ def test_explicit_zero_trials_is_not_the_default():
     report = run_suite("chart-soundness", max_n=3, trials=0)
     assert report.trials == 0
     assert report.parameters["trials_per_alpha"] == 0
-    assert report.passed
+    assert not report.failures
 
 
 def test_reports_are_reproducible_byte_for_byte():
@@ -277,7 +277,7 @@ def test_kinds_that_are_a_string_or_not_iterable_are_rejected_before_the_suite_r
 ])
 def test_kinds_given_as_a_collection_of_names_or_kinds_run(kinds, expected):
     report = run_suite("dimension-formulas", kinds=kinds, max_n=2)
-    assert report.passed and report.parameters["kinds"] == expected
+    assert not report.failures and report.parameters["kinds"] == expected
 
 
 @pytest.mark.parametrize("name,key", [
@@ -289,7 +289,7 @@ def test_kinds_given_as_a_collection_of_names_or_kinds_run(kinds, expected):
 def test_explicit_zero_trials_wins_wherever_it_is_read(name, key):
     assert "trials" in _SUITES[name][1]
     report = run_suite(name, max_n=4, trials=0)
-    assert report.parameters[key] == 0 and report.passed
+    assert report.parameters[key] == 0 and not report.failures
     # single-orbit-scan still checks the all-ones phi of every basic subset
     subsets = sum(len(list(enumerate_basic_subsets(n))) for n in range(2, 5))
     assert report.trials == (subsets if name == "single-orbit-scan" else 0)
@@ -301,11 +301,17 @@ def test_explicit_empty_kinds_wins(name):
     assert report.parameters["kinds"] == [] and report.trials == 0
 
 
-@pytest.mark.parametrize("name,bound", [("achievable-dims", MAX_SCAN_N), ("single-orbit-scan", 9)])
-def test_exponential_scans_are_bounded_before_they_start(name, bound):
+@pytest.mark.parametrize("name,bound", [("achievable-dims", MAX_SCAN_N), ("single-orbit-scan", 9),
+                                        ("decompose-roundtrip", MAX_SCAN_N)])
+def test_exponential_scans_are_bounded_before_they_start(monkeypatch, name, bound):
+    # decompose-roundtrip lists all Bell(n) basic subsets of each n; it used to
+    # accept max_n up to MAX_N, and about 4 GiB of subsets at n = 13.
+    listed = []
+    monkeypatch.setattr(oracle, "enumerate_basic_subsets", lambda n: listed.append(n) or iter(()))
     assert _SUITES[name][2] == bound
     with pytest.raises(ValueError, match=f"^max_n must be at most {bound} for {name}, got {bound + 1}$"):
         run_suite(name, max_n=bound + 1)
+    assert listed == []
 
 
 def test_the_library_and_the_cli_share_one_rank_bound():
@@ -355,5 +361,32 @@ def test_chart_soundness_builds_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "orbit_chart", spy)
     report = run_suite("chart-soundness", kinds=(RootSystemKind.B,), max_n=3, trials=2)
-    assert report.passed and report.trials == 2 * len(built)
+    assert not report.failures and report.trials == 2 * len(built)
     assert built == [(n, alpha) for n in (2, 3) for alpha in get_system("B", n).roots]
+
+
+def test_single_orbit_scan_draws_each_phi_just_before_its_rank(monkeypatch):
+    # The 1 + trials phis of a subset used to be built as a list before the
+    # first rank, so a large --trials allocated them all before any work.
+    drawn, ranked = [], []
+    real_phi, real_dimension = oracle._random_phi, oracle.orbit_dimension
+
+    class Stop(Exception):
+        pass
+
+    def draw(subset, rng):
+        drawn.append(subset)
+        return real_phi(subset, rng)
+
+    def rank(f):
+        ranked.append(len(drawn))
+        if len(ranked) == 6:
+            raise Stop
+        return real_dimension(f)
+
+    monkeypatch.setattr(oracle, "_random_phi", draw)
+    monkeypatch.setattr(oracle, "orbit_dimension", rank)
+    with pytest.raises(Stop):
+        run_suite("single-orbit-scan", max_n=3, trials=1000)
+    # Each subset's all-ones phi is not drawn; each random one is drawn just before its rank.
+    assert ranked == [0, 0, 1, 2, 3, 4]

@@ -9,8 +9,8 @@ from types import MappingProxyType
 
 import pytest
 
-from coadorbits.functionals import (_act, _from_vector, coadjoint_apply, e_star, functional,
-                                    group_word, orbit_dimension, zero_functional)
+from coadorbits.functionals import (GroupWord, _act, _from_vector, coadjoint_apply, e_star,
+                                    functional, orbit_dimension, zero_functional)
 from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_functional,
                                random_orbit_point)
 from coadorbits.orbits import (
@@ -23,14 +23,12 @@ from coadorbits.orbits import (
     _level_one,
     _singular_data,
     _word_letters,
-    chart_equations_latex,
-    chart_equations_text,
+    chart_lines,
     chart_point,
     chart_to_json,
     construct_group_word,
     contains,
     orbit_chart,
-    polynomial_text,
     singular_set,
     singular_size_formula,
 )
@@ -787,7 +785,8 @@ def test_chart_polynomials_are_read_only():
     # while contains kept reading the stale cached integer form.
     alpha, beta = diff(1, 4), diff(2, 3)
     f, _ = random_orbit_point("A", 4, alpha, 1, seed=3)
-    expected = (chart_equations_text(orbit_chart("A", 4, alpha)), chart_to_json(orbit_chart("A", 4, alpha)))
+    expected = (chart_lines(orbit_chart("A", 4, alpha), "text"),
+                chart_to_json(orbit_chart("A", 4, alpha)))
     poly = orbit_chart("A", 4, alpha).constraints[beta]
     assert poly is _level_one(RootSystemKind.A, 4, alpha)[0][beta]
     for mono in list(poly.terms):
@@ -796,7 +795,7 @@ def test_chart_polynomials_are_read_only():
     for method in ("clear", "pop", "popitem", "setdefault", "update"):
         assert not hasattr(poly.terms, method)
     fresh = orbit_chart("A", 4, alpha)
-    assert (chart_equations_text(fresh), chart_to_json(fresh)) == expected
+    assert (chart_lines(fresh, "text"), chart_to_json(fresh)) == expected
     assert "f(e2-e3) = f(e1-e3)*f(e2-e4)" in expected[0]
     assert contains(fresh, f) and not contains(fresh, _nudged(f, beta))
 
@@ -1000,7 +999,7 @@ def _replayed_word(kind, n, alpha, f):
     moved = _act(f.system, letters, e_star(f.system, alpha).nums, 1)
     if _from_vector(f.system, *moved) != f:
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
-    return group_word(letters)
+    return GroupWord(letters)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1037,33 +1036,50 @@ def test_word_rejects_exactly_where_the_replay_rejects(kind, n):
 # ---------------------------------------------------------------------------
 
 def test_chart_text_rendering():
-    lines = chart_equations_text(orbit_chart("A", 4, diff(1, 4), 1))
+    lines = chart_lines(orbit_chart("A", 4, diff(1, 4), 1), "text")
     assert "f(e2-e3) = f(e1-e3)*f(e2-e4)" in lines
     assert "f(e1-e4) = 1" in lines
-    lines = chart_equations_text(orbit_chart("B", 3, short(1), 1))
+    assert lines[-1] == "free: e1-e2 e3-e4 e1-e3 e2-e4"
+    lines = chart_lines(orbit_chart("B", 3, short(1), 1), "text")
     assert "f(e2-e3) = f(e1-e3)*f(e2)" in lines
-    lines = chart_equations_text(orbit_chart("B", 3, sum_root(1, 3), 1))
+    lines = chart_lines(orbit_chart("B", 3, sum_root(1, 3), 1), "text")
     assert "f(e1-e3) = -1/2*f(e1)^2" in lines
+    # A simple root has no singular roots: every other coordinate vanishes.
+    lines = chart_lines(orbit_chart("A", 4, diff(1, 2), 1), "text")
+    assert lines[0] == "f(e1-e2) = 1" and lines[-1] == "free: (none)"
 
 
 def test_chart_scaled_rendering():
-    lines = chart_equations_text(orbit_chart("A", 4, diff(1, 4), Q(2)))
+    lines = chart_lines(orbit_chart("A", 4, diff(1, 4), Q(2)), "text")
     assert "f(e1-e4) = 2" in lines
     assert "f(e2-e3) = 1/2*f(e1-e3)*f(e2-e4)" in lines
 
 
 def test_chart_latex_rendering():
-    lines = chart_equations_latex(orbit_chart("B", 3, sum_root(1, 3), 1))
+    lines = chart_lines(orbit_chart("B", 3, sum_root(1, 3), 1), "latex")
     joined = "\n".join(lines)
     assert r"f(e_{\epsilon_{1}-\epsilon_{3}}) = -\frac{1}{2}f(e_{\epsilon_{1}})^{2}" in joined
+    assert lines[-1] == (r"\text{free: } e_{\epsilon_{1}-\epsilon_{2}}, e_{\epsilon_{1}}, "
+                         r"e_{\epsilon_{3}}, e_{\epsilon_{2}+\epsilon_{3}}")
+    lines = chart_lines(orbit_chart("A", 4, diff(1, 2), 1), "latex")
+    assert lines[-1] == r"\text{free: } "
+
+
+def _rendered(poly: Polynomial, fmt: str = "text") -> str:
+    """poly as chart_lines renders it: the constraint of e1-e3, A3's only regular root of e1-e3."""
+    chart = replace(orbit_chart("A", 3, diff(1, 3)), constraints={diff(1, 3): poly})
+    equation, _ = chart_lines(chart, fmt)
+    return equation.split(" = ", 1)[1]
 
 
 def test_polynomial_text_corner_cases():
     system = get_system("A", 3)
-    assert polynomial_text(Polynomial.zero(), system.roots) == "0"
-    assert polynomial_text(Polynomial.const(Q(-3, 4)), system.roots) == "-3/4"
+    assert _rendered(Polynomial.zero()) == _rendered(Polynomial.zero(), "latex") == "0"
+    assert _rendered(Polynomial.const(Q(-3, 4))) == "-3/4"
+    assert _rendered(Polynomial.const(Q(-3, 4)), "latex") == r"-\frac{3}{4}"
     p = Polynomial.const(1) - var(system, diff(1, 2)) * var(system, diff(1, 2))
-    assert polynomial_text(p, system.roots) == "1 - f(e1-e2)^2"
+    assert _rendered(p) == "1 - f(e1-e2)^2"
+    assert _rendered(p, "latex") == r"1 - f(e_{\epsilon_{1}-\epsilon_{2}})^{2}"
 
 
 @pytest.mark.parametrize("k", [diff(1, 2), Q(1), 1.0, True, "1", None])
@@ -1122,8 +1138,7 @@ def test_a_polynomial_merges_monomials_that_sort_alike():
     merged = Polynomial({(1, 0): 1, (0, 1): Q(1, 2), (2,): "-3/4"})
     assert merged.terms == {(0, 1): Q(3, 2), (2,): Q(-3, 4)}
     assert all(type(c) is Q for c in merged.terms.values())
-    roots = get_system("A", 3).roots
-    assert polynomial_text(merged, roots) == "-3/4*f(e1-e3) + 3/2*f(e1-e2)*f(e2-e3)"
+    assert _rendered(merged) == "-3/4*f(e1-e3) + 3/2*f(e1-e2)*f(e2-e3)"
 
 
 @pytest.mark.parametrize("mono", [(-1,), (2, -1), (0, Q(1)), (True,), (0, "1")])
