@@ -36,6 +36,7 @@ from .roots import (
     DIFF,
     PositiveRoot,
     RootSystemKind,
+    _echo,
     diff,
     get_system,
     parse_root,
@@ -202,6 +203,61 @@ def enumerate_basic_subsets(n: int) -> Iterator[BasicSubset]:
                 yield from rec(i + 1, used | 1 << j, acc + (row[j],))
 
     yield from rec(1, 0, ())
+
+
+def _row_moves(n: int, i: int, used: int) -> Iterator[tuple[int, int]]:
+    """(j, used after row i) for each way row i goes, in enumerate_basic_subsets's order.
+
+    j is 0 when the row stays empty, else the free column j > i it takes.
+    """
+    yield 0, used
+    for j in range(i + 1, n + 1):
+        if not used >> j & 1:
+            yield j, used | 1 << j
+
+
+@lru_cache(maxsize=None)
+def _completions(n: int, i: int, used: int) -> int:
+    """How many ways rows i..n-1 complete, given the taken columns right of row i.
+
+    Rows below i take only columns right of i + 1, so the state keeps just
+    those bits: 376 states at n = 12. _completions(n, 1, 0) is Bell(n).
+    """
+    if i == n:
+        return 1
+    return sum(_completions(n, i + 1, taken >> (i + 2) << (i + 2))
+               for _, taken in _row_moves(n, i, used))
+
+
+def count_basic_subsets(n: int) -> int:
+    """Bell(n), the number of basic subsets enumerate_basic_subsets(n) yields."""
+    return _completions(n, 1, 0)
+
+
+def nth_basic_subset(n: int, k: int) -> BasicSubset:
+    """list(enumerate_basic_subsets(n))[k] for 0 <= k < Bell(n), without listing the others.
+
+    Each row takes the first move whose completions reach past k, and k
+    drops by the completions of the moves it passes. Any other k raises
+    IndexError.
+    """
+    if not 0 <= k < count_basic_subsets(n):
+        raise IndexError(f"basic subset index {_echo(k)} out of range for n={n}")
+    roots = get_system(RootSystemKind.A, n).roots
+    pos = _positions(n)
+    taken_roots = []
+    used = 0
+    for i in range(1, n):
+        for j, taken in _row_moves(n, i, used):
+            used_below = taken >> (i + 2) << (i + 2)
+            ways = _completions(n, i + 1, used_below)
+            if k < ways:
+                break
+            k -= ways
+        if j:
+            taken_roots.append(pos[i][j])
+        used = used_below
+    return BasicSubset(n, tuple(roots[p] for p in sorted(taken_roots)))
 
 
 # ---------------------------------------------------------------------------

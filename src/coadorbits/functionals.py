@@ -7,23 +7,26 @@ and the orbit through f has exact dimension equal to the rank of the skew
 form (x, y) -> f([x, y]).
 
 Both the action and the skew form read the bracket table by canonical
-position (``BracketTable.by_index``). The action reads it through one cached
-plan per letter (``_ad_chains``): the gammas the letter moves, longest tail
-first, each with its one or two tail terms unrolled in int coefficients,
-and the bitmask of the positions those terms read. A letter whose mask
-meets none of the nonzero positions moves nothing and is skipped; the
-first letter that moves f updates a copy of its numerators in place, over
-f's denominator, which type B's second-order halves double only where a
-half is real, and f itself comes back when no letter moves it. The skew
-rows are sparse int rows over f's numerators, which ``skew_form`` reads
-back over f's denominator; ``orbit_dimension`` counts the pivots of their
+position (``BracketTable.by_index``). The action reads it through cached
+plans keyed by the letter's root (``_ad_chains``): the bitmask of the
+positions the letter's plan reads, and the gammas it moves, two-term tails
+first, then the one-term tails split by their +/-1 structure constant, so
+each costs one multiply. A letter whose mask meets none of the nonzero
+positions moves nothing and costs one lookup; the first letter that moves
+f updates a copy of its numerators in place, over f's denominator, which
+type B's second-order halves double only where a half is real, and f
+itself comes back when no letter moves it. The skew rows are sparse int
+rows over f's numerators, which ``skew_form`` reads back over f's
+denominator; ``orbit_dimension`` counts the pivots of their
 integer elimination in ``linalg``, and ``radical_basis`` reads the kernel
 straight off the reduced rows, one Fraction per entry; ``_reduced_form``,
 an ``lru_cache`` of one entry keyed on the system and the numerators,
 keeps the last reduced form, so asking both of one functional back to back
 reduces it once. perfbench's orbit-rank checks ask both; the package's
 callers ask the dimension alone. ``functional`` and the action both write
-their result through ``_from_vector``, the one canonicaliser.
+their result through ``_from_vector``, the one canonicaliser, which reads
+denominators only when its first gcd meets a Fraction; ``functional``
+hands it ints.
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ class OddRankError(RuntimeError):
     """A skew form came out with odd rank.
 
     An internal consistency check: a skew-symmetric matrix has even rank.
+    """
+
+
+class StructureConstantError(RuntimeError):
+    """A bracket the action's plans read has a structure constant other than 1 or -1.
+
+    An internal consistency check: every structure constant of A, B and D
+    is 1 or -1 (CONVENTIONS.md), and a one-term plan entry adds or
+    subtracts x t without multiplying by it.
     """
 
 
@@ -125,27 +137,51 @@ class Functional:
 
 
 def _from_vector(system: RootSystem, vec: list, den: int) -> Functional:
-    """vec / den in lowest terms, for int or Fraction entries and a positive int den."""
-    denominators = [v.denominator for v in vec if type(v) is not int]
-    if denominators:
-        scale = math.lcm(*denominators)
+    """vec / den in lowest terms, for int or Fraction entries and a positive int den.
+
+    ``math.gcd`` takes ints only, so on an all-int vector its one call both
+    checks the entries and finds the common factor. A Fraction entry makes it
+    raise TypeError; only then are the denominators read, their lcm scaled
+    into vec and den, and the gcd taken again.
+    """
+    try:
+        g = math.gcd(den, *vec)
+    except TypeError:
+        scale = math.lcm(*[v.denominator for v in vec if type(v) is not int])
         vec = [v * scale if type(v) is int else v.numerator * (scale // v.denominator)
                for v in vec]
         den *= scale
-    if den != 1:
         g = math.gcd(den, *vec)
-        if g != 1:
-            den //= g
-            vec = [v // g for v in vec]
+    if g != 1:
+        den //= g
+        vec = [v // g for v in vec]
     return Functional(system, den, tuple(vec))
 
 
 def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> Functional:
-    """Build a functional from a root -> rational map, validating the roots and the values."""
+    """Build a functional from a root -> rational map, validating the roots and the values.
+
+    Integral values are written as ints and the others as numerators over
+    the lcm of their denominators, so ``_from_vector`` gets an int vector
+    and takes its gcd-first exit; each value is checked before its root.
+    """
+    index_of = system.index_of
     vec: list = [0] * len(system.roots)
+    fractions = []
     for root, v in values.items():
-        vec[system.index_of(root)] = _frac(v)
-    return _from_vector(system, vec, 1)
+        if type(v) is not int:
+            v, d = _frac(v).as_integer_ratio()
+            if d != 1:
+                fractions.append((index_of(root), v, d))
+                continue
+        vec[index_of(root)] = v
+    den = 1
+    if fractions:
+        den = math.lcm(*[d for _, _, d in fractions])
+        vec = [v * den for v in vec]
+        for k, v, d in fractions:
+            vec[k] = v * (den // d)
+    return _from_vector(system, vec, den)
 
 
 def zero_functional(system: RootSystem) -> Functional:
@@ -205,38 +241,50 @@ class GroupWord:
 
 @lru_cache(maxsize=None)
 def _ad_chains(kind: RootSystemKind, n: int):
-    """Per beta: the plan of exp(ad(-t e_beta)) on the gammas it moves, in ints.
+    """Per root beta: the plan of exp(ad(-t e_beta)) on the gammas it moves, in ints.
 
-    All roots are positions in the canonical root order. chains[b] is
-    (twos, ones, reads): twos holds (g, p, c, q, d2) for each gamma whose
-    tail has two terms, c t e_p + (d2 / 2) t^2 e_q with p = g+b and
-    q = g+2b; ones holds (g, p, c) for each gamma with the single term
-    c t e_p; reads is the bitmask of the positions the entries read, bit p
-    of every entry and bit q of every two-term one, so a letter whose reads
-    meet no nonzero value moves nothing. With k1 and k2 the structure
-    constants of the string g, g+b, g+2b, c is -k1 and d2 is k1 k2, the
-    numerator over 2! of the second-order coefficient, so every entry is an
-    int; in type B, the only kind with twos, d2 is -1. Root strings in A, B
-    and D have at most three roots, so no tail is longer; only type B's
-    short betas have twos. The tail of g+b is the tail of g less its first
-    term, so every gamma a plan entry reads comes later in the plan, if at
-    all: the action updates one vector in place, twos first.
+    Returns (reads, plans), two dicts keyed by root whose entries hold
+    canonical positions. reads[beta] is the bitmask of the positions beta's
+    plan reads, so a letter whose reads meet no nonzero value moves nothing and
+    costs one lookup. plans[beta] is (twos, plus, minus). twos holds
+    (g, bit, p, c, q, d2) for each gamma whose tail has two terms,
+    c t e_p + (d2 / 2) t^2 e_q with p = g+b and q = g+2b; plus and minus
+    hold (g, bit, p) for each gamma with the single term +t e_p or -t e_p.
+    bit is 1 << g, the bit the entry sets when it writes. With k1 and k2
+    the structure constants of the string g, g+b, g+2b, c is -k1 and d2 is
+    k1 k2, the numerator over 2! of the second-order coefficient; a
+    constant other than +/-1 raises StructureConstantError. Root strings in
+    A, B and D have at most three roots, so no tail is longer; only type B's
+    short betas have twos, and there d2 is -1.
+
+    The action updates one vector in place, twos first, and the order is
+    exact: an entry reads g+b and perhaps g+2b, and a position is written
+    only when it has a tail of its own. A two-term entry's p has a one-term
+    tail and its q none, so twos read nothing that twos write, and a
+    one-term entry's p has no tail, so it reads nothing any entry writes.
+    Within twos, plus and minus, entries are in gamma order.
     """
-    chains = []
-    for brackets in structure_table(kind, n).by_index:
-        twos, ones, reads = [], [], 0
+    table = structure_table(kind, n)
+    roots = table.system.roots
+    reads, plans = {}, {}
+    for beta, brackets in zip(roots, table.by_index):
+        twos, plus, minus, mask = [], [], [], 0
         for g in sorted(brackets):
             k1, p = brackets[g]
+            if k1 not in (1, -1):
+                raise StructureConstantError(
+                    f"[e_{beta}, e_{roots[g]}] has structure constant {k1}, not +/-1")
             hit = brackets.get(p)
             if hit is None:
-                ones.append((g, p, -k1))
-                reads |= 1 << p
+                (minus if k1 == 1 else plus).append((g, 1 << g, p))
+                mask |= 1 << p
             else:
-                k2, q = hit
-                twos.append((g, p, -k1, q, k1 * k2))
-                reads |= 1 << p | 1 << q
-        chains.append((tuple(twos), tuple(ones), reads))
-    return tuple(chains)
+                k2, q = hit  # p is a key of brackets too, so its k2 is checked there
+                twos.append((g, 1 << g, p, -k1, q, k1 * k2))
+                mask |= 1 << p | 1 << q
+        reads[beta] = mask
+        plans[beta] = (tuple(twos), tuple(plus), tuple(minus))
+    return reads, plans
 
 
 _HALF = Fraction(1, 2)
@@ -246,15 +294,16 @@ def _act(system: RootSystem, letters, vec, den: int):
     """Apply the letters (beta, t), last first, to the values vec / den; return (vec, den).
 
     vec is indexed by canonical position and den is a positive int. The loop
-    only adds, multiplies and tests for zero, so parameters and entries may
-    be ints, Fractions or Polynomials; an orbit chart runs it with its
-    letters' parameters as variables, and a group word passes its integral
-    parameters as ints (see ``GroupWord``), so an int vector stays in ints.
-    A second-order term y (d2 / 2) t^2 (type B only) takes z = y d2 t^2 and
-    adds z >> 1 when z is an even int. When z is an odd int, the half is
-    real: the whole vector and den are doubled and z is added as it is.
-    Any other z (a Fraction or a Polynomial) adds z * 1/2, so a Polynomial
-    vector stays over 1.
+    only adds, subtracts, multiplies and tests for zero, so parameters and
+    entries may be ints, Fractions or Polynomials; an orbit chart runs it
+    with its letters' parameters as variables, and a group word passes its
+    integral parameters as ints (see ``GroupWord``), so an int vector stays
+    in ints. A one-term entry costs one multiply, x t, added or subtracted
+    as its plan's sign group says. A second-order term y (d2 / 2) t^2
+    (type B only) takes z = y d2 t^2 and adds z >> 1 when z is an even int.
+    When z is an odd int, the half is real: the whole vector and den are
+    doubled and z is added as it is. Any other z (a Fraction or a
+    Polynomial) adds z * 1/2, so a Polynomial vector stays over 1.
 
     Every letter is validated, but the bitmask live of vec's nonzero
     positions skips, before its parameter is read, each letter whose plan
@@ -264,29 +313,28 @@ def _act(system: RootSystem, letters, vec, den: int):
     that moves vec updates a copy of it in place, in its plan's order; vec
     itself comes back, unchanged, when no letter moves it.
     """
-    index = system._index
-    chains = _ad_chains(system.kind, system.n)
+    reads, plans = _ad_chains(system.kind, system.n)
     live = 0
     for k, v in enumerate(vec):
         if v:
             live |= 1 << k
     start = vec
     for beta, t in reversed(letters):
-        b = index.get(beta)
-        if b is None:
+        mask = reads.get(beta)
+        if mask is None:
             system.index_of(beta)  # raises InvalidRootError
-        twos, ones, reads = chains[b]
-        if not reads & live or not t:
+        if not mask & live or not t:
             continue
         if vec is start:
             vec = list(vec)
+        twos, plus, minus = plans[beta]
         if twos:
             tt = t * t
-            for g, p, c, q, d2 in twos:
+            for g, bit, p, c, q, d2 in twos:
                 x, y = vec[p], vec[q]
                 if x:
                     vec[g] += x * c * t
-                    live |= 1 << g
+                    live |= bit
                 if y:
                     z = y * d2 * tt
                     if type(z) is not int:
@@ -297,12 +345,17 @@ def _act(system: RootSystem, letters, vec, den: int):
                         vec[g] += z
                     else:
                         vec[g] += z >> 1
-                    live |= 1 << g
-        for g, p, c in ones:
+                    live |= bit
+        for g, bit, p in plus:
             x = vec[p]
             if x:
-                vec[g] += x * c * t
-                live |= 1 << g
+                vec[g] += x * t
+                live |= bit
+        for g, bit, p in minus:
+            x = vec[p]
+            if x:
+                vec[g] -= x * t
+                live |= bit
     return vec, den
 
 

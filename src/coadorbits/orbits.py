@@ -17,8 +17,9 @@ its constraint, so the sign of the quadratic tail in the sum-root charts
 only on (kind, n, alpha), so one cache entry per root holds them, derived
 once, in their membership form: the read-only constraints that every chart
 of the root shares, the positions whose constraint is zero, where f must
-vanish, and (position, polynomial) for each other constraint. A chart adds
-its scalar c, and f lies in the level-c chart iff (1/c) f satisfies the
+vanish, and (position, polynomial) for each other constraint. orbit_chart
+reads that entry once and builds the chart with its form in hand. A chart
+adds its scalar c, and f lies in the level-c chart iff (1/c) f satisfies the
 level-1 equations. That is the one membership test; construct_group_word
 asks it of the level-1 chart, as its word carries e*_alpha to f exactly when
 the chart contains f. It runs over the integers: (1/c) f is H / e, with H
@@ -159,7 +160,9 @@ class OrbitChart:
     the positions of the singular roots) as a read-only mapping: orbit_chart
     hands every chart of a root the one cached mapping, and a mapping that is
     not read-only is copied into one. ``c`` is the scalar. Membership at
-    level c is tested by feeding (1/c) f to the level-1 equations.
+    level c is tested by feeding (1/c) f to the level-1 equations, in the
+    chart's membership form ``_form``: orbit_chart hands each chart the
+    cached form with the cached mapping, and any other chart reads its own.
     """
 
     system: RootSystem
@@ -182,9 +185,10 @@ class OrbitChart:
     def _form(self) -> tuple:
         """The cached form when the constraints are the cached ones, else one read here.
 
-        Read on first use, so a constraint on a foreign root raises
-        InvalidRootError from contains and chart_point; a chart made by
-        dataclasses.replace is a new chart and reads its own.
+        A chart from orbit_chart holds its form from the start, so this runs
+        only for charts built otherwise, such as by dataclasses.replace: on
+        first use, so a constraint on a foreign root raises InvalidRootError
+        from contains and chart_point.
         """
         system = self.system
         form = _level_one(system.kind, system.n, self.alpha)
@@ -245,8 +249,10 @@ def orbit_chart(
     c = _frac(c)
     if c == 0:
         raise ZeroScalarError("orbit charts need a nonzero scalar")
-    return OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha],
-                      _level_one(system.kind, n, alpha)[0])
+    form = _level_one(system.kind, n, alpha)
+    chart = OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], form[0])
+    chart.__dict__["_form"] = form  # born with its form: _form is never read for it
+    return chart
 
 
 def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], int]:

@@ -87,6 +87,9 @@ class Polynomial:
             other = Polynomial.const(other)
         return self + (-other)
 
+    def __rsub__(self, other: "Fraction | int") -> "Polynomial":
+        return -self + other
+
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
         if not isinstance(other, Polynomial):
             # Fraction * int is a Fraction, so an int scalar (not a bool) needs no

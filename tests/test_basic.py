@@ -24,6 +24,7 @@ from coadorbits.basic import (
     basic_point,
     basic_subset,
     chains_in,
+    count_basic_subsets,
     decompose,
     derived_set,
     enumerate_basic_subsets,
@@ -33,6 +34,7 @@ from coadorbits.basic import (
     max_dimension,
     max_singular_witness,
     max_weyl_index,
+    nth_basic_subset,
     s_of,
     witness_basic_subsets,
 )
@@ -293,6 +295,23 @@ def _reference_enumerate_basic_subsets(n: int):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumeration_keeps_the_reference_order(n):
     assert list(enumerate_basic_subsets(n)) == list(_reference_enumerate_basic_subsets(n))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_nth_basic_subset_is_the_nth_enumerated(n):
+    listed = list(enumerate_basic_subsets(n))
+    assert [nth_basic_subset(n, k) for k in range(len(listed))] == listed
+    # Each holds the system's own root objects, as the enumeration's do.
+    roots = set(map(id, get_system("A", n).roots))
+    assert all(id(r) in roots for k in (0, len(listed) - 1) for r in nth_basic_subset(n, k).roots)
+    for k in (-1, len(listed)):
+        with pytest.raises(IndexError, match=f"index {k} out of range for n={n}"):
+            nth_basic_subset(n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_basic_subsets_are_counted_without_listing_them(n):
+    assert count_basic_subsets(n) == bell(n)
 
 
 # ---------------------------------------------------------------------------

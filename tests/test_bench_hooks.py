@@ -12,11 +12,14 @@ round-trip verdict and the orbit-rank certificate in workloads.py. So is
 what it reads of singular data: the round-trip assignments and the orbit-rank
 highest root in workloads.py, of a radical basis: the orbit-rank
 certificate in workloads.py, and of a chart: the term counter in tracing.py
-and the chart and round-trip checks in workloads.py.
+and the chart and round-trip checks in workloads.py. Last, perfbench/smoke.py
+runs in a subprocess, so the hooks are exercised as a benchmark run uses them.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,3 +160,14 @@ def test_chart_reads_of_perfbench(kind, n):
         assert orbits.contains(state["chart"], functionals.e_star(system, alpha)) is False
         assignment = {root: Fraction(1) for root in chart.data.singular}
         assert orbits.contains(state["chart"], orbits.chart_point(chart, assignment)) is True
+
+
+def test_the_benchmark_smoke_test_passes():
+    # The benchmark at tiny scale, traced and untraced, as its users run it:
+    # a package change that breaks a traced run, a wrapped layer or a
+    # cache's cache_info() fails here. It writes only under
+    # perfbench/results/smoke, which git ignores.
+    done = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")],
+                          capture_output=True, text=True, timeout=300, cwd=PERFBENCH.parent)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert "smoke: FAILED" not in done.stdout and "smoke: ok:" in done.stdout

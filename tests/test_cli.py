@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from coadorbits.cli import MAX_N, build_parser, main
-from coadorbits.functionals import OddRankError
+from coadorbits.functionals import OddRankError, StructureConstantError
 from coadorbits.orbits import PairSignError
 from coadorbits.roots import BracketDecompositionError
 
@@ -409,7 +409,8 @@ def test_internal_consistency_error_exit_code_two(capsys, monkeypatch, error):
     assert err == f"coadorbits: error: {error.__name__}: forced\n"
 
 
-@pytest.mark.parametrize("error", [BracketDecompositionError, OddRankError, PairSignError])
+@pytest.mark.parametrize("error", [BracketDecompositionError, OddRankError, PairSignError,
+                                   StructureConstantError])
 def test_internal_error_under_dim_exit_code_two(capsys, monkeypatch, error):
     import coadorbits.cli as cli_mod
 

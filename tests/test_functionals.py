@@ -19,8 +19,10 @@ from coadorbits.basic import basic_map, basic_point, basic_subset, enumerate_bas
 from coadorbits.functionals import (
     Functional,
     GroupWord,
+    StructureConstantError,
     _act,
     _ad_chains,
+    _from_vector,
     _skew_rows,
     coadjoint_apply,
     coadjoint_apply_one,
@@ -254,47 +256,84 @@ def _reference_ad_chains(kind, n):
 
 
 def _plan_tails(plan):
-    """A letter's plan (twos, ones, reads) as [(g, ((target, m, coef), ...)), ...], in plan order.
+    """A letter's plan (twos, plus, minus) as three lists [(g, ((target, m, coef), ...)), ...].
 
-    A two-term tail stores its second-order coefficient as a numerator over 2.
+    A two-term tail stores its second-order coefficient as a numerator over
+    2; a one-term tail's coefficient is its sign group's, +1 or -1.
     """
-    twos, ones, _ = plan
-    return ([(g, ((p, 1, c), (q, 2, Q(d2, 2)))) for g, p, c, q, d2 in twos]
-            + [(g, ((p, 1, c),)) for g, p, c in ones])
+    twos, plus, minus = plan
+    return ([(g, ((p, 1, c), (q, 2, Q(d2, 2)))) for g, _, p, c, q, d2 in twos],
+            [(g, ((p, 1, 1),)) for g, _, p in plus],
+            [(g, ((p, 1, -1),)) for g, _, p in minus])
+
+
+def _plan_groups(tail):
+    """Where the reference tail falls in a plan: two-term first, then +1, then -1 one-term."""
+    return (0,) if len(tail) == 2 else (1, -tail[0][2])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_ad_chains_equal_root_pair_reference(kind):
     for n in range(2, 9):
-        chains = _ad_chains(kind, n)
+        reads, plans = _ad_chains(kind, n)
         reference = _reference_ad_chains(kind, n)
-        assert len(chains) == len(reference)
-        # The same tails, grouped longest first, in gamma order within a group,
-        # and a reads mask with the bit of every position a tail reads.
-        for plan, moved in zip(chains, reference):
-            assert _plan_tails(plan) == sorted(moved, key=lambda item: -len(item[1]))
-            assert plan[2] == sum({1 << target for _, tail in moved for target, _, _ in tail})
-        # Every plan entry is an int. Only type B's short roots have
-        # second-order tails, and each stores the reference's -1/2 as the
-        # numerator -1 over 2.
         roots = get_system(kind, n).roots
-        for b, (twos, ones, _) in enumerate(chains):
-            assert all(type(x) is int for entry in twos + ones for x in entry)
+        assert list(reads) == list(plans) == list(roots)
+        # The same tails, two-term first, then one-term by sign, in gamma
+        # order within a group, and a reads mask with the bit of every
+        # position a tail reads.
+        for beta, moved in zip(roots, reference):
+            twos, plus, minus = _plan_tails(plans[beta])
+            assert twos + plus + minus == sorted(moved, key=lambda item: _plan_groups(item[1]))
+            assert reads[beta] == sum({1 << target for _, tail in moved for target, _, _ in tail})
+        # Every plan entry is an int and carries its gamma's bit. Only type
+        # B's short roots have second-order tails, and each stores the
+        # reference's -1/2 as the numerator -1 over 2.
+        for beta, (twos, plus, minus) in plans.items():
+            assert all(type(x) is int for entry in twos + plus + minus for x in entry)
+            assert all(entry[1] == 1 << entry[0] for entry in twos + plus + minus)
             if twos:
-                assert kind is RootSystemKind.B and roots[b].tag == SHORT
-            for g, p, c, q, d2 in twos:
+                assert kind is RootSystemKind.B and beta.tag == SHORT
+            for g, bit, p, c, q, d2 in twos:
                 assert d2 == -1 and Q(d2, 2) == Q(-1, 2)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_ad_chain_plans_read_no_gamma_they_have_updated(kind):
-    """In-place updates are exact: no gamma is read by a gamma listed after it in its plan."""
+    """In-place updates are exact, and the sign groups may run in any order.
+
+    No gamma is read by a gamma listed after it in its plan; no two-term
+    entry reads what a two-term entry writes; no one-term entry reads what
+    any entry of its letter writes.
+    """
     for n in range(2, 9):
-        for plan in _ad_chains(kind, n):
+        for plan in _ad_chains(kind, n)[1].values():
+            twos, plus, minus = _plan_tails(plan)
             written = set()
-            for g, tail in _plan_tails(plan):
+            for g, tail in twos + plus + minus:
                 assert not written & {target for target, _, _ in tail}
                 written.add(g)
+            reads = lambda entries: {target for _, tail in entries for target, _, _ in tail}
+            assert not reads(twos) & {g for g, _ in twos}
+            assert not reads(plus + minus) & written
+
+
+def test_a_structure_constant_other_than_one_raises_when_a_plan_is_built(monkeypatch):
+    # One constant of a B3 table doubled, in a one-term entry and in the
+    # first term of a two-term one; plans read from the edited table raise.
+    table = structure_table(RootSystemKind.B, 3)
+    system = table.system
+    for beta, gamma in ((diff(1, 2), diff(2, 3)), (short(3), diff(2, 3))):
+        b, g = system.index_of(beta), system.index_of(gamma)
+        by_index = [dict(row) for row in table.by_index]
+        k, target = by_index[b][g]
+        by_index[b][g] = (2 * k, target)
+        edited = type("Table", (), {"system": system, "by_index": by_index})
+        monkeypatch.setattr(functionals, "structure_table", lambda kind, n: edited)
+        with pytest.raises(StructureConstantError,
+                           match=re.escape(f"[e_{beta}, e_{gamma}] has structure constant {2 * k}")):
+            _ad_chains.__wrapped__(RootSystemKind.B, 3)
+    assert _ad_chains(RootSystemKind.B, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +465,17 @@ def test_action_equals_reference_on_workload_shaped_inputs():
     odd_halves = fraction_halves = 0
     for n in (2, 3, 4, 5):
         system = get_system("B", n)
-        chains = _ad_chains(system.kind, n)
+        plans = _ad_chains(system.kind, n)[1]
         shorts = [r for r in system.roots if r.tag == SHORT]
         f = functional(system, {r: 2 * (k % 3) + 1 for k, r in enumerate(system.roots)})
         for first, last, middle in itertools.product(shorts, shorts, system.roots):
             word = GroupWord([(last, 3), (middle, Q(-2, 3)), (first, 1)])
             _assert_action_matches_reference(word, f)
             between = _reference_act(system, word.letters[1:], f.values)
-            odd_halves += bool(chains[system.index_of(first)][0])
+            odd_halves += bool(plans[first][0])
             fraction_halves += any(
                 Q(between.get(system.roots[q], 0)).denominator != 1
-                for _, _, _, q, _ in chains[system.index_of(last)][0])
+                for _, _, _, _, q, _ in plans[last][0])
     assert odd_halves and fraction_halves
 
 
@@ -668,6 +707,79 @@ def test_functionals_are_built_in_canonical_form(case, data):
     point = chart_point(chart, {s: data.draw(act_rationals) for s in chart.data.singular})
     assert _is_canonical(point)
     assert _is_canonical(coadjoint_apply(word, point))
+
+
+def _reference_from_vector(system, vec, den):
+    """The lcm-first canonicaliser the gcd-first one replaced: denominators read first."""
+    denominators = [v.denominator for v in vec if type(v) is not int]
+    if denominators:
+        scale = math.lcm(*denominators)
+        vec = [v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+               for v in vec]
+        den *= scale
+    if den != 1:
+        g = math.gcd(den, *vec)
+        if g != 1:
+            den //= g
+            vec = [v // g for v in vec]
+    return Functional(system, den, tuple(vec))
+
+
+def _assert_same_canonical_form(system, vec, den):
+    got = _from_vector(system, list(vec), den)
+    expected = _reference_from_vector(system, list(vec), den)
+    assert (got.den, got.nums) == (expected.den, expected.nums)
+    assert type(got.den) is int and all(type(v) is int for v in got.nums)
+    return got
+
+
+def test_gcd_first_canonicaliser_equals_the_lcm_path():
+    rng = random.Random("gcd-first")
+    system = get_system("B", 4)
+    size = len(system.roots)
+    # All-int vectors, and the same vectors with some entries made
+    # Fractions, integral ones among them; common factors small and large.
+    for _ in range(300):
+        ints = [rng.choice((0, 0, 1, -2, 6, 12, -18, 2**70)) for _ in range(size)]
+        den = rng.choice((1, 2, 6, 9, 2**64))
+        mixed = [v if rng.randrange(3) else Q(v, rng.choice((1, 2, 3, 4))) for v in ints]
+        _assert_same_canonical_form(system, ints, den)
+        _assert_same_canonical_form(system, mixed, den)
+    _assert_same_canonical_form(system, [0] * size, 7)
+    _assert_same_canonical_form(system, [Q(0)] * size, 1)
+    # Type-B words with odd parameters: odd second-order halves double the
+    # vector and den, which the gcd then takes back out where it can.
+    doubled = 0
+    for alpha in system.roots:
+        f = e_star(system, alpha, rng.choice((-3, -1, 1, 3)))
+        vec, den = _act(system, random_word(system, rng, default_word_length(system))._letters,
+                        f.nums, f.den)
+        doubled += den > f.den
+        _assert_same_canonical_form(system, vec, den)
+    assert doubled
+
+
+def test_functional_hands_the_canonicaliser_an_int_vector(monkeypatch):
+    # Integral values as ints, the others as numerators over the lcm of
+    # their denominators, so a functional takes the gcd-first exit.
+    system = get_system("A", 4)
+    values = {diff(1, 2): Q(6, 2), diff(2, 3): "-4", diff(1, 4): Q(1, 2), diff(3, 4): 5,
+              diff(2, 4): Q(-5, 3)}
+    handed = []
+    monkeypatch.setattr(functionals, "_from_vector",
+                        lambda system, vec, den: handed.append((vec, den)) or _from_vector(
+                            system, vec, den))
+    f = functional(system, values)
+    vec, den = handed[0]
+    assert den == 6 and all(type(v) is int for v in vec)
+    assert {root: vec[system.index_of(root)] for root in values} == {
+        diff(1, 2): 18, diff(2, 3): -24, diff(1, 4): 3, diff(3, 4): 30, diff(2, 4): -10}
+    reference = [0] * len(system.roots)
+    for root, v in values.items():
+        reference[system.index_of(root)] = Q(v)
+    assert f == _reference_from_vector(system, reference, 1)
+    assert functional(system, {diff(1, 2): Q(6, 2)}) == functional(system, {diff(1, 2): 3})
+    assert handed[1:] == [([3, 0, 0, 0, 0, 0], 1)] * 2
 
 
 # ---------------------------------------------------------------------------

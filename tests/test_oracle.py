@@ -1,13 +1,14 @@
 """Oracle determinism, sign certification, and suite plumbing."""
 
 import json
+import random
 import re
 
 import pytest
 
 import coadorbits.oracle as oracle
 from coadorbits import cli
-from coadorbits.basic import enumerate_basic_subsets
+from coadorbits.basic import count_basic_subsets, enumerate_basic_subsets, nth_basic_subset
 from coadorbits.functionals import GroupWord, coadjoint_apply, e_star, orbit_dimension
 from coadorbits.oracle import (
     _SUITES,
@@ -295,6 +296,17 @@ def test_explicit_zero_trials_wins_wherever_it_is_read(name, key):
     assert report.trials == (subsets if name == "single-orbit-scan" else 0)
 
 
+def test_decompose_roundtrip_draws_the_subsets_a_list_would():
+    # The same bound and the same index, so the same subset as drawing from
+    # list(enumerate_basic_subsets(n)), and reports stay as they were.
+    for n in range(2, 8):
+        listed = list(enumerate_basic_subsets(n))
+        for t in range(30):
+            stamp = f"{oracle.DEFAULT_SEED}:decompose:{n}:{t}"
+            drawn = nth_basic_subset(n, random.Random(stamp).randrange(count_basic_subsets(n)))
+            assert drawn == listed[random.Random(stamp).randrange(len(listed))]
+
+
 @pytest.mark.parametrize("name", ["chart-soundness", "dimension-formulas"])
 def test_explicit_empty_kinds_wins(name):
     report = run_suite(name, kinds=(), max_n=3)
@@ -304,10 +316,11 @@ def test_explicit_empty_kinds_wins(name):
 @pytest.mark.parametrize("name,bound", [("achievable-dims", MAX_SCAN_N), ("single-orbit-scan", 9),
                                         ("decompose-roundtrip", MAX_SCAN_N)])
 def test_exponential_scans_are_bounded_before_they_start(monkeypatch, name, bound):
-    # decompose-roundtrip lists all Bell(n) basic subsets of each n; it used to
-    # accept max_n up to MAX_N, and about 4 GiB of subsets at n = 13.
+    # decompose-roundtrip once listed all Bell(n) basic subsets of each n and
+    # accepted max_n up to MAX_N; it now counts them, and keeps the bound.
     listed = []
     monkeypatch.setattr(oracle, "enumerate_basic_subsets", lambda n: listed.append(n) or iter(()))
+    monkeypatch.setattr(oracle, "count_basic_subsets", lambda n: listed.append(n) or 0)
     assert _SUITES[name][2] == bound
     with pytest.raises(ValueError, match=f"^max_n must be at most {bound} for {name}, got {bound + 1}$"):
         run_suite(name, max_n=bound + 1)
