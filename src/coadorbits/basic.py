@@ -231,6 +231,7 @@ def _completions(n: int, i: int, used: int) -> int:
 
 def count_basic_subsets(n: int) -> int:
     """Bell(n), the number of basic subsets enumerate_basic_subsets(n) yields."""
+    get_system(RootSystemKind.A, n)
     return _completions(n, 1, 0)
 
 
@@ -238,10 +239,10 @@ def nth_basic_subset(n: int, k: int) -> BasicSubset:
     """list(enumerate_basic_subsets(n))[k] for 0 <= k < Bell(n), without listing the others.
 
     Each row takes the first move whose completions reach past k, and k
-    drops by the completions of the moves it passes. Any other k raises
-    IndexError.
+    drops by the completions of the moves it passes. Any other k, or one
+    that is not an int, raises IndexError.
     """
-    if not 0 <= k < count_basic_subsets(n):
+    if type(k) is not int or not 0 <= k < count_basic_subsets(n):
         raise IndexError(f"basic subset index {_echo(k)} out of range for n={n}")
     roots = get_system(RootSystemKind.A, n).roots
     pos = _positions(n)
@@ -458,6 +459,8 @@ def basic_map_from_json(data: Mapping) -> BasicMap:
         names, raw = data["roots"], object_from_json("phi", data["phi"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed basic map object: {exc}") from None
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"value of 'roots' must be a JSON array of strings, got {_echo(names)}")
     subset = basic_subset(n, [parse_root(s) for s in names])
     return basic_map(subset, root_rationals_from_json(raw))
 

@@ -11,7 +11,7 @@ the serialized counterexample alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable
@@ -39,8 +39,8 @@ from .functionals import (
     orbit_dimension,
     word_to_json,
 )
-from .orbits import (OrbitChart, ZeroScalarError, contains, orbit_chart, singular_set,
-                     singular_size_formula)
+from .orbits import (ZeroScalarError, _membership_form, _satisfies, contains, orbit_chart,
+                     singular_set, singular_size_formula)
 from .polynomials import Polynomial
 from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, diff, get_system,
                     short, sum_root)
@@ -177,26 +177,27 @@ SIGN_RULES: dict[str, Callable[[int, int], int]] = {
 CERTIFIED_SIGN_RULE = "constant-minus"
 
 
-def _paper_chart(kind, n: int, alpha: PositiveRoot, rule: str) -> OrbitChart:
-    """The level-1 chart of a sum root e_i + e_j in the paper's printed form.
+def _paper_form(kind, n: int, alpha: PositiveRoot, rule: str) -> tuple:
+    """The membership form of a sum root e_i + e_j's level-1 chart as the paper prints it.
 
-    The derived chart, with the constraint at each e_r - e_j (i <= r < j)
+    The derived constraints, with the one at each e_r - e_j (i <= r < j)
     replaced by f(e_r + e_j) times the tail under the named sign rule, where
     f(e_i + e_j) is 1.
     """
     sign = SIGN_RULES[rule]
-    chart = orbit_chart(kind, n, alpha, 1)
+    chart = orbit_chart(kind, n, alpha)
+    system = chart.system
     i, j = alpha.i, alpha.j
-    x, pos = Polynomial.var, chart.system.index_of
+    x, pos = Polynomial.var, system.index_of
     tail = Polynomial.zero()
-    if chart.system.kind is RootSystemKind.B:
+    if system.kind is RootSystemKind.B:
         tail = Fraction(-1, 2) * x(pos(short(i))) * x(pos(short(i)))
     for k in range(j + 1, n + 1):
         tail = tail + sign(k, j) * x(pos(diff(i, k))) * x(pos(sum_root(i, k)))
     constraints = dict(chart.constraints)
     for r in range(i, j):
         constraints[diff(r, j)] = (x(pos(sum_root(r, j))) if r > i else 1) * tail
-    return replace(chart, constraints=constraints)
+    return _membership_form(system, constraints)
 
 
 def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED) -> dict[str, str]:
@@ -225,8 +226,8 @@ def resolve_sign_conventions(n_max: int = 4, trials: int = 50, seed=DEFAULT_SEED
                 f"{seed}:signs", kind, range(3, n_max + 1), trials, SUM):
             if key != (n, alpha):
                 key = (n, alpha)
-                charts = {rule: _paper_chart(kind, n, alpha, rule) for rule in survivors}
-            survivors = [rule for rule in survivors if contains(charts[rule], point)]
+                forms = {rule: _paper_form(kind, n, alpha, rule) for rule in survivors}
+            survivors = [rule for rule in survivors if _satisfies(forms[rule], Fraction(1), point)]
         if len(survivors) != 1:
             raise AmbiguousSignConventionError(
                 f"kind {kind.value}: surviving rules {survivors} (need exactly one); "

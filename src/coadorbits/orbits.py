@@ -17,12 +17,13 @@ its constraint, so the sign of the quadratic tail in the sum-root charts
 only on (kind, n, alpha), so one cache entry per root holds them, derived
 once, in their membership form: the read-only constraints that every chart
 of the root shares, the positions whose constraint is zero, where f must
-vanish, and (position, polynomial) for each other constraint. orbit_chart
-reads that entry once and builds the chart with its form in hand. A chart
-adds its scalar c, and f lies in the level-c chart iff (1/c) f satisfies the
-level-1 equations. That is the one membership test; construct_group_word
-asks it of the level-1 chart, as its word carries e*_alpha to f exactly when
-the chart contains f. It runs over the integers: (1/c) f is H / e, with H
+vanish, and (position, polynomial) for each other constraint. A chart is
+(system, alpha, c), checked when built, and reads that entry once then. f
+lies in the level-c chart iff (1/c) f satisfies the level-1 equations. That
+is the one membership test, _satisfies: contains asks it of a chart,
+construct_group_word of the level-1 chart, as its word carries e*_alpha to
+f exactly when the chart contains f, and the oracle of the paper's printed
+sum-root equations. It runs over the integers: (1/c) f is H / e, with H
 f's numerators times c's denominator and e an int, and each nonzero
 constraint is compared by cross-multiplication with its cached integer
 form. A chart variable is its singular root's position; only the renderers
@@ -31,9 +32,9 @@ decode positions back to roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, groupby
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -156,43 +157,34 @@ def singular_size_formula(kind: RootSystemKind | str, n: int, alpha: PositiveRoo
 class OrbitChart:
     """Defining equations of the orbit through c * e*_alpha.
 
-    ``constraints`` holds the level-1 polynomials (one per regular root, in
-    the positions of the singular roots) as a read-only mapping: orbit_chart
-    hands every chart of a root the one cached mapping, and a mapping that is
-    not read-only is copied into one. ``c`` is the scalar. Membership at
-    level c is tested by feeding (1/c) f to the level-1 equations, in the
-    chart's membership form ``_form``: orbit_chart hands each chart the
-    cached form with the cached mapping, and any other chart reads its own.
+    A chart is (system, alpha, c), checked when built: alpha must be a root
+    of the system and c a nonzero rational, held as a Fraction. It then
+    reads alpha's SingularData and the membership form of its level-1
+    chart from their caches, once. ``constraints`` are the level-1
+    polynomials (one per regular root, in the positions of the singular
+    roots), the read-only mapping that every chart of alpha shares; f lies
+    in the chart iff (1/c) f satisfies them.
     """
 
     system: RootSystem
     alpha: PositiveRoot
     c: Fraction
-    data: SingularData
-    constraints: Mapping[PositiveRoot, Polynomial]
+    data: SingularData = field(init=False, compare=False, repr=False)
+    _form: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # The membership form is read from the constraints once per chart, so
-        # they must not change under it.
-        if type(self.constraints) is not MappingProxyType:
-            object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
+        system, alpha = self.system, self.alpha
+        system.check_member(alpha)
+        c = _frac(self.c)
+        if c == 0:
+            raise ZeroScalarError("orbit charts need a nonzero scalar")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "data", _singular_data(system.kind, system.n)[alpha])
+        object.__setattr__(self, "_form", _level_one(system.kind, system.n, alpha))
 
-    def __hash__(self) -> int:
-        # The generated hash would hash the read-only mapping, which is unhashable.
-        return hash((self.alpha, self.c, frozenset(self.constraints.items())))
-
-    @cached_property
-    def _form(self) -> tuple:
-        """The cached form when the constraints are the cached ones, else one read here.
-
-        A chart from orbit_chart holds its form from the start, so this runs
-        only for charts built otherwise, such as by dataclasses.replace: on
-        first use, so a constraint on a foreign root raises InvalidRootError
-        from contains and chart_point.
-        """
-        system = self.system
-        form = _level_one(system.kind, system.n, self.alpha)
-        return form if form[0] is self.constraints else _membership_form(system, self.constraints)
+    @property
+    def constraints(self) -> Mapping[PositiveRoot, Polynomial]:
+        return self._form[0]
 
     def scaled_constraints(self) -> dict[PositiveRoot, Polynomial]:
         """Constraints written for f itself: each coefficient picks up c^(1-deg)."""
@@ -215,8 +207,7 @@ def _membership_form(system: RootSystem, constraints: Mapping[PositiveRoot, Poly
     """The membership form (constraints, zeros, nonzero) of the mapping given.
 
     zeros holds the positions whose constraint is zero, nonzero a (position,
-    polynomial) pair for every other constraint. A root outside the system
-    raises InvalidRootError.
+    polynomial) pair for every other constraint.
     """
     by_position = [(system.index_of(beta), poly) for beta, poly in constraints.items()]
     return (constraints, tuple(k for k, poly in by_position if not poly),
@@ -244,35 +235,31 @@ def orbit_chart(
     kind: RootSystemKind | str, n: int, alpha: PositiveRoot, c: Rational = 1
 ) -> OrbitChart:
     """The defining-equation chart of the orbit through c * e*_alpha."""
-    system = get_system(kind, n)
-    system.check_member(alpha)
-    c = _frac(c)
-    if c == 0:
-        raise ZeroScalarError("orbit charts need a nonzero scalar")
-    form = _level_one(system.kind, n, alpha)
-    chart = OrbitChart(system, alpha, c, _singular_data(system.kind, n)[alpha], form[0])
-    chart.__dict__["_form"] = form  # born with its form: _form is never read for it
-    return chart
+    return OrbitChart(get_system(kind, n), alpha, c)
 
 
-def _integer_vector(chart: OrbitChart, f: Functional) -> tuple[tuple[int, ...], int]:
+def _integer_vector(c: Fraction, f: Functional) -> tuple[tuple[int, ...], int]:
     """(H, e) with (1/c) f = H / e: H is f.nums * c.denominator, e is f.den * c.numerator."""
-    c = chart.c
     h = f.nums if c.denominator == 1 else tuple(v * c.denominator for v in f.nums)
     return h, f.den * c.numerator
 
 
 def contains(chart: OrbitChart, f: Functional) -> bool:
-    """Exact membership of f in the chart's orbit.
+    """Exact membership of f in the chart's orbit."""
+    if f.system is not chart.system and f.system != chart.system:
+        raise ValueError("functional and chart live on different systems")
+    return _satisfies(chart._form, chart.c, f)
+
+
+def _satisfies(form: tuple, c: Fraction, f: Functional) -> bool:
+    """Whether (1/c) f satisfies the equations of a membership form.
 
     f must vanish at every position whose constraint is zero. With
     (1/c) f = H / e and a nonzero constraint P(H / e) = num / den, the test
     h(beta) = P(h) reads H(beta) den = e num, all integers.
     """
-    if f.system is not chart.system and f.system != chart.system:
-        raise ValueError("functional and chart live on different systems")
-    _, zeros, nonzero = chart._form
-    h, e = _integer_vector(chart, f)
+    _, zeros, nonzero = form
+    h, e = _integer_vector(c, f)
     if any(map(h.__getitem__, zeros)):
         return False
     for k, poly in nonzero:
@@ -294,8 +281,8 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         )
     _, _, nonzero = chart._form
     given = functional(chart.system, assignment)
-    h, e = _integer_vector(chart, given)
     c = chart.c
+    h, e = _integer_vector(c, given)
     # Over given.den, as each regular value is written; a zero constraint's
     # position is one the assignment left at 0.
     vec: list = list(given.nums)

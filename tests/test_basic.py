@@ -45,8 +45,8 @@ from coadorbits.functionals import (Functional, coadjoint_apply, e_star, functio
 from coadorbits.linalg import det, rank
 from coadorbits.oracle import MAX_N, default_word_length, random_functional, random_word
 from coadorbits.orbits import chart_point, orbit_chart, singular_set
-from coadorbits.roots import (InvalidRootError, PositiveRoot, RootSystemKind, diff, get_system,
-                              short, sum_root)
+from coadorbits.roots import (InvalidRootError, PositiveRoot, RankRangeError, RootSystemKind, diff,
+                              get_system, short, sum_root)
 
 A4 = get_system("A", 4)
 A6 = get_system("A", 6)
@@ -312,6 +312,20 @@ def test_the_nth_basic_subset_is_the_nth_enumerated(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_basic_subsets_are_counted_without_listing_them(n):
     assert count_basic_subsets(n) == bell(n)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3, 4.0, True])
+def test_counting_basic_subsets_checks_n(n):
+    # n <= 0 used to recurse until RecursionError, and n = 1 counted 1 subset
+    # where enumerate_basic_subsets(1) raised.
+    for call in (lambda: count_basic_subsets(n), lambda: nth_basic_subset(n, 0),
+                 lambda: list(enumerate_basic_subsets(n))):
+        with pytest.raises(RankRangeError):
+            call()
+    # An index that is not an int, such as True, used to be read as 1.
+    for k in (True, False, 1.0, "1"):
+        with pytest.raises(IndexError, match=f"index {re.escape(repr(k))} out of range for n=4"):
+            nth_basic_subset(4, k)
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +870,15 @@ def test_basic_map_json_rejects_non_integer_n(value):
 def test_basic_map_json_phi_must_be_an_object(phi):
     payload = {"n": 5, "roots": ["e1-e3"], "phi": phi}
     with pytest.raises(ValueError, match="'phi' must be a JSON object"):
+        basic_map_from_json(payload)
+
+
+@pytest.mark.parametrize("roots", [5, [1], "e1-e2", {"e1-e2": 1}, ["e1-e2", None]])
+def test_basic_map_json_roots_must_be_an_array_of_strings(roots):
+    # 5 used to raise TypeError, [1] AttributeError, "e1-e2" was read one
+    # character at a time, and an object was read by its keys.
+    payload = {"n": 5, "roots": roots, "phi": {"e1-e2": "2"}}
+    with pytest.raises(ValueError, match="^value of 'roots' must be a JSON array of strings, got"):
         basic_map_from_json(payload)
 
 

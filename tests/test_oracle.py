@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -123,7 +124,7 @@ _TOO_LARGE = [pytest.param(MAX_N + 1, str(MAX_N + 1), id="bound+1"),
 def test_resolve_sign_conventions_is_bounded_before_it_starts(monkeypatch, n_max, shown):
     built = []
     monkeypatch.setattr(oracle, "_orbit_points", lambda *a, **k: built.append(a) or iter(()))
-    monkeypatch.setattr(oracle, "_paper_chart", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(oracle, "_paper_form", lambda *a, **k: built.append(a))
     message = f"^certification needs 3 <= n_max <= {MAX_N}, got {shown}$"
     with pytest.raises(ValueError, match=message):
         resolve_sign_conventions(n_max=n_max)
@@ -193,18 +194,18 @@ def test_reports_are_reproducible_byte_for_byte():
 
 
 def test_report_records_failures_with_replay_data():
-    # force a failure by checking a wrong-sign chart against sampled points
-    from coadorbits.orbits import contains
+    # force a failure by checking wrong-sign equations against sampled points
+    from coadorbits.orbits import _satisfies
     from coadorbits.functionals import functional_to_json
-    from coadorbits.oracle import _paper_chart
+    from coadorbits.oracle import _paper_form
 
     alpha = sum_root(1, 2)
-    bad_chart = _paper_chart("B", 4, alpha, "alternating")
+    bad_form = _paper_form("B", 4, alpha, "alternating")
     failures = []
     for t in range(10):
         stamp = f"replay:{t}"
         point, word = random_orbit_point("B", 4, alpha, 1, seed=stamp)
-        if not contains(bad_chart, point):
+        if not _satisfies(bad_form, Fraction(1), point):
             failures.append({"seed": stamp, "functional": functional_to_json(point)})
     assert failures, "the rejected sign rule must fail on sampled points"
     replayed, _ = random_orbit_point("B", 4, alpha, 1, seed=failures[0]["seed"])

@@ -11,17 +11,21 @@ import pytest
 
 from coadorbits.functionals import (GroupWord, _act, _from_vector, coadjoint_apply, e_star,
                                     functional, orbit_dimension, zero_functional)
-from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_chart, random_functional,
+from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_form, random_functional,
                                random_orbit_point)
 from coadorbits.orbits import (
+    _STYLES,
     ChartVariableError,
     NotInOrbitError,
+    OrbitChart,
     PairSignError,
     SingularData,
     ZeroScalarError,
     _ZERO,
     _level_one,
     _membership_form,
+    _render,
+    _satisfies,
     _singular_data,
     _word_letters,
     chart_lines,
@@ -332,14 +336,14 @@ def test_certified_sign_rule_is_constant_minus():
     good = orbit_chart("B", 4, sum_root(1, 2), 1)
     assert contains(good, f)
     for rule in ("alternating", "alternating-offset"):
-        bad = _paper_chart("B", 4, sum_root(1, 2), rule)
-        assert not contains(bad, f)
+        bad = _paper_form("B", 4, sum_root(1, 2), rule)
+        assert not _satisfies(bad, Q(1), f)
 
 
 def test_alternating_rule_disagrees_at_n4():
-    printed = _paper_chart("B", 4, sum_root(1, 2), "alternating")
+    printed, _, _ = _paper_form("B", 4, sum_root(1, 2), "alternating")
     certified = orbit_chart("B", 4, sum_root(1, 2), 1)
-    assert printed.constraints != certified.constraints
+    assert printed != certified.constraints
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +475,7 @@ def test_paper_chart_equals_reference_under_every_rule(kind, n):
         if alpha.tag != SUM:
             continue
         for rule in SIGN_RULES:
-            got = _paper_chart(kind, n, alpha, rule).constraints
+            got, _, _ = _paper_form(kind, n, alpha, rule)
             assert got == _reference_chart(kind, n, alpha, rule), (alpha, rule)
 
 
@@ -559,13 +563,13 @@ def test_scaling_relation(c):
 # Integer membership against the Fraction reference
 # ---------------------------------------------------------------------------
 
-def _reference_contains(chart, f):
+def _reference_contains(constraints, c, f):
     """Membership as the Fraction loop tested it: (1/c) f against each level-1 constraint."""
-    index_of = chart.system.index_of
-    h = [Q(0)] * len(chart.system.roots)
+    index_of = f.system.index_of
+    h = [Q(0)] * len(f.system.roots)
     for root, v in f.values.items():
-        h[index_of(root)] = v / chart.c
-    for beta, poly in chart.constraints.items():
+        h[index_of(root)] = v / c
+    for beta, poly in constraints.items():
         total = Q(0)
         for mono, coef in poly.terms.items():
             prod = coef
@@ -585,7 +589,14 @@ def _nudged(f, root, by=Q(1, 7)):
 def _agree(chart, f):
     """contains(chart, f), asserted equal to the Fraction reference."""
     verdict = contains(chart, f)
-    assert verdict is _reference_contains(chart, f)
+    assert verdict is _reference_contains(chart.constraints, chart.c, f)
+    return verdict
+
+
+def _agree_form(form, f):
+    """_satisfies(form, 1, f), as sign certification asks it, asserted equal to the reference."""
+    verdict = _satisfies(form, Q(1), f)
+    assert verdict is _reference_contains(form[0], Q(1), f)
     return verdict
 
 
@@ -639,18 +650,17 @@ def test_a_nudge_at_any_regular_coordinate_leaves_the_orbit(kind, n):
                 assert not _agree(chart, _nudged(f, beta))
                 paths.add(bool(chart.constraints[beta]))
     assert paths == ({True} if (kind, n) == (RootSystemKind.A, 2) else {False, True})
-    # The paper's printed charts, one per sign rule, are charts made by replace:
-    # each reads its own form, and agrees with the reference at every nudge.
+    # The paper's printed equations, one form per sign rule, agree with the
+    # reference at every nudge.
     for alpha in system.roots:
         if alpha.tag != SUM:
             continue
         f, _ = random_orbit_point(kind, n, alpha, 1, seed=f"every-rule:{kind.value}:{n}:{alpha}")
         for rule in sorted(SIGN_RULES):
-            chart = _paper_chart(kind, n, alpha, rule)
-            assert chart._form is not _level_one(system.kind, n, alpha)
-            _agree(chart, f)
-            for beta in chart.data.regular:
-                _agree(chart, _nudged(f, beta))
+            form = _paper_form(kind, n, alpha, rule)
+            _agree_form(form, f)
+            for beta in singular_set(kind, n, alpha).regular:
+                _agree_form(form, _nudged(f, beta))
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -661,49 +671,17 @@ def test_contains_honours_replaced_constraints(kind, n):
         if alpha.tag != SUM:
             continue
         for rule in sorted(SIGN_RULES):
-            chart = _paper_chart(kind, n, alpha, rule)
+            form = _paper_form(kind, n, alpha, rule)
             for t in range(4):
                 f, _ = random_orbit_point(kind, n, alpha, 1, seed=f"rules:{kind}:{n}:{alpha}:{t}")
-                _agree(chart, f)
-                _agree(chart, _nudged(f, diff(alpha.i, n)))
+                _agree_form(form, f)
+                _agree_form(form, _nudged(f, diff(alpha.i, n)))
 
 
 def test_replaced_constraint_rejects_what_the_derived_chart_accepts():
     f, _ = random_orbit_point("B", 4, sum_root(1, 2), 1, seed="signs-separate")
     assert _agree(orbit_chart("B", 4, sum_root(1, 2), 1), f)
-    assert not _agree(_paper_chart("B", 4, sum_root(1, 2), "alternating"), f)
-    # A chart replaced after its integer forms were used is read afresh.
-    derived = orbit_chart("B", 4, sum_root(1, 2), 1)
-    contains(derived, f)
-    swapped = replace(derived, constraints=_paper_chart("B", 4, sum_root(1, 2),
-                                                        "alternating").constraints)
-    assert not _agree(swapped, f)
-
-
-def test_a_constraint_on_a_foreign_root_raises_a_typed_error():
-    chart = orbit_chart("A", 4, diff(1, 4), 1)
-    edited = replace(chart, constraints=chart.constraints | {diff(1, 6): Polynomial.const(1)})
-    with pytest.raises(InvalidRootError):
-        contains(edited, e_star(chart.system, diff(1, 4)))
-    with pytest.raises(InvalidRootError):
-        chart_point(edited, {root: 0 for root in chart.data.singular})
-
-
-@pytest.mark.parametrize("c", DIFFERENTIAL_SCALARS)
-def test_contains_honours_a_constraint_of_mixed_degree(c):
-    # Derived charts are homogeneous; a replaced constraint need not be.
-    chart = orbit_chart("A", 4, diff(1, 4), c)
-    system = chart.system
-    s, t = var(system, diff(1, 2)), var(system, diff(2, 4))
-    mixed = s * s * t * Q(2, 3) - s + Q(5, 7)
-    chart = replace(chart, constraints=chart.constraints | {diff(2, 3): mixed})
-    for a, b in ((Q(1), Q(-2)), (Q(3, 5), Q(7, 11)), (Q(-2**64, 3), Q(1, 2**64))):
-        assignment = {root: 0 for root in chart.data.singular} | {diff(1, 2): a, diff(2, 4): b}
-        point = chart_point(chart, assignment)
-        ha, hb = a / c, b / c
-        assert point.value(diff(2, 3)) == c * (ha * ha * hb * Q(2, 3) - ha + Q(5, 7))
-        assert _agree(chart, point)
-        assert not _agree(chart, _nudged(point, diff(2, 3)))
+    assert not _agree_form(_paper_form("B", 4, sum_root(1, 2), "alternating"), f)
 
 
 def test_chart_point_equals_fraction_reference():
@@ -754,45 +732,43 @@ def test_a_chart_is_built_with_the_cached_form_and_a_replaced_one_reads_its_own(
     cached = _level_one(RootSystemKind.B, 4, alpha)
     chart = orbit_chart("B", 4, alpha, Q(-3, 5))
     assert vars(chart)["_form"] is cached
-    # A replaced chart holds no form until its first use, and then reads its
-    # own: afresh for new constraints, the cached form for the cached ones.
-    swapped = replace(chart, constraints=_paper_chart("B", 4, alpha, "alternating").constraints)
+    assert chart.data is _singular_data(RootSystemKind.B, 4)[alpha]
+    # A chart made by replace is built, and so checked and given its form, anew.
     rescaled = replace(chart, c=Q(2))
-    assert "_form" not in vars(swapped) and "_form" not in vars(rescaled)
-    assert swapped._form is not cached and swapped._form[0] is swapped.constraints
-    assert swapped._form == _membership_form(chart.system, swapped.constraints)
-    assert rescaled._form is cached
+    assert vars(rescaled)["_form"] is cached and rescaled == orbit_chart("B", 4, alpha, 2)
 
 
-def test_editing_a_chart_leaves_the_cache_alone():
-    alpha = sum_root(1, 2)
-    f, _ = random_orbit_point("B", 4, alpha, 2, seed="cache-isolation")
-    bad = _nudged(f, diff(3, 4))
-    pristine = orbit_chart("B", 4, alpha, 2)
-    expected_json = chart_to_json(pristine)
-    expected = dict(pristine.constraints)
-    assert contains(pristine, f)  # the cached form is in use before the edits
-    with pytest.raises(TypeError):
-        pristine.constraints[diff(1, 2)] = Polynomial.const(5)
-    kept = {beta: poly for beta, poly in pristine.constraints.items() if beta != diff(3, 4)}
-    edited = replace(pristine, constraints=kept | {diff(1, 2): Polynomial.const(5),
-                                                   alpha: Polynomial.zero()})
-    assert not contains(edited, f)
-    # The edits are honoured one by one: the dropped constraint frees its root,
-    # and the zero at alpha rejects f, where f(alpha) = c, but not f moved to 0 there.
-    loosened = replace(pristine, constraints=kept)
-    assert contains(loosened, bad) and not contains(pristine, bad)
-    zeroed = replace(pristine, constraints=pristine.constraints | {alpha: Polynomial.zero()})
-    assert not _agree(zeroed, f)
-    assert _agree(zeroed, functional(f.system, f.values | {alpha: 0}))
-    # A replaced chart's constraints are read-only too.
-    with pytest.raises(TypeError):
-        edited.constraints[diff(1, 2)] = Polynomial.const(1)
-    fresh = orbit_chart("B", 4, alpha, 2)
-    assert fresh.constraints is _level_one(RootSystemKind.B, 4, alpha)[0]
-    assert fresh.constraints == expected
-    assert chart_to_json(fresh) == expected_json
-    assert contains(fresh, f) and not contains(fresh, bad)
+def test_a_chart_checks_its_root_when_built():
+    system = get_system("A", 4)
+    with pytest.raises(InvalidRootError):
+        OrbitChart(system, diff(1, 9), 1)
+    with pytest.raises(InvalidRootError):
+        replace(orbit_chart("A", 4, diff(1, 4)), alpha=sum_root(1, 2))
+
+
+@pytest.mark.parametrize("c", [0, Q(0), "0", "-0/3"])
+def test_a_chart_made_by_replace_rejects_a_zero_scalar(c):
+    # replace(chart, c=0) used to build a chart that contained e*_{e1-e3},
+    # on which chart_point raised a bare ZeroDivisionError.
+    chart = orbit_chart("A", 4, diff(1, 4))
+    with pytest.raises(ZeroScalarError):
+        replace(chart, c=c)
+    with pytest.raises(ZeroScalarError):
+        OrbitChart(chart.system, diff(1, 4), c)
+
+
+@pytest.mark.parametrize("c", [2, "2", -3, "-3/5"])
+def test_a_chart_made_by_replace_holds_its_scalar_as_a_fraction(c):
+    # replace(chart, c=2) used to keep the int 2, and scaled_constraints then
+    # computed 2 ** -1, the float 0.5, so rendering raised ValueError.
+    for kind, n, alpha in (("A", 4, diff(1, 4)), ("B", 4, sum_root(1, 2)),
+                           ("D", 5, sum_root(1, 3))):
+        made = replace(orbit_chart(kind, n, alpha), c=c)
+        direct = orbit_chart(kind, n, alpha, c)
+        assert type(made.c) is Q and made == direct
+        for fmt in ("text", "latex"):
+            assert chart_lines(made, fmt) == chart_lines(direct, fmt)
+        assert chart_to_json(made) == chart_to_json(direct)
 
 
 def test_chart_polynomials_are_read_only():
@@ -843,9 +819,8 @@ def test_charts_of_one_root_are_equal_and_hash_equal(kind, n, alpha):
     first, second = orbit_chart(kind, n, alpha, Q(-3, 5)), orbit_chart(kind, n, alpha, Q(-3, 5))
     assert first == second and hash(first) == hash(second)
     assert len({first, second, orbit_chart(kind, n, alpha, 2)}) == 2
-    # A chart whose constraints are an equal copy is equal and hashes equal.
-    copy = replace(first, constraints=dict(first.constraints))
-    assert copy.constraints is not first.constraints
+    # A chart made by replace is equal, and hashes equal, when its fields are.
+    copy = replace(first, c="-3/5")
     assert copy == first and hash(copy) == hash(first)
 
 
@@ -1082,10 +1057,8 @@ def test_chart_latex_rendering():
 
 
 def _rendered(poly: Polynomial, fmt: str = "text") -> str:
-    """poly as chart_lines renders it: the constraint of e1-e3, A3's only regular root of e1-e3."""
-    chart = replace(orbit_chart("A", 3, diff(1, 3)), constraints={diff(1, 3): poly})
-    equation, _ = chart_lines(chart, fmt)
-    return equation.split(" = ", 1)[1]
+    """poly as chart_lines renders a constraint of A3."""
+    return _render(poly, get_system("A", 3).roots, _STYLES[fmt])
 
 
 def test_polynomial_text_corner_cases():
