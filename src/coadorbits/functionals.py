@@ -1,39 +1,42 @@
 """Functionals on the nilpotent algebras and the coadjoint action.
 
 A functional f is stored as int numerators by canonical root position over
-one denominator, in lowest terms; its coadjoint translates g.f are computed
-from the terminating exponential series of the nilpotent adjoint action,
-and the orbit through f has exact dimension equal to the rank of the skew
-form (x, y) -> f([x, y]).
+one denominator, in lowest terms, with its support: a bitmask that covers
+every nonzero position, tracked by whatever built f, so no caller rescans
+the numerators for it. Its coadjoint translates g.f are computed from the
+terminating exponential series of the nilpotent adjoint action, and the
+orbit through f has exact dimension equal to the rank of the skew form
+(x, y) -> f([x, y]).
 
 Both the action and the skew form read the bracket table by canonical
 position (``BracketTable.by_index``). The action reads it through cached
 plans keyed by the letter's root (``_ad_chains``): the bitmask of the
 positions the letter's plan reads, and the gammas it moves, two-term tails
 first, then the one-term tails split by their +/-1 structure constant, so
-each costs one multiply. A letter whose mask meets none of the nonzero
-positions moves nothing and costs one lookup; the first letter that moves
-f updates a copy of its numerators in place, over f's denominator, which
-type B's second-order halves double only where a half is real, and f
-itself comes back when no letter moves it. The skew rows are sparse int
-rows over f's numerators, which ``skew_form`` reads back over f's
-denominator; ``orbit_dimension`` counts the pivots of their
+each costs one multiply. The action starts from f's support; a letter whose
+mask meets none of the live positions moves nothing and costs one lookup;
+the first letter that moves f updates a copy of its numerators in place,
+over f's denominator, which type B's second-order halves double only where
+a half is real, and f itself comes back when no letter moves it. The skew
+rows are sparse int rows over f's numerators, which ``skew_form`` reads
+back over f's denominator; ``orbit_dimension`` counts the pivots of their
 integer elimination in ``linalg``, and ``radical_basis`` reads the kernel
 straight off the reduced rows, one Fraction per entry; ``_reduced_form``,
-an ``lru_cache`` of one entry keyed on the system and the numerators,
-keeps the last reduced form, so asking both of one functional back to back
+an ``lru_cache`` of one entry keyed on the system and the numerators, keeps
+the last reduced form, so asking both of one functional back to back
 reduces it once. perfbench's orbit-rank checks ask both; the package's
 callers ask the dimension alone. ``functional`` and the action both write
 their result through ``_from_vector``, the one canonicaliser, which reads
-denominators only when its first gcd meets a Fraction; ``functional``
-hands it ints.
+denominators only when its first gcd meets a Fraction; ``functional`` hands
+it ints. Each hands it the support too: the positions ``functional`` wrote,
+and the action's final live mask.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -44,6 +47,7 @@ from .roots import (
     RootSystem,
     RootSystemKind,
     _echo,
+    _not_a_system,
     get_system,
     parse_root,
     structure_table,
@@ -111,11 +115,22 @@ class Functional:
     zero), and equality of the dataclass is equality of functionals. Build
     instances with ``functional``, ``e_star`` or the action; the constructor
     takes its fields as they are. Instances are immutable and hashable.
+
+    ``support`` is a bitmask that covers every nonzero position: bit k is
+    set wherever nums[k] != 0, and may stay set where a value cancelled to
+    0. It is not part of the value, so equality, hash and repr ignore it.
+    The constructor scans nums for it; ``functional``, ``e_star`` and the
+    action hand ``_functional`` the mask they tracked, and the action
+    starts from it.
     """
 
     system: RootSystem
     den: int
     nums: tuple[int, ...]
+    support: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", _support(self.nums))
 
     @property
     def values(self) -> dict[PositiveRoot, Fraction]:
@@ -130,15 +145,41 @@ class Functional:
     def scaled(self, c: Rational) -> "Functional":
         c = _frac(c)
         return _from_vector(self.system, [v * c.numerator for v in self.nums],
-                            self.den * c.denominator)
+                            self.den * c.denominator, self.support)
 
     def __str__(self) -> str:
         return " + ".join(f"{v}*e*[{r}]" for r, v in self.values.items()) or "0"
 
 
-def _from_vector(system: RootSystem, vec: list, den: int) -> Functional:
+def _support(vec) -> int:
+    """The bitmask of vec's nonzero positions."""
+    live = 0
+    for k, v in enumerate(vec):
+        if v:
+            live |= 1 << k
+    return live
+
+
+# Each field's slot setter, which _functional calls in place of the scanning constructor.
+_set_system, _set_den, _set_nums, _set_support = (
+    Functional.__dict__[name].__set__ for name in ("system", "den", "nums", "support"))
+
+
+def _functional(system: RootSystem, den: int, nums: tuple[int, ...], support: int) -> Functional:
+    """The Functional nums / den, canonical already, with a support that covers nums."""
+    f = object.__new__(Functional)
+    _set_system(f, system)
+    _set_den(f, den)
+    _set_nums(f, nums)
+    _set_support(f, support)
+    return f
+
+
+def _from_vector(system: RootSystem, vec: list, den: int, support: int) -> Functional:
     """vec / den in lowest terms, for int or Fraction entries and a positive int den.
 
+    support must cover vec's nonzero positions; it is stored as it is, since
+    neither scaling by the lcm nor dividing by the gcd moves a zero.
     ``math.gcd`` takes ints only, so on an all-int vector its one call both
     checks the entries and finds the common factor. A Fraction entry makes it
     raise TypeError; only then are the denominators read, their lcm scaled
@@ -155,7 +196,7 @@ def _from_vector(system: RootSystem, vec: list, den: int) -> Functional:
     if g != 1:
         den //= g
         vec = [v // g for v in vec]
-    return Functional(system, den, tuple(vec))
+    return _functional(system, den, tuple(vec), support)
 
 
 def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> Functional:
@@ -164,37 +205,44 @@ def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> F
     Integral values are written as ints and the others as numerators over
     the lcm of their denominators, so ``_from_vector`` gets an int vector
     and takes its gcd-first exit; each value is checked before its root.
+    The support is the positions written.
     """
     index_of = system.index_of
     vec: list = [0] * len(system.roots)
-    fractions = []
+    fractions, support = [], 0
     for root, v in values.items():
+        d = 1
         if type(v) is not int:
             v, d = _frac(v).as_integer_ratio()
-            if d != 1:
-                fractions.append((index_of(root), v, d))
-                continue
-        vec[index_of(root)] = v
+        k = index_of(root)
+        support |= 1 << k
+        if d == 1:
+            vec[k] = v
+        else:
+            fractions.append((k, v, d))
     den = 1
     if fractions:
         den = math.lcm(*[d for _, _, d in fractions])
         vec = [v * den for v in vec]
         for k, v, d in fractions:
             vec[k] = v * (den // d)
-    return _from_vector(system, vec, den)
+    return _from_vector(system, vec, den, support)
 
 
 def zero_functional(system: RootSystem) -> Functional:
-    return Functional(system, 1, (0,) * len(system.roots))
+    return _functional(system, 1, (0,) * len(system.roots), 0)
 
 
 def e_star(system: RootSystem, alpha: PositiveRoot, c: Rational = 1) -> Functional:
-    """The dual basis vector c * e*_alpha."""
-    k = system.index_of(alpha)
+    """The dual basis vector c * e*_alpha, with support alpha's bit."""
+    try:
+        k = system.index_of(alpha)
+    except AttributeError:
+        raise _not_a_system(system) from None
     c = _frac(c)
     nums = [0] * len(system.roots)
     nums[k] = c.numerator
-    return Functional(system, c.denominator, tuple(nums))
+    return _functional(system, c.denominator, tuple(nums), 1 << k)
 
 
 def _word_parameter(t: Rational) -> int | Fraction:
@@ -290,8 +338,8 @@ def _ad_chains(kind: RootSystemKind, n: int):
 _HALF = Fraction(1, 2)
 
 
-def _act(system: RootSystem, letters, vec, den: int):
-    """Apply the letters (beta, t), last first, to the values vec / den; return (vec, den).
+def _act(system: RootSystem, letters, vec, den: int, live: int | None = None):
+    """Apply the letters (beta, t), last first, to vec / den; return (vec, den, live).
 
     vec is indexed by canonical position and den is a positive int. The loop
     only adds, subtracts, multiplies and tests for zero, so parameters and
@@ -305,19 +353,20 @@ def _act(system: RootSystem, letters, vec, den: int):
     doubled and z is added as it is. Any other z (a Fraction or a
     Polynomial) adds z * 1/2, so a Polynomial vector stays over 1.
 
-    Every letter is validated, but the bitmask live of vec's nonzero
-    positions skips, before its parameter is read, each letter whose plan
-    reads none of them (see ``_ad_chains``), and so does a zero parameter.
-    Each write sets its bit; a bit left set when an entry cancels to zero
-    only lets a letter through that then adds nothing. The first letter
-    that moves vec updates a copy of it in place, in its plan's order; vec
-    itself comes back, unchanged, when no letter moves it.
+    Every letter is validated, but the bitmask live, which covers vec's
+    nonzero positions, skips, before its parameter is read, each letter
+    whose plan reads none of them (see ``_ad_chains``), and so does a zero
+    parameter. A functional passes its support as live; without one, as for
+    a chart's Polynomial vector, vec is scanned for it. Each write sets its
+    bit; a bit left set when an entry cancels to zero only lets a letter
+    through that then adds nothing. The live returned covers the result, the
+    support it is stored with. The first letter that moves vec updates a
+    copy of it in place, in its plan's order; vec itself comes back,
+    unchanged, when no letter moves it.
     """
     reads, plans = _ad_chains(system.kind, system.n)
-    live = 0
-    for k, v in enumerate(vec):
-        if v:
-            live |= 1 << k
+    if live is None:
+        live = _support(vec)
     start = vec
     for beta, t in reversed(letters):
         mask = reads.get(beta)
@@ -356,7 +405,7 @@ def _act(system: RootSystem, letters, vec, den: int):
             if x:
                 vec[g] -= x * t
                 live |= bit
-    return vec, den
+    return vec, den, live
 
 
 def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Functional:
@@ -378,8 +427,8 @@ def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:
 
 
 def _act_on(letters, f: Functional) -> Functional:
-    vec, den = _act(f.system, letters, f.nums, f.den)
-    return f if vec is f.nums else _from_vector(f.system, vec, den)
+    vec, den, live = _act(f.system, letters, f.nums, f.den, f.support)
+    return f if vec is f.nums else _from_vector(f.system, vec, den, live)
 
 
 def concat_words(*words: GroupWord) -> GroupWord:

@@ -17,17 +17,19 @@ its constraint, so the sign of the quadratic tail in the sum-root charts
 only on (kind, n, alpha), so one cache entry per root holds them, derived
 once, in their membership form: the read-only constraints that every chart
 of the root shares, the positions whose constraint is zero, where f must
-vanish, and (position, polynomial) for each other constraint. A chart is
-(system, alpha, c), checked when built, and reads that entry once then. f
-lies in the level-c chart iff (1/c) f satisfies the level-1 equations. That
-is the one membership test, _satisfies: contains asks it of a chart,
-construct_group_word of the level-1 chart, as its word carries e*_alpha to
-f exactly when the chart contains f, and the oracle of the paper's printed
-sum-root equations. It runs over the integers: (1/c) f is H / e, with H
-f's numerators times c's denominator and e an int, and each nonzero
-constraint is compared by cross-multiplication with its cached integer
-form. A chart variable is its singular root's position; only the renderers
-decode positions back to roots.
+vanish, with their bitmask, and (position, polynomial) for each other
+constraint. A chart is (system, alpha, c), checked when built, and reads
+that entry once then. f lies in the level-c chart iff (1/c) f satisfies the
+level-1 equations. That is the one membership test, _satisfies: contains
+asks it of a chart, construct_group_word of the level-1 chart, as its word
+carries e*_alpha to f exactly when the chart contains f, and the oracle of
+the paper's printed sum-root equations. One AND of f's support with the
+bitmask says whether the zero positions need reading at all. The rest
+runs over the integers: (1/c) f is H / e, with H f's numerators times c's
+denominator and e an int, and each nonzero constraint is compared by
+cross-multiplication with its cached integer form. A chart variable is its
+singular root's position; only the renderers decode positions back to
+roots.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .roots import (
     PositiveRoot,
     RootSystem,
     RootSystemKind,
+    _not_a_system,
     get_system,
     structure_table,
 )
@@ -157,13 +160,13 @@ def singular_size_formula(kind: RootSystemKind | str, n: int, alpha: PositiveRoo
 class OrbitChart:
     """Defining equations of the orbit through c * e*_alpha.
 
-    A chart is (system, alpha, c), checked when built: alpha must be a root
-    of the system and c a nonzero rational, held as a Fraction. It then
-    reads alpha's SingularData and the membership form of its level-1
-    chart from their caches, once. ``constraints`` are the level-1
-    polynomials (one per regular root, in the positions of the singular
-    roots), the read-only mapping that every chart of alpha shares; f lies
-    in the chart iff (1/c) f satisfies them.
+    A chart is (system, alpha, c), checked when built: system must be a
+    RootSystem, alpha a root of it and c a nonzero rational, held as a
+    Fraction. It then reads alpha's SingularData and the membership form
+    of its level-1 chart from their caches, once. ``constraints`` are the
+    level-1 polynomials (one per regular root, in the positions of the
+    singular roots), the read-only mapping that every chart of alpha
+    shares; f lies in the chart iff (1/c) f satisfies them.
     """
 
     system: RootSystem
@@ -174,7 +177,10 @@ class OrbitChart:
 
     def __post_init__(self):
         system, alpha = self.system, self.alpha
-        system.check_member(alpha)
+        try:
+            system.check_member(alpha)
+        except AttributeError:
+            raise _not_a_system(system) from None
         c = _frac(self.c)
         if c == 0:
             raise ZeroScalarError("orbit charts need a nonzero scalar")
@@ -204,13 +210,14 @@ _ZERO = Polynomial.zero()
 
 
 def _membership_form(system: RootSystem, constraints: Mapping[PositiveRoot, Polynomial]) -> tuple:
-    """The membership form (constraints, zeros, nonzero) of the mapping given.
+    """The membership form (constraints, zero_mask, zeros, nonzero) of the mapping given.
 
-    zeros holds the positions whose constraint is zero, nonzero a (position,
-    polynomial) pair for every other constraint.
+    zeros holds the positions whose constraint is zero and zero_mask their
+    bits, nonzero a (position, polynomial) pair for every other constraint.
     """
     by_position = [(system.index_of(beta), poly) for beta, poly in constraints.items()]
-    return (constraints, tuple(k for k, poly in by_position if not poly),
+    zeros = tuple(k for k, poly in by_position if not poly)
+    return (constraints, sum(1 << k for k in zeros), zeros,
             tuple((k, poly) for k, poly in by_position if poly))
 
 
@@ -226,7 +233,7 @@ def _level_one(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
     data = _singular_data(kind, n)[alpha]
     letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
     start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
-    moved, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
+    moved, _, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
     return _membership_form(system, MappingProxyType(
         {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular}))
 
@@ -254,14 +261,17 @@ def contains(chart: OrbitChart, f: Functional) -> bool:
 def _satisfies(form: tuple, c: Fraction, f: Functional) -> bool:
     """Whether (1/c) f satisfies the equations of a membership form.
 
-    f must vanish at every position whose constraint is zero. With
-    (1/c) f = H / e and a nonzero constraint P(H / e) = num / den, the test
-    h(beta) = P(h) reads H(beta) den = e num, all integers.
+    f must vanish at every position whose constraint is zero. f's support
+    covers its nonzero positions, so the zero positions are read, in f's
+    numerators, only when the support meets the form's zero_mask; a stale
+    bit costs only the reads. With (1/c) f = H / e and a nonzero constraint
+    P(H / e) = num / den, the test h(beta) = P(h) reads H(beta) den = e num,
+    all integers.
     """
-    _, zeros, nonzero = form
-    h, e = _integer_vector(c, f)
-    if any(map(h.__getitem__, zeros)):
+    _, zero_mask, zeros, nonzero = form
+    if f.support & zero_mask and any(map(f.nums.__getitem__, zeros)):
         return False
+    h, e = _integer_vector(c, f)
     for k, poly in nonzero:
         num, den = poly._integer_ratio(h, e)
         if h[k] * den != e * num:
@@ -279,17 +289,19 @@ def chart_point(chart: OrbitChart, assignment: Mapping[PositiveRoot, Rational]) 
         raise ChartVariableError(
             f"assignment must cover exactly the singular roots; missing={missing}, extra={extra}"
         )
-    _, _, nonzero = chart._form
+    _, _, _, nonzero = chart._form
     given = functional(chart.system, assignment)
     c = chart.c
     h, e = _integer_vector(c, given)
     # Over given.den, as each regular value is written; a zero constraint's
     # position is one the assignment left at 0.
     vec: list = list(given.nums)
+    support = given.support
     for k, poly in nonzero:
         num, den = poly._integer_ratio(h, e)
         vec[k] = Fraction(c.numerator * num * given.den, c.denominator * den)
-    return _from_vector(chart.system, vec, given.den)
+        support |= 1 << k
+    return _from_vector(chart.system, vec, given.den, support)
 
 
 def construct_group_word(

@@ -247,6 +247,12 @@ def _as_kind(kind: RootSystemKind | str) -> RootSystemKind:
         raise InvalidRootError(f"unknown root system kind {kind!r}") from None
 
 
+def _not_a_system(system) -> InvalidRootError:
+    """The error for a system argument that is not a RootSystem, typed as a bad kind is."""
+    return InvalidRootError(f"expected a RootSystem, such as get_system('A', 4), "
+                            f"got {_echo(system)}")
+
+
 @lru_cache(maxsize=None)
 def _system(kind: RootSystemKind, n: int) -> RootSystem:
     roots: list[PositiveRoot] = [

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from fractions import Fraction as Q
 
@@ -23,6 +24,7 @@ from coadorbits.functionals import (
     _act,
     _ad_chains,
     _from_vector,
+    _functional,
     _skew_rows,
     coadjoint_apply,
     coadjoint_apply_one,
@@ -526,8 +528,10 @@ def test_masked_action_equals_reference_on_sparse_starts(case):
     system, start, letters = case
     assert start.den == 1
     # The action reads a word's stored parameters, where an integral one is an int.
-    vec, den = _act(system, GroupWord(letters)._letters, start.nums, start.den)
+    vec, den, live = _act(system, GroupWord(letters)._letters, start.nums, start.den,
+                          start.support)
     assert all(type(v) is int for v in vec)
+    assert _covers(live, vec)
     got = Functional(system, 1, tuple(vec)).scaled(Q(1, den))
     assert got.values == _reference_act(system, letters, start.values)
 
@@ -555,8 +559,8 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     letters = _word_letters(sing, lambda root: Polynomial.var(system.index_of(root)))
     start = [0] * len(system.roots)
     start[system.index_of(alpha)] = Polynomial.const(1)
-    moved, den = _act(system, letters, start, 1)
-    assert den == 1
+    moved, den, live = _act(system, letters, start, 1)
+    assert den == 1 and _covers(live, moved)
     assert ({root: v for root, v in zip(system.roots, moved) if v}
             == _reference_act(system, letters, {alpha: Polynomial.const(1)}))
     c = data.draw(act_rationals.filter(bool))
@@ -628,13 +632,22 @@ def test_foreign_letter_raises_at_either_end(kind, n):
 # One canonical form: ints over one denominator, by canonical position
 # ---------------------------------------------------------------------------
 
+def _covers(support, vec):
+    """Whether the bitmask support has the bit of every nonzero entry of vec."""
+    return all(support >> k & 1 for k, v in enumerate(vec) if v)
+
+
 def _is_canonical(f):
-    """den >= 1, one int numerator per root, gcd(den, *nums) == 1, and den == 1 at zero."""
+    """den >= 1, one int numerator per root, gcd(den, *nums) == 1, and den == 1 at zero.
+
+    And a support that covers the nonzero numerators.
+    """
     return (type(f.den) is int and f.den >= 1
             and type(f.nums) is tuple and len(f.nums) == len(f.system.roots)
             and all(type(v) is int for v in f.nums)
             and math.gcd(f.den, *f.nums) == 1
-            and (any(f.nums) or f.den == 1))
+            and (any(f.nums) or f.den == 1)
+            and _covers(f.support, f.nums))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -647,6 +660,8 @@ def test_e_star_equals_the_general_constructor(kind):
             assert _is_canonical(built)
     with pytest.raises(InvalidRootError):
         e_star(system, diff(1, 6), Q(1, 2))
+    with pytest.raises(InvalidRootError, match="expected a RootSystem"):
+        e_star(kind.value, diff(1, 2))
 
 
 def test_equal_functionals_hash_equal_however_built():
@@ -671,6 +686,73 @@ def test_equal_functionals_hash_equal_however_built():
     other = by_fractions.scaled(2)
     assert other != by_fractions and len({other, *built}) == 2
     assert hash(zero_functional(system)) == hash(by_fractions.scaled(0))
+
+
+def test_functionals_that_differ_only_in_support_are_equal_and_hash_equal():
+    system = get_system("B", 3)
+    f = functional(system, {diff(1, 2): Q(-3, 2), short(3): 4})
+    exact = 1 << system.index_of(diff(1, 2)) | 1 << system.index_of(short(3))
+    assert f.support == exact
+    stale = _functional(system, f.den, f.nums, (1 << len(system.roots)) - 1)
+    assert stale.support != f.support
+    assert stale == f and hash(stale) == hash(f) and repr(stale) == repr(f)
+    assert len({f, stale}) == 1 and str(stale) == str(f)
+    # The public constructor scans the numerators for the support and takes no mask.
+    built = Functional(system, f.den, f.nums)
+    assert built == f and built.support == exact
+    with pytest.raises(TypeError):
+        Functional(system, f.den, f.nums, 0)
+    with pytest.raises(TypeError):
+        Functional(system, f.den, f.nums, support=0)
+    # replace builds anew, so it scans; copies and pickles keep the support given.
+    assert replace(stale, den=f.den).support == exact
+    for other in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale))):
+        assert other == f and other.support == stale.support
+    with pytest.raises(AttributeError):
+        f.support = 0
+
+
+def _inverse(word):
+    """The word w^-1: w's letters in reverse order with negated parameters."""
+    return GroupWord((beta, -t) for beta, t in reversed(word.letters))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_way_of_building_a_functional_stores_a_covering_support(kind):
+    # Workload-shaped words of 2N letters with cancellations: each word and
+    # then its inverse, which brings f back with the bits of cancelled
+    # entries still set; the same roots with non-integral parameters; type
+    # B's odd halves, which double the denominator; and words that read
+    # nothing of f, which return f itself.
+    rng = random.Random(f"support:{kind.value}")
+    stale = doubled = 0
+    for n in (3, 5):
+        system = get_system(kind, n)
+        for alpha in system.roots:
+            a = system.index_of(alpha)
+            f = e_star(system, alpha, rng.choice((1, -3, Q(-3, 5), Q(7, 2))))
+            assert f.support == 1 << a
+            word = random_word(system, rng, default_word_length(system))
+            halves = GroupWord((beta, t + Q(1, 2)) for beta, t in word.letters)
+            built = [f, f.scaled(Q(-2, 3)), f.scaled(0)]
+            for w in (word, halves):
+                moved = coadjoint_apply(w, f)
+                back = coadjoint_apply(_inverse(w), moved)
+                assert back == f and hash(back) == hash(f)
+                stale += back.support != f.support
+                doubled += moved.den > f.den
+                built += [moved, back, coadjoint_apply_one(*w.letters[0], f),
+                          functional(system, moved.values), moved.scaled(Q(5, 7))]
+            blind = GroupWord((beta, Q(1, 3)) for beta in system.roots
+                              if a not in _reads(system, beta))
+            assert coadjoint_apply(blind, f) is f
+            chart = orbit_chart(kind, n, alpha, rng.choice((1, Q(-3, 5))))
+            built.append(chart_point(chart, {s: Q(rng.randint(-3, 3), rng.choice((1, 2)))
+                                             for s in chart.data.singular}))
+            for g in built:
+                assert _covers(g.support, g.nums), g
+    assert stale
+    assert doubled or kind is not RootSystemKind.B
 
 
 def test_editing_values_leaves_the_functional_unchanged():
@@ -725,11 +807,13 @@ def _reference_from_vector(system, vec, den):
     return Functional(system, den, tuple(vec))
 
 
-def _assert_same_canonical_form(system, vec, den):
-    got = _from_vector(system, list(vec), den)
+def _assert_same_canonical_form(system, vec, den, support):
+    got = _from_vector(system, list(vec), den, support)
     expected = _reference_from_vector(system, list(vec), den)
     assert (got.den, got.nums) == (expected.den, expected.nums)
     assert type(got.den) is int and all(type(v) is int for v in got.nums)
+    # The support is stored as it came, and still covers the reduced numerators.
+    assert got.support == support and _covers(support, got.nums)
     return got
 
 
@@ -743,19 +827,21 @@ def test_gcd_first_canonicaliser_equals_the_lcm_path():
         ints = [rng.choice((0, 0, 1, -2, 6, 12, -18, 2**70)) for _ in range(size)]
         den = rng.choice((1, 2, 6, 9, 2**64))
         mixed = [v if rng.randrange(3) else Q(v, rng.choice((1, 2, 3, 4))) for v in ints]
-        _assert_same_canonical_form(system, ints, den)
-        _assert_same_canonical_form(system, mixed, den)
-    _assert_same_canonical_form(system, [0] * size, 7)
-    _assert_same_canonical_form(system, [Q(0)] * size, 1)
+        support = Functional(system, 1, tuple(ints)).support
+        _assert_same_canonical_form(system, ints, den, support)
+        _assert_same_canonical_form(system, mixed, den, support)
+    _assert_same_canonical_form(system, [0] * size, 7, 0)
+    _assert_same_canonical_form(system, [Q(0)] * size, 1, 1)
     # Type-B words with odd parameters: odd second-order halves double the
     # vector and den, which the gcd then takes back out where it can.
     doubled = 0
     for alpha in system.roots:
         f = e_star(system, alpha, rng.choice((-3, -1, 1, 3)))
-        vec, den = _act(system, random_word(system, rng, default_word_length(system))._letters,
-                        f.nums, f.den)
+        vec, den, live = _act(system,
+                              random_word(system, rng, default_word_length(system))._letters,
+                              f.nums, f.den, f.support)
         doubled += den > f.den
-        _assert_same_canonical_form(system, vec, den)
+        _assert_same_canonical_form(system, vec, den, live)
     assert doubled
 
 
@@ -767,8 +853,8 @@ def test_functional_hands_the_canonicaliser_an_int_vector(monkeypatch):
               diff(2, 4): Q(-5, 3)}
     handed = []
     monkeypatch.setattr(functionals, "_from_vector",
-                        lambda system, vec, den: handed.append((vec, den)) or _from_vector(
-                            system, vec, den))
+                        lambda system, vec, den, support: handed.append((vec, den))
+                        or _from_vector(system, vec, den, support))
     f = functional(system, values)
     vec, den = handed[0]
     assert den == 6 and all(type(v) is int for v in vec)

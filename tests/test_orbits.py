@@ -9,10 +9,10 @@ from types import MappingProxyType
 
 import pytest
 
-from coadorbits.functionals import (GroupWord, _act, _from_vector, coadjoint_apply, e_star,
-                                    functional, orbit_dimension, zero_functional)
-from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_form, random_functional,
-                               random_orbit_point)
+from coadorbits.functionals import (GroupWord, _act, _from_vector, _functional, coadjoint_apply,
+                                    e_star, functional, orbit_dimension, zero_functional)
+from coadorbits.oracle import (CERTIFIED_SIGN_RULE, SIGN_RULES, _paper_form, default_word_length,
+                               random_functional, random_orbit_point, random_word)
 from coadorbits.orbits import (
     _STYLES,
     ChartVariableError,
@@ -341,7 +341,7 @@ def test_certified_sign_rule_is_constant_minus():
 
 
 def test_alternating_rule_disagrees_at_n4():
-    printed, _, _ = _paper_form("B", 4, sum_root(1, 2), "alternating")
+    printed = _paper_form("B", 4, sum_root(1, 2), "alternating")[0]
     certified = orbit_chart("B", 4, sum_root(1, 2), 1)
     assert printed != certified.constraints
 
@@ -460,7 +460,7 @@ def test_derived_chart_equals_reference(kind, n):
         letters = _word_letters(data, lambda root: var(system, root))
         start = [0] * len(system.roots)
         start[system.index_of(alpha)] = Polynomial.const(1)
-        vec, den = _act(system, letters, start, 1)
+        vec, den, _ = _act(system, letters, start, 1)
         moved = dict(zip(system.roots, vec))
         assert den == 1
         assert all(moved[s] == var(system, s) for s in data.singular)
@@ -475,7 +475,7 @@ def test_paper_chart_equals_reference_under_every_rule(kind, n):
         if alpha.tag != SUM:
             continue
         for rule in SIGN_RULES:
-            got, _, _ = _paper_form(kind, n, alpha, rule)
+            got = _paper_form(kind, n, alpha, rule)[0]
             assert got == _reference_chart(kind, n, alpha, rule), (alpha, rule)
 
 
@@ -595,8 +595,10 @@ def _agree(chart, f):
 
 def _agree_form(form, f):
     """_satisfies(form, 1, f), as sign certification asks it, asserted equal to the reference."""
+    constraints, zero_mask, zeros, _ = form
+    assert zero_mask == sum(1 << k for k in zeros)
     verdict = _satisfies(form, Q(1), f)
-    assert verdict is _reference_contains(form[0], Q(1), f)
+    assert verdict is _reference_contains(constraints, Q(1), f)
     return verdict
 
 
@@ -678,6 +680,45 @@ def test_contains_honours_replaced_constraints(kind, n):
                 _agree_form(form, _nudged(f, diff(alpha.i, n)))
 
 
+def _with_stale_bits(f, bits):
+    """f with extra support bits, as entries that cancelled to 0 leave them; equal to f."""
+    return _functional(f.system, f.den, f.nums, f.support | bits)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_a_stale_support_bit_at_a_zero_constraint_keeps_the_reference_verdict(kind, n):
+    # A support bit may stay set where a value cancelled to 0. At a position
+    # whose constraint is zero it makes membership read the zero positions,
+    # which must give the verdict the values give, on the orbit and off it.
+    rng = random.Random(f"stale:{kind.value}:{n}")
+    system = get_system(kind, n)
+    read = 0
+    for alpha in system.roots:
+        for c in (Q(1), Q(-3, 5)):
+            chart = orbit_chart(kind, n, alpha, c)
+            _, zero_mask, zeros, _ = chart._form
+            f, _ = random_orbit_point(kind, n, alpha, c, seed=f"stale:{kind.value}:{n}:{alpha}:{c}")
+            for k in zeros:
+                assert _agree(chart, _with_stale_bits(f, 1 << k))
+            assert _agree(chart, _with_stale_bits(f, zero_mask))
+            for beta in chart.data.regular:
+                assert not _agree(chart, _with_stale_bits(_nudged(f, beta), zero_mask))
+            # Stale bits as the package leaves them: values written as 0 on
+            # the orbit, and off it a word and its inverse, which bring a
+            # point back with the bits of the entries that cancelled.
+            written = functional(system, f.values | {system.roots[k]: 0 for k in zeros})
+            assert written == f and written.support & zero_mask == zero_mask
+            assert _agree(chart, written)
+            off = _nudged(f, rng.choice(chart.data.regular))
+            detour = random_word(system, rng, default_word_length(system))
+            back = coadjoint_apply(GroupWord((b, -t) for b, t in reversed(detour.letters)),
+                                   coadjoint_apply(detour, off))
+            assert back == off and not _agree(chart, back)
+            read += bool(back.support & zero_mask & ~off.support)
+    assert read or n == 2  # at n = 2 every algebra is abelian or 3-dimensional
+
+
 def test_replaced_constraint_rejects_what_the_derived_chart_accepts():
     f, _ = random_orbit_point("B", 4, sum_root(1, 2), 1, seed="signs-separate")
     assert _agree(orbit_chart("B", 4, sum_root(1, 2), 1), f)
@@ -713,7 +754,7 @@ def test_charts_share_the_cached_constraints():
     alpha = sum_root(1, 2)
     first = orbit_chart("B", 4, alpha, 1)
     second = orbit_chart("B", 4, alpha, Q(-3, 5))
-    cached, _, _ = _level_one(RootSystemKind.B, 4, alpha)
+    cached = _level_one(RootSystemKind.B, 4, alpha)[0]
     assert first.constraints is cached and second.constraints is cached
     assert type(cached) is MappingProxyType
     # So an in-place edit, which would reach every chart of the root, raises.
@@ -744,6 +785,12 @@ def test_a_chart_checks_its_root_when_built():
         OrbitChart(system, diff(1, 9), 1)
     with pytest.raises(InvalidRootError):
         replace(orbit_chart("A", 4, diff(1, 4)), alpha=sum_root(1, 2))
+    # A system that is not a RootSystem is typed as get_system types a bad kind.
+    for not_a_system in ("A", None, RootSystemKind.A):
+        with pytest.raises(InvalidRootError, match="expected a RootSystem"):
+            OrbitChart(not_a_system, diff(1, 2), 1)
+    with pytest.raises(InvalidRootError, match="expected a RootSystem"):
+        replace(orbit_chart("A", 4, diff(1, 4)), system="A")
 
 
 @pytest.mark.parametrize("c", [0, Q(0), "0", "-0/3"])
@@ -987,7 +1034,8 @@ def _replayed_word(kind, n, alpha, f):
     f is in the level-1 orbit exactly when that gives f back.
     """
     letters = _word_letters(singular_set(kind, n, alpha), f.value)
-    moved = _act(f.system, letters, e_star(f.system, alpha).nums, 1)
+    start = e_star(f.system, alpha)
+    moved = _act(f.system, letters, start.nums, start.den, start.support)
     if _from_vector(f.system, *moved) != f:
         raise NotInOrbitError(f"functional is not in the level-1 orbit of {alpha}")
     return GroupWord(letters)
