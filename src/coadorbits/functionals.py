@@ -15,21 +15,24 @@ positions the letter's plan reads, and the gammas it moves, two-term tails
 first, then the one-term tails split by their +/-1 structure constant, so
 each costs one multiply. The action starts from f's support; a letter whose
 mask meets none of the live positions moves nothing and costs one lookup;
-the first letter that moves f updates a copy of its numerators in place,
-over f's denominator, which type B's second-order halves double only where
-a half is real, and f itself comes back when no letter moves it. The skew
-rows are sparse int rows over f's numerators, which ``skew_form`` reads
-back over f's denominator; ``orbit_dimension`` counts the pivots of their
-integer elimination in ``linalg``, and ``radical_basis`` reads the kernel
-straight off the reduced rows, one Fraction per entry; ``_reduced_form``,
-an ``lru_cache`` of one entry keyed on the system and the numerators, keeps
-the last reduced form, so asking both of one functional back to back
-reduces it once. perfbench's orbit-rank checks ask both; the package's
-callers ask the dimension alone. ``functional`` and the action both write
-their result through ``_from_vector``, the one canonicaliser, which reads
-denominators only when its first gcd meets a Fraction; ``functional`` hands
-it ints. Each hands it the support too: the positions ``functional`` wrote,
-and the action's final live mask.
+the first letter that gets through updates a copy of f's numerators in
+place, over f's denominator, which type B's second-order halves double only
+where a half is real. f itself comes back when no letter moves it, as long
+as its support is exact: a bit left set where an entry cancelled to 0 can
+let a letter through that reads only zeros, and then a copy equal to f
+comes back. The skew rows are sparse int rows over f's numerators, which
+``skew_form`` reads back over f's denominator; ``orbit_dimension`` counts
+the pivots of their integer elimination in ``linalg``, and
+``radical_basis`` reads the kernel straight off the reduced rows, one
+Fraction per entry; ``_reduced_form``, an ``lru_cache`` of one entry keyed
+on the system and the numerators, keeps the last reduced form, so asking
+both of one functional back to back reduces it once. perfbench's orbit-rank
+checks ask both; the package's callers ask the dimension alone.
+``functional`` and the action both write their result through
+``_from_vector``, the one canonicaliser, which reads denominators only when
+its first gcd meets a Fraction; ``functional`` hands it ints. Each hands it
+the support too: the positions ``functional`` wrote, and the action's final
+live mask.
 """
 
 from __future__ import annotations
@@ -130,7 +133,11 @@ class Functional:
     support: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", _support(self.nums))
+        support = 0
+        for k, v in enumerate(self.nums):
+            if v:
+                support |= 1 << k
+        object.__setattr__(self, "support", support)
 
     @property
     def values(self) -> dict[PositiveRoot, Fraction]:
@@ -149,15 +156,6 @@ class Functional:
 
     def __str__(self) -> str:
         return " + ".join(f"{v}*e*[{r}]" for r, v in self.values.items()) or "0"
-
-
-def _support(vec) -> int:
-    """The bitmask of vec's nonzero positions."""
-    live = 0
-    for k, v in enumerate(vec):
-        if v:
-            live |= 1 << k
-    return live
 
 
 # Each field's slot setter, which _functional calls in place of the scanning constructor.
@@ -338,7 +336,7 @@ def _ad_chains(kind: RootSystemKind, n: int):
 _HALF = Fraction(1, 2)
 
 
-def _act(system: RootSystem, letters, vec, den: int, live: int | None = None):
+def _act(system: RootSystem, letters, vec, den: int, live: int):
     """Apply the letters (beta, t), last first, to vec / den; return (vec, den, live).
 
     vec is indexed by canonical position and den is a positive int. The loop
@@ -353,20 +351,19 @@ def _act(system: RootSystem, letters, vec, den: int, live: int | None = None):
     doubled and z is added as it is. Any other z (a Fraction or a
     Polynomial) adds z * 1/2, so a Polynomial vector stays over 1.
 
-    Every letter is validated, but the bitmask live, which covers vec's
+    Every letter is validated, but the bitmask live, which must cover vec's
     nonzero positions, skips, before its parameter is read, each letter
     whose plan reads none of them (see ``_ad_chains``), and so does a zero
-    parameter. A functional passes its support as live; without one, as for
-    a chart's Polynomial vector, vec is scanned for it. Each write sets its
-    bit; a bit left set when an entry cancels to zero only lets a letter
-    through that then adds nothing. The live returned covers the result, the
-    support it is stored with. The first letter that moves vec updates a
-    copy of it in place, in its plan's order; vec itself comes back,
-    unchanged, when no letter moves it.
+    parameter. A functional passes its support as live; a chart's Polynomial
+    start vector passes the one bit of its alpha. Each write sets its bit;
+    a bit left set when an entry cancels to zero lets a letter through that
+    then copies vec and adds nothing. The live returned covers the result,
+    the support it is stored with. The first letter that gets through
+    updates a copy of vec in place, in its plan's order; vec itself comes
+    back, unchanged, when no letter gets through, which, when live is exact,
+    is when no letter moves it.
     """
     reads, plans = _ad_chains(system.kind, system.n)
-    if live is None:
-        live = _support(vec)
     start = vec
     for beta, t in reversed(letters):
         mask = reads.get(beta)

@@ -232,8 +232,10 @@ def _level_one(kind: RootSystemKind, n: int, alpha: PositiveRoot) -> tuple:
     system = get_system(kind, n)
     data = _singular_data(kind, n)[alpha]
     letters = _word_letters(data, lambda root: Polynomial.var(system.index_of(root)))
-    start = [Polynomial.const(1) if root == alpha else 0 for root in system.roots]
-    moved, _, _ = _act(system, letters, start, 1)  # a Polynomial vector stays over 1
+    k = system.index_of(alpha)
+    start = [0] * len(system.roots)
+    start[k] = Polynomial.const(1)
+    moved, _, _ = _act(system, letters, start, 1, 1 << k)  # a Polynomial vector stays over 1
     return _membership_form(system, MappingProxyType(
         {beta: moved[system.index_of(beta)] or _ZERO for beta in data.regular}))
 

@@ -559,7 +559,7 @@ def test_chart_action_and_evaluation_equal_all_fraction_reference(system_key, da
     letters = _word_letters(sing, lambda root: Polynomial.var(system.index_of(root)))
     start = [0] * len(system.roots)
     start[system.index_of(alpha)] = Polynomial.const(1)
-    moved, den, live = _act(system, letters, start, 1)
+    moved, den, live = _act(system, letters, start, 1, 1 << system.index_of(alpha))
     assert den == 1 and _covers(live, moved)
     assert ({root: v for root, v in zip(system.roots, moved) if v}
             == _reference_act(system, letters, {alpha: Polynomial.const(1)}))

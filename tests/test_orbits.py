@@ -460,7 +460,7 @@ def test_derived_chart_equals_reference(kind, n):
         letters = _word_letters(data, lambda root: var(system, root))
         start = [0] * len(system.roots)
         start[system.index_of(alpha)] = Polynomial.const(1)
-        vec, den, _ = _act(system, letters, start, 1)
+        vec, den, _ = _act(system, letters, start, 1, 1 << system.index_of(alpha))
         moved = dict(zip(system.roots, vec))
         assert den == 1
         assert all(moved[s] == var(system, s) for s in data.singular)
