@@ -21,13 +21,14 @@ where a half is real. f itself comes back when no letter moves it, as long
 as its support is exact: a bit left set where an entry cancelled to 0 can
 let a letter through that reads only zeros, and then a copy equal to f
 comes back. The skew rows are sparse int rows over f's numerators, which
-``skew_form`` reads back over f's denominator; ``orbit_dimension`` counts
-the pivots of their integer elimination in ``linalg``, and
-``radical_basis`` reads the kernel straight off the reduced rows, one
-Fraction per entry; ``_reduced_form``, an ``lru_cache`` of one entry keyed
-on the system and the numerators, keeps the last reduced form, so asking
-both of one functional back to back reduces it once. perfbench's orbit-rank
-checks ask both; the package's callers ask the dimension alone.
+``skew_form`` reads back over f's denominator. ``_echelon_form``, an
+``lru_cache`` of one entry keyed on the system and the numerators, keeps
+the last forward echelon form of those rows (``linalg._forward``);
+``orbit_dimension`` counts its pivots, and only ``radical_basis`` reduces
+it above its pivots and reads the kernel off the reduced rows, one
+Fraction per entry. So asking both of one functional back to back
+eliminates it forward once. perfbench's orbit-rank checks ask both; the
+package's callers ask the dimension alone, which never reduces above.
 ``functional`` and the action both write their result through
 ``_from_vector``, the one canonicaliser, which reads denominators only when
 its first gcd meets a Fraction; ``functional`` hands it ints. Each hands it
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import _kernel, _reduced
+from .linalg import _forward, _kernel, _reduce_above
 from .roots import (
     PositiveRoot,
     RootSystem,
@@ -117,7 +118,10 @@ class Functional:
     The form is canonical, den > 0 and gcd(den, *nums) == 1 (so den == 1 for
     zero), and equality of the dataclass is equality of functionals. Build
     instances with ``functional``, ``e_star`` or the action; the constructor
-    takes its fields as they are. Instances are immutable and hashable.
+    takes its fields in that form only: a den that is not a positive int,
+    nums that are not a tuple of one int per root, a bool among them, or a
+    common factor raise ValueError, and a system that is not a RootSystem
+    raises InvalidRootError. Instances are immutable and hashable.
 
     ``support`` is a bitmask that covers every nonzero position: bit k is
     set wherever nums[k] != 0, and may stay set where a value cancelled to
@@ -133,10 +137,23 @@ class Functional:
     support: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        system, den, nums = self.system, self.den, self.nums
+        if not isinstance(system, RootSystem):
+            raise _not_a_system(system)
+        size = len(system.roots)
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"den must be a positive int, got {_echo(den)}")
+        if type(nums) is not tuple or len(nums) != size:
+            raise ValueError(f"nums must be a tuple of {size} ints, got {_echo(nums)}")
         support = 0
-        for k, v in enumerate(self.nums):
+        for k, v in enumerate(nums):
+            if type(v) is not int:
+                raise ValueError(f"nums[{k}] must be an int, got {_echo(v)}")
             if v:
                 support |= 1 << k
+        g = math.gcd(den, *nums)
+        if g != 1:
+            raise ValueError(f"den and nums must be coprime, but share the factor {_echo(g)}")
         object.__setattr__(self, "support", support)
 
     @property
@@ -458,19 +475,23 @@ def skew_form(f: Functional) -> SkewForm:
 
 
 @lru_cache(maxsize=1)
-def _reduced_form(system: RootSystem, nums: tuple[int, ...]) -> dict[int, dict[int, int]]:
-    """The reduced form over Q of the skew rows of numerators nums, which callers only read.
+def _echelon_form(system: RootSystem, nums: tuple[int, ...]) -> dict[int, dict[int, int]]:
+    """The forward echelon form of the skew rows of numerators nums, which callers only read.
 
     One entry, keyed on the system and the numerators, the ints the rows
     are built from, so f/2 shares f's entry. It hits when the dimension and
     the radical of one functional are asked back to back.
     """
-    return _reduced(_skew_rows(system, nums))
+    return _forward(_skew_rows(system, nums))
 
 
 def orbit_dimension(f: Functional) -> int:
-    """Dimension of the coadjoint orbit through f: the exact rank of its skew form."""
-    r = len(_reduced_form(f.system, f.nums))
+    """Dimension of the coadjoint orbit through f: the exact rank of its skew form.
+
+    The rank is the pivot count of the cached echelon form; nothing is
+    reduced above the pivots.
+    """
+    r = len(_echelon_form(f.system, f.nums))
     if r % 2 != 0:
         raise OddRankError(f"skew form has odd rank {r}")
     return r
@@ -479,11 +500,13 @@ def orbit_dimension(f: Functional) -> int:
 def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     """Exact basis of the radical {x : f([x, y]) = 0 for all y}.
 
-    Vectors are tuples of Fractions over the canonical root order, one for
-    each free column of the reduced skew form, with 1 there and 0 at the
-    other free columns; their count is len(roots) - orbit_dimension(f).
+    The cached echelon form is reduced above its pivots, leaving the cache
+    as it was, and the kernel is read off the reduced rows. Vectors are
+    tuples of Fractions over the canonical root order, one for each free
+    column of the reduced skew form, with 1 there and 0 at the other free
+    columns; their count is len(roots) - orbit_dimension(f).
     """
-    return _kernel(_reduced_form(f.system, f.nums), len(f.system.roots))
+    return _kernel(_reduce_above(_echelon_form(f.system, f.nums)), len(f.system.roots))
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,19 @@ than numerical estimates. The public functions take rows (lists or tuples)
 of ints and ``fractions.Fraction``s; the elimination itself takes sparse
 integer rows.
 
-One exact elimination over the integers, ``_reduced``, takes sparse
-integer rows {column: int} and returns their reduced row echelon form over
-Q, each row scaled to coprime integers with a positive pivot. ``rank`` and
-``kernel_basis`` scale each row to integers by the lcm of its denominators
-(``_integer_rows``); ``functionals`` reduces the integer rows of a skew
-form directly, once for both its rank and its kernel. A rank counts the
-pivots. ``_kernel`` reads the kernel basis off a given reduced form, which
-it leaves as it is, as Fraction tuples for ``kernel_basis`` and
-``functionals.radical_basis``, one Fraction per entry. ``det`` eliminates
-the same integer rows fraction-free (Bareiss 1968): each step divides
-exactly by the previous pivot, so no step leaves the integers.
+One exact elimination over the integers, in two stages, takes sparse
+integer rows {column: int}, each row kept as coprime integers with a
+positive pivot. ``_forward`` builds an echelon form, clearing only each
+row's leading entry; a rank counts its pivots. ``_reduce_above`` reduces
+that form above its pivots to the reduced row echelon form over Q, which
+only a kernel needs, and ``_kernel`` reads the kernel basis off it, as
+Fraction tuples, one Fraction per entry. ``rank`` and ``kernel_basis``
+scale each row to integers by the lcm of its denominators
+(``_integer_rows``); ``functionals`` eliminates the integer rows of a
+skew form directly, caching the forward form for both its rank and its
+radical. ``det`` eliminates the same integer rows fraction-free (Bareiss
+1968): each step divides exactly by the previous pivot, so no step leaves
+the integers.
 """
 
 from __future__ import annotations
@@ -50,65 +52,90 @@ def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
     return out
 
 
-def _reduced(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """The reduced row echelon form over Q: {pivot column: its row as coprime ints}.
+def _forward(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """An echelon form over Q: {pivot column: its row as coprime ints}.
 
-    Rows are inserted shortest first, which keeps the pivot rows sparse. A
-    row is cleared at the pivots found so far by cross-multiplying with the
-    two coefficients over their gcd; a reduced pivot row holds no other
-    pivot column, so clearing one brings none back. A nonzero remainder,
-    made primitive with a positive entry at its first column, becomes that
-    column's pivot row and clears the column from the earlier pivot rows,
-    each made primitive again. So every row is the primitive integer
-    multiple of a row of the one reduced form over Q, whatever order the
-    rows come in, and by Cramer's rule each entry is bounded by a minor.
+    The nonzero rows are inserted shortest first, which keeps the pivot
+    rows sparse. While a row's leading column is already a pivot, that
+    entry is cleared by cross-multiplying with the pivot row over their
+    gcd; pivot rows hold no column left of their pivot, so the leading
+    column only moves right. A row whose leading column is new, made
+    primitive with a positive entry there, becomes that column's pivot
+    row. Only leading entries are cleared, so a pivot row may still hold
+    later pivot columns; the pivot columns are those of the reduced form
+    whatever order the rows come in, and a rank counts them. The input
+    rows are only read; one that is already a primitive pivot row is
+    shared with the input, not copied.
     """
     echelon: dict[int, dict[int, int]] = {}
-    for row in sorted(int_rows, key=len):
-        row = dict(row)
-        for c in [c for c in row if c in echelon]:
+    for row in sorted([row for row in int_rows if row], key=len):
+        c = min(row)
+        if c in echelon:
+            row = dict(row)
+        while c in echelon:
             top = echelon[c]
-            a = row.pop(c)
-            g = math.gcd(a, top[c])
-            a, s = a // g, top[c] // g
+            g = math.gcd(row[c], top[c])
+            a, s = row.pop(c) // g, top[c] // g
             if s != 1:
                 row = {j: x * s for j, x in row.items()}
             for j, x in top.items():
                 if j != c:
-                    row[j] = row.get(j, 0) - a * x
-        row = {j: x for j, x in row.items() if x}
-        if not row:
-            continue
-        c = min(row)
-        g = math.gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        if g != 1:
-            row = {j: x // g for j, x in row.items()}
-        b = row[c]
-        for pc, top in echelon.items():
-            d = top.pop(c, 0)
-            if not d:
-                continue
-            g = math.gcd(d, b)
-            d, s = d // g, b // g
-            if s != 1:
-                top = {j: x * s for j, x in top.items()}
-            for j, x in row.items():
-                if j != c:
-                    y = top.get(j, 0) - d * x
+                    y = row.get(j, 0) - a * x
                     if y:
-                        top[j] = y
+                        row[j] = y
                     else:
-                        del top[j]
-            g = math.gcd(*top.values())
-            echelon[pc] = {j: x // g for j, x in top.items()} if g != 1 else top
-        echelon[c] = row
+                        del row[j]
+            if not row:
+                break
+            c = min(row)
+        else:
+            g = math.gcd(*row.values())
+            if row[c] < 0:
+                g = -g
+            echelon[c] = {j: x // g for j, x in row.items()} if g != 1 else row
     return echelon
 
 
+def _reduce_above(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form over Q of a form from ``_forward``, which it only reads.
+
+    Pivots are taken in decreasing column order. Each row is cleared at the
+    later pivot columns it holds, by cross-multiplying with rows already
+    reduced; a reduced row holds no other pivot column, so clearing one
+    brings none back. The row is then made primitive again, and its pivot
+    stays positive. So every row is the primitive integer multiple of a row
+    of the one reduced form over Q, whatever order the rows came in, and by
+    Cramer's rule each entry is bounded by a minor. A row that holds no
+    later pivot is shared with the input, not copied.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        hits = [j for j in row if j in reduced]
+        if hits:
+            row = dict(row)
+            for pc in hits:
+                bottom = reduced[pc]
+                g = math.gcd(row[pc], bottom[pc])
+                a, s = row.pop(pc) // g, bottom[pc] // g
+                if s != 1:
+                    row = {j: x * s for j, x in row.items()}
+                for j, x in bottom.items():
+                    if j != pc:
+                        y = row.get(j, 0) - a * x
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+            g = math.gcd(*row.values())
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+        reduced[c] = row
+    return reduced
+
+
 def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduced``.
+    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduce_above``.
 
     Each free column fc gives a vector with 1 at fc and 0 at the other free
     columns; a reduced row with pivot b at pc and entry a at fc gives it
@@ -131,7 +158,7 @@ def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[Fracti
 
 def rank(rows: Matrix) -> int:
     """Exact rank of a rational matrix: the number of its pivots."""
-    return len(_reduced(_integer_rows(rows)))
+    return len(_forward(_integer_rows(rows)))
 
 
 def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
@@ -141,7 +168,7 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     columns, so the basis is in reduced form and deterministic.
     """
     ncols = len(rows[0]) if rows else 0
-    return _kernel(_reduced(_integer_rows(rows)), ncols)
+    return _kernel(_reduce_above(_forward(_integer_rows(rows))), ncols)
 
 
 def det(rows: Matrix) -> Fraction:

@@ -40,7 +40,7 @@ from coadorbits.functionals import (
     word_to_json,
     zero_functional,
 )
-from coadorbits.linalg import _kernel, _reduced, kernel_basis, rank
+from coadorbits.linalg import _forward, _kernel, _reduce_above, kernel_basis, rank
 from coadorbits.oracle import (default_word_length, random_functional, random_orbit_point,
                                random_word)
 from coadorbits.orbits import _word_letters, chart_point, contains, orbit_chart, singular_set
@@ -56,7 +56,7 @@ from coadorbits.roots import (
     structure_table,
     sum_root,
 )
-from test_linalg import _eliminate, _exact_kernel
+from test_linalg import _eliminate, _exact_kernel, _interleaved_reduced
 
 KINDS = tuple(RootSystemKind)
 
@@ -712,6 +712,51 @@ def test_functionals_that_differ_only_in_support_are_equal_and_hash_equal():
         f.support = 0
 
 
+_A3 = get_system("A", 3)
+
+
+@pytest.mark.parametrize("fields, message", [
+    # A common factor: 2 e*_{e1-e3} is (0, 0, 2) over 1, not (0, 0, 4) over 2.
+    ({"den": 2, "nums": (0, 0, 4)}, "coprime"),
+    # Zero is (0, 0, 0) over 1.
+    ({"den": 3, "nums": (0, 0, 0)}, "coprime"),
+    ({"den": -1}, "positive int"),
+    ({"den": 0}, "positive int"),
+    ({"den": True}, "positive int"),
+    ({"den": 2.0}, "positive int"),
+    ({"nums": (0, 0, True)}, r"nums\[2\] must be an int"),
+    ({"nums": (0, 0, 1.5)}, r"nums\[2\] must be an int"),
+    ({"nums": (0, 0, Q(1))}, r"nums\[2\] must be an int"),
+    ({"nums": [0, 0, 1]}, "tuple of 3 ints"),
+    ({"nums": (0, 1)}, "tuple of 3 ints"),
+    ({"nums": (0, 1, 0, 0)}, "tuple of 3 ints"),
+])
+def test_the_constructor_rejects_a_functional_that_is_not_canonical(fields, message):
+    f = functional(_A3, {diff(1, 3): 2})
+    assert (f.den, f.nums) == (1, (0, 0, 2))
+    given = {"den": 1, "nums": (0, 0, 1)} | fields
+    with pytest.raises(ValueError, match=message):
+        Functional(_A3, given["den"], given["nums"])
+    with pytest.raises(ValueError, match=message):
+        replace(f, **fields)
+
+
+def test_the_constructor_rejects_a_system_that_is_not_a_root_system():
+    with pytest.raises(InvalidRootError, match="expected a RootSystem"):
+        Functional("A", 1, (0, 0, 1))
+    with pytest.raises(InvalidRootError, match="expected a RootSystem"):
+        replace(e_star(_A3, diff(1, 2)), system=("A", 3))
+
+
+def test_the_constructor_accepts_what_functional_builds():
+    # Every canonical triple, the zero functional among them, builds and
+    # equals the functional that `functional` builds from the same values.
+    for den, nums in [(1, (0, 0, 0)), (1, (0, 0, 2)), (2, (1, 0, -4)), (3, (0, 0, -1))]:
+        built = Functional(_A3, den, nums)
+        values = {root: Q(v, den) for root, v in zip(_A3.roots, nums) if v}
+        assert built == functional(_A3, values) and built.support == functional(_A3, values).support
+
+
 def _inverse(word):
     """The word w^-1: w's letters in reverse order with negated parameters."""
     return GroupWord((beta, -t) for beta, t in reversed(word.letters))
@@ -1064,29 +1109,55 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
 
 
 def _uncached_radical(f):
-    """The radical from a fresh reduction of f's skew rows, as before the one-slot cache."""
-    return _kernel(_reduced(_skew_rows(f.system, f.nums)), len(f.system.roots))
+    """The radical from a fresh interleaved reduction of f's skew rows, which no cache holds."""
+    return _kernel(_interleaved_reduced(_skew_rows(f.system, f.nums)), len(f.system.roots))
 
 
 def _slot_traffic():
-    """(hits, misses) of the reduced-form cache since the fixture emptied it."""
-    info = functionals._reduced_form.cache_info()
+    """(hits, misses) of the echelon-form cache since the fixture emptied it."""
+    info = functionals._echelon_form.cache_info()
     assert info.maxsize == 1 and info.currsize <= 1
     return info.hits, info.misses
 
 
 @pytest.fixture
 def count_reductions(monkeypatch):
-    """An emptied reduced-form cache and a list that records each call of functionals._reduced."""
+    """An emptied echelon-form cache and a list that records each call of functionals._forward."""
     calls = []
 
     def counted(int_rows):
         calls.append(len(int_rows))
-        return _reduced(int_rows)
+        return _forward(int_rows)
 
-    functionals._reduced_form.cache_clear()
-    monkeypatch.setattr(functionals, "_reduced", counted)
+    functionals._echelon_form.cache_clear()
+    monkeypatch.setattr(functionals, "_forward", counted)
     return calls
+
+
+def test_a_dimension_never_reduces_above_and_a_radical_reuses_the_forward_form(
+        count_reductions, monkeypatch):
+    above = []
+
+    def counted(echelon):
+        above.append(len(echelon))
+        return _reduce_above(echelon)
+
+    monkeypatch.setattr(functionals, "_reduce_above", counted)
+    system = get_system("D", 5)
+    f = random_functional(system, random.Random("forward-only:D5"))
+    dim = orbit_dimension(f)
+    assert (len(count_reductions), len(above)) == (1, 0)
+    cached = functionals._echelon_form(system, f.nums)
+    kept = copy.deepcopy(cached)
+    basis = radical_basis(f)
+    assert (len(count_reductions), len(above)) == (1, 1)
+    assert above == [dim]
+    # The radical reduced the cached forward form without changing it.
+    assert functionals._echelon_form(system, f.nums) is cached and cached == kept
+    assert basis == _uncached_radical(f) and dim == len(system.roots) - len(basis)
+    # A second dimension of the same functional eliminates nothing.
+    assert orbit_dimension(f) == dim
+    assert (len(count_reductions), len(above)) == (1, 1)
 
 
 def test_dimension_and_radical_of_one_functional_reduce_it_once(count_reductions):

@@ -5,9 +5,10 @@ The references are the Fraction elimination (``_eliminate``,
 elimination replaced, kept here verbatim), the Leibniz formula, sympy
 where it is installed, a column-scan Fraction reduced form, the certified
 modular kernel that the integer elimination replaced, kept here verbatim
-with its ladder of moduli and its Fraction fallback, and the integer
-kernel that the one-pass Fraction kernel replaced, kept here verbatim with
-the step that read it as Fractions.
+with its ladder of moduli and its Fraction fallback, the integer kernel
+that the one-pass Fraction kernel replaced, kept here verbatim with the
+step that read it as Fractions, and the interleaved integer reduction that
+the forward pass and the reduce-above pass replaced, kept here verbatim.
 """
 
 import copy
@@ -101,7 +102,7 @@ def _fraction_det(rows: Matrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The certified modular kernel that ``linalg._reduced`` replaced, verbatim
+# The certified modular kernel that the integer reduction replaced, verbatim
 # ---------------------------------------------------------------------------
 
 # Mersenne primes tried in turn before the Fraction elimination.
@@ -232,12 +233,74 @@ def _reference_modular_kernel(int_rows, ncols, tried=None):
 
 
 # ---------------------------------------------------------------------------
+# The interleaved reduction that ``linalg._forward`` and
+# ``linalg._reduce_above`` replaced, verbatim
+# ---------------------------------------------------------------------------
+
+def _interleaved_reduced(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form over Q: {pivot column: its row as coprime ints}.
+
+    Rows are inserted shortest first, which keeps the pivot rows sparse. A
+    row is cleared at the pivots found so far by cross-multiplying with the
+    two coefficients over their gcd; a reduced pivot row holds no other
+    pivot column, so clearing one brings none back. A nonzero remainder,
+    made primitive with a positive entry at its first column, becomes that
+    column's pivot row and clears the column from the earlier pivot rows,
+    each made primitive again. So every row is the primitive integer
+    multiple of a row of the one reduced form over Q, whatever order the
+    rows come in, and by Cramer's rule each entry is bounded by a minor.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in sorted(int_rows, key=len):
+        row = dict(row)
+        for c in [c for c in row if c in echelon]:
+            top = echelon[c]
+            a = row.pop(c)
+            g = math.gcd(a, top[c])
+            a, s = a // g, top[c] // g
+            if s != 1:
+                row = {j: x * s for j, x in row.items()}
+            for j, x in top.items():
+                if j != c:
+                    row[j] = row.get(j, 0) - a * x
+        row = {j: x for j, x in row.items() if x}
+        if not row:
+            continue
+        c = min(row)
+        g = math.gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
+        b = row[c]
+        for pc, top in echelon.items():
+            d = top.pop(c, 0)
+            if not d:
+                continue
+            g = math.gcd(d, b)
+            d, s = d // g, b // g
+            if s != 1:
+                top = {j: x * s for j, x in top.items()}
+            for j, x in row.items():
+                if j != c:
+                    y = top.get(j, 0) - d * x
+                    if y:
+                        top[j] = y
+                    else:
+                        del top[j]
+            g = math.gcd(*top.values())
+            echelon[pc] = {j: x // g for j, x in top.items()} if g != 1 else top
+        echelon[c] = row
+    return echelon
+
+
+# ---------------------------------------------------------------------------
 # The integer kernel that ``linalg._kernel`` replaced, verbatim, and the
 # step that read its vectors as Fraction tuples
 # ---------------------------------------------------------------------------
 
 def _reference_int_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
-    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduced``.
+    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduce_above``.
 
     A free column fc takes L, the lcm of the pivots of the reduced rows that
     hold it; each such row, with pivot b at pc and entry a at fc, gives
@@ -327,6 +390,11 @@ def rungs(rows) -> list[tuple[int, bool]]:
     tried = []
     _reference_modular_kernel(linalg._integer_rows(rows), width(rows), tried)
     return tried
+
+
+def _two_stage(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced form by the two stages ``linalg`` runs: forward, then reduce above."""
+    return linalg._reduce_above(linalg._forward(int_rows))
 
 
 def int_skew_rows(f) -> list[dict[int, int]]:
@@ -495,7 +563,7 @@ def integer_rows(draw, max_rows=5, max_cols=6):
 def test_integer_row_kernel_equals_the_fraction_elimination(case):
     int_rows, ncols = case
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
-    basis = linalg._kernel(linalg._reduced(int_rows), ncols)
+    basis = linalg._kernel(_two_stage(int_rows), ncols)
     assert basis == _exact_kernel(dense)
     assert basis == _fractions(_reference_modular_kernel(int_rows, ncols), ncols)
     assert rank(dense) == ncols - len(basis) == reference_rank(dense)
@@ -510,7 +578,7 @@ def assert_fraction_tuples(basis, ncols):
 @given(integer_rows())
 def test_kernel_equals_the_integer_kernel_it_replaced(case):
     int_rows, ncols = case
-    echelon = linalg._reduced(int_rows)
+    echelon = _two_stage(int_rows)
     basis = linalg._kernel(echelon, ncols)
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
     assert basis == _fractions(_reference_int_kernel(echelon, ncols), ncols)
@@ -537,7 +605,7 @@ def test_radical_equals_the_integer_kernel_it_replaced(kind, n):
     for f in _radical_cases(kind, n):
         ncols = len(f.system.roots)
         basis = radical_basis(f)
-        assert basis == _fractions(_reference_int_kernel(linalg._reduced(int_skew_rows(f)), ncols),
+        assert basis == _fractions(_reference_int_kernel(_two_stage(int_skew_rows(f)), ncols),
                                    ncols)
         assert basis == _exact_kernel(skew_form(f).rows)
         assert_fraction_tuples(basis, ncols)
@@ -547,11 +615,11 @@ def test_radical_equals_the_integer_kernel_it_replaced(kind, n):
 def test_kernel_edge_cases():
     one, zero = Q(1), Q(0)
     # A zero row leaves every column free: the identity basis.
-    assert linalg._kernel(linalg._reduced([{}]), 1) == [(one,)]
-    assert linalg._kernel(linalg._reduced([{}]), 2) == [(one, zero), (zero, one)]
-    assert linalg._kernel(linalg._reduced([{}]), 0) == []
+    assert linalg._kernel(_two_stage([{}]), 1) == [(one,)]
+    assert linalg._kernel(_two_stage([{}]), 2) == [(one, zero), (zero, one)]
+    assert linalg._kernel(_two_stage([{}]), 0) == []
     # A full-rank form leaves none.
-    assert linalg._kernel(linalg._reduced([{0: 2, 1: 4}, {1: -3}]), 2) == []
+    assert linalg._kernel(_two_stage([{0: 2, 1: 4}, {1: -3}]), 2) == []
     assert kernel_basis([[Q(2), 1], [0, Q(1, 3)]]) == []
     for kind, n in [("A", 4), ("B", 3), ("D", 4)]:
         system = get_system(kind, n)
@@ -599,12 +667,31 @@ def _reference_reduced(int_rows, ncols):
     return out
 
 
+def assert_forward_form(forward, int_rows):
+    """Each row of a forward form is primitive, positive at its pivot, and nothing left of it."""
+    for c, row in forward.items():
+        assert row and all(type(x) is int and x for x in row.values())
+        assert min(row) == c and row[c] > 0
+        assert math.gcd(*row.values()) == 1
+    assert len(forward) <= len(int_rows)
+
+
 def assert_reduced_agrees(int_rows, ncols):
-    """_reduced equals the column scan, in either row order, and leaves its input as it was."""
+    """Forward then reduce-above equals the interleaved reduction and the column scan.
+
+    In either row order; the forward form has the reduced form's pivots,
+    and neither stage changes its input.
+    """
     before = [dict(row) for row in int_rows]
     expected = _reference_reduced(int_rows, ncols)
-    assert linalg._reduced(int_rows) == expected
-    assert linalg._reduced(int_rows[::-1]) == expected
+    for rows in (int_rows, int_rows[::-1]):
+        forward = linalg._forward(rows)
+        kept = copy.deepcopy(forward)
+        reduced = linalg._reduce_above(forward)
+        assert reduced == _interleaved_reduced(rows) == expected
+        assert forward == kept
+        assert forward.keys() == reduced.keys()
+        assert_forward_form(forward, rows)
     assert int_rows == before
 
 
@@ -633,7 +720,9 @@ def test_reduced_form_does_not_depend_on_row_order(case, rng):
     int_rows, _ = case
     shuffled = list(int_rows)
     rng.shuffle(shuffled)
-    assert linalg._reduced(shuffled) == linalg._reduced(int_rows)
+    assert _two_stage(shuffled) == _two_stage(int_rows)
+    # The forward form may differ with the order, but its pivots may not.
+    assert linalg._forward(shuffled).keys() == linalg._forward(int_rows).keys()
 
 
 @given(integer_rows())
@@ -641,12 +730,30 @@ def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
     int_rows, ncols = case
     before = [dict(row) for row in int_rows]
     rows = list(int_rows)
-    echelon = linalg._reduced(rows)
+    forward = linalg._forward(rows)
+    kept = copy.deepcopy(forward)
+    echelon = linalg._reduce_above(forward)
     shared = copy.deepcopy(echelon)
     linalg._kernel(echelon, ncols)
     assert rows == int_rows == before
-    # A reduced form shared by a rank and a kernel is only read.
+    # A forward form shared by a rank and a reduction, and a reduced form
+    # read by a kernel, are only read.
+    assert forward == kept
     assert echelon == shared
+
+
+def test_forward_form_clears_only_leading_entries():
+    # The longest row is cleared at column 0 by the first, which leaves it
+    # leading at column 1 and holding column 2, the last row's pivot; only
+    # the reduce-above pass clears that.
+    rows = [{0: 1, 1: 1}, {0: 1, 2: 1, 3: 1}, {2: 1, 3: 2}]
+    forward = linalg._forward(rows)
+    assert forward == {0: {0: 1, 1: 1}, 1: {1: 1, 2: -1, 3: -1}, 2: {2: 1, 3: 2}}
+    assert linalg._reduce_above(forward) == _interleaved_reduced(rows) == {
+        0: {0: 1, 3: -1}, 1: {1: 1, 3: 1}, 2: {2: 1, 3: 2}}
+    # Empty rows are dropped, and a row that cancels to zero adds no pivot.
+    assert linalg._forward([{}, {0: -2, 1: 4}, {0: 3, 1: -6}]) == {0: {0: 1, 1: -2}}
+    assert linalg._forward([]) == linalg._forward([{}]) == {}
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """No module state rebound from inside a function: a walk over the syntax of every module.
 
 State a call keeps for the next one lives in an ``lru_cache`` (the tables,
-the plans, the reduced-form slot), which has ``cache_info()`` and
+the plans, the echelon-form slot), which has ``cache_info()`` and
 ``cache_clear()``. A ``global`` statement would keep such state by hand,
 with neither, so this guard fails on each one.
 """
