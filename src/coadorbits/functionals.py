@@ -20,15 +20,22 @@ place, over f's denominator, which type B's second-order halves double only
 where a half is real. f itself comes back when no letter moves it, as long
 as its support is exact: a bit left set where an entry cancelled to 0 can
 let a letter through that reads only zeros, and then a copy equal to f
-comes back. The skew rows are sparse int rows over f's numerators, which
-``skew_form`` reads back over f's denominator. ``_echelon_form``, an
-``lru_cache`` of one entry keyed on the system and the numerators, keeps
-the last forward echelon form of those rows (``linalg._forward``);
-``orbit_dimension`` counts its pivots, and only ``radical_basis`` reduces
-it above its pivots and reads the kernel off the reduced rows, one
-Fraction per entry. So asking both of one functional back to back
-eliminates it forward once. perfbench's orbit-rank checks ask both; the
-package's callers ask the dimension alone, which never reduces above.
+comes back. The skew rows are sparse int rows over f's numerators, with
+their rows and columns in flag order: by height, highest first, ties in
+canonical order, from a cached plan per system (``_flag_plan``), the
+bracket table relabelled once. ``skew_form`` reads them back over f's
+denominator in canonical order. ``_echelon_form``, an ``lru_cache`` of one
+entry keyed on the system and the numerators, keeps the last forward
+echelon form of those rows (``linalg._forward``); ``orbit_dimension``
+counts its pivots, and only ``radical_basis`` reduces it above its pivots,
+reads the kernel off the reduced rows, one Fraction per entry, and moves
+each vector back to canonical positions. So asking both of one functional
+back to back eliminates it forward once. perfbench's orbit-rank checks ask
+both; the package's callers ask the dimension alone, which never reduces
+above. In flag order the forward form's entries stay smaller and the
+reduced kernel has about half the entries it has in canonical order; the
+pivot columns are the orbit's jump positions, the same at every point of
+the orbit, and S(alpha) at c e*_alpha.
 ``functional`` and the action both write their result through
 ``_from_vector``, the one canonicaliser, which reads denominators only when
 its first gcd meets a Fraction; ``functional`` hands it ints. Each hands it
@@ -43,6 +50,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .linalg import _forward, _kernel, _reduce_above
@@ -350,6 +358,53 @@ def _ad_chains(kind: RootSystemKind, n: int):
     return reads, plans
 
 
+def _heights(by_index) -> list[int]:
+    """The height of each canonical position, read off a bracket table's ``by_index``.
+
+    A position that no bracket lands on is simple, of height 1; the others
+    take height(a) + height(b) from any bracket [e_a, e_b] = c e_g that
+    lands on them, once both are known.
+    """
+    sources = {g: (a, b) for a, row in enumerate(by_index) for b, (_, g) in row.items()}
+    height = [0 if g in sources else 1 for g in range(len(by_index))]
+    todo = list(sources)
+    while todo:
+        later = []
+        for g in todo:
+            a, b = sources[g]
+            if height[a] and height[b]:
+                height[g] = height[a] + height[b]
+            else:
+                later.append(g)
+        todo = later
+    return height
+
+
+@lru_cache(maxsize=None)
+def _flag_plan(kind: RootSystemKind, n: int):
+    """The skew form's rows and columns in flag order: (column, canonical, rows).
+
+    The flag order lists the positions by height, highest first, with ties
+    in canonical order (the Pukanszky/Vergne flag). A bracket [e_a, e_p] =
+    c e_g lands higher than p, so g comes before p, and the span of the
+    first k positions is an ideal for every k. column[p] is the flag index
+    of canonical position p, and canonical(v) is the tuple of flag-indexed
+    entries v over canonical positions, v[column[p]] at p: an
+    ``itemgetter``, or ``tuple`` when the order is the identity (as it is
+    for one position, where an itemgetter would return the entry alone).
+    rows[column[a]] holds (column[b], c, g) for each [e_a, e_b] = c e_g:
+    the rows of ``by_index`` relabelled to flag order, with g left
+    canonical, the numerator it reads.
+    """
+    by_index = structure_table(kind, n).by_index
+    height = _heights(by_index)
+    order = sorted(range(len(height)), key=height.__getitem__, reverse=True)
+    column = tuple(sorted(range(len(order)), key=order.__getitem__))
+    canonical = tuple if column == tuple(range(len(column))) else itemgetter(*column)
+    rows = tuple(tuple((column[b], c, g) for b, (c, g) in by_index[a].items()) for a in order)
+    return column, canonical, rows
+
+
 _HALF = Fraction(1, 2)
 
 
@@ -458,29 +513,32 @@ class SkewForm:
 
 
 def _skew_rows(system: RootSystem, nums: tuple[int, ...]) -> list[dict[int, int]]:
-    """The skew form of a functional with numerators nums, times its den, as sparse rows {b: entry}.
+    """The skew form of a functional with numerators nums, times its den, in flag order.
 
-    [e_a, e_b] = c e_g gives the integer entry c * nums[g]; scaling all
-    rows alike leaves rank and kernel as they are.
+    Row k and column l are the positions at flag indices k and l
+    (``_flag_plan``); [e_a, e_b] = c e_g gives the integer entry
+    c * nums[g], and each row is sparse, {l: entry}. Scaling all rows alike
+    leaves rank and kernel as they are.
     """
-    by_index = structure_table(system.kind, system.n).by_index
-    return [{b: c * nums[g] for b, (c, g) in brackets.items() if nums[g]}
-            for brackets in by_index]
+    rows = _flag_plan(system.kind, system.n)[2]
+    return [{l: c * nums[g] for l, c, g in row if nums[g]} for row in rows]
 
 
 def skew_form(f: Functional) -> SkewForm:
-    columns = range(len(f.system.roots))
-    return SkewForm(f.system, tuple(tuple(Fraction(row.get(b, 0), f.den) for b in columns)
-                                    for row in _skew_rows(f.system, f.nums)))
+    column = _flag_plan(f.system.kind, f.system.n)[0]
+    rows = _skew_rows(f.system, f.nums)
+    return SkewForm(f.system, tuple(tuple(Fraction(rows[k].get(l, 0), f.den) for l in column)
+                                    for k in column))
 
 
 @lru_cache(maxsize=1)
 def _echelon_form(system: RootSystem, nums: tuple[int, ...]) -> dict[int, dict[int, int]]:
     """The forward echelon form of the skew rows of numerators nums, which callers only read.
 
-    One entry, keyed on the system and the numerators, the ints the rows
-    are built from, so f/2 shares f's entry. It hits when the dimension and
-    the radical of one functional are asked back to back.
+    Its pivot columns are flag columns. One entry, keyed on the system and
+    the numerators, the ints the rows are built from, so f/2 shares f's
+    entry. It hits when the dimension and the radical of one functional are
+    asked back to back.
     """
     return _forward(_skew_rows(system, nums))
 
@@ -501,12 +559,15 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     """Exact basis of the radical {x : f([x, y]) = 0 for all y}.
 
     The cached echelon form is reduced above its pivots, leaving the cache
-    as it was, and the kernel is read off the reduced rows. Vectors are
-    tuples of Fractions over the canonical root order, one for each free
-    column of the reduced skew form, with 1 there and 0 at the other free
-    columns; their count is len(roots) - orbit_dimension(f).
+    as it was, and the kernel is read off the reduced rows. That is the
+    reduced basis in flag order (``_flag_plan``): one vector for each free
+    flag column, in flag order, with 1 there and 0 at the other free
+    columns. Each is returned as a tuple of Fractions over the canonical
+    root order; their count is len(roots) - orbit_dimension(f).
     """
-    return _kernel(_reduce_above(_echelon_form(f.system, f.nums)), len(f.system.roots))
+    canonical = _flag_plan(f.system.kind, f.system.n)[1]
+    return list(map(canonical, _kernel(_reduce_above(_echelon_form(f.system, f.nums)),
+                                       len(f.system.roots))))
 
 
 # ---------------------------------------------------------------------------

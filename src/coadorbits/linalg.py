@@ -15,8 +15,9 @@ only a kernel needs, and ``_kernel`` reads the kernel basis off it, as
 Fraction tuples, one Fraction per entry. ``rank`` and ``kernel_basis``
 scale each row to integers by the lcm of its denominators
 (``_integer_rows``); ``functionals`` eliminates the integer rows of a
-skew form directly, caching the forward form for both its rank and its
-radical. ``det`` eliminates the same integer rows fraction-free (Bareiss
+skew form directly, with its rows and columns in flag order, caching the
+forward form for both its rank and its radical. Pivot and free columns
+follow the column order the rows are given in; the rank does not. ``det`` eliminates the same integer rows fraction-free (Bareiss
 1968): each step divides exactly by the previous pivot, so no step leaves
 the integers.
 """

@@ -56,7 +56,9 @@ from coadorbits.roots import (
     structure_table,
     sum_root,
 )
-from test_linalg import _eliminate, _exact_kernel, _interleaved_reduced
+from test_linalg import (_eliminate, _exact_kernel, _interleaved_reduced,
+                         assert_spans_the_canonical_kernel, canonical, closed_form_height,
+                         flag_order, flag_rows)
 
 KINDS = tuple(RootSystemKind)
 
@@ -1021,6 +1023,73 @@ def test_radical_kernel_dimension_example():
     assert len(radical_basis(e_star(system, diff(1, 3)))) == 1
 
 
+# ---------------------------------------------------------------------------
+# Flag order: the skew form's rows and columns by height, highest first
+# ---------------------------------------------------------------------------
+
+def _flag_pivots(f):
+    """The canonical positions of the pivot columns of f's forward form in flag order."""
+    order = flag_order(f.system)
+    return {order[k] for k in functionals._echelon_form(f.system, f.nums)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_flag_order_is_by_closed_form_height_and_an_ideal_flag(kind, n):
+    system = get_system(kind, n)
+    by_index = structure_table(kind, n).by_index
+    assert functionals._heights(by_index) == [closed_form_height(system, r) for r in system.roots]
+    column, gather, rows = functionals._flag_plan(kind, n)
+    order = flag_order(system)
+    assert [column[p] for p in order] == list(range(len(order)))
+    assert gather(tuple(order)) == tuple(range(len(order)))
+    # [e_a, e_p] = c e_g puts g before p, so every prefix spans an ideal.
+    for a, row in enumerate(by_index):
+        for p, (c, g) in row.items():
+            assert column[g] < column[p]
+            assert (column[p], c, g) in rows[column[a]]
+    assert [len(row) for row in rows] == [len(by_index[p]) for p in order]
+
+
+PAPER_SYSTEMS = ([("A", n) for n in range(2, 9)] + [("B", n) for n in range(2, 6)]
+                 + [("D", n) for n in range(3, 7)])
+
+
+@pytest.mark.parametrize("kind, n", PAPER_SYSTEMS)
+def test_flag_pivots_of_an_elementary_functional_are_its_singular_set(kind, n):
+    # The paper's charts take S(alpha) as their free coordinates: they are the
+    # jump positions of c e*_alpha, and its radical is spanned by the unit
+    # vectors at R(alpha).
+    system = get_system(kind, n)
+    size = len(system.roots)
+    for k, alpha in enumerate(system.roots):
+        f = e_star(system, alpha, Q((-1) ** k * (k % 3 + 1), k % 2 + 1))
+        data = singular_set(kind, n, alpha)
+        assert _flag_pivots(f) == {system.index_of(beta) for beta in data.singular}
+        basis = radical_basis(f)
+        units = {tuple(Q(int(j == system.index_of(beta))) for j in range(size))
+                 for beta in data.regular}
+        assert len(basis) == len(units) and set(basis) == units
+
+
+@pytest.mark.parametrize("kind, n", [("A", 5), ("A", 7), ("B", 4), ("B", 5), ("D", 5)])
+def test_flag_pivots_are_the_same_along_an_orbit(kind, n):
+    # The pivots in flag order are the orbit's jump set: a word moves f
+    # within its orbit and leaves them as they are.
+    system = get_system(kind, n)
+    rng = random.Random(f"jump-set:{kind}{n}")
+    for _ in range(10):
+        f = random_functional(system, rng)
+        jumps = _flag_pivots(f)
+        assert len(jumps) == orbit_dimension(f)
+        for _ in range(3):
+            word = GroupWord((system.roots[rng.randrange(len(system.roots))],
+                              Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3))))
+                             for _ in range(8))
+            g = coadjoint_apply(word, f)
+            assert _flag_pivots(g) == jumps
+
+
 # Value draws for the integer skew rows: integers, denominators from distinct
 # primes (so the scale is their product) and denominators that share factors.
 VALUE_STYLES = {
@@ -1057,14 +1126,19 @@ def test_integer_skew_rows_equal_the_dense_fraction_path(kind, n):
         for _ in range(2):
             cases.append(functional(system, {r: draw(rng) for r in system.roots
                                              if rng.randrange(2)}))
+    # The integer rows are the reference rows in flag order, times f's denominator.
     for f in cases:
         rows = _reference_skew_rows(f)
         assert skew_form(f).rows == rows
         assert all(type(x) is Q for row in skew_form(f).rows for x in row)
+        flagged = flag_rows(rows, system)
+        assert [{l: Q(x, f.den) for l, x in row.items()} for row in _skew_rows(system, f.nums)] \
+            == [{l: x for l, x in enumerate(row) if x} for row in flagged]
         basis = radical_basis(f)
-        assert basis == kernel_basis(rows)
+        assert basis == canonical(kernel_basis(flagged), system)
         assert all(type(x) is Q for v in basis for x in v)
-        assert orbit_dimension(f) == rank(rows)
+        assert orbit_dimension(f) == rank(rows) == rank(flagged)
+        assert_spans_the_canonical_kernel(f, basis)
 
 
 def test_radical_dimension_count_random():
@@ -1103,14 +1177,17 @@ def test_orbit_dimension_and_radical_equal_the_fraction_elimination(style, kind,
     rows = skew_form(f).rows
     basis = radical_basis(f)
     assert orbit_dimension(f) == len(system.roots) - len(basis) == len(_eliminate(rows)[1])
-    assert basis == _exact_kernel(rows)
+    assert basis == canonical(_exact_kernel(flag_rows(rows, system)), system)
+    assert_spans_the_canonical_kernel(f, basis)
     if style == "orbit":
         assert orbit_dimension(f) == len(singular_set(kind, n, alpha).singular)
 
 
 def _uncached_radical(f):
-    """The radical from a fresh interleaved reduction of f's skew rows, which no cache holds."""
-    return _kernel(_interleaved_reduced(_skew_rows(f.system, f.nums)), len(f.system.roots))
+    """The radical from a fresh interleaved reduction of f's skew rows, which no cache holds,
+    moved back from flag columns to canonical positions."""
+    return canonical(_kernel(_interleaved_reduced(_skew_rows(f.system, f.nums)),
+                             len(f.system.roots)), f.system)
 
 
 def _slot_traffic():

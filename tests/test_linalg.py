@@ -9,6 +9,12 @@ with its ladder of moduli and its Fraction fallback, the integer kernel
 that the one-pass Fraction kernel replaced, kept here verbatim with the
 step that read it as Fractions, and the interleaved integer reduction that
 the forward pass and the reduce-above pass replaced, kept here verbatim.
+
+A radical is the reduced kernel of the skew rows in flag order, so the
+references run on the skew rows with their rows and columns put in that
+order from the closed-form heights (``flag_order``), and their vectors are
+moved back to canonical positions; the reduced kernel of the canonical
+skew form must span the same space.
 """
 
 import copy
@@ -28,7 +34,7 @@ from coadorbits.functionals import (_skew_rows, functional, orbit_dimension, rad
 from coadorbits.linalg import Matrix, det, kernel_basis, rank
 from coadorbits.oracle import random_functional, random_orbit_point
 from coadorbits.orbits import singular_size_formula
-from coadorbits.roots import diff, get_system, parse_root, sum_root
+from coadorbits.roots import DIFF, SHORT, diff, get_system, parse_root, sum_root
 
 # A kernel vector as (denominator, {column: integer numerator}), the form
 # both replaced kernels below return.
@@ -398,8 +404,55 @@ def _two_stage(int_rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def int_skew_rows(f) -> list[dict[int, int]]:
-    """The sparse integer skew rows of f, times its denominator."""
+    """The sparse integer skew rows of f, times its denominator, in flag order."""
     return _skew_rows(f.system, f.nums)
+
+
+def closed_form_height(system, root) -> int:
+    """The height of a root by its closed form, n being the system's parameter.
+
+    e_i - e_j has height j - i, e_i has n - i + 1, and e_i + e_j has
+    2n - i - j + 2 in type B and 2n - i - j in type D.
+    """
+    n = system.n
+    if root.tag == DIFF:
+        return root.j - root.i
+    if root.tag == SHORT:
+        return n - root.i + 1
+    return 2 * n - root.i - root.j + (2 if system.kind.value == "B" else 0)
+
+
+def flag_order(system) -> list[int]:
+    """The canonical positions by closed-form height, highest first, ties in canonical order."""
+    roots = system.roots
+    return sorted(range(len(roots)), key=lambda p: -closed_form_height(system, roots[p]))
+
+
+def flag_rows(rows, system) -> list[list[Q]]:
+    """Dense canonical skew rows with their rows and their columns both put in flag order."""
+    order = flag_order(system)
+    return [[rows[a][b] for b in order] for a in order]
+
+
+def canonical(basis, system) -> list[tuple[Q, ...]]:
+    """Vectors over flag columns moved back to canonical positions: entry k goes to order[k]."""
+    order = flag_order(system)
+    out = []
+    for v in basis:
+        w = [None] * len(v)
+        for k, p in enumerate(order):
+            w[p] = v[k]
+        out.append(tuple(w))
+    return out
+
+
+def assert_spans_the_canonical_kernel(f, basis):
+    """basis spans the kernel of f's canonical skew form: stacked with that kernel's
+    reduced basis, it keeps rank N - dim."""
+    size = len(f.system.roots)
+    old = kernel_basis(skew_form(f).rows)
+    assert len(basis) == len(old) == size - orbit_dimension(f)
+    assert rank(list(basis) + old) == size - orbit_dimension(f)
 
 
 def skew_rungs(f) -> list[tuple[int, bool]]:
@@ -418,14 +471,18 @@ def assert_kernel_agrees(rows):
 
 
 def assert_radical_agrees(f):
-    """radical_basis and orbit_dimension of f equal both references on its skew rows."""
+    """radical_basis and orbit_dimension of f equal both references on its skew rows in flag
+    order, and the radical spans the kernel of the canonical skew form."""
     int_rows = int_skew_rows(f)
-    rows, ncols = skew_form(f).rows, len(f.system.roots)
+    system, ncols = f.system, len(f.system.roots)
+    rows = flag_rows(skew_form(f).rows, system)
     reference = _reference_modular_kernel(int_rows, ncols)
     basis = radical_basis(f)
-    assert basis == kernel_basis(rows) == _exact_kernel(rows) == _fractions(reference, ncols)
+    assert basis == canonical(kernel_basis(rows), system) == canonical(_exact_kernel(rows), system)
+    assert basis == canonical(_fractions(reference, ncols), system)
     assert all(type(x) is Q for v in basis for x in v)
     assert orbit_dimension(f) == rank(rows) == reference_rank(rows) == ncols - len(reference)
+    assert_spans_the_canonical_kernel(f, basis)
 
 
 def leibniz(rows) -> Q:
@@ -507,12 +564,13 @@ def test_kernel_entries_past_every_bound_reach_the_fraction_fallback():
 def test_skew_entries_past_every_bound_reach_the_fraction_fallback():
     # In A4 the kernel vector of e3-e4 is f(e2-e4)/f(e1-e3) at e1-e2: 3 * 2^600
     # here, past every reconstruction bound, so the reference takes the
-    # integer skew rows to the Fraction elimination.
+    # integer skew rows to the Fraction elimination. e3-e4 is the last free
+    # column in flag order.
     system = get_system("A", 4)
     f = functional(system, {diff(1, 3): Q(1, 3), diff(2, 4): 2**600})
     assert skew_rungs(f) == [(P127, False), (P521, False)]
     basis = radical_basis(f)
-    assert Q(3 * 2**600) in basis[0]
+    assert basis[-1] == (Q(3 * 2**600), 0, 1, 0, 0, 0)
     assert orbit_dimension(f) == 2
     assert orbit_dimension(f) == len(system.roots) - len(basis)
     assert_radical_agrees(f)
@@ -605,11 +663,12 @@ def test_radical_equals_the_integer_kernel_it_replaced(kind, n):
     for f in _radical_cases(kind, n):
         ncols = len(f.system.roots)
         basis = radical_basis(f)
-        assert basis == _fractions(_reference_int_kernel(_two_stage(int_skew_rows(f)), ncols),
-                                   ncols)
-        assert basis == _exact_kernel(skew_form(f).rows)
+        reference = _reference_int_kernel(_two_stage(int_skew_rows(f)), ncols)
+        assert basis == canonical(_fractions(reference, ncols), f.system)
+        assert basis == canonical(_exact_kernel(flag_rows(skew_form(f).rows, f.system)), f.system)
         assert_fraction_tuples(basis, ncols)
         assert orbit_dimension(f) == ncols - len(basis)
+        assert_spans_the_canonical_kernel(f, basis)
 
 
 def test_kernel_edge_cases():
@@ -624,8 +683,10 @@ def test_kernel_edge_cases():
     for kind, n in [("A", 4), ("B", 3), ("D", 4)]:
         system = get_system(kind, n)
         ncols = len(system.roots)
+        # The identity basis, its vectors in flag order.
         basis = radical_basis(zero_functional(system))
-        assert basis == [tuple(one if j == k else zero for j in range(ncols)) for k in range(ncols)]
+        assert basis == [tuple(one if j == k else zero for j in range(ncols))
+                         for k in flag_order(system)]
         assert_fraction_tuples(basis, ncols)
         assert orbit_dimension(zero_functional(system)) == 0
 
