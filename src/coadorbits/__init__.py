@@ -18,7 +18,6 @@ from .basic import (
     derived_set,
     enumerate_basic_subsets,
     is_basic,
-    is_single_orbit,
     max_dimension,
     max_singular_witness,
     s_of,

@@ -29,18 +29,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .functionals import (Functional, Rational, _frac, functional, int_from_json,
-                          object_from_json, root_rationals_from_json)
+from .functionals import Functional, Rational, _frac, functional
 from .orbits import singular_set
-from .roots import (
-    DIFF,
-    PositiveRoot,
-    RootSystemKind,
-    _echo,
-    diff,
-    get_system,
-    parse_root,
-)
+from .roots import DIFF, PositiveRoot, RootSystemKind, _echo, diff, get_system
 
 
 class WrongKindError(ValueError):
@@ -71,36 +62,52 @@ def is_basic(roots: Iterable[PositiveRoot]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class BasicSubset:
-    """A basic subset of the type-A roots with parameter n.
+    """A basic subset of the type-A roots with parameter n: a rook placement in A_n.
 
-    Build one with ``basic_subset``, which validates the roots. The calculus
-    below reads them through per-root tables of A_n, so a root outside A_n
-    raises InvalidRootError there too. Slotted, because a caller that keeps
-    a whole scan keeps Bell(n) of them.
+    The constructor, and so ``dataclasses.replace``, checks the fields once,
+    and the calculus below trusts them: an n that is no rank of A raises
+    RankRangeError; roots that are not a tuple, or not distinct and in
+    canonical order, raise ValueError; a root outside A_n raises
+    InvalidRootError, and roots that share a first or a second index raise
+    NotBasicError. ``basic_subset`` takes the roots in any order. Slotted,
+    because a caller that keeps a whole scan keeps Bell(n) of them.
     """
 
     n: int
     roots: tuple[PositiveRoot, ...]
 
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __contains__(self, root: PositiveRoot) -> bool:
-        return root in self.roots
+    def __post_init__(self):
+        index_of = get_system(RootSystemKind.A, self.n).index_of
+        roots = self.roots
+        if type(roots) is not tuple:
+            raise ValueError(f"roots must be a tuple of roots, got {_echo(roots)}")
+        positions = [index_of(r) for r in roots]
+        if positions != sorted(set(positions)):
+            raise ValueError(f"roots must be distinct and in canonical order, "
+                             f"got {[str(r) for r in roots]}")
+        if not is_basic(roots):
+            raise NotBasicError(f"{[str(r) for r in roots]} is not basic")
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(r) for r in self.roots) + "}"
 
 
+# Each field's slot setter, which _basic_subset calls in place of the checking constructor.
+_set_n, _set_roots = (BasicSubset.__dict__[name].__set__ for name in ("n", "roots"))
+
+
+def _basic_subset(n: int, roots: tuple[PositiveRoot, ...]) -> BasicSubset:
+    """The BasicSubset of roots that are a rook placement of A_n in canonical order already."""
+    subset = object.__new__(BasicSubset)
+    _set_n(subset, n)
+    _set_roots(subset, roots)
+    return subset
+
+
 def basic_subset(n: int, roots: Iterable[PositiveRoot]) -> BasicSubset:
-    """Validated constructor; raises NotBasicError when the condition fails."""
-    system = get_system(RootSystemKind.A, n)
-    roots = tuple(sorted(set(roots), key=PositiveRoot.sort_key))
-    for r in roots:
-        system.check_member(r)
-    if not is_basic(roots):
-        raise NotBasicError(f"{[str(r) for r in roots]} is not basic")
-    return BasicSubset(n, roots)
+    """The basic subset on the given roots, in any order; repeats count once."""
+    return BasicSubset(n, tuple(sorted(set(roots),
+                                       key=get_system(RootSystemKind.A, n).index_of)))
 
 
 @dataclass(frozen=True)
@@ -151,29 +158,12 @@ def _singular_masks(n: int) -> dict[PositiveRoot, int]:
             for alpha in system.roots}
 
 
-@lru_cache(maxsize=None)
-def _ends(n: int) -> dict[PositiveRoot, tuple[int, int]]:
-    """(i, j) of each root e_i - e_j of A_n."""
-    return {r: (r.i, r.j) for r in get_system(RootSystemKind.A, n).roots}
-
-
-def _check_roots(subset: BasicSubset) -> None:
-    """Raise InvalidRootError for the first root of the subset outside A_n."""
-    system = get_system(RootSystemKind.A, subset.n)
-    for r in subset.roots:
-        system.check_member(r)
-
-
 def _singular_mask(subset: BasicSubset) -> int:
     """The union of the singular sets of the subset's roots, as a position bitmask."""
     masks = _singular_masks(subset.n)
     union = 0
-    try:
-        for r in subset.roots:
-            union |= masks[r]
-    except KeyError:
-        _check_roots(subset)
-        raise
+    for r in subset.roots:
+        union |= masks[r]
     return union
 
 
@@ -194,7 +184,7 @@ def enumerate_basic_subsets(n: int) -> Iterator[BasicSubset]:
 
     def rec(i: int, used: int, acc: tuple[int, ...]) -> Iterator[BasicSubset]:
         if i == n:
-            yield BasicSubset(n, tuple(roots[k] for k in sorted(acc)))
+            yield _basic_subset(n, tuple(roots[k] for k in sorted(acc)))
             return
         yield from rec(i + 1, used, acc)
         row = pos[i]
@@ -258,7 +248,7 @@ def nth_basic_subset(n: int, k: int) -> BasicSubset:
         if j:
             taken_roots.append(pos[i][j])
         used = used_below
-    return BasicSubset(n, tuple(roots[p] for p in sorted(taken_roots)))
+    return _basic_subset(n, tuple(roots[p] for p in sorted(taken_roots)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +275,9 @@ def derived_set(subset: BasicSubset) -> frozenset[PositiveRoot]:
     partner cp of c has c's length and starts strictly between c[0] and c[1],
     so partners are sought only among the chains of c's length.
     """
-    ends = _ends(subset.n)
     nxt, prev = {}, {}
-    try:
-        for r in subset.roots:
-            i, j = ends[r]
-            nxt[i], prev[j] = j, i
-    except KeyError:
-        _check_roots(subset)
-        raise
+    for r in subset.roots:
+        nxt[r.i], prev[r.j] = r.j, r.i
     chains = chains_in(subset)
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for c in chains:
@@ -332,11 +316,6 @@ def _root_set(n: int, mask: int) -> frozenset[PositiveRoot]:
     """The canonical roots at the set bits of mask; equal masks share one frozenset."""
     roots = get_system(RootSystemKind.A, n).roots
     return frozenset(r for k, r in enumerate(roots) if mask >> k & 1)
-
-
-def is_single_orbit(subset: BasicSubset) -> bool:
-    """Whether the basic sum over the subset is one coadjoint orbit."""
-    return not derived_set(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +430,6 @@ def basic_map_to_json(bmap: BasicMap) -> dict:
         "phi": {str(r): str(v) for r, v in sorted(
             bmap.phi.items(), key=lambda item: item[0].sort_key())},
     }
-
-
-def basic_map_from_json(data: Mapping) -> BasicMap:
-    try:
-        n = int_from_json("n", data["n"])
-        names, raw = data["roots"], object_from_json("phi", data["phi"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed basic map object: {exc}") from None
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise ValueError(f"value of 'roots' must be a JSON array of strings, got {_echo(names)}")
-    subset = basic_subset(n, [parse_root(s) for s in names])
-    return basic_map(subset, root_rationals_from_json(raw))
 
 
 def iter_scan_records(n: int) -> Iterator[dict]:

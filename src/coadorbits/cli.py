@@ -20,9 +20,10 @@ from functools import partial
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
 from .functionals import (OddRankError, StructureConstantError, functional_from_json,
                           orbit_dimension, parse_rational)
-from .oracle import DEFAULT_SEED, MAX_N, SUITE_NAMES, run_suite
+from .oracle import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .orbits import PairSignError, chart_lines, chart_to_json, orbit_chart
 from .roots import (
+    MAX_N,
     BracketDecompositionError,
     RootSystemKind,
     _echo,

@@ -38,9 +38,9 @@ pivot columns are the orbit's jump positions, the same at every point of
 the orbit, and S(alpha) at c e*_alpha.
 ``functional`` and the action both write their result through
 ``_from_vector``, the one canonicaliser, which reads denominators only when
-its first gcd meets a Fraction; ``functional`` hands it ints. Each hands it
-the support too: the positions ``functional`` wrote, and the action's final
-live mask.
+its first gcd meets a Fraction; ``functional`` hands it ints for integral
+values and Fractions for the others. Each hands it the support too: the
+positions ``functional`` wrote, and the action's final live mask.
 """
 
 from __future__ import annotations
@@ -117,6 +117,19 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise ValueError(f'expected a Fraction, an int or a string such as "-3/5", got {_echo(x)}')
+
+
+def _int_or_fraction(t: Rational) -> int | Fraction:
+    """t in canonical form: an int when t is integral, else a Fraction.
+
+    Group words store their parameters so, and ``functional`` writes its
+    values so. Floats, bools and everything else ``_frac`` rejects raise
+    ValueError.
+    """
+    if type(t) is int:
+        return t
+    t = _frac(t)
+    return t.numerator if t.denominator == 1 else t
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,31 +238,20 @@ def _from_vector(system: RootSystem, vec: list, den: int, support: int) -> Funct
 def functional(system: RootSystem, values: Mapping[PositiveRoot, Rational]) -> Functional:
     """Build a functional from a root -> rational map, validating the roots and the values.
 
-    Integral values are written as ints and the others as numerators over
-    the lcm of their denominators, so ``_from_vector`` gets an int vector
-    and takes its gcd-first exit; each value is checked before its root.
-    The support is the positions written.
+    Integral values are written as ints and the others as Fractions, and
+    ``_from_vector`` brings the vector over one denominator, so integral
+    values alone take its gcd-first exit; each value is checked before its
+    root. The support is the positions written.
     """
     index_of = system.index_of
     vec: list = [0] * len(system.roots)
-    fractions, support = [], 0
+    support = 0
     for root, v in values.items():
-        d = 1
-        if type(v) is not int:
-            v, d = _frac(v).as_integer_ratio()
+        v = _int_or_fraction(v)
         k = index_of(root)
         support |= 1 << k
-        if d == 1:
-            vec[k] = v
-        else:
-            fractions.append((k, v, d))
-    den = 1
-    if fractions:
-        den = math.lcm(*[d for _, _, d in fractions])
-        vec = [v * den for v in vec]
-        for k, v, d in fractions:
-            vec[k] = v * (den // d)
-    return _from_vector(system, vec, den, support)
+        vec[k] = v
+    return _from_vector(system, vec, 1, support)
 
 
 def zero_functional(system: RootSystem) -> Functional:
@@ -268,24 +270,13 @@ def e_star(system: RootSystem, alpha: PositiveRoot, c: Rational = 1) -> Function
     return _functional(system, c.denominator, tuple(nums), 1 << k)
 
 
-def _word_parameter(t: Rational) -> int | Fraction:
-    """t in a group word's canonical form: an int when t is integral, else a Fraction.
-
-    Floats, bools and everything else ``_frac`` rejects raise ValueError.
-    """
-    if type(t) is int:
-        return t
-    t = _frac(t)
-    return t.numerator if t.denominator == 1 else t
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class GroupWord:
     """A product of exponentials exp(t_1 e_{b_1}) ... exp(t_m e_{b_m}).
 
     The letters are listed in the order the factors are written, so word
     concatenation is group multiplication. The one stored field holds each
-    parameter in canonical form (``_word_parameter``), an int when it is
+    parameter in canonical form (``_int_or_fraction``), an int when it is
     integral and a Fraction otherwise, so 3, Fraction(6, 2) and "3" give
     equal words with equal hashes, and the action multiplies plain ints.
     ``letters`` is the public view, built on demand: every parameter there
@@ -296,7 +287,7 @@ class GroupWord:
 
     def __init__(self, letters: Iterable[tuple[PositiveRoot, Rational]] = ()):
         object.__setattr__(self, "_letters",
-                           tuple((root, _word_parameter(t)) for root, t in letters))
+                           tuple((root, _int_or_fraction(t)) for root, t in letters))
 
     @property
     def letters(self) -> tuple[tuple[PositiveRoot, Fraction], ...]:
@@ -483,7 +474,7 @@ def coadjoint_apply_one(beta: PositiveRoot, t: Rational, f: Functional) -> Funct
     The new value at e_gamma is f(exp(ad(-t e_beta)) e_gamma); the series
     stops on its own once the bracket chain dies.
     """
-    return _act_on(((beta, _word_parameter(t)),), f)
+    return _act_on(((beta, _int_or_fraction(t)),), f)
 
 
 def coadjoint_apply(word: GroupWord, f: Functional) -> Functional:

@@ -42,15 +42,10 @@ from .functionals import (
 from .orbits import (ZeroScalarError, _membership_form, _satisfies, contains, orbit_chart,
                      singular_set, singular_size_formula)
 from .polynomials import Polynomial
-from .roots import (DIFF, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, diff, get_system,
-                    short, sum_root)
+from .roots import (DIFF, MAX_N, SUM, PositiveRoot, RootSystemKind, _as_kind, _echo, diff,
+                    get_system, short, sum_root)
 
 DEFAULT_SEED = 314159
-
-# Largest rank of any system built: the CLI's --n, verify --max-n and JSON "n",
-# every suite's max_n and the certification's n_max. B_n has n^2 roots and its
-# bracket table about n^4 / 2 entries, all built before the first answer.
-MAX_N = 24
 
 # Largest n of an exhaustive scan over type-A basic subsets: there are
 # Bell(n) of them, and achievable-dims at n = 12 takes 91 s on a 2-core host.
@@ -116,7 +111,7 @@ def random_orbit_point(
 ) -> tuple[Functional, GroupWord]:
     """A deterministic random point of the orbit through c * e*_alpha, with its word."""
     system = get_system(kind, n)
-    system.check_member(alpha)
+    system.index_of(alpha)
     c = _frac(c)
     if c == 0:
         raise ZeroScalarError("need a nonzero scalar")

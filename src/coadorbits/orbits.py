@@ -135,14 +135,14 @@ def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularD
 def singular_set(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> SingularData:
     """Singular and regular roots of alpha and its pairs: the cached, immutable record."""
     system = get_system(kind, n)
-    system.check_member(alpha)
+    system.index_of(alpha)
     return _singular_data(system.kind, n)[alpha]
 
 
 def singular_size_formula(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> int:
     """Closed form for |S(alpha)|: 2(j-i-1), 2(n-i), 2(2n-(i+j)) or 2(2n-i-j-1)."""
     system = get_system(kind, n)
-    system.check_member(alpha)
+    system.index_of(alpha)
     if alpha.tag == DIFF:
         return 2 * (alpha.j - alpha.i - 1)
     if alpha.tag == SHORT:
@@ -178,7 +178,7 @@ class OrbitChart:
     def __post_init__(self):
         system, alpha = self.system, self.alpha
         try:
-            system.check_member(alpha)
+            system.index_of(alpha)
         except AttributeError:
             raise _not_a_system(system) from None
         c = _frac(self.c)

@@ -36,7 +36,7 @@ class RootSystemKind(Enum):
 
 
 class RankRangeError(ValueError):
-    """Rank parameter outside the supported range (n >= 2 everywhere)."""
+    """Rank parameter outside the supported range, 2 <= n <= MAX_N everywhere."""
 
 
 class InvalidRootError(ValueError):
@@ -51,6 +51,11 @@ class BracketDecompositionError(RuntimeError):
     multiple of a single root vector.
     """
 
+
+# Largest rank of any system built: the CLI's --n, verify --max-n and JSON "n",
+# every suite's max_n and the certification's n_max. B_n has n^2 roots and its
+# bracket table about n^4 / 2 entries, all built before the first answer.
+MAX_N = 24
 
 DIFF = "diff"   # e_i - e_j
 SHORT = "short"  # e_i         (type B only)
@@ -214,9 +219,6 @@ class RootSystem:
     def __contains__(self, root: PositiveRoot) -> bool:
         return root in self._index
 
-    def __len__(self) -> int:
-        return len(self.roots)
-
     def index_of(self, root: PositiveRoot) -> int:
         try:
             return self._index[root]
@@ -224,10 +226,6 @@ class RootSystem:
             raise InvalidRootError(
                 f"{_echo(root)} is not a positive root of {self.kind.value} with n={self.n}"
             ) from None
-
-    def check_member(self, root: PositiveRoot) -> PositiveRoot:
-        self.index_of(root)
-        return root
 
     def simple_roots(self) -> tuple[PositiveRoot, ...]:
         simples = [diff(i, i + 1) for i in range(1, self.n)]
@@ -271,14 +269,17 @@ def _system(kind: RootSystemKind, n: int) -> RootSystem:
 def positive_roots(kind: RootSystemKind | str, n: int) -> RootSystem:
     """The positive roots of the given kind, in canonical order.
 
-    Counts are n(n-1)/2 for A, n^2 for B and n^2 - n for D. An n below 2, or
-    not an int (3.0 would hit the cache entry of 3), raises RankRangeError.
+    Counts are n(n-1)/2 for A, n^2 for B and n^2 - n for D. An n below 2 or
+    above MAX_N, or not an int (3.0 would hit the cache entry of 3), raises
+    RankRangeError before anything is built.
     """
     kind = _as_kind(kind)
     if type(n) is not int:
         raise RankRangeError(f"kind {kind.value} needs an int n, got {_echo(n)}")
     if n < 2:
         raise RankRangeError(f"kind {kind.value} needs n >= 2, got {_echo(n)}")
+    if n > MAX_N:
+        raise RankRangeError(f"kind {kind.value} needs n <= {MAX_N}, got {_echo(n)}")
     return _system(kind, n)
 
 
@@ -303,7 +304,7 @@ class MatrixRealization:
 def root_vector(kind: RootSystemKind | str, n: int, alpha: PositiveRoot) -> MatrixRealization:
     """The matrix realizing e_alpha inside the nilpotent algebra of (kind, n)."""
     system = positive_roots(kind, n)
-    system.check_member(alpha)
+    system.index_of(alpha)
     i, j = alpha.i, alpha.j
     if system.kind is RootSystemKind.A:
         return MatrixRealization(n, {(i, j): 1})
@@ -329,8 +330,8 @@ def bracket(
 ) -> tuple[int, PositiveRoot] | None:
     """[e_alpha, e_beta] = c * e_gamma as (c, gamma), or None when it vanishes."""
     system = positive_roots(kind, n)
-    system.check_member(alpha)
-    system.check_member(beta)
+    system.index_of(alpha)
+    system.index_of(beta)
     return _structure_table(system.kind, n).get(alpha, beta)
 
 

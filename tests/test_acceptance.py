@@ -13,7 +13,6 @@ from coadorbits.basic import (
     basic_subset,
     derived_set,
     enumerate_basic_subsets,
-    is_single_orbit,
     max_dimension,
     s_of,
     witness_basic_subsets,
@@ -138,7 +137,7 @@ def test_c08_single_orbit_dichotomy():
 def test_c09_achievable_dimensions():
     for n in range(2, 9):
         reachable = sorted(
-            {s_of(d) for d in enumerate_basic_subsets(n) if is_single_orbit(d)}
+            {s_of(d) for d in enumerate_basic_subsets(n) if not derived_set(d)}
         )
         top = (n - 2) * n // 2 if n % 2 == 0 else (n - 1) ** 2 // 2
         assert reachable == list(range(0, top + 1, 2))

@@ -5,7 +5,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 import pytest
@@ -19,7 +19,6 @@ from coadorbits.basic import (
     WrongKindError,
     achievable_dimensions,
     basic_map,
-    basic_map_from_json,
     basic_map_to_json,
     basic_point,
     basic_subset,
@@ -29,7 +28,6 @@ from coadorbits.basic import (
     derived_set,
     enumerate_basic_subsets,
     is_basic,
-    is_single_orbit,
     iter_scan_records,
     max_dimension,
     max_singular_witness,
@@ -135,10 +133,47 @@ def test_basic_subset_constructor_validates():
 @pytest.mark.parametrize("call", [s_of, derived_set])
 def test_unvalidated_subset_with_a_root_outside_a_n_is_a_root_error(call, root):
     # Built without basic_subset; these used to raise IndexError, give
-    # s = 0 for e1, and read e1+e3 as e1-e3.
-    subset = BasicSubset(4, (diff(2, 3), root))
+    # s = 0 for e1, and read e1+e3 as e1-e3. Now the constructor rejects
+    # the subset, so neither call is reached.
     with pytest.raises(InvalidRootError, match=f"^{re.escape(str(root))} is not a positive root"):
-        call(subset)
+        call(BasicSubset(4, (diff(2, 3), root)))
+
+
+# Fields no BasicSubset takes, each with the typed error and the message it raises.
+_NOT_A_BASIC_SUBSET = [
+    pytest.param(4, (diff(1, 3), diff(1, 4)), NotBasicError, "is not basic", id="shared-row"),
+    pytest.param(4, (diff(2, 3), diff(1, 3)), NotBasicError, "is not basic", id="shared-column"),
+    pytest.param(4, (diff(1, 2), diff(1, 2)), ValueError, "distinct and in canonical order",
+                 id="repeat"),
+    pytest.param(4, (diff(2, 4), diff(1, 2)), ValueError, "distinct and in canonical order",
+                 id="order"),
+    pytest.param(4, [diff(1, 2)], ValueError, "must be a tuple", id="list"),
+    pytest.param(4, (diff(1, 5),), InvalidRootError, "not a positive root of A with n=4",
+                 id="outside"),
+    pytest.param(4, ("e1-e2",), InvalidRootError, "not a positive root", id="string"),
+    pytest.param(1, (), RankRangeError, "needs n >= 2", id="n=1"),
+    pytest.param(MAX_N + 1, (), RankRangeError, f"needs n <= {MAX_N}", id="n=MAX_N+1"),
+    pytest.param(4.0, (), RankRangeError, "needs an int n", id="float-n"),
+    pytest.param(True, (), RankRangeError, "needs an int n", id="bool-n"),
+]
+
+
+@pytest.mark.parametrize("n,roots,error,message", _NOT_A_BASIC_SUBSET)
+def test_basic_subset_checks_its_fields_when_built_and_replaced(n, roots, error, message):
+    # BasicSubset(4, (e1-e3, e1-e4)) used to be built, with s_of 5 and no
+    # derived roots; only basic_subset checked.
+    with pytest.raises(error, match=re.escape(message)):
+        BasicSubset(n, roots)
+    with pytest.raises(error, match=re.escape(message)):
+        replace(basic_subset(4, [diff(1, 2)]), n=n, roots=roots)
+
+
+def test_basic_subset_sorts_and_dedups_and_checks_each_root():
+    assert basic_subset(4, [diff(2, 4), diff(1, 2), diff(2, 4)]) == BasicSubset(
+        4, (diff(1, 2), diff(2, 4)))
+    # A string used to fail in the sort with a bare AttributeError.
+    with pytest.raises(InvalidRootError, match="^'e1-e2' is not a positive root of A"):
+        basic_subset(4, ["e1-e2"])
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +375,12 @@ def test_chains_in_subset():
 def test_derived_set_worked_example():
     d = basic_subset(6, [diff(1, 3), diff(3, 5), diff(2, 4), diff(4, 6)])
     assert derived_set(d) == frozenset({diff(1, 2)})
-    assert not is_single_orbit(d)
 
 
 def test_derived_set_of_singletons_and_empty():
     assert derived_set(basic_subset(6, [diff(1, 6)])) == frozenset()
     assert derived_set(basic_subset(4, [])) == frozenset()
-    assert is_single_orbit(basic_subset(4, [diff(2, 4)]))
-    assert is_single_orbit(basic_subset(4, []))
+    assert derived_set(basic_subset(4, [diff(2, 4)])) == frozenset()
 
 
 def test_derived_set_condition_iii_and_iv_matter():
@@ -747,7 +780,7 @@ def test_single_orbit_dichotomy_small():
                 continue
             f = basic_point(basic_map(subset, {r: 1 for r in subset.roots}))
             dim = orbit_dimension(f)
-            if is_single_orbit(subset):
+            if not derived_set(subset):
                 assert dim == s_of(subset)
             else:
                 assert dim < s_of(subset)
@@ -789,7 +822,7 @@ def test_achievable_dimension_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_achievable_dimensions_match_exhaustive_scan(n):
-    reachable = sorted({s_of(d) for d in enumerate_basic_subsets(n) if is_single_orbit(d)})
+    reachable = sorted({s_of(d) for d in enumerate_basic_subsets(n) if not derived_set(d)})
     assert reachable == achievable_dimensions(n)
 
 
@@ -812,7 +845,7 @@ def test_witnesses_cover_every_achievable_dimension(n):
     ws = witness_basic_subsets(n)
     assert [m for m, _ in ws] == list(range(max_weyl_index(n) + 1))
     for m, subset in ws:
-        assert is_single_orbit(subset)
+        assert not derived_set(subset)
         assert s_of(subset) == 2 * m
 
 
@@ -833,61 +866,14 @@ def test_max_singular_witness_examples():
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_basic_map_json_round_trip():
+def test_basic_map_to_json_shape():
     subset = basic_subset(5, [diff(1, 3), diff(2, 5)])
     bmap = basic_map(subset, {diff(1, 3): Q(2), diff(2, 5): Q(-1, 3)})
-    payload = basic_map_to_json(bmap)
-    assert payload == {
+    assert basic_map_to_json(bmap) == {
         "n": 5,
         "roots": ["e1-e3", "e2-e5"],
         "phi": {"e1-e3": "2", "e2-e5": "-1/3"},
     }
-    assert basic_map_from_json(payload) == bmap
-
-
-@pytest.mark.parametrize("value", [0.1, True, [1], 2])
-def test_basic_map_json_rejects_non_string_rational(value):
-    payload = {"n": 5, "roots": ["e1-e3", "e2-e5"], "phi": {"e1-e3": "2", "e2-e5": value}}
-    with pytest.raises(ValueError, match="e2-e5"):
-        basic_map_from_json(payload)
-
-
-@pytest.mark.parametrize("other", [" e1-e3", "e01-e3", "e1-e03 "])
-def test_basic_map_json_rejects_a_root_named_twice(other):
-    payload = {"n": 5, "roots": ["e1-e3"], "phi": {"e1-e3": "2", other: "-3"}}
-    with pytest.raises(ValueError, match=f"keys 'e1-e3' and '{other}' name the same root e1-e3"):
-        basic_map_from_json(payload)
-
-
-@pytest.mark.parametrize("value", [5.5, 5.0, "5", True])
-def test_basic_map_json_rejects_non_integer_n(value):
-    payload = {"n": value, "roots": ["e1-e3"], "phi": {"e1-e3": "2"}}
-    with pytest.raises(ValueError, match="'n'"):
-        basic_map_from_json(payload)
-
-
-@pytest.mark.parametrize("phi", [[["e1-e3", "2"]], "ab"])
-def test_basic_map_json_phi_must_be_an_object(phi):
-    payload = {"n": 5, "roots": ["e1-e3"], "phi": phi}
-    with pytest.raises(ValueError, match="'phi' must be a JSON object"):
-        basic_map_from_json(payload)
-
-
-@pytest.mark.parametrize("roots", [5, [1], "e1-e2", {"e1-e2": 1}, ["e1-e2", None]])
-def test_basic_map_json_roots_must_be_an_array_of_strings(roots):
-    # 5 used to raise TypeError, [1] AttributeError, "e1-e2" was read one
-    # character at a time, and an object was read by its keys.
-    payload = {"n": 5, "roots": roots, "phi": {"e1-e2": "2"}}
-    with pytest.raises(ValueError, match="^value of 'roots' must be a JSON array of strings, got"):
-        basic_map_from_json(payload)
-
-
-@pytest.mark.parametrize("key", ["n", "roots", "phi"])
-def test_basic_map_json_missing_key_is_value_error(key):
-    payload = {"n": 5, "roots": ["e1-e3"], "phi": {"e1-e3": "2"}}
-    del payload[key]
-    with pytest.raises(ValueError, match=key):
-        basic_map_from_json(payload)
 
 
 def test_scan_records_shape():

@@ -157,6 +157,35 @@ def test_verify_exit_code_two_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_lists_ten_failures_and_counts_the_rest(capsys, monkeypatch, fmt):
+    # Every rank is wrong: 3 checks of A2 and 9 of A3 fail.
+    import coadorbits.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "orbit_dimension", lambda f: 99)
+    code, out, err = run_cli(capsys, "verify", "--suite", "dimension-formulas", "--kind", "A",
+                             "--max-n", "3", "--format", fmt)
+    assert code == 2 and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["verdict"] == "fail" and len(report["failures"]) == 12
+        return
+    lines = out.splitlines()
+    assert lines[0] == "suite dimension-formulas: FAIL (12 checks)"
+    assert len(lines) == 12 and all(line.startswith("  failure: {") for line in lines[1:11])
+    assert lines[-1] == "  ... and 2 more"
+
+
+def test_dim_reports_an_odd_rank_with_exit_code_two(capsys, monkeypatch):
+    # The rank check inside orbit_dimension, not a stand-in for it, raises.
+    import coadorbits.functionals as functionals_mod
+
+    monkeypatch.setattr(functionals_mod, "_echelon_form", lambda system, nums: {0: {0: 1}})
+    code, out, err = run_cli(capsys, "dim", str(Path(__file__).parent / "golden" / "a5.json"))
+    assert (code, out) == (2, "")
+    assert err == "coadorbits: error: OddRankError: skew form has odd rank 1\n"
+
+
 def test_verify_explicit_zero_trials_run_no_checks(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "two-dim-support", "--trials", "0")
     assert code == 0

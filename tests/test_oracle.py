@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 import coadorbits.oracle as oracle
-from coadorbits import cli
+from coadorbits import cli, roots
 from coadorbits.basic import count_basic_subsets, enumerate_basic_subsets, nth_basic_subset
-from coadorbits.functionals import GroupWord, coadjoint_apply, e_star, orbit_dimension
+from coadorbits.basic import basic_subset, decompose
+from coadorbits.functionals import (GroupWord, coadjoint_apply, e_star, functional_from_json,
+                                    functional_to_json, orbit_dimension, root_rationals_from_json,
+                                    word_from_json, word_to_json)
 from coadorbits.oracle import (
     _SUITES,
     MAX_N,
@@ -22,7 +25,8 @@ from coadorbits.oracle import (
     run_suite,
 )
 from coadorbits.orbits import ZeroScalarError, singular_set
-from coadorbits.roots import InvalidRootError, RootSystemKind, diff, get_system, sum_root
+from coadorbits.roots import (InvalidRootError, RootSystemKind, diff, get_system, parse_root,
+                              sum_root)
 
 
 def test_zero_length_word_gives_base_point():
@@ -329,7 +333,7 @@ def test_exponential_scans_are_bounded_before_they_start(monkeypatch, name, boun
 
 
 def test_the_library_and_the_cli_share_one_rank_bound():
-    assert cli.MAX_N is MAX_N == 24
+    assert cli.MAX_N is MAX_N is roots.MAX_N == 24
     assert all(bound <= MAX_N for _, _, bound in _SUITES.values())
 
 
@@ -404,3 +408,107 @@ def test_single_orbit_scan_draws_each_phi_just_before_its_rank(monkeypatch):
         run_suite("single-orbit-scan", max_n=3, trials=1000)
     # Each subset's all-ones phi is not drawn; each random one is drawn just before its rank.
     assert ranked == [0, 0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Failure records: each suite's failure sites, forced by patching what it checks
+# ---------------------------------------------------------------------------
+
+def _failed(name, **options):
+    """The suite's report, which must fail; every record must survive json.dumps."""
+    report = run_suite(name, **options)
+    assert report.verdict == "fail" and report.to_json()["verdict"] == "fail"
+    assert json.loads(json.dumps(report.to_json()))["failures"] == report.failures
+    return report.failures
+
+
+def _rebuilt(record):
+    """The record's functional and word read back by the JSON readers, which must agree."""
+    f = functional_from_json(record["functional"])
+    assert functional_to_json(f) == record["functional"]
+    if "word" not in record:
+        return f, None
+    word = word_from_json(record["word"])
+    assert word_to_json(word) == record["word"]
+    return f, word
+
+
+def test_chart_soundness_records_a_point_its_word_replays(monkeypatch):
+    monkeypatch.setattr(oracle, "contains", lambda chart, point: False)
+    failures = _failed("chart-soundness", kinds=("B",), max_n=2, trials=2)
+    system = get_system("B", 2)
+    assert [(r["kind"], r["n"], r["alpha"]) for r in failures] == [
+        ("B", 2, str(alpha)) for alpha in system.roots for _ in range(2)]
+    for record in failures:
+        alpha = parse_root(record["alpha"])
+        assert record["seed"].startswith(f"{oracle.DEFAULT_SEED}:chart-soundness:B:2:{alpha}:")
+        assert record["detail"] == f"orbit point escapes the {alpha} chart"
+        point, word = _rebuilt(record)
+        assert coadjoint_apply(word, e_star(system, alpha, 1)) == point
+
+
+def test_dimension_formulas_records_a_wrong_closed_form_and_a_wrong_rank(monkeypatch):
+    monkeypatch.setattr(oracle, "singular_size_formula", lambda kind, n, alpha: -1)
+    failures = _failed("dimension-formulas", kinds=("A",), max_n=3)
+    assert failures == [dict(seed="-", detail="singular set size disagrees with the closed form",
+                             kind="A", n=n, alpha=str(alpha))
+                        for n in (2, 3) for alpha in get_system("A", n).roots]
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "orbit_dimension", lambda f: 99)
+    failures = _failed("dimension-formulas", kinds=("D",), max_n=2)
+    expected = len(singular_set("D", 2, sum_root(1, 2)).singular)
+    assert failures == [dict(seed="-", detail=f"rank 99 != |S(alpha)| {expected}", kind="D",
+                             n=2, alpha=str(alpha), c=c)
+                        for alpha in get_system("D", 2).roots for c in ("1", "2", "-3/5")]
+
+
+def test_decompose_roundtrip_records_the_moved_functional(monkeypatch):
+    # A decomposition that always finds the empty subset.
+    monkeypatch.setattr(oracle, "decompose", lambda f: decompose(f.scaled(0)))
+    failures = _failed("decompose-roundtrip", max_n=3, trials=6)
+    assert failures
+    for record in failures:
+        assert record["detail"] == "decomposition did not recover (D, phi)"
+        assert record["seed"].startswith(f"{oracle.DEFAULT_SEED}:decompose:{record['n']}:")
+        assert record["got_roots"] == [] and record["expected_roots"]
+        moved, word = _rebuilt(record)
+        assert moved.system == get_system("A", record["n"])
+        assert [str(r) for r in decompose(moved).subset.roots] == record["expected_roots"]
+
+
+def test_single_orbit_scan_records_the_subset_and_its_phi(monkeypatch):
+    monkeypatch.setattr(oracle, "orbit_dimension", lambda f: 10 ** 6)
+    failures = _failed("single-orbit-scan", max_n=3, trials=1)
+    # Every subset's all-ones phi, then one random phi for each nonempty subset.
+    assert len(failures) == sum(1 + bool(d.roots) for n in (2, 3)
+                                for d in enumerate_basic_subsets(n))
+    for record in failures:
+        assert record["seed"] == "-" and record["detail"].startswith("dimension 1000000 vs s(D)=")
+        subset = basic_subset(record["n"], map(parse_root, record["roots"]))
+        phi = root_rationals_from_json(record["phi"])
+        assert [str(r) for r in subset.roots] == record["roots"] == [str(r) for r in phi]
+
+
+def test_two_dim_support_records_the_functional_with_its_forced_root(monkeypatch):
+    monkeypatch.setattr(oracle, "orbit_dimension", lambda f: 0)
+    failures = _failed("two-dim-support", max_n=5, trials=3)
+    assert [record["n"] for record in failures] == [4, 4, 4, 5, 5, 5]
+    for record in failures:
+        assert record["detail"] == "far-supported functional has orbit dimension 0 < 4"
+        assert record["seed"].startswith(f"{oracle.DEFAULT_SEED}:two-dim:{record['n']}:")
+        f, word = _rebuilt(record)
+        forced = parse_root(record["forced"])
+        assert word is None and f.value(forced) and forced.j - forced.i > 2
+
+
+def test_achievable_dims_records_a_wrong_dimension_set_and_a_wrong_maximum(monkeypatch):
+    monkeypatch.setattr(oracle, "achievable_dimensions", lambda n: [])
+    failures = _failed("achievable-dims", max_n=3)
+    detail = "scanned dimension set disagrees with the closed form"
+    assert failures == [dict(seed="-", detail=detail, n=2, scanned=[0], expected=[]),
+                        dict(seed="-", detail=detail, n=3, scanned=[0, 2], expected=[])]
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "max_dimension", lambda n: -1)
+    failures = _failed("achievable-dims", max_n=3)
+    assert failures == [dict(seed="-", detail=f"max s(D) {top} != -1", n=n)
+                        for n, top in ((2, 0), (3, 2))]

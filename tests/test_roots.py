@@ -128,6 +128,16 @@ def test_rank_past_the_int_digit_limit_raises_the_typed_error():
         positive_roots("A", -10**5000)
 
 
+def test_rank_above_the_bound_raises_before_the_cache():
+    # An n such as 10**6 used to build its roots until memory ran out.
+    roots_module._system.cache_clear()
+    for kind in KINDS:
+        with pytest.raises(RankRangeError,
+                           match=f"needs n <= {roots_module.MAX_N}, got {roots_module.MAX_N + 1}$"):
+            positive_roots(kind, roots_module.MAX_N + 1)
+    assert roots_module._system.cache_info().misses == 0
+
+
 @pytest.mark.parametrize("n", [3.0, "3", None, True, Fraction(3)])
 def test_rank_that_is_not_an_int_raises_cold_and_warm(n):
     # 3.0 used to return A3 once A3 was cached, and raise an untyped
@@ -426,8 +436,8 @@ def _reference_bracket(kind, n, alpha, beta):
     """The per-pair matrix commutator, decomposed against e_{alpha+beta}. Kept as
     the reference for the matrix-unit products in ``_structure_table``."""
     system = positive_roots(kind, n)
-    system.check_member(alpha)
-    system.check_member(beta)
+    system.index_of(alpha)
+    system.index_of(beta)
     comm = _commutator(
         root_vector(kind, n, alpha).entries, root_vector(kind, n, beta).entries
     )
