@@ -5,8 +5,8 @@ verify --max-n and the "n" of a dim or decompose JSON file are each
 at most 24, checked before any root system is built. Exit codes: 0
 success; 1 usage or input error (ValueError, ZeroDivisionError, OSError);
 2 verification failure or failed internal consistency check
-(BracketDecompositionError, OddRankError, PairSignError,
-StructureConstantError), reported with the error's class name.
+(BracketDecompositionError, OddRankError), reported with the error's
+class name.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import sys
 from functools import partial
 
 from .basic import achievable_dimensions, basic_map_to_json, decompose, max_weyl_index
-from .functionals import (OddRankError, StructureConstantError, functional_from_json,
-                          orbit_dimension, parse_rational)
+from .functionals import OddRankError, functional_from_json, orbit_dimension, parse_rational
 from .oracle import DEFAULT_SEED, SUITE_NAMES, run_suite
-from .orbits import PairSignError, chart_lines, chart_to_json, orbit_chart
+from .orbits import chart_lines, chart_to_json, orbit_chart
 from .roots import (
     MAX_N,
     BracketDecompositionError,
@@ -42,8 +41,6 @@ _EXIT_CODES = {
     OSError: USAGE_ERROR,
     BracketDecompositionError: VERIFY_ERROR,
     OddRankError: VERIFY_ERROR,
-    PairSignError: VERIFY_ERROR,
-    StructureConstantError: VERIFY_ERROR,
 }
 
 

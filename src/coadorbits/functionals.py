@@ -75,15 +75,6 @@ class OddRankError(RuntimeError):
     """
 
 
-class StructureConstantError(RuntimeError):
-    """A bracket the action's plans read has a structure constant other than 1 or -1.
-
-    An internal consistency check: every structure constant of A, B and D
-    is 1 or -1 (CONVENTIONS.md), and a one-term plan entry adds or
-    subtracts x t without multiplying by it.
-    """
-
-
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -314,8 +305,10 @@ def _ad_chains(kind: RootSystemKind, n: int):
     hold (g, bit, p) for each gamma with the single term +t e_p or -t e_p.
     bit is 1 << g, the bit the entry sets when it writes. With k1 and k2
     the structure constants of the string g, g+b, g+2b, c is -k1 and d2 is
-    k1 k2, the numerator over 2! of the second-order coefficient; a
-    constant other than +/-1 raises StructureConstantError. Root strings in
+    k1 k2, the numerator over 2! of the second-order coefficient. The
+    table holds only constants 1 and -1 (roots._structure_table checks them
+    when it builds), so a one-term entry adds or subtracts x t without
+    multiplying by its constant, and d2 is 1 or -1. Root strings in
     A, B and D have at most three roots, so no tail is longer; only type B's
     short betas have twos, and there d2 is -1.
 
@@ -333,15 +326,12 @@ def _ad_chains(kind: RootSystemKind, n: int):
         twos, plus, minus, mask = [], [], [], 0
         for g in sorted(brackets):
             k1, p = brackets[g]
-            if k1 not in (1, -1):
-                raise StructureConstantError(
-                    f"[e_{beta}, e_{roots[g]}] has structure constant {k1}, not +/-1")
             hit = brackets.get(p)
             if hit is None:
                 (minus if k1 == 1 else plus).append((g, 1 << g, p))
                 mask |= 1 << p
             else:
-                k2, q = hit  # p is a key of brackets too, so its k2 is checked there
+                k2, q = hit  # +/-1 like k1: the table checked both when it was built
                 twos.append((g, 1 << g, p, -k1, q, k1 * k2))
                 mask |= 1 << p | 1 << q
         reads[beta] = mask

@@ -67,14 +67,6 @@ class ChartVariableError(ValueError):
     """A chart-point assignment does not cover exactly the singular roots."""
 
 
-class PairSignError(RuntimeError):
-    """A singular pair does not bracket to +/- e_alpha.
-
-    An internal consistency check: every such bracket has structure constant
-    1 or -1 (CONVENTIONS.md).
-    """
-
-
 # ---------------------------------------------------------------------------
 # Singular and regular roots
 # ---------------------------------------------------------------------------
@@ -112,9 +104,6 @@ def _singular_data(kind: RootSystemKind, n: int) -> dict[PositiveRoot, SingularD
     for b, row in enumerate(table.by_index):
         for g, (c, a) in row.items():
             if first[b] == first[a]:
-                if c not in (1, -1):
-                    raise PairSignError(
-                        f"pair ({roots[b]}, {roots[g]}) does not bracket to +/- e_{roots[a]}")
                 pairs[a].append((b, g, c))
     out = {}
     size = len(roots)

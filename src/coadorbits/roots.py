@@ -44,11 +44,11 @@ class InvalidRootError(ValueError):
 
 
 class BracketDecompositionError(RuntimeError):
-    """A matrix commutator failed to decompose in the root-vector basis.
+    """A matrix commutator is not zero or +1 or -1 times one root vector.
 
     This is an internal consistency check: for the realizations used here
-    the commutator of two root vectors is always zero or an integer
-    multiple of a single root vector.
+    every structure constant is 1 or -1 (CONVENTIONS.md), and the bracket
+    table is the one place that checks it.
     """
 
 
@@ -216,9 +216,6 @@ class RootSystem:
     def __hash__(self) -> int:
         return hash((self.kind, self.n))
 
-    def __contains__(self, root: PositiveRoot) -> bool:
-        return root in self._index
-
     def index_of(self, root: PositiveRoot) -> int:
         try:
             return self._index[root]
@@ -340,9 +337,10 @@ class BracketTable:
     """Complete bracket table of a system, over canonical positions.
 
     by_index[a] is a read-only {b: (c, g)} for every nonzero [e_a, e_b] = c e_g,
-    so each row holds both orders of a pair: by_index[b][a] is (-c, g). The
-    attributes cannot be rebound either: ``structure_table`` hands every
-    caller the one cached table.
+    with c 1 or -1 (checked when the table is built), so each row holds both
+    orders of a pair: by_index[b][a] is (-c, g). The attributes cannot be
+    rebound either: ``structure_table`` hands every caller the one cached
+    table.
     """
 
     # Declared by hand, as for PositiveRoot: dataclass(slots=True) remakes
@@ -375,9 +373,10 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
 
     Roots are handled by canonical position throughout. Each unordered pair
     is decomposed once, as e_a e_b - e_b e_a, and fills both orders. Each
-    commutator must be an integer times the root vector of the one root
+    commutator must be +1 or -1 times the root vector of the one root
     owning its first position; anything else raises
-    :class:`BracketDecompositionError`.
+    :class:`BracketDecompositionError`. So every constant a caller reads
+    is 1 or -1, and no caller checks it again.
     """
     system = _system(kind, n)
     roots = system.roots
@@ -407,9 +406,9 @@ def _structure_table(kind: RootSystemKind, n: int) -> BracketTable:
         g = owner.get(pos)
         target = {} if g is None else units[g]
         coef = v // target[pos] if target else 0
-        if comm != {p: coef * u for p, u in target.items()}:
+        if coef not in (1, -1) or comm != {p: coef * u for p, u in target.items()}:
             raise BracketDecompositionError(
-                f"[{roots[a]}, {roots[b]}] is not an integer multiple of one root vector")
+                f"[{roots[a]}, {roots[b]}] is not +1 or -1 times one root vector")
         by_index[a][b] = (coef, g)
         by_index[b][a] = (-coef, g)
     return BracketTable(system, tuple(map(MappingProxyType, by_index)))

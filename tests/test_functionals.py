@@ -20,7 +20,6 @@ from coadorbits.basic import basic_map, basic_point, basic_subset, enumerate_bas
 from coadorbits.functionals import (
     Functional,
     GroupWord,
-    StructureConstantError,
     _act,
     _ad_chains,
     _from_vector,
@@ -320,24 +319,6 @@ def test_ad_chain_plans_read_no_gamma_they_have_updated(kind):
             reads = lambda entries: {target for _, tail in entries for target, _, _ in tail}
             assert not reads(twos) & {g for g, _ in twos}
             assert not reads(plus + minus) & written
-
-
-def test_a_structure_constant_other_than_one_raises_when_a_plan_is_built(monkeypatch):
-    # One constant of a B3 table doubled, in a one-term entry and in the
-    # first term of a two-term one; plans read from the edited table raise.
-    table = structure_table(RootSystemKind.B, 3)
-    system = table.system
-    for beta, gamma in ((diff(1, 2), diff(2, 3)), (short(3), diff(2, 3))):
-        b, g = system.index_of(beta), system.index_of(gamma)
-        by_index = [dict(row) for row in table.by_index]
-        k, target = by_index[b][g]
-        by_index[b][g] = (2 * k, target)
-        edited = type("Table", (), {"system": system, "by_index": by_index})
-        monkeypatch.setattr(functionals, "structure_table", lambda kind, n: edited)
-        with pytest.raises(StructureConstantError,
-                           match=re.escape(f"[e_{beta}, e_{gamma}] has structure constant {2 * k}")):
-            _ad_chains.__wrapped__(RootSystemKind.B, 3)
-    assert _ad_chains(RootSystemKind.B, 3)[0]
 
 
 # ---------------------------------------------------------------------------

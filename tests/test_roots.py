@@ -153,12 +153,11 @@ def test_rank_that_is_not_an_int_raises_cold_and_warm(n):
 
 def test_membership_constraints():
     a = positive_roots(RootSystemKind.A, 4)
-    assert short(1) not in a
-    assert sum_root(1, 2) not in a
     d = positive_roots(RootSystemKind.D, 4)
-    assert short(1) not in d
-    with pytest.raises(InvalidRootError):
-        a.index_of(diff(1, 5))
+    for system, root in ((a, short(1)), (a, sum_root(1, 2)), (d, short(1)), (a, diff(1, 5))):
+        assert root not in system.roots
+        with pytest.raises(InvalidRootError):
+            system.index_of(root)
     with pytest.raises(InvalidRootError):
         diff(3, 2)
 
@@ -250,7 +249,7 @@ def test_parsing_many_distinct_roots_leaves_the_table_bounded():
     before = len(roots_module._interned)
     for k in range(1, 20001):
         root = parse_root(f"e{k}-e{k + 10**6}")
-        assert root not in get_system("A", 4)
+        assert root not in get_system("A", 4).roots
     gc.collect()
     assert len(roots_module._interned) <= before + 1
     # A root that something still holds stays the one live root.
@@ -367,7 +366,7 @@ def test_bracket_grading_and_antisymmetry(kind, n):
     for (alpha, beta), (c, gamma) in table.table.items():
         assert c != 0
         assert add_roots(alpha, beta) == gamma
-        assert gamma in system
+        assert gamma in system.roots
         assert table.get(beta, alpha) == (-c, gamma)
 
 
@@ -375,7 +374,7 @@ def test_bracket_grading_and_antisymmetry(kind, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_observed_structure_constants(kind, n):
     constants = structure_table(kind, n).nonzero_constants()
-    assert constants <= {-2, -1, 1, 2}
+    assert constants <= {-1, 1}
     print(f"structure constants {kind.value} n={n}: {sorted(constants)}")
 
 
@@ -444,7 +443,7 @@ def _reference_bracket(kind, n, alpha, beta):
     if not comm:
         return None
     gamma = add_roots(alpha, beta)
-    if gamma is None or gamma not in system:
+    if gamma is None or gamma not in system.roots:
         raise BracketDecompositionError(
             f"[{alpha}, {beta}] is nonzero but {alpha}+{beta} is not a positive root"
         )
@@ -486,6 +485,22 @@ def test_structure_table_consistency_check_fires(monkeypatch):
     monkeypatch.setattr(roots_mod, "root_vector", skewed)
     with pytest.raises(BracketDecompositionError):
         roots_mod._structure_table.__wrapped__(RootSystemKind.A, 3)
+
+
+def test_structure_table_rejects_a_constant_other_than_one(monkeypatch):
+    # With e_{e1-e2} = 2 E[1,2], [e_{e1-e2}, e_{e2-e3}] = 2 E[1,3] is exactly
+    # 2 e_{e1-e3}: a multiple of one root vector, but not +1 or -1 times it.
+    realize = roots_module.root_vector
+
+    def doubled(kind, n, alpha):
+        if alpha == diff(1, 2):
+            return MatrixRealization(3, {(1, 2): 2})
+        return realize(kind, n, alpha)
+
+    monkeypatch.setattr(roots_module, "root_vector", doubled)
+    with pytest.raises(BracketDecompositionError,
+                       match=r"^\[e1-e2, e2-e3\] is not \+1 or -1 times one root vector$"):
+        roots_module._structure_table.__wrapped__(RootSystemKind.A, 3)
 
 
 # ---------------------------------------------------------------------------
