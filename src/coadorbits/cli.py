@@ -117,7 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_functional(path: str):
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     n = data.get("n") if isinstance(data, dict) else None
     if isinstance(n, int) and n > MAX_N:
         raise ValueError(f"value of 'n' must be at most {MAX_N}, got {_echo(n)}")

@@ -27,15 +27,16 @@ bracket table relabelled once. ``skew_form`` reads them back over f's
 denominator in canonical order. ``_echelon_form``, an ``lru_cache`` of one
 entry keyed on the system and the numerators, keeps the last forward
 echelon form of those rows (``linalg._forward``); ``orbit_dimension``
-counts its pivots, and only ``radical_basis`` reduces it above its pivots,
-reads the kernel off the reduced rows, one Fraction per entry, and moves
-each vector back to canonical positions. So asking both of one functional
-back to back eliminates it forward once. perfbench's orbit-rank checks ask
-both; the package's callers ask the dimension alone, which never reduces
-above. In flag order the forward form's entries stay smaller and the
-reduced kernel has about half the entries it has in canonical order; the
-pivot columns are the orbit's jump positions, the same at every point of
-the orbit, and S(alpha) at c e*_alpha.
+counts its pivots, and only ``radical_basis`` reduces it above its pivots
+and reads the kernel off the reduced rows, writing each entry once, at its
+canonical position, with no gather afterwards. So asking both of one
+functional back to back eliminates it forward once. perfbench's
+orbit-rank checks ask both; the package's callers ask the dimension
+alone, which never reduces above. In flag order the forward form's
+entries stay smaller and the reduced kernel has about half the entries
+it has in canonical order; the pivot columns are the orbit's jump
+positions, the same at every point of the orbit, and S(alpha) at
+c e*_alpha.
 ``functional`` and the action both write their result through
 ``_from_vector``, the one canonicaliser, which reads denominators only when
 its first gcd meets a Fraction; ``functional`` hands it ints for integral
@@ -50,7 +51,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .linalg import _forward, _kernel, _reduce_above
@@ -363,27 +363,24 @@ def _heights(by_index) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _flag_plan(kind: RootSystemKind, n: int):
-    """The skew form's rows and columns in flag order: (column, canonical, rows).
+    """The skew form's rows and columns in flag order: (column, position, rows).
 
     The flag order lists the positions by height, highest first, with ties
     in canonical order (the Pukanszky/Vergne flag). A bracket [e_a, e_p] =
     c e_g lands higher than p, so g comes before p, and the span of the
     first k positions is an ideal for every k. column[p] is the flag index
-    of canonical position p, and canonical(v) is the tuple of flag-indexed
-    entries v over canonical positions, v[column[p]] at p: an
-    ``itemgetter``, or ``tuple`` when the order is the identity (as it is
-    for one position, where an itemgetter would return the entry alone).
+    of canonical position p, and position[k] the canonical position at flag
+    index k, its inverse, where ``linalg._kernel`` writes flag column k.
     rows[column[a]] holds (column[b], c, g) for each [e_a, e_b] = c e_g:
     the rows of ``by_index`` relabelled to flag order, with g left
     canonical, the numerator it reads.
     """
     by_index = structure_table(kind, n).by_index
     height = _heights(by_index)
-    order = sorted(range(len(height)), key=height.__getitem__, reverse=True)
-    column = tuple(sorted(range(len(order)), key=order.__getitem__))
-    canonical = tuple if column == tuple(range(len(column))) else itemgetter(*column)
-    rows = tuple(tuple((column[b], c, g) for b, (c, g) in by_index[a].items()) for a in order)
-    return column, canonical, rows
+    position = tuple(sorted(range(len(height)), key=height.__getitem__, reverse=True))
+    column = tuple(sorted(range(len(position)), key=position.__getitem__))
+    rows = tuple(tuple((column[b], c, g) for b, (c, g) in by_index[a].items()) for a in position)
+    return column, position, rows
 
 
 _HALF = Fraction(1, 2)
@@ -540,15 +537,15 @@ def radical_basis(f: Functional) -> list[tuple[Fraction, ...]]:
     """Exact basis of the radical {x : f([x, y]) = 0 for all y}.
 
     The cached echelon form is reduced above its pivots, leaving the cache
-    as it was, and the kernel is read off the reduced rows. That is the
-    reduced basis in flag order (``_flag_plan``): one vector for each free
-    flag column, in flag order, with 1 there and 0 at the other free
-    columns. Each is returned as a tuple of Fractions over the canonical
-    root order; their count is len(roots) - orbit_dimension(f).
+    as it was, and the kernel is read off the reduced rows, each entry
+    written once at its canonical position (``_flag_plan``). That is the
+    reduced basis in flag order: one vector for each free flag column, in
+    flag order, with 1 there and 0 at the other free columns. Each is a
+    tuple of Fractions over the canonical root order; their count is
+    len(roots) - orbit_dimension(f).
     """
-    canonical = _flag_plan(f.system.kind, f.system.n)[1]
-    return list(map(canonical, _kernel(_reduce_above(_echelon_form(f.system, f.nums)),
-                                       len(f.system.roots))))
+    position = _flag_plan(f.system.kind, f.system.n)[1]
+    return _kernel(_reduce_above(_echelon_form(f.system, f.nums)), position)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,18 @@ positive pivot. ``_forward`` builds an echelon form, clearing only each
 row's leading entry; a rank counts its pivots. ``_reduce_above`` reduces
 that form above its pivots to the reduced row echelon form over Q, which
 only a kernel needs, and ``_kernel`` reads the kernel basis off it, as
-Fraction tuples, one Fraction per entry. ``rank`` and ``kernel_basis``
-scale each row to integers by the lcm of its denominators
-(``_integer_rows``); ``functionals`` eliminates the integer rows of a
-skew form directly, with its rows and columns in flag order, caching the
-forward form for both its rank and its radical. Pivot and free columns
-follow the column order the rows are given in; the rank does not. ``det`` eliminates the same integer rows fraction-free (Bareiss
-1968): each step divides exactly by the previous pivot, so no step leaves
-the integers.
+Fraction tuples, writing each entry once at the output position it is
+given for its column and building each distinct Fraction once per call.
+``rank`` and ``kernel_basis`` scale each row to integers by the lcm of
+its denominators (``_integer_rows``); ``functionals`` eliminates the
+integer rows of a skew form directly, with its rows and columns in flag
+order, caching the forward form for both its rank and its radical, and
+has the kernel written at canonical positions. Pivot and free columns
+follow the column order the rows are given in; the rank does not.
+
+``det`` eliminates the same integer rows fraction-free (Bareiss 1968):
+each step divides exactly by the previous pivot, so no step leaves the
+integers.
 """
 
 from __future__ import annotations
@@ -135,25 +139,38 @@ def _reduce_above(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int
     return reduced
 
 
-def _kernel(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduce_above``.
+def _kernel(echelon: dict[int, dict[int, int]],
+            position: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """The reduced kernel basis of a reduced form from ``_reduce_above``, written at position.
 
-    Each free column fc gives a vector with 1 at fc and 0 at the other free
-    columns; a reduced row with pivot b at pc and entry a at fc gives it
-    Fraction(-a, b) at pc. A reduced row holds no other pivot column, so
-    each entry is placed in one pass over the rows, which are only read.
+    position[c] is the output index of column c, and its length the width.
+    Each free column fc, in column order, gives a vector with 1 at
+    position[fc] and 0 at the other free columns' positions; a reduced row
+    with pivot b at pc and entry a at fc gives it Fraction(-a, b) at
+    position[pc]. A reduced row holds no other pivot column, so each entry
+    is written once, in one pass over the rows, which are only read. Each
+    distinct (a, b) builds its Fraction once per call, and every vector
+    that holds it shares it.
     """
     zero, one = Fraction(0), Fraction(1)
+    ncols = len(position)
     basis: dict[int, list[Fraction]] = {}
-    for fc in range(ncols):
+    for fc, p in enumerate(position):
         if fc not in echelon:
             basis[fc] = v = [zero] * ncols
-            v[fc] = one
+            v[p] = one
+    memo: dict[int, dict[int, Fraction]] = {}
     for pc, row in echelon.items():
-        b = row[pc]
+        b, p = row[pc], position[pc]
+        quotients = memo.get(b)
+        if quotients is None:
+            quotients = memo[b] = {}
         for j, a in row.items():
             if j != pc:
-                basis[j][pc] = Fraction(-a, b)
+                q = quotients.get(a)
+                if q is None:
+                    q = quotients[a] = Fraction(-a, b)
+                basis[j][p] = q
     return [tuple(v) for v in basis.values()]
 
 
@@ -169,7 +186,7 @@ def kernel_basis(rows: Matrix) -> list[tuple[Fraction, ...]]:
     columns, so the basis is in reduced form and deterministic.
     """
     ncols = len(rows[0]) if rows else 0
-    return _kernel(_reduce_above(_forward(_integer_rows(rows))), ncols)
+    return _kernel(_reduce_above(_forward(_integer_rows(rows))), range(ncols))
 
 
 def det(rows: Matrix) -> Fraction:

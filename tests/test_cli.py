@@ -3,7 +3,9 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -416,6 +418,21 @@ def test_flag_rank_far_above_bound_is_echoed_short(capsys):
     assert out == ""
     assert err == (f"coadorbits: error: --n must be at most {MAX_N}, "
                    f"got {'9' * 40}... (4000 characters)\n")
+
+
+@pytest.mark.parametrize("command", ["dim", "decompose"])
+def test_deeply_nested_json_is_one_short_line(tmp_path, command):
+    # json.load recurses once per level and raised RecursionError here; run as
+    # a user runs it, so a traceback would reach stderr.
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "coadorbits.cli", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "coadorbits: error: JSON nested too deeply\n"
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", ["dim", "decompose"])

@@ -55,9 +55,9 @@ from coadorbits.roots import (
     structure_table,
     sum_root,
 )
-from test_linalg import (_eliminate, _exact_kernel, _interleaved_reduced,
-                         assert_spans_the_canonical_kernel, canonical, closed_form_height,
-                         flag_order, flag_rows)
+from test_linalg import (_eliminate, _exact_kernel, _gathered_kernel, _interleaved_reduced,
+                         _two_stage, assert_fraction_tuples, assert_spans_the_canonical_kernel,
+                         canonical, closed_form_height, flag_columns, flag_order, flag_rows)
 
 KINDS = tuple(RootSystemKind)
 
@@ -1024,10 +1024,11 @@ def test_flag_order_is_by_closed_form_height_and_an_ideal_flag(kind, n):
     system = get_system(kind, n)
     by_index = structure_table(kind, n).by_index
     assert functionals._heights(by_index) == [closed_form_height(system, r) for r in system.roots]
-    column, gather, rows = functionals._flag_plan(kind, n)
+    column, position, rows = functionals._flag_plan(kind, n)
     order = flag_order(system)
     assert [column[p] for p in order] == list(range(len(order)))
-    assert gather(tuple(order)) == tuple(range(len(order)))
+    assert position == tuple(order)
+    assert all(position[column[p]] == p for p in range(len(order)))
     # [e_a, e_p] = c e_g puts g before p, so every prefix spans an ideal.
     for a, row in enumerate(by_index):
         for p, (c, g) in row.items():
@@ -1055,6 +1056,9 @@ def test_flag_pivots_of_an_elementary_functional_are_its_singular_set(kind, n):
         units = {tuple(Q(int(j == system.index_of(beta))) for j in range(size))
                  for beta in data.regular}
         assert len(basis) == len(units) and set(basis) == units
+        assert basis == _gathered_kernel(_two_stage(_skew_rows(system, f.nums)), size,
+                                         flag_columns(system))
+        assert_fraction_tuples(basis, size)
 
 
 @pytest.mark.parametrize("kind, n", [("A", 5), ("A", 7), ("B", 4), ("B", 5), ("D", 5)])
@@ -1172,7 +1176,7 @@ def _uncached_radical(f):
     """The radical from a fresh interleaved reduction of f's skew rows, which no cache holds,
     moved back from flag columns to canonical positions."""
     return canonical(_kernel(_interleaved_reduced(_skew_rows(f.system, f.nums)),
-                             len(f.system.roots)), f.system)
+                             range(len(f.system.roots))), f.system)
 
 
 def _slot_traffic():

@@ -7,8 +7,11 @@ where it is installed, a column-scan Fraction reduced form, the certified
 modular kernel that the integer elimination replaced, kept here verbatim
 with its ladder of moduli and its Fraction fallback, the integer kernel
 that the one-pass Fraction kernel replaced, kept here verbatim with the
-step that read it as Fractions, and the interleaved integer reduction that
-the forward pass and the reduce-above pass replaced, kept here verbatim.
+step that read it as Fractions, the flag-indexed Fraction kernel and the
+gather to canonical positions that writing each entry at its canonical
+position replaced (``_gathered_kernel``), kept here verbatim, and the
+interleaved integer reduction that the forward pass and the reduce-above
+pass replaced, kept here verbatim.
 
 A radical is the reduced kernel of the skew rows in flag order, so the
 references run on the skew rows with their rows and columns put in that
@@ -23,6 +26,7 @@ import math
 import random
 from fractions import Fraction
 from fractions import Fraction as Q
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -334,6 +338,41 @@ def _reference_int_kernel(echelon: dict[int, dict[int, int]], ncols: int) -> lis
     return basis
 
 
+# ---------------------------------------------------------------------------
+# The flag-indexed Fraction kernel that ``linalg._kernel`` replaced, verbatim,
+# and the gather that moved its vectors to canonical positions
+# ---------------------------------------------------------------------------
+
+def _gathered_kernel(echelon: dict[int, dict[int, int]], ncols: int,
+                     column=None) -> list[tuple[Fraction, ...]]:
+    """The reduced kernel basis, of width ncols, of a reduced form from ``_reduce_above``.
+
+    Each free column fc gives a vector with 1 at fc and 0 at the other free
+    columns; a reduced row with pivot b at pc and entry a at fc gives it
+    Fraction(-a, b) at pc, one fresh Fraction per entry. With column, the
+    flag index of each canonical position, each vector is then gathered to
+    canonical positions, v[column[p]] at p: an ``itemgetter``, or ``tuple``
+    when the order is the identity (as it is for one position, where an
+    itemgetter would return the entry alone).
+    """
+    zero, one = Fraction(0), Fraction(1)
+    basis: dict[int, list[Fraction]] = {}
+    for fc in range(ncols):
+        if fc not in echelon:
+            basis[fc] = v = [zero] * ncols
+            v[fc] = one
+    for pc, row in echelon.items():
+        b = row[pc]
+        for j, a in row.items():
+            if j != pc:
+                basis[j][pc] = Fraction(-a, b)
+    vectors = [tuple(v) for v in basis.values()]
+    if column is None:
+        return vectors
+    canonical = tuple if column == tuple(range(len(column))) else itemgetter(*column)
+    return list(map(canonical, vectors))
+
+
 def _fractions(vectors: list[Vector], ncols: int) -> list[tuple[Q, ...]]:
     """Kernel vectors (denominator, {column: numerator}) as Fraction tuples of width ncols."""
     basis = []
@@ -434,6 +473,12 @@ def flag_rows(rows, system) -> list[list[Q]]:
     return [[rows[a][b] for b in order] for a in order]
 
 
+def flag_columns(system) -> tuple[int, ...]:
+    """The flag index of each canonical position: the inverse of ``flag_order``."""
+    order = flag_order(system)
+    return tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
 def canonical(basis, system) -> list[tuple[Q, ...]]:
     """Vectors over flag columns moved back to canonical positions: entry k goes to order[k]."""
     order = flag_order(system)
@@ -518,6 +563,7 @@ def test_kernel_vectors_are_exact_and_reduced(rows):
 def test_rank_and_kernel_equal_the_fraction_elimination(rows):
     basis = kernel_basis(rows)
     assert basis == _exact_kernel(rows)
+    assert basis == _gathered_kernel(_two_stage(linalg._integer_rows(rows)), width(rows))
     assert all(type(x) is Q for v in basis for x in v)
     assert rank(rows) == reference_rank(rows)
 
@@ -621,7 +667,7 @@ def integer_rows(draw, max_rows=5, max_cols=6):
 def test_integer_row_kernel_equals_the_fraction_elimination(case):
     int_rows, ncols = case
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
-    basis = linalg._kernel(_two_stage(int_rows), ncols)
+    basis = linalg._kernel(_two_stage(int_rows), range(ncols))
     assert basis == _exact_kernel(dense)
     assert basis == _fractions(_reference_modular_kernel(int_rows, ncols), ncols)
     assert rank(dense) == ncols - len(basis) == reference_rank(dense)
@@ -637,12 +683,14 @@ def assert_fraction_tuples(basis, ncols):
 def test_kernel_equals_the_integer_kernel_it_replaced(case):
     int_rows, ncols = case
     echelon = _two_stage(int_rows)
-    basis = linalg._kernel(echelon, ncols)
+    basis = linalg._kernel(echelon, range(ncols))
     dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in int_rows]
     assert basis == _fractions(_reference_int_kernel(echelon, ncols), ncols)
     assert basis == _exact_kernel(dense)
     assert basis == _fractions(_reference_modular_kernel(int_rows, ncols), ncols)
+    assert basis == kernel_basis(dense) == _gathered_kernel(echelon, ncols)
     assert_fraction_tuples(basis, ncols)
+    assert_fraction_tuples(kernel_basis(dense), ncols)
 
 
 def _radical_cases(kind, n):
@@ -663,22 +711,37 @@ def test_radical_equals_the_integer_kernel_it_replaced(kind, n):
     for f in _radical_cases(kind, n):
         ncols = len(f.system.roots)
         basis = radical_basis(f)
-        reference = _reference_int_kernel(_two_stage(int_skew_rows(f)), ncols)
+        echelon = _two_stage(int_skew_rows(f))
+        reference = _reference_int_kernel(echelon, ncols)
         assert basis == canonical(_fractions(reference, ncols), f.system)
+        assert basis == _gathered_kernel(echelon, ncols, flag_columns(f.system))
         assert basis == canonical(_exact_kernel(flag_rows(skew_form(f).rows, f.system)), f.system)
         assert_fraction_tuples(basis, ncols)
         assert orbit_dimension(f) == ncols - len(basis)
         assert_spans_the_canonical_kernel(f, basis)
 
 
+def test_kernel_writes_each_entry_at_its_position_and_shares_equal_entries():
+    # Rows 0 and 1 both hold 2 at free column 2 over the pivot 3: one
+    # Fraction(-2, 3) serves both entries of that vector.
+    echelon = {0: {0: 3, 2: 2, 3: 1}, 1: {1: 3, 2: 2, 3: -1}}
+    basis = linalg._kernel(echelon, (3, 1, 0, 2))
+    assert basis == [(Q(1), Q(-2, 3), Q(0), Q(-2, 3)), (Q(0), Q(1, 3), Q(1), Q(-1, 3))]
+    assert basis == _gathered_kernel(echelon, 4, (2, 1, 3, 0))
+    assert basis[0][1] is basis[0][3]
+    assert_fraction_tuples(basis, 4)
+
+
 def test_kernel_edge_cases():
     one, zero = Q(1), Q(0)
     # A zero row leaves every column free: the identity basis.
-    assert linalg._kernel(_two_stage([{}]), 1) == [(one,)]
-    assert linalg._kernel(_two_stage([{}]), 2) == [(one, zero), (zero, one)]
-    assert linalg._kernel(_two_stage([{}]), 0) == []
+    assert linalg._kernel(_two_stage([{}]), range(1)) == [(one,)]
+    assert linalg._kernel(_two_stage([{}]), range(2)) == [(one, zero), (zero, one)]
+    assert linalg._kernel(_two_stage([{}]), range(0)) == []
+    # Every column free, written in reverse.
+    assert linalg._kernel(_two_stage([{}]), (1, 0)) == [(zero, one), (one, zero)]
     # A full-rank form leaves none.
-    assert linalg._kernel(_two_stage([{0: 2, 1: 4}, {1: -3}]), 2) == []
+    assert linalg._kernel(_two_stage([{0: 2, 1: 4}, {1: -3}]), range(2)) == []
     assert kernel_basis([[Q(2), 1], [0, Q(1, 3)]]) == []
     for kind, n in [("A", 4), ("B", 3), ("D", 4)]:
         system = get_system(kind, n)
@@ -795,7 +858,7 @@ def test_reduced_form_and_kernel_leave_their_input_rows_as_they_are(case):
     kept = copy.deepcopy(forward)
     echelon = linalg._reduce_above(forward)
     shared = copy.deepcopy(echelon)
-    linalg._kernel(echelon, ncols)
+    linalg._kernel(echelon, range(ncols))
     assert rows == int_rows == before
     # A forward form shared by a rank and a reduction, and a reduced form
     # read by a kernel, are only read.
